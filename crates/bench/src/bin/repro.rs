@@ -1251,8 +1251,22 @@ fn soak_cmd(args: &Args) -> Result<(), String> {
         args.clients, args.deltas
     );
     println!(
-        "{:>4} {:>6} {:>10} {:>6} {:>6} {:>10} {:>9} {:>9} {:>9} {:>8} {:>5}",
-        "k", "nodes", "cold", "cone", "cone%", "probe", "speedup", "p50", "p95", "avgcone", "err"
+        "{:>4} {:>6} {:>10} {:>6} {:>6} {:>10} {:>9} {:>9} {:>9} {:>8} {:>5} {:>5} {:>8} {:>7} {:>8}",
+        "k",
+        "nodes",
+        "cold",
+        "cone",
+        "cone%",
+        "probe",
+        "speedup",
+        "p50",
+        "p95",
+        "avgcone",
+        "err",
+        "sess",
+        "terms",
+        "retired",
+        "arena"
     );
     let mut rows = Vec::new();
     // the soak grid defaults to the recorded EXPERIMENTS.md sizes
@@ -1260,7 +1274,7 @@ fn soak_cmd(args: &Args) -> Result<(), String> {
     for k in ks {
         let r = run_soak(kind, k, &options);
         println!(
-            "{:>4} {:>6} {:>10} {:>6} {:>6} {:>10} {:>9} {:>9} {:>9} {:>8} {:>5}",
+            "{:>4} {:>6} {:>10} {:>6} {:>6} {:>10} {:>9} {:>9} {:>9} {:>8} {:>5} {:>5} {:>8} {:>7} {:>8}",
             r.k,
             r.nodes,
             format!("{:.0}ms", r.baseline_full_ms),
@@ -1272,6 +1286,10 @@ fn soak_cmd(args: &Args) -> Result<(), String> {
             format!("{:.0}ms", r.p95_ms),
             format!("{:.1}", r.mean_cone),
             r.storm_errors,
+            r.sessions,
+            r.compiled_terms,
+            r.session_retirements,
+            r.arena_terms,
         );
         rows.push(r.to_json());
     }

@@ -799,9 +799,12 @@ mod tests {
 
     #[test]
     fn dead_worker_shards_are_reassigned_and_the_row_completes() {
-        // worker A dies after one check; worker B finishes the row
+        // worker A dies on its first check frame, with that shard in flight;
+        // worker B finishes the row. (Dying after one served check raced B:
+        // a fast B had often stolen A's other shard by then, and nothing
+        // was left to reassign.)
         let (dying, dying_handle) =
-            spawn_worker(WorkerOptions { die_after: Some(1), ..WorkerOptions::default() });
+            spawn_worker(WorkerOptions { die_after: Some(0), ..WorkerOptions::default() });
         let (survivor, survivor_handle) = spawn_worker(WorkerOptions::default());
         let workers = vec![dying.clone(), survivor.clone()];
         let kind = BenchKind::parse("SpReach").unwrap();

@@ -83,6 +83,16 @@ pub struct SoakResult {
     pub p95_ms: f64,
     /// Mean dirty-cone size over successful storm deltas.
     pub mean_cone: f64,
+    /// The daemon's `status` after the storm — what its memory is made of:
+    /// live solver sessions, the compiled terms they hold, sessions retired
+    /// for outgrowing their requests, and the process-wide term arena.
+    pub sessions: usize,
+    /// See [`SoakResult::sessions`].
+    pub compiled_terms: usize,
+    /// See [`SoakResult::sessions`].
+    pub session_retirements: usize,
+    /// See [`SoakResult::sessions`].
+    pub arena_terms: usize,
 }
 
 impl SoakResult {
@@ -117,6 +127,10 @@ impl SoakResult {
             ("p50_ms", Json::Num(self.p50_ms)),
             ("p95_ms", Json::Num(self.p95_ms)),
             ("mean_cone", Json::Num(self.mean_cone)),
+            ("sessions", Json::from(self.sessions)),
+            ("compiled_terms", Json::from(self.compiled_terms)),
+            ("session_retirements", Json::from(self.session_retirements)),
+            ("arena_terms", Json::from(self.arena_terms)),
         ])
     }
 }
@@ -265,6 +279,8 @@ pub fn run_soak(kind: BenchKind, k: usize, options: &SoakOptions) -> SoakResult 
     let hist_f64 =
         |key: &str| cone_hist.and_then(|h| h.get(key)).and_then(Json::as_f64).unwrap_or(0.0);
     let mean_cone = if hist_f64("count") > 0.0 { hist_f64("sum") / hist_f64("count") } else { 0.0 };
+    let status = probe.send(&Request::Status).expect("status request");
+    let status_count = |key: &str| status.get(key).and_then(Json::as_usize).unwrap_or(0);
     let shutdown = probe.send(&Request::Shutdown).expect("shutdown request");
     assert_eq!(shutdown.get("ok").and_then(Json::as_bool), Some(true));
     server.join().expect("server thread").expect("serve exits cleanly");
@@ -291,6 +307,10 @@ pub fn run_soak(kind: BenchKind, k: usize, options: &SoakOptions) -> SoakResult 
         p50_ms: quantile(0.5),
         p95_ms: quantile(0.95),
         mean_cone,
+        sessions: status_count("sessions"),
+        compiled_terms: status_count("compiled_terms"),
+        session_retirements: status_count("session_retirements"),
+        arena_terms: status_count("arena_terms"),
     }
 }
 
@@ -320,5 +340,11 @@ mod tests {
         let json = result.to_json();
         assert_eq!(json.get("bench").and_then(Json::as_str), Some("SpReach"));
         assert!(json.get("probe_speedup").and_then(Json::as_f64).unwrap() > 0.0);
+        // the daemon's memory counters ride along on every row
+        assert!(result.sessions > 0 && result.compiled_terms > 0 && result.arena_terms > 0);
+        assert_eq!(
+            json.get("compiled_terms").and_then(Json::as_usize),
+            Some(result.compiled_terms)
+        );
     }
 }

@@ -88,6 +88,32 @@ impl Fingerprints {
         Fingerprints { map }
     }
 
+    /// This snapshot brought up to date after an edit whose *footprint* —
+    /// a topological upper bound on the nodes whose conditions the edit can
+    /// reach — is known: only the footprint is re-fingerprinted against the
+    /// edited instance, every other hash is carried over. One condition
+    /// construction per footprint node instead of one per node.
+    ///
+    /// Equal to [`Fingerprints::compute`] on the edited instance exactly
+    /// when `footprint` covers every node whose conditions changed; the
+    /// caller owes that (see [`interface_cone`] for interface edits — an
+    /// in-edge policy edit reaches only the edge's head, a change to the
+    /// symbolic preconditions reaches every node).
+    pub fn refreshed(
+        &self,
+        net: &Network,
+        interface: &NodeAnnotations,
+        property: &NodeAnnotations,
+        delay: u64,
+        footprint: &[NodeId],
+    ) -> Fingerprints {
+        let mut map = self.map.clone();
+        for &v in footprint {
+            map.insert(v, node_fingerprint(net, interface, property, delay, v));
+        }
+        Fingerprints { map }
+    }
+
     /// The fingerprint of one node, if it was part of the snapshot.
     pub fn get(&self, v: NodeId) -> Option<u64> {
         self.map.get(&v).copied()
@@ -319,6 +345,46 @@ mod tests {
             .unwrap();
         let after = Fingerprints::compute(&dropped, &interface, &property, 0);
         assert_eq!(before.dirty_cone(&after), vec![v2], "only the head's merge inputs changed");
+    }
+
+    #[test]
+    fn refreshing_the_footprint_equals_recomputing_everything() {
+        let (net, interface, property) = policy_instance(6);
+        let g = net.topology();
+        let node = |name: &str| g.node_by_name(name).unwrap();
+        let before = Fingerprints::compute(&net, &interface, &property, 0);
+
+        // a policy edit on u -> v reaches only v
+        let dropped = net
+            .set_edge_policy(
+                (node("v2"), node("v3")),
+                Some(RoutePolicy::new().drop_if(RouteGuard::True)),
+            )
+            .unwrap();
+        let refreshed = before.refreshed(&dropped, &interface, &property, 0, &[node("v3")]);
+        assert_eq!(refreshed, Fingerprints::compute(&dropped, &interface, &property, 0));
+        assert_eq!(before.dirty_cone(&refreshed), vec![node("v3")]);
+
+        // an interface edit at v reaches v and its successors — stacked on
+        // the policy edit, so carried-over hashes come from a refreshed map
+        let mut edited = interface.clone();
+        edited.set(
+            node("v4"),
+            Temporal::until_at(
+                7,
+                |r| r.clone().is_none(),
+                Temporal::globally(|r| r.clone().is_some()),
+            ),
+        );
+        let footprint = interface_cone(g, node("v4"));
+        let twice = refreshed.refreshed(&dropped, &edited, &property, 0, &footprint);
+        assert_eq!(twice, Fingerprints::compute(&dropped, &edited, &property, 0));
+
+        // a footprint wider than the exact cone changes nothing more
+        let all: Vec<NodeId> = g.nodes().collect();
+        assert_eq!(before.refreshed(&dropped, &interface, &property, 0, &all), refreshed);
+        // an empty footprint is the identity, whatever the instance
+        assert_eq!(before.refreshed(&dropped, &edited, &property, 0, &[]), before);
     }
 
     #[test]

@@ -15,26 +15,40 @@
 //! balancing rule multi-process sharding uses. There is no work stealing —
 //! the pool trades a little intra-row balance for cross-row cache reuse;
 //! the scoped scheduler remains the right tool for one-shot checks.
+//!
+//! Sessions that live this long need a bound: under a daemon's stream of
+//! edits an encoder cache fills with the terms of instances long edited
+//! away, and a solver keeps a residue per check. Each worker therefore ends
+//! every job with [`timepiece_smt::SessionPool::end_job`], which retires a
+//! session that has outgrown the jobs it serves; the next job rebuilds it
+//! cold. [`CheckerPool::session_stats`] reports the sizes and the
+//! retirement count.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use timepiece_algebra::Network;
 use timepiece_sched::{CancelToken, ShardPlan};
-use timepiece_smt::{SessionPool, TermCacheStats};
+use timepiece_smt::{SessionPool, SessionPoolStats, TermCacheStats};
 use timepiece_topology::NodeId;
 
 use crate::check::{CheckOptions, CheckReport, Failure, ModularChecker};
 use crate::error::CoreError;
 use crate::interface::NodeAnnotations;
 
-/// One unit of work sent to a persistent worker: check `nodes` of one
-/// instance.
-struct Job {
+/// The instance one `check_nodes` call verifies, copied once per call and
+/// shared by every worker's job.
+struct Instance {
     net: Network,
     interface: NodeAnnotations,
     property: NodeAnnotations,
+}
+
+/// One unit of work sent to a persistent worker: check `nodes` of one
+/// instance.
+struct Job {
+    instance: Arc<Instance>,
     nodes: Vec<NodeId>,
     /// Shared across every worker of one `check_nodes` call: raised on the
     /// first failure under [`CheckOptions::fail_fast`] *or* by an external
@@ -44,11 +58,15 @@ struct Job {
     cancel: CancelToken,
 }
 
-/// What a worker sends back per job: failures, per-node durations, and the
+/// What a worker found in one job: failures, per-node durations, and the
 /// job's term-cache traffic (whose hits include terms compiled by *earlier*
 /// jobs into the worker's persistent sessions — the cross-row reuse this
 /// pool exists for).
-type JobResult = Result<(Vec<Failure>, Vec<(NodeId, Duration)>, TermCacheStats), CoreError>;
+type JobOutcome = Result<(Vec<Failure>, Vec<(NodeId, Duration)>, TermCacheStats), CoreError>;
+
+/// What a worker sends back per job: the outcome, and the size of its
+/// session pool once the job has ended (retirements included).
+type JobResult = (JobOutcome, SessionPoolStats);
 
 /// A pool of persistent verification workers with long-lived solver
 /// sessions. See the module docs.
@@ -80,6 +98,8 @@ struct Worker {
     tx: mpsc::Sender<Job>,
     rx: mpsc::Receiver<JobResult>,
     handle: Option<JoinHandle<()>>,
+    /// The worker's session pool as of its last finished job.
+    sessions: SessionPoolStats,
 }
 
 impl CheckerPool {
@@ -105,13 +125,17 @@ impl CheckerPool {
                     let fail_fast = options.fail_fast;
                     let checker = ModularChecker::new(options);
                     while let Ok(job) = job_rx.recv() {
-                        let result = run_job(&checker, &mut sessions, fail_fast, &job);
-                        if result_tx.send(result).is_err() {
+                        let outcome = run_job(&checker, &mut sessions, fail_fast, &job);
+                        // between jobs nothing holds a session: the one
+                        // point where an overgrown one can be dropped whole
+                        sessions.end_job();
+                        if result_tx.send((outcome, sessions.stats())).is_err() {
                             break;
                         }
                     }
                 });
-                Worker { tx: job_tx, rx: result_rx, handle: Some(handle) }
+                let sessions = SessionPoolStats::default();
+                Worker { tx: job_tx, rx: result_rx, handle: Some(handle), sessions }
             })
             .collect();
         CheckerPool { workers, options }
@@ -134,6 +158,14 @@ impl CheckerPool {
     /// The options the pool was built with.
     pub fn options(&self) -> &CheckOptions {
         &self.options
+    }
+
+    /// The workers' solver-session pools, summed, as of each worker's last
+    /// finished job: live sessions, the compiled terms they hold, and how
+    /// many sessions were retired for outgrowing their jobs. Deterministic
+    /// for a given request sequence — the memory signal tests can assert on.
+    pub fn session_stats(&self) -> SessionPoolStats {
+        self.workers.iter().fold(SessionPoolStats::default(), |sum, w| sum + w.sessions)
     }
 
     /// Checks every node of a network across the persistent workers,
@@ -181,6 +213,11 @@ impl CheckerPool {
         // worker gets the same mix of cheap and expensive node classes
         let plan =
             ShardPlan::by_class(nodes.to_vec(), self.workers.len(), |v| g.node_class(v).to_owned());
+        let instance = Arc::new(Instance {
+            net: net.clone(),
+            interface: interface.clone(),
+            property: property.clone(),
+        });
         let mut active = Vec::new();
         for (i, worker) in self.workers.iter().enumerate() {
             let assigned = plan.nodes_of(i);
@@ -188,9 +225,7 @@ impl CheckerPool {
                 continue;
             }
             let sent = worker.tx.send(Job {
-                net: net.clone(),
-                interface: interface.clone(),
-                property: property.clone(),
+                instance: Arc::clone(&instance),
                 nodes: assigned.to_vec(),
                 cancel: cancel.clone(),
             });
@@ -212,14 +247,20 @@ impl CheckerPool {
                 first_error.get_or_insert(CoreError::WorkerDied);
                 continue;
             }
-            match self.workers[i].rx.recv() {
-                Ok(Ok((fs, ds, ts))) => {
-                    failures.extend(fs);
-                    node_durations.extend(ds);
-                    terms += ts;
-                }
-                Ok(Err(e)) => {
-                    first_error.get_or_insert(e);
+            let worker = &mut self.workers[i];
+            match worker.rx.recv() {
+                Ok((outcome, sessions)) => {
+                    worker.sessions = sessions;
+                    match outcome {
+                        Ok((fs, ds, ts)) => {
+                            failures.extend(fs);
+                            node_durations.extend(ds);
+                            terms += ts;
+                        }
+                        Err(e) => {
+                            first_error.get_or_insert(e);
+                        }
+                    }
                 }
                 // the worker panicked mid-job and dropped its result channel
                 Err(_) => {
@@ -239,8 +280,9 @@ fn run_job(
     sessions: &mut SessionPool,
     fail_fast: bool,
     job: &Job,
-) -> JobResult {
-    let signature = job.net.encoder_signature();
+) -> JobOutcome {
+    let Instance { net, interface, property } = &*job.instance;
+    let signature = net.encoder_signature();
     let before = sessions.term_cache_stats();
     {
         // the job's token must reach this worker's in-flight solver calls:
@@ -261,9 +303,9 @@ fn run_job(
         let Some((node_failures, duration)) = checker.check_node_in_session(
             session,
             job.cancel.flag(),
-            &job.net,
-            &job.interface,
-            &job.property,
+            net,
+            interface,
+            property,
             v,
         )?
         else {

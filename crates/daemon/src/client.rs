@@ -1,6 +1,6 @@
 //! A minimal blocking client for the `timepieced` protocol.
 
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 
 use timepiece_trace::json::{read_line_value, write_line_value, MAX_LINE_BYTES};
@@ -24,6 +24,9 @@ impl Client {
     /// Any connect error.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // a request is one small segment the server is waiting for: do not
+        // let Nagle hold it back for the previous reply's ACK
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client { reader: BufReader::new(stream), writer })
     }
@@ -36,7 +39,6 @@ impl Client {
     /// reply is unframable.
     pub fn request(&mut self, frame: &Json) -> std::io::Result<Json> {
         write_line_value(&mut self.writer, frame)?;
-        self.writer.flush()?;
         match read_line_value(&mut self.reader, MAX_LINE_BYTES) {
             Ok(Some(reply)) => Ok(reply),
             Ok(None) => Err(std::io::Error::new(
@@ -54,5 +56,14 @@ impl Client {
     /// As [`Client::request`].
     pub fn send(&mut self, request: &Request) -> std::io::Result<Json> {
         self.request(&request.to_json())
+    }
+
+    /// Is `TCP_NODELAY` set on this connection?
+    ///
+    /// # Errors
+    ///
+    /// The socket-option read's I/O error.
+    pub fn nodelay(&self) -> std::io::Result<bool> {
+        self.writer.nodelay()
     }
 }

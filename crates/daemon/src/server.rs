@@ -11,13 +11,19 @@
 //! `shutdown` request (after its reply is sent) or a SIGTERM (via
 //! [`spawn_sigterm_watcher`]) raises it, which cancels the in-flight
 //! check's [`timepiece_sched::CancelToken`] — firing the registered
-//! solver-interrupt hooks — pre-cancels any queued checks, stops the accept
-//! loop, and lets [`serve`] return `Ok(())` so the process exits 0.
+//! solver-interrupt hooks — stops the state loop (requests still queued
+//! are answered "shutting down"), wakes the blocking accept loop with a
+//! loopback self-connect, and lets [`serve`] return `Ok(())` so the process
+//! exits 0.
+//!
+//! Latency: every accepted stream sets `TCP_NODELAY` and every frame is one
+//! `write` ([`write_line_value`]), so a reply leaves in a single segment
+//! instead of waiting out Nagle's algorithm against the peer's delayed ACK.
 
 use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use timepiece_trace::json::{read_line_value, write_line_value, MAX_LINE_BYTES};
@@ -26,8 +32,14 @@ use timepiece_trace::Json;
 use crate::protocol::{error_response, Request};
 use crate::state::{DaemonState, DrainSignal};
 
-/// How often the accept, state and signal-watcher loops poll.
+/// How often the state and signal-watcher loops look at the drain signal.
+/// Requests never wait on it: the state loop blocks on its channel and the
+/// accept loop blocks in `accept`.
 const POLL: Duration = Duration::from_millis(25);
+
+/// How long [`serve`] waits, after the drain, for connection threads to put
+/// their last reply (the `shutdown` ack) on the wire.
+const REPLY_GRACE: Duration = Duration::from_secs(1);
 
 /// Set by the SIGTERM handler; polled by [`spawn_sigterm_watcher`]'s
 /// thread. Process-global because POSIX handlers cannot carry state.
@@ -84,84 +96,129 @@ type Forwarded = (Json, mpsc::Sender<Json>);
 pub fn serve(listener: TcpListener, state: DaemonState) -> std::io::Result<()> {
     let drain = state.drain();
     let (req_tx, req_rx) = mpsc::channel::<Forwarded>();
+    let owed = Arc::new(OwedReplies::default());
 
     let state_drain = drain.clone();
+    let wake_addr = wake_address(&listener)?;
     let state_thread = std::thread::spawn(move || {
         timepiece_trace::set_thread_label("daemon-state");
         run_state_loop(state, &state_drain, &req_rx);
+        // the state loop only returns once the drain is up (or every sender
+        // is gone, which the accept loop's own `req_tx` rules out): knock on
+        // the listener so the blocked `accept` sees it
+        let _ = TcpStream::connect_timeout(&wake_addr, REPLY_GRACE);
     });
 
-    listener.set_nonblocking(true)?;
-    loop {
-        if drain.is_draining() {
-            break;
-        }
+    listener.set_nonblocking(false)?;
+    let result = loop {
         match listener.accept() {
+            // the drain's own knock, or a client too late to be served
+            Ok(_) if drain.is_draining() => break Ok(()),
             Ok((stream, _peer)) => {
                 let tx = req_tx.clone();
+                let owed = Arc::clone(&owed);
                 std::thread::spawn(move || {
                     timepiece_trace::set_thread_label("daemon-conn");
                     // best effort: a broken connection only ends itself
-                    let _ = run_connection(stream, &tx);
+                    let _ = run_connection(stream, &tx, &owed);
                 });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => {
                 drain.raise();
-                drop(req_tx);
-                let _ = state_thread.join();
-                return Err(e);
+                break Err(e);
             }
         }
-    }
+    };
     drop(req_tx);
     let _ = state_thread.join();
-    // connection threads are detached; give the one carrying the shutdown
-    // reply a beat to flush before the caller exits the process
-    std::thread::sleep(POLL);
-    Ok(())
+    // connection threads are detached (a client may idle forever) and the
+    // caller may exit the process as soon as this returns: wait for the
+    // replies still owed — the shutdown ack among them — to reach the wire
+    owed.wait_settled(REPLY_GRACE);
+    result
+}
+
+/// How many forwarded requests have no reply on the wire yet.
+#[derive(Debug, Default)]
+struct OwedReplies {
+    count: Mutex<usize>,
+    settled: Condvar,
+}
+
+impl OwedReplies {
+    fn add(&self, n: isize) {
+        let mut count = self.count.lock().expect("owed-replies lock");
+        *count = count.checked_add_signed(n).expect("every reply was owed first");
+        if *count == 0 {
+            self.settled.notify_all();
+        }
+    }
+
+    /// Blocks until no reply is owed, or `grace` has passed.
+    fn wait_settled(&self, grace: Duration) {
+        let count = self.count.lock().expect("owed-replies lock");
+        let _ = self.settled.wait_timeout_while(count, grace, |count| *count > 0);
+    }
+}
+
+/// Where a loopback connect reaches `listener`: its own address, with an
+/// unspecified (`0.0.0.0` / `::`) bind mapped to the loopback address.
+fn wake_address(listener: &TcpListener) -> std::io::Result<SocketAddr> {
+    let mut addr = listener.local_addr()?;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    Ok(addr)
 }
 
 /// The state thread: applies forwarded frames to the state in arrival
-/// order, stopping when the drain rises or every sender hung up.
+/// order, stopping when the drain rises or every sender hung up. Requests
+/// still queued at that point are answered "shutting down" by their
+/// connection threads.
 fn run_state_loop(mut state: DaemonState, drain: &DrainSignal, req_rx: &mpsc::Receiver<Forwarded>) {
-    loop {
+    while !drain.is_draining() {
         match req_rx.recv_timeout(POLL) {
-            Ok((frame, reply_tx)) => {
-                match Request::from_json(&frame) {
-                    Ok(request) => {
-                        let handled = state.handle(&request);
-                        // the reply leaves before the drain rises, so the
-                        // shutdown caller hears its ack
-                        let _ = reply_tx.send(handled.reply);
-                        if handled.shutdown {
-                            drain.raise();
-                            return;
-                        }
-                    }
-                    Err(e) => {
-                        let _ = reply_tx.send(error_response(e.to_string()));
+            Ok((frame, reply_tx)) => match Request::from_json(&frame) {
+                Ok(request) => {
+                    let handled = state.handle(&request);
+                    // the reply leaves before the drain rises, so the
+                    // shutdown caller hears its ack
+                    let _ = reply_tx.send(handled.reply);
+                    if handled.shutdown {
+                        drain.raise();
                     }
                 }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if drain.is_draining() {
-                    return;
+                Err(e) => {
+                    let _ = reply_tx.send(error_response(e.to_string()));
                 }
-            }
+            },
+            Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => return,
         }
     }
 }
 
+/// Splits an accepted stream into its buffered read half and write half.
+/// Replies are single small segments, so Nagle is off: one must never wait
+/// for the ACK of the one before.
+fn open_connection(stream: TcpStream) -> std::io::Result<(BufReader<TcpStream>, TcpStream)> {
+    stream.set_nodelay(true)?;
+    let writer = stream.try_clone()?;
+    Ok((BufReader::new(stream), writer))
+}
+
 /// One connection: read a frame, forward it, write the reply, repeat until
 /// EOF or error. Runs on its own thread.
-fn run_connection(stream: TcpStream, tx: &mpsc::Sender<Forwarded>) -> std::io::Result<()> {
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+fn run_connection(
+    stream: TcpStream,
+    tx: &mpsc::Sender<Forwarded>,
+    owed: &OwedReplies,
+) -> std::io::Result<()> {
+    let (mut reader, mut writer) = open_connection(stream)?;
     loop {
         let frame = match read_line_value(&mut reader, MAX_LINE_BYTES) {
             Ok(Some(frame)) => frame,
@@ -172,17 +229,16 @@ fn run_connection(stream: TcpStream, tx: &mpsc::Sender<Forwarded>) -> std::io::R
                 return Ok(());
             }
         };
+        owed.add(1);
         let (reply_tx, reply_rx) = mpsc::channel();
-        if tx.send((frame, reply_tx)).is_err() {
-            // the state thread is gone (drained); tell the client and close
-            let _ = write_line_value(&mut writer, &error_response("daemon is shutting down"));
-            return Ok(());
-        }
-        let reply = match reply_rx.recv() {
-            Ok(reply) => reply,
-            Err(_) => error_response("daemon is shutting down"),
+        let reply = match tx.send((frame, reply_tx)).map(|()| reply_rx.recv()) {
+            Ok(Ok(reply)) => reply,
+            // the state thread is gone (drained): tell the client
+            _ => error_response("daemon is shutting down"),
         };
-        write_line_value(&mut writer, &reply)?;
+        let written = write_line_value(&mut writer, &reply);
+        owed.add(-1);
+        written?;
     }
 }
 
@@ -251,6 +307,49 @@ mod tests {
         assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
         let reply = client.send(&Request::Shutdown).unwrap();
         assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+        server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn both_ends_disable_nagle_and_round_trips_are_prompt() {
+        // the server's half of a connection, as `serve` opens it
+        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(probe.local_addr().unwrap()).unwrap();
+        let (accepted, _) = probe.accept().unwrap();
+        let (_reader, writer) = open_connection(accepted).unwrap();
+        assert!(writer.nodelay().unwrap(), "accepted streams must set TCP_NODELAY");
+
+        let state = DaemonState::new("hop n=3", hop_path(3, None), options()).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || serve(listener, state));
+        let mut client = Client::connect(addr).unwrap();
+        assert!(client.nodelay().unwrap(), "clients must set TCP_NODELAY");
+
+        // a frame split over several sends stalls ~40 ms per round trip on
+        // Nagle against the peer's delayed ACK; one-write frames never do
+        let start = std::time::Instant::now();
+        for _ in 0..50 {
+            let status = client.send(&Request::Status).unwrap();
+            assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+        }
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_millis(50 * 40 / 4), "50 round trips took {elapsed:?}");
+
+        // shutdown returns once the ack is on the wire, without a fixed sleep
+        let reply = client.send(&Request::Shutdown).unwrap();
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+        server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn the_drain_wakes_a_blocked_accept() {
+        // no client ever connects: only the drain's own knock can end `serve`
+        let state = DaemonState::new("hop n=3", hop_path(3, None), options()).unwrap();
+        let drain = state.drain();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let server = std::thread::spawn(move || serve(listener, state));
+        drain.raise();
         server.join().unwrap().unwrap();
     }
 

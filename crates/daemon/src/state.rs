@@ -6,14 +6,16 @@
 //! solver sessions keyed by encoder signature, the last
 //! [`Fingerprints`] snapshot, and a [`VerdictCache`] with the last verdict
 //! per node. Handling a `delta` request means: apply the edit to get a new
-//! network/interface, re-fingerprint, diff into the dirty cone, re-check
-//! *only* the cone through the still-warm pool, and fold the partial report
-//! back into the cache.
+//! network/interface, re-fingerprint the edit's topological *footprint*,
+//! diff into the dirty cone, re-check *only* the cone through the
+//! still-warm pool, and fold the partial report back into the cache — so a
+//! delta costs what its cone costs, not what the network costs.
 //!
 //! The handler is transport-agnostic — it maps a parsed
 //! [`Request`] to a response [`Json`] — so the TCP server, the soak harness
 //! and the equivalence tests all drive the same code.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -22,6 +24,7 @@ use std::time::Instant;
 use timepiece_algebra::policy::{RouteGuard, RoutePolicy};
 use timepiece_algebra::Network;
 use timepiece_core::check::{CheckOptions, CheckReport};
+use timepiece_core::incremental::interface_cone;
 use timepiece_core::sweep::CheckerPool;
 use timepiece_core::{Fingerprints, NodeAnnotations, VerdictCache};
 use timepiece_expr::Expr;
@@ -98,12 +101,23 @@ pub struct Handled {
     pub shutdown: bool,
 }
 
+/// The downed-link book: each installed drop-policy direction, mapped to
+/// the edge's pre-`link_down` policy override so `link_up` can restore it.
+type Downed = HashMap<(NodeId, NodeId), Option<RoutePolicy>>;
+
 /// A network edit applied but not yet committed: the delta handler builds
 /// this, re-checks the dirty cone, and only then swaps it into the state.
+/// Only what the delta edits is here (`None`: untouched, the state's own
+/// copy stands).
 struct Applied {
-    net: Network,
-    interface: NodeAnnotations,
-    downed: HashMap<(NodeId, NodeId), Option<RoutePolicy>>,
+    net: Option<Network>,
+    interface: Option<NodeAnnotations>,
+    downed: Option<Downed>,
+    /// A topological upper bound on the nodes whose conditions the edit can
+    /// change — the only ones worth re-fingerprinting: an edge's policy
+    /// feeds its head's merge alone, an interface is assumed by the node's
+    /// successors, the failure budget is assumed by every condition.
+    footprint: Vec<NodeId>,
 }
 
 /// The warm verification state of one `timepieced` instance. See the
@@ -118,9 +132,7 @@ pub struct DaemonState {
     pool: CheckerPool,
     fingerprints: Fingerprints,
     verdicts: VerdictCache,
-    /// Downed links: each installed drop-policy direction, mapped to the
-    /// edge's pre-`link_down` policy override so `link_up` can restore it.
-    downed: HashMap<(NodeId, NodeId), Option<RoutePolicy>>,
+    downed: Downed,
     drain: DrainSignal,
     requests: u64,
     deltas: u64,
@@ -194,6 +206,13 @@ impl DaemonState {
         &self.verdicts
     }
 
+    /// The per-node condition fingerprints of the current instance, kept up
+    /// to date footprint by footprint — always equal to a from-scratch
+    /// [`Fingerprints::compute`].
+    pub fn fingerprints(&self) -> &Fingerprints {
+        &self.fingerprints
+    }
+
     /// How many nodes the instance has.
     pub fn nodes(&self) -> usize {
         self.net.topology().node_count()
@@ -262,12 +281,18 @@ impl DaemonState {
             Ok(applied) => applied,
             Err(message) => return error_response(message),
         };
-        let after =
-            Fingerprints::compute(&applied.net, &applied.interface, &self.property, self.delay);
+        let net = applied.net.as_ref().unwrap_or(&self.net);
+        let interface = applied.interface.as_ref().unwrap_or(&self.interface);
+        let after = self.fingerprints.refreshed(
+            net,
+            interface,
+            &self.property,
+            self.delay,
+            &applied.footprint,
+        );
         let cone = self.fingerprints.dirty_cone(&after);
         let token = self.drain.begin();
-        let result =
-            self.pool.check_nodes(&applied.net, &applied.interface, &self.property, &cone, &token);
+        let result = self.pool.check_nodes(net, interface, &self.property, &cone, &token);
         self.drain.end();
         let report = match result {
             Ok(report) => report,
@@ -276,9 +301,15 @@ impl DaemonState {
         // commit: the edited instance is now the daemon's instance; cone
         // nodes the (possibly cancelled) report did not reach stay
         // invalidated rather than serving a stale verdict
-        self.net = applied.net;
-        self.interface = applied.interface;
-        self.downed = applied.downed;
+        if let Some(net) = applied.net {
+            self.net = net;
+        }
+        if let Some(interface) = applied.interface {
+            self.interface = interface;
+        }
+        if let Some(downed) = applied.downed {
+            self.downed = downed;
+        }
         self.fingerprints = after;
         self.verdicts.invalidate(&cone);
         self.verdicts.absorb(&report);
@@ -294,6 +325,7 @@ impl DaemonState {
         let g = self.net.topology();
         let failed: Vec<Json> =
             self.verdicts.failed_nodes().iter().map(|v| Json::str(g.name(*v))).collect();
+        let sessions = self.pool.session_stats();
         Json::obj([
             ("verb", Json::str("status")),
             ("ok", Json::Bool(true)),
@@ -306,6 +338,14 @@ impl DaemonState {
             ("verified", Json::Bool(self.all_verified())),
             ("cached_verdicts", Json::from(self.verdicts.len())),
             ("failed", Json::Arr(failed)),
+            // what the daemon's memory is made of: the workers' live solver
+            // sessions and the compiled terms they hold (bounded: overgrown
+            // sessions are retired between requests and rebuilt cold), and
+            // the process-wide term arena (which never evicts)
+            ("sessions", Json::from(sessions.sessions)),
+            ("compiled_terms", Json::from(sessions.compiled_terms)),
+            ("session_retirements", Json::from(sessions.retirements)),
+            ("arena_terms", Json::from(timepiece_expr::arena::stats().terms as usize)),
         ])
     }
 
@@ -369,7 +409,8 @@ impl DaemonState {
                     .net
                     .with_failure_budget(*budget)
                     .map_err(|e| format!("failure_budget: {e}"))?;
-                Ok(Applied { net, interface: self.interface.clone(), downed: self.downed.clone() })
+                let footprint = self.net.topology().nodes().collect();
+                Ok(Applied { net: Some(net), interface: None, downed: None, footprint })
             }
         }
     }
@@ -388,15 +429,18 @@ impl DaemonState {
             return Err(format!("link {:?} -- {:?} is already down", g.name(u), g.name(v)));
         }
         let policies = self.net.policies().ok_or("the network has no policy IR")?;
-        let mut net = self.net.clone();
+        // borrowed until the first edit: `set_edge_policy` makes the copy
+        let mut net = Cow::Borrowed(&self.net);
         let mut downed = self.downed.clone();
         for edge in directions {
             downed.insert(edge, policies.edge_policies.get(&edge).cloned());
-            net = net
+            let dropped = net
                 .set_edge_policy(edge, Some(RoutePolicy::new().drop_if(RouteGuard::True)))
                 .map_err(|e| format!("link_down: {e}"))?;
+            net = Cow::Owned(dropped);
         }
-        Ok(Applied { net, interface: self.interface.clone(), downed })
+        let net = Some(net.into_owned());
+        Ok(Applied { net, interface: None, downed: Some(downed), footprint: vec![u, v] })
     }
 
     /// Restores the remembered pre-`link_down` policies of the link.
@@ -408,13 +452,16 @@ impl DaemonState {
         if directions.is_empty() {
             return Err(format!("link {:?} -- {:?} is not down", g.name(u), g.name(v)));
         }
-        let mut net = self.net.clone();
+        let mut net = Cow::Borrowed(&self.net);
         let mut downed = self.downed.clone();
         for edge in directions {
             let remembered = downed.remove(&edge).expect("direction filtered on membership");
-            net = net.set_edge_policy(edge, remembered).map_err(|e| format!("link_up: {e}"))?;
+            let restored =
+                net.set_edge_policy(edge, remembered).map_err(|e| format!("link_up: {e}"))?;
+            net = Cow::Owned(restored);
         }
-        Ok(Applied { net, interface: self.interface.clone(), downed })
+        let net = Some(net.into_owned());
+        Ok(Applied { net, interface: None, downed: Some(downed), footprint: vec![u, v] })
     }
 
     /// Replaces one directed edge's policy override.
@@ -438,7 +485,7 @@ impl DaemonState {
         };
         let net =
             self.net.set_edge_policy(edge, policy).map_err(|e| format!("edge_policy: {e}"))?;
-        Ok(Applied { net, interface: self.interface.clone(), downed: self.downed.clone() })
+        Ok(Applied { net: Some(net), interface: None, downed: None, footprint: vec![edge.1] })
     }
 
     /// Rewrites the outermost witness time of one node's interface.
@@ -451,6 +498,7 @@ impl DaemonState {
             .ok_or_else(|| format!("the interface of {node:?} has no witness time"))?;
         let mut interface = self.interface.clone();
         interface.set(v, edited);
-        Ok(Applied { net: self.net.clone(), interface, downed: self.downed.clone() })
+        let footprint = interface_cone(self.net.topology(), v);
+        Ok(Applied { net: None, interface: Some(interface), downed: None, footprint })
     }
 }

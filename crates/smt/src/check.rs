@@ -128,6 +128,8 @@ pub struct SolverSession {
     /// declared (long-lived batched sessions would otherwise age
     /// quadratically).
     wf_promoted: usize,
+    /// Conditions discharged since creation (see [`SolverSession::checks`]).
+    checks: u64,
 }
 
 impl SolverSession {
@@ -141,7 +143,7 @@ impl SolverSession {
             params.set_u32("timeout", t.as_millis().clamp(1, u128::from(u32::MAX)) as u32);
             solver.set_params(&params);
         }
-        SolverSession { enc: Encoder::new(), solver, wf_promoted: 0 }
+        SolverSession { enc: Encoder::new(), solver, wf_promoted: 0, checks: 0 }
     }
 
     /// Checks whether one verification condition is valid.
@@ -159,6 +161,7 @@ impl SolverSession {
             self.solver.assert(wf);
         }
         self.wf_promoted = self.enc.decl_count();
+        self.checks += 1;
         timepiece_trace::instant(timepiece_trace::Phase::Other, "push");
         self.solver.push();
         let result = self.check_pushed(vc);
@@ -174,6 +177,24 @@ impl SolverSession {
     /// from *earlier sweep rows* when the session lives in a pool.
     pub fn term_cache_stats(&self) -> TermCacheStats {
         self.enc.term_cache_stats()
+    }
+
+    /// How many conditions this session has discharged since it was created.
+    ///
+    /// The solver behind a session does not give everything back on `pop`:
+    /// with the system libz3, one solver re-checking the same small
+    /// conditions grows by some tens of bytes per check for as long as it
+    /// lives, and only dropping it returns the memory. Together with
+    /// [`SolverSession::compiled_terms`] this is what a long-lived owner
+    /// budgets a session's age by ([`SessionPool::end_job`]).
+    pub fn checks(&self) -> u64 {
+        self.checks
+    }
+
+    /// How many compiled terms (live solver ASTs) this session's encoder
+    /// cache holds.
+    pub fn compiled_terms(&self) -> usize {
+        self.enc.compiled_terms()
     }
 
     /// A [`Send`]/[`Sync`] handle another thread can use to interrupt this
@@ -302,6 +323,43 @@ pub fn check_validity(vc: &Vc, timeout: Option<Duration>) -> Result<Validity, Sm
     SolverSession::new(timeout).check(vc)
 }
 
+/// A pool's sessions are retired once their encoder caches together hold
+/// this many times the compiled terms the largest single job added. Measured
+/// on a daemon serving SpReach k=8 edits (two signatures, so two compiled
+/// copies of the network per worker are the floor): 2 thrashes (+26 % time),
+/// 3 costs ~4 % and holds the process at its parent's footprint, 4 costs
+/// nothing but lets RSS run 9 % higher.
+const RETIRE_AT_JOB_TERMS: usize = 3;
+
+/// A pool's sessions are retired once they have together discharged this
+/// many times the checks of the largest single job: the solver's per-check
+/// residue (see [`SolverSession::checks`]) is then bounded by a megabyte or
+/// two per worker, for one cold rebuild every few dozen full checks.
+const RETIRE_AT_JOB_CHECKS: u64 = 64;
+
+/// A snapshot of a [`SessionPool`]'s size ([`SessionPool::stats`]). Sums
+/// over the pools of several workers with `+`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SessionPoolStats {
+    /// Live sessions.
+    pub sessions: usize,
+    /// Compiled terms held by the live sessions' encoder caches.
+    pub compiled_terms: usize,
+    /// Sessions [`SessionPool::end_job`] retired so far.
+    pub retirements: usize,
+}
+
+impl std::ops::Add for SessionPoolStats {
+    type Output = SessionPoolStats;
+    fn add(self, rhs: SessionPoolStats) -> SessionPoolStats {
+        SessionPoolStats {
+            sessions: self.sessions + rhs.sessions,
+            compiled_terms: self.compiled_terms + rhs.compiled_terms,
+            retirements: self.retirements + rhs.retirements,
+        }
+    }
+}
+
 /// A keyed collection of long-lived [`SolverSession`]s: one per
 /// *algebra/encoder signature*.
 ///
@@ -340,6 +398,14 @@ pub struct SessionPool {
     order: Vec<String>,
     evictions: usize,
     sessions: HashMap<String, SolverSession>,
+    /// What the largest single job so far added to the pool, in compiled
+    /// terms and in checks — the unit [`SessionPool::end_job`] measures the
+    /// pool's growth in.
+    largest_job: (usize, u64),
+    /// The live sessions' summed compiled terms and checks when the last job
+    /// ended.
+    job_mark: (usize, u64),
+    retirements: usize,
 }
 
 impl SessionPool {
@@ -351,6 +417,9 @@ impl SessionPool {
             order: Vec::new(),
             evictions: 0,
             sessions: HashMap::new(),
+            largest_job: (0, 0),
+            job_mark: (0, 0),
+            retirements: 0,
         }
     }
 
@@ -405,6 +474,62 @@ impl SessionPool {
             init(&session);
             session
         })
+    }
+
+    /// Marks the end of one job — a batch of checks after which the owner
+    /// holds the pool idle — and, if the pool has outgrown the jobs it
+    /// serves, retires its sessions; returns how many. Retired sessions are
+    /// dropped whole (solver, declarations, compiled terms) and rebuilt
+    /// lazily, cold, by the next [`SessionPool::session`] call for their
+    /// signature.
+    ///
+    /// Only an owner that lives across many jobs calls this (a daemon's
+    /// persistent workers): without it an encoder cache keeps the compiled
+    /// form of every term it ever saw — under a stream of edits, mostly
+    /// terms of instances long since edited away — and each solver keeps a
+    /// per-check residue, so memory tracks the request count. A pool that
+    /// never hears of jobs (one scoped check) never retires.
+    ///
+    /// The yardstick is the pool's own history: the most compiled terms and
+    /// checks any single job added. The sessions go when together they hold
+    /// a fixed multiple of the one, or are a fixed multiple of the other
+    /// old — so a pool fed ever larger instances (a sweep over `k`) raises
+    /// its own bound and keeps its warm start, and one fed the same instance
+    /// again and again retires on age alone. All go at once: the budget is
+    /// the pool's, and evicting only the largest session was measured to
+    /// hold more memory for more rebuilds.
+    pub fn end_job(&mut self) -> usize {
+        let (terms, checks) = self.totals();
+        self.largest_job.0 = self.largest_job.0.max(terms.saturating_sub(self.job_mark.0));
+        self.largest_job.1 = self.largest_job.1.max(checks.saturating_sub(self.job_mark.1));
+        let max_terms = self.largest_job.0.saturating_mul(RETIRE_AT_JOB_TERMS);
+        let max_checks = self.largest_job.1.saturating_mul(RETIRE_AT_JOB_CHECKS);
+        let retired = if terms > max_terms || checks > max_checks {
+            self.order.clear();
+            self.sessions.drain().count()
+        } else {
+            0
+        };
+        self.retirements += retired;
+        self.job_mark = self.totals();
+        retired
+    }
+
+    /// The live sessions' summed compiled terms and checks.
+    fn totals(&self) -> (usize, u64) {
+        self.sessions
+            .values()
+            .fold((0, 0), |(terms, checks), s| (terms + s.compiled_terms(), checks + s.checks()))
+    }
+
+    /// How many sessions are live, how many compiled terms they hold, and
+    /// how many sessions [`SessionPool::end_job`] has retired.
+    pub fn stats(&self) -> SessionPoolStats {
+        SessionPoolStats {
+            sessions: self.sessions.len(),
+            compiled_terms: self.totals().0,
+            retirements: self.retirements,
+        }
     }
 
     /// How many sessions this pool evicted to stay within its capacity.
@@ -594,6 +719,87 @@ mod tests {
         }
         assert_eq!(pool.len(), 4);
         assert_eq!(pool.evictions(), 0);
+    }
+
+    /// `n` distinct valid conditions over fresh constants starting at `from`.
+    fn distinct_vcs(from: i64, n: i64) -> Vec<Vc> {
+        let x = Expr::var("x", Type::Int);
+        (from..from + n)
+            .map(|i| {
+                Vc::new(
+                    format!("gt-{i}"),
+                    [x.clone().gt(Expr::int(i + 1))],
+                    x.clone().gt(Expr::int(i)),
+                )
+            })
+            .collect()
+    }
+
+    /// One job: discharges `vcs` through the pool, then ends the job.
+    fn run(pool: &mut SessionPool, vcs: &[Vc]) -> usize {
+        for vc in vcs {
+            assert!(pool.session("sig").check(vc).unwrap().is_valid());
+        }
+        pool.end_job()
+    }
+
+    #[test]
+    fn end_job_retires_a_pool_that_outgrew_its_jobs() {
+        let mut pool = SessionPool::new(None);
+        // the first job sets the yardstick: what one job compiles
+        assert_eq!(run(&mut pool, &distinct_vcs(0, 20)), 0);
+        let one_job = pool.stats().compiled_terms;
+        assert!(one_job > 0);
+        // the same job again compiles nothing new: no growth, no retirement
+        for _ in 0..10 {
+            assert_eq!(run(&mut pool, &distinct_vcs(0, 20)), 0);
+            assert_eq!(pool.stats().compiled_terms, one_job);
+        }
+        // a stream of small, always new jobs — edits — grows the cache until
+        // it passes the multiple; then the session goes and is rebuilt cold
+        let mut retired_at = None;
+        for edit in 0..200 {
+            if run(&mut pool, &distinct_vcs(1000 + 2 * edit, 2)) > 0 {
+                retired_at = Some(edit);
+                break;
+            }
+            assert!(pool.stats().compiled_terms <= RETIRE_AT_JOB_TERMS * one_job);
+        }
+        assert!(retired_at.is_some(), "the cache must not grow without bound");
+        assert_eq!(
+            pool.stats(),
+            SessionPoolStats { sessions: 0, compiled_terms: 0, retirements: 1 }
+        );
+        // lazily rebuilt: the next job finds a fresh, working session
+        assert_eq!(run(&mut pool, &distinct_vcs(0, 20)), 0);
+        assert_eq!(pool.stats().compiled_terms, one_job);
+        assert_eq!(pool.stats().sessions, 1);
+    }
+
+    #[test]
+    fn end_job_retires_on_age_and_a_larger_job_raises_the_bound() {
+        let mut pool = SessionPool::new(None);
+        let vcs = distinct_vcs(0, 4);
+        // nothing new is ever compiled, so only the solver's age can retire
+        let mut jobs = 0;
+        while run(&mut pool, &vcs) == 0 {
+            jobs += 1;
+            assert!(jobs <= RETIRE_AT_JOB_CHECKS, "age must retire the session");
+        }
+        assert_eq!(jobs, RETIRE_AT_JOB_CHECKS);
+        assert_eq!(pool.stats().retirements, 1);
+        // a job ten times the size is the new yardstick: the pool now holds
+        // far more than three of the old jobs' terms, and keeps them
+        assert_eq!(run(&mut pool, &distinct_vcs(100, 40)), 0);
+        assert_eq!(run(&mut pool, &vcs), 0);
+        assert_eq!(pool.stats().retirements, 1);
+        // a pool that is never told of jobs never retires
+        let mut scoped = SessionPool::new(None);
+        for vc in distinct_vcs(0, 50) {
+            assert!(scoped.session("sig").check(&vc).unwrap().is_valid());
+        }
+        assert_eq!(scoped.stats().retirements, 0);
+        assert_eq!(scoped.stats().sessions, 1);
     }
 
     #[test]

@@ -196,6 +196,13 @@ impl Encoder {
         TermCacheStats { hits: self.hits, misses: self.misses }
     }
 
+    /// How many compiled terms the cache holds — each one a live solver AST
+    /// this encoder keeps referenced, so this is the encoder's memory in
+    /// units the caller can budget.
+    pub fn compiled_terms(&self) -> usize {
+        self.cache.len()
+    }
+
     /// Compiles a boolean term, failing if it is not boolean.
     ///
     /// # Errors

@@ -38,7 +38,9 @@ pub mod encode;
 pub mod error;
 pub mod sym;
 
-pub use check::{check_validity, CounterExample, SessionPool, SolverSession, Validity, Vc};
+pub use check::{
+    check_validity, CounterExample, SessionPool, SessionPoolStats, SolverSession, Validity, Vc,
+};
 pub use encode::{Encoder, TermCacheStats};
 pub use error::SmtError;
 pub use sym::Sym;

@@ -496,6 +496,11 @@ pub fn read_line_value(
 /// Writes one JSON value as an NDJSON line (compact form, terminated by
 /// `\n`) and flushes, so a blocking peer sees the frame immediately.
 ///
+/// The frame is serialised into one buffer and handed to the writer in a
+/// single `write_all`: [`fmt::Display`] emits a fragment per token and
+/// escaped character, and on an unbuffered socket each fragment would be
+/// its own `send` — many tiny segments for Nagle and delayed ACKs to stall.
+///
 /// The writer's compact [`fmt::Display`] form never contains a raw newline
 /// (strings are escaped), so every value is exactly one frame.
 ///
@@ -503,7 +508,9 @@ pub fn read_line_value(
 ///
 /// Propagates the writer's I/O errors.
 pub fn write_line_value(writer: &mut impl std::io::Write, value: &Json) -> std::io::Result<()> {
-    writeln!(writer, "{value}")?;
+    let mut frame = value.to_string();
+    frame.push('\n');
+    writer.write_all(frame.as_bytes())?;
     writer.flush()
 }
 
@@ -664,6 +671,51 @@ mod tests {
             assert_eq!(read_line_value(&mut reader, MAX_LINE_BYTES).unwrap().as_ref(), Some(v));
         }
         assert_eq!(read_line_value(&mut reader, MAX_LINE_BYTES).unwrap(), None);
+    }
+
+    /// Counts `write` calls: each one is a `send` on an unbuffered socket.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl std::io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_exactly_one_write() {
+        // the shape of a daemon `check` reply: a hundred per-node verdicts
+        let verdicts: Vec<(String, Json)> =
+            (0..100).map(|i| (format!("edge-{i}"), Json::str("verified"))).collect();
+        let reply = Json::obj([
+            ("verb", Json::str("check")),
+            ("ok", Json::from(true)),
+            ("wall_ms", Json::from(12.75)),
+            ("verdicts", Json::Obj(verdicts)),
+        ]);
+        // every escape class and characters outside the BMP
+        let awkward = Json::obj([
+            ("quote \" backslash \\", Json::str("tab\tnewline\ncr\r bell\u{7} nul\u{0}")),
+            ("astral", Json::str("🦀 𝔘 é ∀")),
+        ]);
+        for value in [reply, awkward] {
+            let mut wire = CountingWriter::default();
+            write_line_value(&mut wire, &value).unwrap();
+            assert_eq!(wire.writes, 1, "one frame must be one write: {value}");
+            assert_eq!(wire.bytes.iter().filter(|&&b| b == b'\n').count(), 1);
+            let mut reader = std::io::BufReader::new(wire.bytes.as_slice());
+            assert_eq!(read_line_value(&mut reader, MAX_LINE_BYTES).unwrap(), Some(value));
+        }
     }
 
     #[test]
