@@ -148,9 +148,9 @@ impl std::error::Error for NetworkError {
 /// default), and an optional [`FailureModel`].
 ///
 /// Networks carrying this structure expose it to every downstream consumer:
-/// the simulator runs the IR's concrete semantics directly, the checker keys
-/// solver sessions by [`NetworkPolicies::structural_hash`], and inference
-/// derives its atom grammar from the schema.
+/// the simulator runs the IR's concrete semantics directly, the daemon edits
+/// it edge by edge ([`Network::set_edge_policy`]), and inference derives its
+/// atom grammar from the schema.
 #[derive(Debug, Clone)]
 pub struct NetworkPolicies {
     /// The route schema (record shape + merge order).
@@ -167,48 +167,6 @@ impl NetworkPolicies {
     /// The policy of an edge (the default when no specific one is set).
     pub fn policy(&self, edge: (NodeId, NodeId)) -> Option<&RoutePolicy> {
         self.edge_policies.get(&edge).or(self.default_policy.as_ref())
-    }
-
-    /// A structural fingerprint of the whole policy layer: the schema, the
-    /// *set* of distinct policy structures (not their edge assignment, so
-    /// topologies of different size built from the same policy templates
-    /// share a fingerprint when their template sets coincide), and the
-    /// failure budget.
-    ///
-    /// Policies are fingerprinted through the hash-consing arena: each
-    /// distinct policy is compiled once against a canonical probe route, and
-    /// the interned result's precomputed [`Expr::structural_hash`] is read
-    /// off in O(1) — the fingerprint therefore sees *compiled* structure, so
-    /// two policies that compile to the same canonical term (after constant
-    /// folding) coincide even when their clause lists differ syntactically.
-    pub fn structural_hash(&self) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        let probe_a = Expr::var("·sig-a", self.schema.route_type());
-        let probe_b = Expr::var("·sig-b", self.schema.route_type());
-        self.schema.merge_expr(&probe_a, &probe_b).structural_hash().hash(&mut h);
-        // compile each *syntactically* distinct policy once, then dedup the
-        // compiled hashes too (clause lists that fold to the same term)
-        let mut distinct: Vec<(u64, &RoutePolicy)> = Vec::new();
-        for p in self.edge_policies.values().chain(self.default_policy.as_ref()) {
-            let key = p.structural_hash();
-            if !distinct.iter().any(|(k, _)| *k == key) {
-                distinct.push((key, p));
-            }
-        }
-        let mut policy_hashes: Vec<u64> = distinct
-            .iter()
-            .map(|(_, p)| p.compile(&self.schema, &probe_a).structural_hash())
-            .collect();
-        policy_hashes.sort_unstable();
-        policy_hashes.dedup();
-        policy_hashes.hash(&mut h);
-        if let Some(f) = &self.failures {
-            f.budget().hash(&mut h);
-            f.edges().len().hash(&mut h);
-        }
-        h.finish()
     }
 }
 
@@ -250,10 +208,6 @@ pub struct Network {
     merge: MergeFn,
     symbolics: Vec<Symbolic>,
     policies: Option<Arc<NetworkPolicies>>,
-    /// Memoized [`Network::encoder_signature`]; behind an `Arc` so every
-    /// clone of this network (sweep jobs clone per row) shares one
-    /// computation.
-    signature: Arc<std::sync::OnceLock<String>>,
 }
 
 impl fmt::Debug for Network {
@@ -321,22 +275,22 @@ impl Network {
     }
 
     /// The key under which solver sessions may be shared between
-    /// verification conditions of this network: a structural hash of the
-    /// policy IR when present (two networks built from the same schema and
-    /// policy templates produce identical declarations and shared terms),
-    /// falling back to the route type for closure-built networks (where the
-    /// policy structure is opaque).
-    ///
-    /// Computed once per network (clones included) and memoized; the
-    /// fingerprint itself reads precomputed arena hashes, so repeated calls
-    /// — one per sweep job — are a clone of a cached string.
+    /// verification conditions: a hash of everything two conditions can
+    /// clash on inside one encoder — the *(name, type)* of their variables.
+    /// Route variables are named after nodes and all have the route type;
+    /// the only other variables are the symbolics. So two networks with the
+    /// same route type and the same symbolic inputs declare consistently,
+    /// whatever their topologies and policies: an edited network keeps its
+    /// key, and with it the session that already holds its compiled terms.
     pub fn encoder_signature(&self) -> String {
-        self.signature
-            .get_or_init(|| match &self.policies {
-                Some(p) => format!("ir:{:016x}", p.structural_hash()),
-                None => format!("ty:{}", self.route_type),
-            })
-            .clone()
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let mut h = DefaultHasher::new();
+        self.route_type.hash(&mut h);
+        for s in &self.symbolics {
+            (s.name(), s.ty()).hash(&mut h);
+        }
+        format!("decl:{:016x}", h.finish())
     }
 
     /// The preconditions of all symbolics, as boolean terms.
@@ -360,9 +314,8 @@ impl Network {
     /// (`Some`) or its override removed so the edge falls back to the
     /// default policy (`None`) — the policy-delta primitive of the
     /// `timepieced` daemon. Only the edited edge's transfer is recompiled;
-    /// every other component is shared with `self`. The memoized
-    /// [`Network::encoder_signature`] is reset, since the policy set (and so
-    /// the IR fingerprint) may have changed.
+    /// every other component is shared with `self`, and so is the
+    /// [`Network::encoder_signature`]: a policy is not a declaration.
     ///
     /// # Errors
     ///
@@ -422,16 +375,14 @@ impl Network {
         let mut net = self.clone();
         net.transfers.insert(edge, transfer);
         net.policies = Some(policies);
-        net.signature = Arc::new(std::sync::OnceLock::new());
         Ok(net)
     }
 
     /// A clone of this network with the failure budget `f` replaced: the
     /// same tracked edges, a new at-most-`budget` assumption. Every failure
     /// symbolic's constraint is rebuilt (the budget constraint is a global
-    /// fact each of them carries), transfers are untouched (they gate on the
-    /// failure *variable*, not the budget), and the memoized signature is
-    /// reset.
+    /// fact each of them carries) and transfers are untouched (they gate on
+    /// the failure *variable*, not the budget).
     ///
     /// # Errors
     ///
@@ -459,7 +410,6 @@ impl Network {
             })
             .collect();
         net.policies = Some(Arc::new(edited));
-        net.signature = Arc::new(std::sync::OnceLock::new());
         Ok(net)
     }
 
@@ -767,7 +717,6 @@ impl NetworkBuilder {
             merge,
             symbolics,
             policies,
-            signature: Arc::new(std::sync::OnceLock::new()),
         })
     }
 }
@@ -930,7 +879,15 @@ mod tests {
             .build()
             .expect("policy network builds");
         assert!(net.policies().is_some());
-        assert!(net.encoder_signature().starts_with("ir:"));
+        // sessions are keyed by declarations, not by how the network was
+        // built: the same route type without an IR shares the key
+        let closure_built = NetworkBuilder::new(gen::path(5), schema.route_type())
+            .merge(|a, _| a.clone())
+            .default_transfer(|r| r.clone())
+            .build()
+            .unwrap();
+        assert_eq!(net.encoder_signature(), closure_built.encoder_signature());
+        assert_ne!(net.encoder_signature(), hoplimit_net().encoder_signature());
         // the compiled transfer increments
         let v1 = net.topology().node_by_name("v1").unwrap();
         let stepped = net.step(v1, &[Expr::record(schema.record_def(), vec![Expr::int(0)]).some()]);
@@ -1026,7 +983,7 @@ mod tests {
             down.transfer((v1, v2), &sample).eval(&Env::new()).unwrap().is_some_option(),
             Some(true)
         );
-        assert_ne!(down.encoder_signature(), sig, "the policy set changed");
+        assert_eq!(down.encoder_signature(), sig, "a policy edit declares nothing new");
         // only v1 (the edge's head) sees a different structural hash
         let changed: Vec<bool> = down
             .topology()
@@ -1098,7 +1055,7 @@ mod tests {
             .unwrap();
         let sig = net.encoder_signature();
         let rebudgeted = net.with_failure_budget(1).unwrap();
-        assert_ne!(rebudgeted.encoder_signature(), sig, "the budget is in the fingerprint");
+        assert_eq!(rebudgeted.encoder_signature(), sig, "same failure variables, same key");
         assert_eq!(
             rebudgeted.policies().unwrap().failures.as_ref().unwrap().budget(),
             1,

@@ -29,8 +29,7 @@
 //!   on concrete [`Value`]s (the simulator's fast path).
 //!
 //! Being plain data, the IR also hashes structurally
-//! ([`RouteSchema::structural_hash`], [`RoutePolicy::structural_hash`]),
-//! which is what keys long-lived solver sessions across verification rows.
+//! ([`RouteSchema::structural_hash`], [`RoutePolicy::structural_hash`]).
 
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;

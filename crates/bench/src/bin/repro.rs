@@ -44,8 +44,9 @@
 //! budget); raise `--max-k`/`--timeout-secs` to push toward the paper's
 //! k = 40 / 2 h runs. With `--shards N` the modular engine forks `N` worker
 //! subprocesses per row, merges their shard reports, and asserts full node
-//! coverage; without sharding, sweep rows share one persistent checker pool
-//! whose solver sessions carry over between rows.
+//! coverage; without sharding, the rows of a sweep — `fig1`'s as well as
+//! `fig14`'s, so both Tp columns are measured alike — share one persistent
+//! checker pool whose solver sessions carry over from the smaller `k`.
 //!
 //! With `--workers host:port,...` the sweep goes *distributed*: each row's
 //! shards are dispatched over TCP to `repro worker --listen` processes
@@ -76,9 +77,9 @@
 use std::time::Duration;
 
 use timepiece_bench::{
-    fattree_instance, halt_workers, loc, plan_row, run_row, run_row_distributed, run_row_pooled,
-    run_row_sharded, run_shard, run_shard_nodes, run_soak, run_worker, trend, BenchKind,
-    DistOptions, PlanChoice, PlanSpec, Row, SoakOptions, SweepOptions, WorkerExit, WorkerOptions,
+    fattree_instance, halt_workers, loc, plan_row, run_row, run_row_distributed, run_row_sharded,
+    run_shard, run_shard_nodes, run_soak, run_worker, trend, BenchKind, DistOptions, PlanChoice,
+    PlanSpec, Row, SoakOptions, SweepOptions, WorkerExit, WorkerOptions,
 };
 use timepiece_core::check::{CheckOptions, ModularChecker};
 use timepiece_core::monolithic::check_monolithic;
@@ -579,10 +580,20 @@ fn effective_shards(args: &Args) -> usize {
     }
 }
 
+/// The sweep options the flags ask for, with the baseline on or off.
+fn sweep_options(args: &Args, run_monolithic: bool) -> SweepOptions {
+    SweepOptions { timeout: args.timeout, run_monolithic, threads: args.threads }
+}
+
+/// One persistent checker pool for a whole sweep: rows of every size reuse
+/// its solver sessions.
+fn sweep_pool(args: &Args) -> CheckerPool {
+    CheckerPool::with_default_parallelism(sweep_options(args, false).check_options())
+}
+
 fn sweep(
     kind: BenchKind,
     args: &Args,
-    mut pool: Option<&mut CheckerPool>,
     history: &[(String, Vec<trend::TrendPoint>)],
 ) -> Result<Vec<Row>, String> {
     println!("\n=== Fig. {} — {} (Tp vs Ms) ===", kind.figure(), kind.name());
@@ -590,8 +601,9 @@ fn sweep(
         "{:>4} {:>6} {:>12} {:>12} {:>12} {:>12}",
         "k", "nodes", "Tp total", "Tp median", "Tp p99", "Ms"
     );
-    let options =
-        SweepOptions { timeout: args.timeout, run_monolithic: args.run_ms, threads: args.threads };
+    let options = sweep_options(args, args.run_ms);
+    // sharded and distributed rows are checked elsewhere: they start no pool
+    let mut pool = None;
     let mut rows = Vec::new();
     // compiled (file) scenarios have one fixed topology: one row at their
     // native size, whatever the requested grid
@@ -622,11 +634,9 @@ fn sweep(
         } else if args.shards > 1 {
             let exe = std::env::current_exe().expect("own executable path");
             run_row_sharded(kind, k, &options, args.shards, &exe, &plan_choice(kind, args, history))
-        } else if let Some(pool) = pool.as_deref_mut() {
-            // the persistent pool carries solver sessions across rows
-            run_row_pooled(kind, k, &options, pool)
         } else {
-            run_row(kind, k, &options)
+            // the persistent pool carries solver sessions across rows
+            run_row(kind, k, &options, pool.get_or_insert_with(|| sweep_pool(args)))
         };
         println!(
             "{:>4} {:>6} {:>12} {:>12} {:>12} {:>12}",
@@ -733,7 +743,7 @@ fn fig1(args: &Args) -> Result<(), String> {
     println!("=== Fig. 1 — modular vs monolithic verification time ===");
     println!("(SpHijack: fattree connectivity with symbolic external announcements)");
     let history = load_history(&args.history)?;
-    sweep(BenchKind::parse("SpHijack").expect("registered"), args, None, &history).map(|_| ())
+    sweep(BenchKind::parse("SpHijack").expect("registered"), args, &history).map(|_| ())
 }
 
 fn fig3() {
@@ -963,19 +973,10 @@ fn fig14(args: &Args) -> Result<(), String> {
     if args.trace.is_some() {
         timepiece_trace::enable();
     }
-    // one persistent checker pool for the whole sweep: rows of every size
-    // (and every scenario sharing an IR signature) reuse solver sessions
-    let mut pool = (args.shards <= 1 && args.workers.is_empty()).then(|| {
-        CheckerPool::with_default_parallelism(CheckOptions {
-            timeout: Some(args.timeout),
-            threads: args.threads,
-            ..CheckOptions::default()
-        })
-    });
     let shards = effective_shards(args);
     let mut rows = Vec::new();
     for kind in kinds {
-        for row in sweep(kind, args, pool.as_mut(), &history)? {
+        for row in sweep(kind, args, &history)? {
             rows.push(row_json(kind, &row, shards));
         }
     }
@@ -1013,16 +1014,11 @@ fn arena_cmd(args: &Args) -> Result<(), String> {
         "{:>9} {:>3} {:>6} {:>10} {:>12} {:>10} {:>8} {:>8} {:>8}",
         "bench", "k", "nodes", "new terms", "constructed", "arena hit%", "dedup", "kB", "tc hit%"
     );
-    let options =
-        SweepOptions { timeout: args.timeout, run_monolithic: false, threads: args.threads };
-    let mut pool = CheckerPool::with_default_parallelism(CheckOptions {
-        timeout: Some(args.timeout),
-        threads: args.threads,
-        ..CheckOptions::default()
-    });
+    let options = sweep_options(args, false);
+    let mut pool = sweep_pool(args);
     for kind in kinds {
         for k in ks(args) {
-            let row = run_row_pooled(kind, k, &options, &mut pool);
+            let row = run_row(kind, k, &options, &mut pool);
             println!(
                 "{:>9} {:>3} {:>6} {:>10} {:>12} {:>10} {:>8} {:>8} {:>8}",
                 kind.name(),
@@ -1061,13 +1057,8 @@ fn profile_cmd(args: &Args) -> Result<(), String> {
     println!("(phase columns are self-time shares of the traced work; `intern` is the");
     println!(" arena counter — it overlaps encode, so it reports beside the shares, not");
     println!(" inside them; `other` folds node bookkeeping, rounds and simulation)");
-    let options =
-        SweepOptions { timeout: args.timeout, run_monolithic: false, threads: args.threads };
-    let mut pool = CheckerPool::with_default_parallelism(CheckOptions {
-        timeout: Some(args.timeout),
-        threads: args.threads,
-        ..CheckOptions::default()
-    });
+    let options = sweep_options(args, false);
+    let mut pool = sweep_pool(args);
     for kind in kinds {
         println!("\n--- {} ---", kind.name());
         println!(
@@ -1079,7 +1070,7 @@ fn profile_cmd(args: &Args) -> Result<(), String> {
             // drop spans left over from the previous row so each profile
             // covers exactly one row's work
             let _ = timepiece_trace::take();
-            let row = run_row_pooled(kind, k, &options, &mut pool);
+            let row = run_row(kind, k, &options, &mut pool);
             let trace = timepiece_trace::take();
             let intern_ns = timepiece_trace::metrics::counter_value("expr.arena.intern_ns")
                 .saturating_sub(intern_before);
@@ -1326,8 +1317,7 @@ fn shard_worker(args: &Args) -> Result<(), String> {
     if args.shards <= shard {
         return Err(format!("--shard {shard} out of range for --shards {}", args.shards));
     }
-    let options =
-        SweepOptions { timeout: args.timeout, run_monolithic: false, threads: args.threads };
+    let options = sweep_options(args, false);
     let report = match &args.nodes {
         // explicit node list from the coordinator: check exactly these
         // nodes and record the plan spec that produced them, so the report

@@ -21,9 +21,9 @@ pub use dist::{
     WorkerOptions,
 };
 pub use runner::{
-    class_samples, fattree_instance, register_scenario, register_scenario_file, run_row,
-    run_row_pooled, BenchKind, ClassSample, EngineResult, InferSetup, InstanceSource, Row,
-    RowBalance, Scenario, ScenarioSpec, ScenarioSpecBuilder, SweepOptions,
+    class_samples, fattree_instance, register_scenario, register_scenario_file, run_row, BenchKind,
+    ClassSample, EngineResult, InferSetup, InstanceSource, Row, RowBalance, Scenario, ScenarioSpec,
+    ScenarioSpecBuilder, SweepOptions,
 };
 pub use shard::{
     merge_reports, plan_row, run_row_sharded, run_shard, run_shard_nodes, MergeError, PlanChoice,

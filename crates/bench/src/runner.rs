@@ -13,7 +13,7 @@
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Duration;
 
-use timepiece_core::check::{CheckOptions, ModularChecker};
+use timepiece_core::check::CheckOptions;
 use timepiece_core::monolithic::{check_monolithic, MonolithicOutcome};
 use timepiece_core::sweep::CheckerPool;
 use timepiece_expr::{arena, ArenaStats};
@@ -569,7 +569,8 @@ impl Default for SweepOptions {
 }
 
 impl SweepOptions {
-    fn check_options(&self) -> CheckOptions {
+    /// The modular checker's options for this sweep.
+    pub fn check_options(&self) -> CheckOptions {
         CheckOptions {
             timeout: Some(self.timeout),
             threads: self.threads,
@@ -621,29 +622,14 @@ fn assemble_row(
     }
 }
 
-/// Runs both engines on one instance and assembles a row, with fresh solver
-/// state per call.
-pub fn run_row(kind: BenchKind, k: usize, options: &SweepOptions) -> Row {
-    let arena_before = arena::stats();
-    let inst = fattree_instance(kind, k);
-    let report = ModularChecker::new(options.check_options())
-        .check(&inst.network, &inst.interface, &inst.property)
-        .expect("benchmark instances encode");
-    assemble_row(k, &inst, &report, options, &arena_before)
-}
-
-/// As [`run_row`], but discharging the modular conditions through a
-/// persistent [`CheckerPool`], so solver sessions (keyed by the network's
-/// structural IR signature) are reused across every row checked on the same
-/// pool — the cross-row session cache of multi-`k` sweeps. The row's term
-/// stats then include cross-row hits: a row structurally identical to an
-/// earlier one starts with its compiled terms already cached.
-pub fn run_row_pooled(
-    kind: BenchKind,
-    k: usize,
-    options: &SweepOptions,
-    pool: &mut CheckerPool,
-) -> Row {
+/// Runs both engines on one instance and assembles a row. The modular
+/// conditions go through `pool`, so solver sessions (keyed by the network's
+/// declarations) are reused across every row checked on the same pool — the
+/// cross-row session cache of multi-`k` sweeps: a row structurally identical
+/// to an earlier one starts with its compiled terms already cached, and the
+/// row's term stats include those cross-row hits. A pool made for the call
+/// gives the row fresh solver state.
+pub fn run_row(kind: BenchKind, k: usize, options: &SweepOptions, pool: &mut CheckerPool) -> Row {
     let arena_before = arena::stats();
     let inst = fattree_instance(kind, k);
     let report = pool
@@ -711,7 +697,8 @@ mod tests {
     fn run_row_produces_verified_row_at_k4() {
         let options =
             SweepOptions { timeout: Duration::from_secs(120), run_monolithic: true, threads: None };
-        let row = run_row(BenchKind::parse("SpReach").unwrap(), 4, &options);
+        let mut pool = CheckerPool::with_default_parallelism(options.check_options());
+        let row = run_row(BenchKind::parse("SpReach").unwrap(), 4, &options, &mut pool);
         assert_eq!(row.k, 4);
         assert_eq!(row.nodes, 20);
         assert!(matches!(row.tp, EngineResult::Verified(_)), "{row:?}");
@@ -725,28 +712,33 @@ mod tests {
     }
 
     #[test]
-    fn pooled_rows_agree_with_fresh_rows() {
+    fn rows_on_a_reused_pool_agree_with_rows_on_a_fresh_one() {
         let options = SweepOptions {
             timeout: Duration::from_secs(120),
             run_monolithic: false,
-            threads: None,
+            threads: Some(2),
         };
-        let mut pool = CheckerPool::new(2, options.check_options());
+        let mut pool = CheckerPool::with_default_parallelism(options.check_options());
         let kind = BenchKind::parse("SpMed").unwrap();
         // the same row twice through one pool (the second reuses sessions),
-        // each compared field-for-field against a fresh scoped run
+        // each compared field-for-field against a row on a pool of its own
         let mut term_rows = Vec::new();
         for k in [4usize, 4] {
-            let pooled = run_row_pooled(kind, k, &options, &mut pool);
-            let fresh = run_row(kind, k, &options);
+            let pooled = run_row(kind, k, &options, &mut pool);
+            let fresh = run_row(
+                kind,
+                k,
+                &options,
+                &mut CheckerPool::with_default_parallelism(options.check_options()),
+            );
             assert!(matches!(pooled.tp, EngineResult::Verified(_)), "{pooled:?}");
             assert!(matches!(fresh.tp, EngineResult::Verified(_)), "{fresh:?}");
             assert_eq!((pooled.k, pooled.nodes), (fresh.k, fresh.nodes));
             assert!(pooled.ms.is_none() && fresh.ms.is_none());
-            // both row paths carried real per-node timing stats
+            // both rows carried real per-node timing stats
             assert!(pooled.tp_median <= pooled.tp_p99);
             assert!(pooled.tp_p99 > Duration::ZERO, "{pooled:?}");
-            term_rows.push(pooled.terms.expect("pooled rows carry term stats"));
+            term_rows.push(pooled.terms.expect("rows carry term stats"));
         }
         // the second identical row starts warm: the pool's encoders already
         // hold row one's compiled terms, so hits rise and misses collapse

@@ -32,7 +32,7 @@ use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-use timepiece_core::check::{CheckOptions, CheckReport, FailureReason, ModularChecker};
+use timepiece_core::check::{CheckReport, FailureReason, ModularChecker};
 use timepiece_core::stats::TimingStats;
 use timepiece_sched::cost::{cost_striped, imbalance, plan_adaptive, CostModel};
 use timepiece_sched::{Json, ShardPlan};
@@ -642,12 +642,7 @@ pub fn run_shard_nodes(
     options: &SweepOptions,
 ) -> ShardReport {
     let inst = fattree_instance(kind, k);
-    let checker = ModularChecker::new(CheckOptions {
-        timeout: Some(options.timeout),
-        threads: options.threads,
-        ..CheckOptions::default()
-    });
-    let report = checker
+    let report = ModularChecker::new(options.check_options())
         .check_nodes(&inst.network, &inst.interface, &inst.property, nodes)
         .expect("benchmark instances encode");
     let mut report = ShardReport::from_check(

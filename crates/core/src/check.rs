@@ -1,13 +1,12 @@
 //! The modular checking procedure (Algorithm 1).
 //!
 //! For every node the three verification conditions are encoded and
-//! discharged *independently*; nodes are distributed over a work-stealing
-//! pool of worker threads (`timepiece-sched`), each owning its own
-//! (thread-local) Z3 context. A worker batches every node it claims through
-//! one long-lived solver session per encoder signature, so declarations and
-//! compiled terms are shared *across* nodes, not just across one node's
-//! three conditions. The report records per-node wall times so the paper's
-//! total/median/p99 figures can be reproduced.
+//! discharged *independently* ([`ModularChecker::check_node`] is the whole
+//! procedure for one node). Which worker runs which node, on which solver
+//! session, is answered in one place — [`crate::sweep::CheckerPool`], the
+//! checking engine — and [`ModularChecker::check_nodes`] is that engine
+//! living for one call. The report records per-node wall times so the
+//! paper's total/median/p99 figures can be reproduced.
 
 use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
@@ -21,6 +20,7 @@ use timepiece_topology::NodeId;
 use crate::error::CoreError;
 use crate::interface::NodeAnnotations;
 use crate::stats::TimingStats;
+use crate::sweep::CheckerPool;
 use crate::vc::{inductive_vc, initial_vc, safety_vc, VcKind};
 
 /// Options controlling a modular check.
@@ -35,9 +35,10 @@ pub struct CheckOptions {
     /// Stop scheduling new nodes after the first failure.
     pub fail_fast: bool,
     /// Bound each worker's solver-session pool to this many sessions,
-    /// evicting least-recently-used ones (`None`: unbounded). Long-running
-    /// services set this: every distinct policy edit opens a session under a
-    /// fresh encoder signature.
+    /// evicting least-recently-used ones (`None`: unbounded). Sessions are
+    /// keyed by declarations ([`Network::encoder_signature`]), so only a
+    /// service that checks networks of many different route types or
+    /// symbolic inputs ever holds more than one per worker.
     pub session_cap: Option<usize>,
 }
 
@@ -49,6 +50,13 @@ impl CheckOptions {
             Some(cap) => SessionPool::with_capacity(self.timeout, cap),
             None => SessionPool::new(self.timeout),
         }
+    }
+
+    /// [`CheckOptions::threads`], resolved against the machine.
+    pub(crate) fn workers(&self) -> usize {
+        self.threads
+            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+            .max(1)
     }
 }
 
@@ -100,11 +108,11 @@ impl std::fmt::Display for Failure {
 /// The outcome of a modular check.
 #[derive(Debug, Clone)]
 pub struct CheckReport {
-    failures: Vec<Failure>,
-    node_durations: Vec<(NodeId, Duration)>,
-    wall: Duration,
-    sched: Option<SchedStats>,
-    terms: Option<TermCacheStats>,
+    pub(crate) failures: Vec<Failure>,
+    pub(crate) node_durations: Vec<(NodeId, Duration)>,
+    pub(crate) wall: Duration,
+    pub(crate) sched: Option<SchedStats>,
+    pub(crate) terms: Option<TermCacheStats>,
 }
 
 impl CheckReport {
@@ -134,34 +142,20 @@ impl CheckReport {
         self.wall
     }
 
-    /// Scheduler statistics (worker/steal counts) of the run that produced
+    /// Scheduler statistics (worker/steal counts) of the job that produced
     /// this report. `None` on merged reports.
     pub fn scheduler(&self) -> Option<&SchedStats> {
         self.sched.as_ref()
     }
 
     /// Compiled-term cache traffic attributable to this check, summed over
-    /// the workers that ran it. For a scoped check the counters start at
-    /// zero (fresh sessions); for a [`crate::sweep::CheckerPool`] check the
-    /// hits include terms first compiled by *earlier* rows through the same
-    /// persistent sessions — the cross-row hit rate. `None` when the
-    /// producer predates the counters (e.g. deserialized shard reports).
+    /// the workers that ran it. On a pool's first check the counters start
+    /// at zero (fresh sessions); on a later one the hits include terms first
+    /// compiled by *earlier* checks through the same persistent sessions —
+    /// the cross-row hit rate. `None` when the producer predates the
+    /// counters (e.g. deserialized shard reports).
     pub fn term_cache(&self) -> Option<TermCacheStats> {
         self.terms
-    }
-
-    /// Assembles a report from its parts (used by the cross-row
-    /// [`crate::sweep::CheckerPool`], which collects results from persistent
-    /// workers rather than a scoped scheduler run).
-    pub(crate) fn from_parts(
-        mut failures: Vec<Failure>,
-        mut node_durations: Vec<(NodeId, Duration)>,
-        wall: Duration,
-        terms: Option<TermCacheStats>,
-    ) -> CheckReport {
-        node_durations.sort_by_key(|(v, _)| *v);
-        failures.sort_by_key(|f| f.node);
-        CheckReport { failures, node_durations, wall, sched: None, terms }
     }
 
     /// Merges shard reports into one: failures and durations are
@@ -202,8 +196,8 @@ impl ModularChecker {
         ModularChecker { options }
     }
 
-    /// Checks the initial, inductive and safety conditions of a single node,
-    /// returning its failures and the time spent.
+    /// Checks the initial, inductive and safety conditions of a single node
+    /// in a fresh solver session, returning its failures and the time spent.
     ///
     /// # Errors
     ///
@@ -218,66 +212,16 @@ impl ModularChecker {
     ) -> Result<(Vec<Failure>, Duration), CoreError> {
         let mut session = SolverSession::new(self.options.timeout);
         let never = AtomicBool::new(false);
-        let result = self.check_node_in_session(&mut session, &never, net, interface, property, v);
-        Ok(result?.expect("a check without a canceller runs to completion"))
-    }
-
-    /// Discharges one node's three conditions through an existing session —
-    /// the batched path: the session (and its encoder cache) typically
-    /// outlives many nodes on one scheduler worker.
-    ///
-    /// Returns `None` when `cancel` was raised and the node was abandoned
-    /// part-way; abandoned nodes report neither failures nor durations.
-    ///
-    /// # Errors
-    ///
-    /// As [`ModularChecker::check_node`].
-    pub(crate) fn check_node_in_session(
-        &self,
-        session: &mut SolverSession,
-        cancel: &AtomicBool,
-        net: &Network,
-        interface: &NodeAnnotations,
-        property: &NodeAnnotations,
-        v: NodeId,
-    ) -> Result<Option<(Vec<Failure>, Duration)>, CoreError> {
-        let start = Instant::now();
-        let mut node_span =
-            timepiece_trace::span(timepiece_trace::Phase::Node, net.topology().name(v));
-        node_span.arg("class", net.topology().node_class(v));
-        let conditions = [
-            (VcKind::Initial, initial_vc(net, interface, v)),
-            (VcKind::Inductive, inductive_vc(net, interface, v, self.options.delay)),
-            (VcKind::Safety, safety_vc(net, interface, property, v)),
-        ];
-        // one solver discharges all three conditions via push/pop, sharing
-        // variable declarations and the compiled-term cache across them; the
-        // cancellation flag is consulted between scopes so a fail-fast stop
-        // lands within one condition, not one node
-        let mut failures = Vec::new();
-        for (kind, vc) in conditions {
-            match session.check_cancellable(&vc, cancel)? {
-                None => {
-                    node_span.arg("verdict", "abandoned");
-                    return Ok(None);
-                }
-                Some(Validity::Valid) => {}
-                Some(Validity::Invalid(cex)) => failures.push(Failure {
-                    node: v,
-                    node_name: net.topology().name(v).to_owned(),
-                    vc: kind,
-                    reason: FailureReason::CounterExample(cex),
-                }),
-                Some(Validity::Unknown(why)) => failures.push(Failure {
-                    node: v,
-                    node_name: net.topology().name(v).to_owned(),
-                    vc: kind,
-                    reason: FailureReason::Unknown(why),
-                }),
-            }
-        }
-        node_span.arg("verdict", if failures.is_empty() { "verified" } else { "failed" });
-        Ok(Some((failures, start.elapsed())))
+        let checked = check_node_in_session(
+            &mut session,
+            &never,
+            net,
+            interface,
+            property,
+            self.options.delay,
+            v,
+        );
+        Ok(checked?.expect("a check without a canceller runs to completion"))
     }
 
     /// Checks every node, in parallel, and aggregates a report.
@@ -305,16 +249,14 @@ impl ModularChecker {
     /// worker checks its shard, and the merged reports
     /// ([`CheckReport::merge`]) cover the whole network.
     ///
-    /// Scheduling: nodes are drained through a work-stealing pool; each
-    /// worker thread batches the nodes it claims through one long-lived
-    /// solver session per encoder signature, so symbolic-destination
-    /// constraints and role-templated interfaces shared by many nodes are
-    /// encoded once per worker. Under [`CheckOptions::fail_fast`], the first
-    /// failure cancels the pool *and* interrupts in-flight solver calls.
+    /// The call is a [`CheckerPool`] that lives for one job: the same
+    /// work-stealing workers, solver sessions, fail-fast cancellation and
+    /// report as a pool kept across checks, minus the warm start.
     ///
     /// # Errors
     ///
-    /// As [`ModularChecker::check`].
+    /// As [`ModularChecker::check`]; [`CoreError::WorkerDied`] if a worker
+    /// panicked.
     pub fn check_nodes(
         &self,
         net: &Network,
@@ -322,66 +264,68 @@ impl ModularChecker {
         property: &NodeAnnotations,
         nodes: &[NodeId],
     ) -> Result<CheckReport, CoreError> {
-        let start = Instant::now();
-        let workers = self
-            .options
-            .threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-            .clamp(1, nodes.len().max(1));
-        let token = CancelToken::new();
-        // sessions are keyed by the network's encoder signature — a
-        // structural hash of the policy IR when the network carries one
-        // (falling back to the route type) — so conditions over the same
-        // declarations and shared terms go through the same session
-        let signature = net.encoder_signature();
-        let fail_fast = self.options.fail_fast;
-        // worker states die with the scoped run, so per-node term-cache
-        // deltas are folded into a shared accumulator as they happen
-        let terms = std::sync::Mutex::new(TermCacheStats::default());
-
-        let outcome = timepiece_sched::run(
-            nodes.to_vec(),
-            workers,
-            &token,
-            |_worker| self.options.session_pool(),
-            |pool: &mut SessionPool, v| -> Result<_, CoreError> {
-                let before = pool.term_cache_stats();
-                let session = pool.session_or_init(&signature, |s| {
-                    // a fail-fast cancel must also abort this worker's
-                    // in-flight solver call, not just stop the queue
-                    let handle = s.interrupt_handle();
-                    token.on_cancel(move || handle.interrupt());
-                });
-                let checked =
-                    self.check_node_in_session(session, token.flag(), net, interface, property, v);
-                *terms.lock().expect("term stats lock") +=
-                    pool.term_cache_stats().delta_since(&before);
-                let Some((failures, duration)) = checked? else {
-                    return Ok(None);
-                };
-                if fail_fast && !failures.is_empty() {
-                    token.cancel();
-                }
-                Ok(Some((v, failures, duration)))
-            },
-        )?;
-
-        let mut node_durations = Vec::with_capacity(outcome.results.len());
-        let mut failures = Vec::new();
-        for (v, node_failures, duration) in outcome.results {
-            node_durations.push((v, duration));
-            failures.extend(node_failures);
-        }
-        node_durations.sort_by_key(|(v, _)| *v);
-        failures.sort_by_key(|f| f.node);
-        Ok(CheckReport {
-            failures,
-            node_durations,
-            wall: start.elapsed(),
-            sched: Some(outcome.stats),
-            terms: Some(terms.into_inner().expect("term stats lock")),
-        })
+        let workers = self.options.workers().min(nodes.len().max(1));
+        CheckerPool::new(workers, self.options.clone()).check_nodes(
+            net,
+            interface,
+            property,
+            nodes,
+            &CancelToken::new(),
+        )
     }
+}
+
+/// Discharges one node's three conditions through an existing session — the
+/// batched path: the session (and its encoder cache) typically outlives many
+/// nodes on one pool worker.
+///
+/// Returns `None` when `cancel` was raised and the node was abandoned
+/// part-way; abandoned nodes report neither failures nor durations.
+///
+/// # Errors
+///
+/// As [`ModularChecker::check_node`].
+pub(crate) fn check_node_in_session(
+    session: &mut SolverSession,
+    cancel: &AtomicBool,
+    net: &Network,
+    interface: &NodeAnnotations,
+    property: &NodeAnnotations,
+    delay: u64,
+    v: NodeId,
+) -> Result<Option<(Vec<Failure>, Duration)>, CoreError> {
+    let start = Instant::now();
+    let mut node_span = timepiece_trace::span(timepiece_trace::Phase::Node, net.topology().name(v));
+    node_span.arg("class", net.topology().node_class(v));
+    let conditions = [
+        (VcKind::Initial, initial_vc(net, interface, v)),
+        (VcKind::Inductive, inductive_vc(net, interface, v, delay)),
+        (VcKind::Safety, safety_vc(net, interface, property, v)),
+    ];
+    // one solver discharges all three conditions via push/pop, sharing
+    // variable declarations and the compiled-term cache across them; the
+    // cancellation flag is consulted between scopes so a fail-fast stop
+    // lands within one condition, not one node
+    let mut failures = Vec::new();
+    for (kind, vc) in conditions {
+        let reason = match session.check_cancellable(&vc, cancel)? {
+            None => {
+                node_span.arg("verdict", "abandoned");
+                return Ok(None);
+            }
+            Some(Validity::Valid) => continue,
+            Some(Validity::Invalid(cex)) => FailureReason::CounterExample(cex),
+            Some(Validity::Unknown(why)) => FailureReason::Unknown(why),
+        };
+        failures.push(Failure {
+            node: v,
+            node_name: net.topology().name(v).to_owned(),
+            vc: kind,
+            reason,
+        });
+    }
+    node_span.arg("verdict", if failures.is_empty() { "verified" } else { "failed" });
+    Ok(Some((failures, start.elapsed())))
 }
 
 #[cfg(test)]
@@ -458,101 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_and_parallel_agree() {
-        let net = reach_net(6);
-        let interface = reach_interface(&net);
-        let property = NodeAnnotations::new(net.topology(), Temporal::any());
-        let seq = ModularChecker::new(CheckOptions { threads: Some(1), ..Default::default() })
-            .check(&net, &interface, &property)
-            .unwrap();
-        let par = ModularChecker::new(CheckOptions { threads: Some(4), ..Default::default() })
-            .check(&net, &interface, &property)
-            .unwrap();
-        assert_eq!(seq.is_verified(), par.is_verified());
-        assert_eq!(seq.node_durations().len(), par.node_durations().len());
-    }
-
-    #[test]
-    fn fail_fast_stops_early() {
-        let net = reach_net(8);
-        // interface that fails everywhere: no node ever has a route
-        let interface =
-            NodeAnnotations::new(net.topology(), Temporal::globally(|r| r.clone().not()));
-        let property = NodeAnnotations::new(net.topology(), Temporal::any());
-        let report = ModularChecker::new(CheckOptions {
-            fail_fast: true,
-            threads: Some(1),
-            ..Default::default()
-        })
-        .check(&net, &interface, &property)
-        .unwrap();
-        assert!(!report.is_verified());
-        // with fail-fast and one thread, scheduling stops after the first bad node
-        assert!(report.node_durations().len() < 8);
-    }
-
-    #[test]
-    fn fail_fast_schedules_nothing_after_the_first_failure() {
-        let net = reach_net(6);
-        // every node's conditions fail
-        let interface =
-            NodeAnnotations::new(net.topology(), Temporal::globally(|r| r.clone().not()));
-        let property = NodeAnnotations::new(net.topology(), Temporal::any());
-        let report = ModularChecker::new(CheckOptions {
-            fail_fast: true,
-            threads: Some(1),
-            ..CheckOptions::default()
-        })
-        .check(&net, &interface, &property)
-        .unwrap();
-        // with one worker the queue stops immediately: exactly one node ran
-        assert_eq!(report.node_durations().len(), 1);
-        assert!(!report.is_verified());
-    }
-
-    #[test]
-    fn without_fail_fast_every_node_is_checked() {
-        let net = reach_net(6);
-        let interface =
-            NodeAnnotations::new(net.topology(), Temporal::globally(|r| r.clone().not()));
-        let property = NodeAnnotations::new(net.topology(), Temporal::any());
-        let report = ModularChecker::new(CheckOptions { threads: Some(1), ..Default::default() })
-            .check(&net, &interface, &property)
-            .unwrap();
-        // every node is checked even though v0 fails early in the schedule
-        assert_eq!(report.node_durations().len(), 6);
-        // and the failure stays localized: only the origin violates the
-        // "no route ever" interface (its initial route is the route)
-        let failing: std::collections::BTreeSet<&str> =
-            report.failures().iter().map(|f| f.node_name.as_str()).collect();
-        assert_eq!(failing.into_iter().collect::<Vec<_>>(), ["v0"]);
-    }
-
-    #[test]
-    fn check_nodes_covers_exactly_the_requested_shard() {
-        let net = reach_net(6);
-        let interface = reach_interface(&net);
-        let property = NodeAnnotations::new(net.topology(), Temporal::any());
-        let all: Vec<_> = net.topology().nodes().collect();
-        let checker = ModularChecker::new(CheckOptions::default());
-        let shard_a = checker.check_nodes(&net, &interface, &property, &all[..2]).unwrap();
-        let shard_b = checker.check_nodes(&net, &interface, &property, &all[2..]).unwrap();
-        assert_eq!(shard_a.node_durations().len(), 2);
-        assert_eq!(shard_b.node_durations().len(), 4);
-        let merged = CheckReport::merge([shard_a.clone(), shard_b.clone()]);
-        assert!(merged.is_verified());
-        assert_eq!(merged.node_durations().len(), 6);
-        // durations are re-sorted by node id across the shard boundary
-        let order: Vec<_> = merged.node_durations().iter().map(|(v, _)| *v).collect();
-        let mut sorted = order.clone();
-        sorted.sort();
-        assert_eq!(order, sorted);
-        // the merged wall is the slowest shard, not the sum
-        assert_eq!(merged.wall(), shard_a.wall().max(shard_b.wall()));
-        assert!(merged.scheduler().is_none(), "merged reports span schedulers");
-    }
-
-    #[test]
     fn sharded_and_whole_checks_find_the_same_failures() {
         let net = reach_net(6);
         let mut interface = reach_interface(&net);
@@ -587,45 +436,6 @@ mod tests {
         assert_eq!(stats.workers, 4);
         assert_eq!(stats.claimed.iter().sum::<usize>(), 6, "every node claimed exactly once");
         assert!(!stats.cancelled);
-    }
-
-    #[test]
-    fn empty_shard_produces_an_empty_verified_report() {
-        let net = reach_net(3);
-        let interface = reach_interface(&net);
-        let property = NodeAnnotations::new(net.topology(), Temporal::any());
-        let report = ModularChecker::new(CheckOptions::default())
-            .check_nodes(&net, &interface, &property, &[])
-            .unwrap();
-        assert!(report.is_verified());
-        assert_eq!(report.node_durations().len(), 0);
-        assert_eq!(report.stats().count, 0);
-    }
-
-    #[test]
-    fn fail_fast_abandons_inflight_nodes_without_reporting_them() {
-        // all nodes fail; with several threads racing, the cancel raised by
-        // the first failure abandons the others' in-flight nodes — whatever
-        // interleaving happens, abandoned nodes must leave no trace
-        let net = reach_net(8);
-        let interface =
-            NodeAnnotations::new(net.topology(), Temporal::globally(|r| r.clone().not()));
-        let property = NodeAnnotations::new(net.topology(), Temporal::any());
-        let report = ModularChecker::new(CheckOptions {
-            fail_fast: true,
-            threads: Some(4),
-            ..CheckOptions::default()
-        })
-        .check(&net, &interface, &property)
-        .unwrap();
-        assert!(!report.is_verified());
-        assert!(report.scheduler().unwrap().cancelled);
-        // every reported failure belongs to a node with a recorded duration
-        let checked: std::collections::BTreeSet<NodeId> =
-            report.node_durations().iter().map(|(v, _)| *v).collect();
-        for f in report.failures() {
-            assert!(checked.contains(&f.node), "failure at unrecorded node {}", f.node_name);
-        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! A [`DaemonState`] is everything `timepieced` keeps hot between requests:
 //! the compiled [`Network`] (canonical arena terms), the interface and
 //! property annotations, a persistent [`CheckerPool`] whose workers hold
-//! solver sessions keyed by encoder signature, the last
+//! one solver session each (keyed by what the network declares, so edits
+//! keep it), the last
 //! [`Fingerprints`] snapshot, and a [`VerdictCache`] with the last verdict
 //! per node. Handling a `delta` request means: apply the edit to get a new
 //! network/interface, re-fingerprint the edit's topological *footprint*,

@@ -94,7 +94,11 @@ fn from_scratch_failed(state: &DaemonState) -> Vec<NodeId> {
 /// * the fingerprints the daemon refreshed over the delta's footprint equal
 ///   a from-scratch [`Fingerprints::compute`] — i.e. the footprint covered
 ///   the exact cone, so no node kept a stale hash (which a later delta
-///   would then diff against, missing a dirty node).
+///   would then diff against, missing a dirty node), and
+/// * no worker holds a second solver session: sessions are keyed by what a
+///   network declares, and no delta — policy or budget — declares anything,
+///   so an edited network lands in the session that already holds its
+///   compiled terms.
 fn check_sequence(
     label: &str,
     instance: BenchInstance,
@@ -121,6 +125,12 @@ fn check_sequence(
             "after {:?} (ok={:?}) the footprint missed nodes whose conditions changed",
             delta,
             ok
+        );
+        let status = state.handle(&Request::Status).reply;
+        let count = |key: &str| status.get(key).and_then(timepiece_trace::Json::as_usize).unwrap();
+        assert!(
+            count("sessions") <= count("workers"),
+            "after {delta:?} the workers hold a second compiled copy: {status}"
         );
         let cached_failed = state.verdicts().failed_nodes();
         let reference_failed = from_scratch_failed(&state);

@@ -5,11 +5,13 @@
 //! verification conditions. This crate is the machinery that drains that
 //! pile well, at three scales:
 //!
-//! * **Within a process** — [`StealQueue`] + [`run`]: per-worker deques with
-//!   batched steal-half instead of a contended global counter. Each worker
-//!   owns private state built once per run (the modular checker puts its
-//!   long-lived solver sessions there), so consecutive tasks on a worker
-//!   share encoder caches and solver contexts.
+//! * **Within a process** — [`Pool`] over a per-job [`StealQueue`]:
+//!   persistent worker threads, per-worker deques with batched steal-half
+//!   instead of a contended global counter. Each worker owns private state
+//!   built once per pool (the checker puts its long-lived solver sessions
+//!   there), so consecutive tasks *and consecutive jobs* on a worker share
+//!   encoder caches and solver contexts. A pool dropped after one job is
+//!   the one-shot check; there is one engine, not two.
 //! * **Across a failure** — [`CancelToken`]: cooperative fail-fast
 //!   cancellation whose hooks also *interrupt* in-flight solver calls, so a
 //!   discovered violation stops the fleet in interrupt latency, not in
@@ -24,29 +26,38 @@
 //!
 //! The scheduler is deliberately independent of SMT types: tasks are any
 //! `Send` values, per-worker state is any type, and cancellation hooks are
-//! plain closures. `timepiece-core`'s `ModularChecker` plugs its sessions
-//! and conditions into these hooks.
+//! plain closures. `timepiece-core`'s `CheckerPool` plugs its sessions and
+//! conditions into a [`Job`].
 //!
 //! # Example
 //!
-//! Drain a skewed workload on four workers with per-worker state:
+//! Drain a workload on four workers with per-worker state:
 //!
 //! ```
-//! use timepiece_sched::{run, CancelToken};
+//! use timepiece_sched::{CancelToken, Job, Pool};
 //!
-//! let token = CancelToken::new();
-//! let outcome = run(
-//!     (0u32..64).collect(),
-//!     4,
-//!     &token,
-//!     |worker| (worker, 0u32),
-//!     |(_, processed), task| {
+//! /// Doubles each task; a worker's state counts what it processed.
+//! struct Double;
+//!
+//! impl Job for Double {
+//!     type State = u32;
+//!     type Task = u32;
+//!     type Output = u32;
+//!     type Error = std::convert::Infallible;
+//!     fn run(
+//!         &self,
+//!         processed: &mut u32,
+//!         task: u32,
+//!         _: &CancelToken,
+//!     ) -> Result<Option<u32>, Self::Error> {
 //!         *processed += 1;
-//!         Ok::<_, std::convert::Infallible>(Some(task))
-//!     },
-//! )?;
+//!         Ok(Some(2 * task))
+//!     }
+//! }
+//!
+//! let mut pool = Pool::new(4, |_worker| 0);
+//! let outcome = pool.run((0..64).collect(), &CancelToken::new(), Double).unwrap();
 //! assert_eq!(outcome.results.len(), 64);
-//! # Ok::<(), std::convert::Infallible>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -67,6 +78,6 @@ pub use timepiece_trace::json;
 pub use cancel::CancelToken;
 pub use cost::{plan_adaptive, CostModel, CostedPlan};
 pub use json::{Json, JsonError};
-pub use pool::{run, SchedOutcome, SchedStats};
+pub use pool::{Job, Pool, PoolError, SchedOutcome, SchedStats};
 pub use queue::StealQueue;
 pub use shard::ShardPlan;

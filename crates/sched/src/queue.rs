@@ -47,16 +47,28 @@ pub struct StealQueue<T> {
 impl<T> StealQueue<T> {
     /// Distributes `items` round-robin over `workers` deques (at least one).
     pub fn new(items: impl IntoIterator<Item = T>, workers: usize) -> StealQueue<T> {
+        StealQueue::dealt(items.into_iter().enumerate(), workers)
+    }
+
+    /// Deals each `(home, item)` to deque `home % workers` (at least one
+    /// deque): the worker whose state is warm for the item gets it first,
+    /// and stealing only re-balances.
+    pub fn dealt(items: impl IntoIterator<Item = (usize, T)>, workers: usize) -> StealQueue<T> {
         let workers = workers.max(1);
         let mut deques: Vec<VecDeque<T>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (i, item) in items.into_iter().enumerate() {
-            deques[i % workers].push_back(item);
+        for (home, item) in items {
+            deques[home % workers].push_back(item);
         }
         StealQueue {
             deques: deques.into_iter().map(Mutex::new).collect(),
             steals: AtomicUsize::new(0),
             stolen_tasks: AtomicUsize::new(0),
         }
+    }
+
+    /// How many tasks sit in `worker`'s own deque right now.
+    pub fn backlog(&self, worker: usize) -> usize {
+        self.deques[worker].lock().len()
     }
 
     /// The number of worker deques.

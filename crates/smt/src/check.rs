@@ -197,6 +197,18 @@ impl SolverSession {
         self.enc.compiled_terms()
     }
 
+    /// Runs `work` on this session, then forgets the terms it compiled: the
+    /// encoder cache ends up holding what it held before (variables stay
+    /// declared). For conditions the owner does not expect again — a pool
+    /// worker checking a node it stole from another — so that a long-lived
+    /// session keeps only what it will reuse.
+    pub fn scratch<R>(&mut self, work: impl FnOnce(&mut SolverSession) -> R) -> R {
+        self.enc.open_scratch();
+        let result = work(self);
+        self.enc.drop_scratch();
+        result
+    }
+
     /// A [`Send`]/[`Sync`] handle another thread can use to interrupt this
     /// session's in-flight solver call (the check then reports
     /// [`Validity::Unknown`], or is dropped entirely under
@@ -324,11 +336,13 @@ pub fn check_validity(vc: &Vc, timeout: Option<Duration>) -> Result<Validity, Sm
 }
 
 /// A pool's sessions are retired once their encoder caches together hold
-/// this many times the compiled terms the largest single job added. Measured
-/// on a daemon serving SpReach k=8 edits (two signatures, so two compiled
-/// copies of the network per worker are the floor): 2 thrashes (+26 % time),
-/// 3 costs ~4 % and holds the process at its parent's footprint, 4 costs
-/// nothing but lets RSS run 9 % higher.
+/// this many times the compiled terms the largest single job added. One
+/// compiled copy of the instance per worker is the floor (an edited network
+/// keeps its declarations, hence its session); the rest of the budget is
+/// room for the terms of instances since edited away — two more copies'
+/// worth before the worker starts cold again. Measured on a daemon serving
+/// SpReach k=8 edits: 2 thrashes (+26 % time), 3 costs ~4 % and holds the
+/// process at its footprint, 4 costs nothing but lets RSS run 9 % higher.
 const RETIRE_AT_JOB_TERMS: usize = 3;
 
 /// A pool's sessions are retired once they have together discharged this
@@ -361,13 +375,15 @@ impl std::ops::Add for SessionPoolStats {
 }
 
 /// A keyed collection of long-lived [`SolverSession`]s: one per
-/// *algebra/encoder signature*.
+/// *declaration signature*.
 ///
-/// Conditions that share a signature — the same route type, hence the same
-/// variable declarations and well-formedness shapes — are discharged through
-/// one session, so the solver context, declarations and compiled-term cache
-/// are reused across *every* condition with that signature, not just within
-/// one node's. A scheduler worker holds one pool and batches all the nodes it
+/// The only thing two conditions can clash on inside one encoder is a
+/// variable's *(name, type)*, so the key names exactly that: conditions
+/// that share a signature — the same route type and the same symbolic
+/// inputs, hence consistent declarations and well-formedness shapes — are
+/// discharged through one session, so the solver context, declarations and
+/// compiled-term cache are reused across *every* condition with that
+/// signature, not just within one node's. A scheduler worker holds one pool and batches all the nodes it
 /// owns through it; terms shared between nodes (symbolic-destination
 /// constraints, role-templated interfaces) are then encoded once per worker
 /// instead of once per node.
@@ -424,10 +440,9 @@ impl SessionPool {
     }
 
     /// A pool keeping at most `capacity` sessions, evicting the
-    /// least-recently-used one beyond that. Long-running services want this:
-    /// every distinct policy edit opens a session under a fresh signature,
-    /// and an unbounded pool would accumulate solver contexts forever.
-    /// Evicted sessions drop their declarations, compiled-term caches *and*
+    /// least-recently-used one beyond that: a service that checks instances
+    /// of many different declaration signatures would otherwise accumulate
+    /// one solver context per signature forever. Evicted sessions drop their declarations, compiled-term caches *and*
     /// term-cache counters (so [`SessionPool::term_cache_stats`] only sums
     /// the live sessions).
     ///
@@ -441,17 +456,6 @@ impl SessionPool {
 
     /// The session for `signature`, created on first use.
     pub fn session(&mut self, signature: &str) -> &mut SolverSession {
-        self.session_or_init(signature, |_| {})
-    }
-
-    /// The session for `signature`; `init` runs once, right after the
-    /// session is created (e.g. to register its interrupt handle with a
-    /// cancellation token).
-    pub fn session_or_init(
-        &mut self,
-        signature: &str,
-        init: impl FnOnce(&SolverSession),
-    ) -> &mut SolverSession {
         match self.order.iter().position(|s| s == signature) {
             Some(pos) => {
                 // touch: move to the warm end
@@ -469,11 +473,20 @@ impl SessionPool {
                 }
             }
         }
-        self.sessions.entry(signature.to_owned()).or_insert_with(|| {
-            let session = SolverSession::new(self.timeout);
-            init(&session);
-            session
-        })
+        // looked up once per node: no key is allocated for a warm session
+        if !self.sessions.contains_key(signature) {
+            self.sessions.insert(signature.to_owned(), SolverSession::new(self.timeout));
+        }
+        self.sessions.get_mut(signature).expect("present or just inserted")
+    }
+
+    /// Drops the session for `signature`, if there is one. For the owner of
+    /// a session whose check returned an error: a condition that failed to
+    /// encode may already have declared variables, at types the next
+    /// well-typed condition under the same signature contradicts.
+    pub fn discard(&mut self, signature: &str) {
+        self.order.retain(|s| s != signature);
+        self.sessions.remove(signature);
     }
 
     /// Marks the end of one job — a batch of checks after which the owner
@@ -483,12 +496,13 @@ impl SessionPool {
     /// lazily, cold, by the next [`SessionPool::session`] call for their
     /// signature.
     ///
-    /// Only an owner that lives across many jobs calls this (a daemon's
+    /// This matters to an owner that lives across many jobs (a daemon's
     /// persistent workers): without it an encoder cache keeps the compiled
     /// form of every term it ever saw — under a stream of edits, mostly
     /// terms of instances long since edited away — and each solver keeps a
     /// per-check residue, so memory tracks the request count. A pool that
-    /// never hears of jobs (one scoped check) never retires.
+    /// only ever ends one job (a one-shot check) has no history to outgrow
+    /// and never retires.
     ///
     /// The yardstick is the pool's own history: the most compiled terms and
     /// checks any single job added. The sessions go when together they hold
@@ -641,6 +655,28 @@ mod tests {
     }
 
     #[test]
+    fn scratch_work_leaves_the_term_cache_as_it_found_it() {
+        let (x, y) = (Expr::var("x", Type::Int), Expr::var("y", Type::Int));
+        let kept = Vc::new("kept", [x.clone().gt(Expr::int(2))], x.clone().gt(Expr::int(1)));
+        // shares `x > 2` with `kept`, and brings a variable and terms of its own
+        let passing =
+            Vc::new("passing", [x.clone().gt(Expr::int(2)), y.clone().gt(x)], y.gt(Expr::int(3)));
+        let mut session = SolverSession::new(None);
+        assert!(session.check(&kept).unwrap().is_valid());
+        let (held, before) = (session.compiled_terms(), session.term_cache_stats());
+        assert!(session.scratch(|s| s.check(&passing)).unwrap().is_valid());
+        assert_eq!(session.compiled_terms(), held, "the passing condition's terms stayed");
+        let during = session.term_cache_stats().delta_since(&before);
+        assert!(during.hits > 0 && during.misses > 0, "scratch work uses the cache: {during:?}");
+        // what was there before still is, and the forgotten terms compile again
+        let again = session.term_cache_stats();
+        assert!(session.check(&kept).unwrap().is_valid());
+        assert_eq!(session.term_cache_stats().delta_since(&again).misses, 0);
+        assert!(session.check(&passing).unwrap().is_valid());
+        assert!(session.compiled_terms() > held);
+    }
+
+    #[test]
     fn session_rejects_inconsistent_redeclaration() {
         let mut session = SolverSession::new(None);
         let ok = Vc::new("int", [], Expr::var("x", Type::Int).ge(Expr::int(0)));
@@ -679,12 +715,10 @@ mod tests {
         assert!(pool.is_empty());
         let x = Expr::var("x", Type::Int);
         let vc = Vc::new("t", [x.clone().gt(Expr::int(2))], x.clone().gt(Expr::int(1)));
-        let mut inits = 0;
         for _ in 0..3 {
-            let session = pool.session_or_init("sig-a", |_| inits += 1);
-            assert!(session.check(&vc).unwrap().is_valid());
+            assert!(pool.session("sig-a").check(&vc).unwrap().is_valid());
         }
-        assert_eq!(inits, 1, "init runs only on creation");
+        assert_eq!(pool.session("sig-a").checks(), 3, "one session served all three");
         assert_eq!(pool.len(), 1);
         // a different signature opens a fresh session with its own encoder,
         // so a clashing redeclaration of `x` is fine there
@@ -693,6 +727,11 @@ mod tests {
         assert_eq!(pool.len(), 2);
         // ...but not on the original session
         assert!(pool.session("sig-a").check(&clash).is_err());
+        // the failed check may have left its declaration behind; a discarded
+        // session is rebuilt without it
+        pool.discard("sig-a");
+        assert_eq!(pool.len(), 1);
+        assert!(pool.session("sig-a").check(&clash).is_ok());
     }
 
     #[test]
@@ -708,9 +747,7 @@ mod tests {
         assert_eq!(pool.len(), 2);
         assert_eq!(pool.evictions(), 1);
         // "b" was evicted: recreating it evicts the new coldest ("a")
-        let mut created = false;
-        pool.session_or_init("b", |_| created = true);
-        assert!(created, "evicted session must be rebuilt on next use");
+        assert_eq!(pool.session("b").checks(), 0, "evicted session must be rebuilt on next use");
         assert_eq!(pool.evictions(), 2);
         // an unbounded pool never evicts
         let mut pool = SessionPool::new(None);
@@ -799,6 +836,8 @@ mod tests {
             assert!(scoped.session("sig").check(&vc).unwrap().is_valid());
         }
         assert_eq!(scoped.stats().retirements, 0);
+        // nor does one whose first job is its only one (a one-shot check)
+        assert_eq!(scoped.end_job(), 0);
         assert_eq!(scoped.stats().sessions, 1);
     }
 

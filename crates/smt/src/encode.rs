@@ -94,6 +94,8 @@ pub struct Encoder {
     /// conditions, nodes, and sweep rows — and the cache no longer needs to
     /// pin an `Expr` handle to guard against address reuse.
     cache: HashMap<InternId, Sym>,
+    /// The terms cached since [`Encoder::open_scratch`], while one is open.
+    scratch: Option<Vec<InternId>>,
     hits: u64,
     misses: u64,
 }
@@ -188,7 +190,24 @@ impl Encoder {
         let s = self.compile_uncached(e)?;
         self.misses += 1;
         self.cache.insert(e.node_id(), s.clone());
+        if let Some(added) = &mut self.scratch {
+            added.push(e.node_id());
+        }
         Ok(s)
+    }
+
+    /// From here to [`Encoder::drop_scratch`], notes which terms enter the
+    /// cache.
+    pub fn open_scratch(&mut self) {
+        self.scratch = Some(Vec::new());
+    }
+
+    /// Drops every term cached since [`Encoder::open_scratch`]: the cache
+    /// holds what it held then. Variables declared meanwhile stay declared.
+    pub fn drop_scratch(&mut self) {
+        for id in self.scratch.take().into_iter().flatten() {
+            self.cache.remove(&id);
+        }
     }
 
     /// Cumulative hit/miss counters of the compiled-term cache.

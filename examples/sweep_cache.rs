@@ -1,13 +1,14 @@
-//! Cross-row solver-session reuse: fresh checkers vs a persistent pool.
+//! Cross-row solver-session reuse: one checking engine, two lifetimes.
 //!
 //! Run with `cargo run --release --example sweep_cache`.
 //!
-//! A multi-`k` sweep checks the *same* policy structure over and over —
-//! only the topology grows. The scoped checker rebuilds its Z3 contexts and
-//! compiled-term caches for every row; a [`CheckerPool`] keeps them alive,
-//! keyed by the network's structural IR signature, so later rows start from
-//! warm sessions. This example times both on the `SpLen` family and prints
-//! the per-row and total deltas (recorded in `EXPERIMENTS.md`).
+//! A multi-`k` sweep checks the *same* declarations over and over — only
+//! the topology grows. `ModularChecker::check` is a [`CheckerPool`] that
+//! lives for one call, so every row rebuilds its Z3 contexts and
+//! compiled-term caches; a pool kept across rows keeps them alive, keyed by
+//! what the network declares, so later rows start from warm sessions. This
+//! example times both lifetimes on the `SpLen` family and prints the
+//! per-row and total deltas (recorded in `EXPERIMENTS.md`).
 
 use std::time::Instant;
 
@@ -19,7 +20,7 @@ fn main() {
     let ks = [4usize, 6, 8];
     let options = CheckOptions::default();
 
-    println!("{:>3} {:>12} {:>12}", "k", "fresh", "pooled");
+    println!("{:>3} {:>12} {:>12}", "k", "one-shot", "kept pool");
     let mut fresh_total = 0.0;
     let mut pooled_total = 0.0;
     let mut pool = CheckerPool::with_default_parallelism(options.clone());
@@ -44,7 +45,7 @@ fn main() {
     }
     println!("sum {fresh_total:>11.2}s {pooled_total:>11.2}s");
     println!(
-        "(pooled rows reuse sessions opened by earlier rows: same IR signature {:?})",
+        "(rows on the kept pool reuse sessions opened by earlier rows: same declarations {:?})",
         LenBench::all_pairs(4).network().encoder_signature()
     );
 }
