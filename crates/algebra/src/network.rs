@@ -413,31 +413,6 @@ impl Network {
         Ok(net)
     }
 
-    /// A structural fingerprint of everything node `v`'s one-step behavior
-    /// depends on: its initial route, the compiled transfer of each in-edge
-    /// (probed with the predecessor's canonical route variable, so the
-    /// neighbor *identity* is part of the hash), the merge order, and the
-    /// symbolic preconditions. Two networks assigning `v` the same hash make
-    /// `v`'s verification conditions identical up to its interface
-    /// annotations — the decidable "did this node change" test behind
-    /// incremental re-checking.
-    pub fn node_structural_hash(&self, v: NodeId) -> u64 {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        self.init(v).structural_hash().hash(&mut h);
-        for &u in self.topology.preds(v) {
-            self.transfer((u, v), &self.route_var(u)).structural_hash().hash(&mut h);
-        }
-        let probe_a = Expr::var("·sig-a", self.route_type.clone());
-        let probe_b = Expr::var("·sig-b", self.route_type.clone());
-        self.merge(&probe_a, &probe_b).structural_hash().hash(&mut h);
-        for c in self.symbolic_constraints() {
-            c.structural_hash().hash(&mut h);
-        }
-        h.finish()
-    }
-
     /// The one-step update `I(v) ⊕ ⨁_u f_{uv}(r_u)` of equation (4), given a
     /// route term for each in-neighbor (in `preds(v)` order).
     ///
@@ -968,8 +943,6 @@ mod tests {
             .build()
             .unwrap();
         let sig = net.encoder_signature();
-        let hashes: Vec<u64> =
-            net.topology().nodes().map(|v| net.node_structural_hash(v)).collect();
         let sample = Expr::record(schema.record_def(), vec![Expr::int(0)]).some();
         let down = net
             .set_edge_policy((dest, v1), Some(RoutePolicy::new().drop_if(RouteGuard::True)))
@@ -984,20 +957,13 @@ mod tests {
             Some(true)
         );
         assert_eq!(down.encoder_signature(), sig, "a policy edit declares nothing new");
-        // only v1 (the edge's head) sees a different structural hash
-        let changed: Vec<bool> = down
-            .topology()
-            .nodes()
-            .zip(&hashes)
-            .map(|(v, h)| down.node_structural_hash(v) != *h)
-            .collect();
-        assert_eq!(changed, [false, true, false]);
-        // removing the override restores the default policy — and the hashes
+        // removing the override restores the default policy
         let restored = down.set_edge_policy((dest, v1), None).unwrap();
         assert_eq!(restored.encoder_signature(), sig);
-        for (v, h) in restored.topology().nodes().zip(&hashes) {
-            assert_eq!(restored.node_structural_hash(v), *h);
-        }
+        assert_eq!(
+            restored.transfer((dest, v1), &sample).eval(&Env::new()).unwrap().is_some_option(),
+            Some(true)
+        );
     }
 
     #[test]
@@ -1073,11 +1039,6 @@ mod tests {
             .symbolic_constraints()
             .iter()
             .all(|c| c.eval(&env).unwrap() == Value::Bool(false)));
-        // a budget-only change keeps every node's structural hash... changed:
-        // the budget constraint is part of each node's symbolic preconditions
-        for v in net.topology().nodes() {
-            assert_ne!(net.node_structural_hash(v), rebudgeted.node_structural_hash(v));
-        }
         // closure-built networks cannot be re-budgeted
         assert_eq!(hoplimit_net().with_failure_budget(1).unwrap_err(), NetworkError::NotPolicyMode);
     }

@@ -28,12 +28,9 @@
 //! * [`RoutePolicy::apply`] / [`RouteSchema::merge_value`] execute directly
 //!   on concrete [`Value`]s (the simulator's fast path).
 //!
-//! Being plain data, the IR also hashes structurally
-//! ([`RouteSchema::structural_hash`], [`RoutePolicy::structural_hash`]).
+//! Being plain data, the IR compares structurally (`==`).
 
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use timepiece_expr::{Env, Expr, RecordDef, Type, Value};
@@ -462,14 +459,6 @@ impl RoutePolicy {
         }
         Ok(Value::some(payload))
     }
-
-    /// A structural fingerprint of the policy (clause list, guards, rewrite
-    /// constants) — stable across clones and rebuilds of equal policies.
-    pub fn structural_hash(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.clauses.hash(&mut h);
-        h.finish()
-    }
 }
 
 /// A route schema: the record shape of a present route plus the
@@ -704,19 +693,6 @@ impl RouteSchema {
                 }
             }
         })
-    }
-
-    /// A structural fingerprint of the schema: field names, field types and
-    /// the merge-key order.
-    pub fn structural_hash(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.record.name().hash(&mut h);
-        for (name, ty) in self.record.fields() {
-            name.hash(&mut h);
-            ty.to_string().hash(&mut h);
-        }
-        self.keys.hash(&mut h);
-        h.finish()
     }
 }
 
@@ -990,13 +966,12 @@ mod tests {
     }
 
     #[test]
-    fn structural_hash_ignores_construction_path_but_sees_structure() {
+    fn equality_ignores_construction_path_but_sees_structure() {
         let a = RoutePolicy::new().increment("len");
         let b = RoutePolicy::new().rewrite([RewriteOp::IncInt { field: "len".into(), by: 1 }]);
-        assert_eq!(a.structural_hash(), b.structural_hash(), "equal structure, equal hash");
+        assert_eq!(a, b, "equal structure, equal policy");
         let c = RoutePolicy::new().rewrite([RewriteOp::IncInt { field: "len".into(), by: 2 }]);
-        assert_ne!(a.structural_hash(), c.structural_hash(), "constants are structure");
-        assert_eq!(schema().structural_hash(), schema().structural_hash());
+        assert_ne!(a, c, "constants are structure");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! repro plan      [--bench NAME] [--k K] [--shards N] [--history DUMP.json,...]
 //! repro worker    [--listen HOST:PORT] [--die-after N]
 //! repro shard-worker --bench NAME --k K --shard I --shards N
-//!                 [--nodes a,b,...] [--plan-spec JSON]  (internal)
+//!                 --nodes a,b,... [--plan-spec JSON]  (replay one shard)
 //! repro fuzz      [--cases N] [--seed S] [--out DIR] [--steps N]
 //! repro check     --scenario-file PATH [--steps N] [--timeout-secs S]
 //! repro export    --bench NAME [--k K] [--out PATH]
@@ -38,21 +38,23 @@
 //! IGP/EGP and link-failure scenarios — all present in `fig14`, `--json`
 //! dumps and sharding alike. `--scenario-file PATH` compiles a declarative
 //! TOML scenario (see `examples/scenarios/`) into the same registry, so file
-//! scenarios flow through sweeps, subprocess sharding, the daemon and
+//! scenarios flow through sweeps, the worker fleet, the daemon and
 //! `repro check` unchanged; `repro export` prints any registry scenario in
 //! that format. Defaults keep the sweeps laptop-sized (k ≤ 12, 60 s
 //! budget); raise `--max-k`/`--timeout-secs` to push toward the paper's
-//! k = 40 / 2 h runs. With `--shards N` the modular engine forks `N` worker
-//! subprocesses per row, merges their shard reports, and asserts full node
-//! coverage; without sharding, the rows of a sweep — `fig1`'s as well as
-//! `fig14`'s, so both Tp columns are measured alike — share one persistent
-//! checker pool whose solver sessions carry over from the smaller `k`.
+//! k = 40 / 2 h runs. Without sharding, the rows of a sweep — `fig1`'s as
+//! well as `fig14`'s, so both Tp columns are measured alike — share one
+//! persistent checker pool whose solver sessions carry over from the
+//! smaller `k`.
 //!
-//! With `--workers host:port,...` the sweep goes *distributed*: each row's
-//! shards are dispatched over TCP to `repro worker --listen` processes
-//! (anywhere), with heartbeat liveness, dead-worker reassignment and
-//! batched cross-worker stealing; `--shards` then defaults to 4x the worker
-//! count so the steal scheduler has batches to move. `--plan adaptive`
+//! With `--shards N` or `--workers host:port,...` the sweep runs on a
+//! *fleet*: each row's shards are dispatched over TCP to `repro worker`
+//! processes, with heartbeat liveness, dead-worker reassignment and batched
+//! cross-worker stealing, and the merged reports must cover every node.
+//! `--shards N` alone starts `N` workers on loopback ports for the length
+//! of the sweep; `--workers` names workers anywhere, and `--shards` then
+//! defaults to 4x the worker count so the steal scheduler has batches to
+//! move. Workers keep their solver sessions from row to row. `--plan adaptive`
 //! replaces class-striped shard plans with cost-model LPT packing, fit from
 //! the accumulated `--json` dumps named by `--history` (uniform costs when
 //! no history exists); `repro plan` prints the resulting plan without
@@ -61,11 +63,12 @@
 //! `--trace PATH` (fig14, infer) collects spans from every layer —
 //! per-node checks, per-VC encode/solve, scheduler claim/steal, CEGIS
 //! rounds — and writes a Chrome trace-event JSON loadable in Perfetto or
-//! `chrome://tracing`, one track per worker thread (and per shard process
-//! when combined with `--shards`). The registry's metrics snapshot rides
-//! along under `otherData`. `repro profile` runs sweep rows with tracing on
-//! and prints the phase breakdown directly: encode/solve/steal-idle/other
-//! shares per row, per-node-class attribution, and the slowest nodes.
+//! `chrome://tracing`, one track per worker thread (and one `shardI@worker`
+//! process per shard when the sweep ran on a fleet). The registry's metrics
+//! snapshot rides along under `otherData`. `repro profile` runs sweep rows
+//! with tracing on and prints the phase breakdown directly:
+//! encode/solve/steal-idle/other shares per row, per-node-class attribution,
+//! and the slowest nodes.
 //!
 //! `repro serve` starts `timepieced` — the verification daemon of
 //! `timepiece-daemon` — on one warm instance; `repro ask` sends it a single
@@ -77,9 +80,9 @@
 use std::time::Duration;
 
 use timepiece_bench::{
-    fattree_instance, halt_workers, loc, plan_row, run_row, run_row_distributed, run_row_sharded,
-    run_shard, run_shard_nodes, run_soak, run_worker, trend, BenchKind, DistOptions, PlanChoice,
-    PlanSpec, Row, SoakOptions, SweepOptions, WorkerExit, WorkerOptions,
+    fattree_instance, halt_workers, loc, plan_row, run_row, run_row_distributed, run_soak,
+    run_worker, trend, BenchKind, DistOptions, LocalFleet, PlanChoice, PlanSpec, Row, ShardRow,
+    SoakOptions, SweepOptions, WorkerExit, WorkerOptions,
 };
 use timepiece_core::check::{CheckOptions, ModularChecker};
 use timepiece_core::monolithic::check_monolithic;
@@ -113,7 +116,7 @@ subcommands:
   soak       concurrent delta streams against one warm daemon (p50/p95, cones)
   plan       print the striped and adaptive shard plans without running anything
   worker     serve shard checks over TCP until a coordinator sends halt
-  shard-worker  (internal) check one shard of one instance, print JSON report
+  shard-worker  replay one recorded shard (--nodes), print its JSON report
   fuzz       differential-fuzz the three policy evaluators, shrink failures
   check      replay one --scenario-file through every evaluator and the checker
   export     print a registry scenario as a scenario file (edit and recompile)
@@ -143,7 +146,6 @@ struct Args {
     trace: Option<String>,
     k: Option<usize>,
     shard: Option<usize>,
-    trace_spans: bool,
     port: u16,
     request: Option<String>,
     clients: usize,
@@ -179,7 +181,6 @@ impl Default for Args {
             trace: None,
             k: None,
             shard: None,
-            trace_spans: false,
             port: 7171,
             request: None,
             clients: 4,
@@ -241,12 +242,6 @@ static FLAGS: &[FlagSpec] = &[
         set: |a, f, v| typed(f, v, "seconds").map(|s| a.timeout = Duration::from_secs(s)),
     },
     FlagSpec {
-        name: "--timeout-millis",
-        metavar: "M",
-        help: "per-engine solver budget in milliseconds (shard protocol)",
-        set: |a, f, v| typed(f, v, "milliseconds").map(|m| a.timeout = Duration::from_millis(m)),
-    },
-    FlagSpec {
         name: "--threads",
         metavar: "T",
         help: "worker threads for the modular checker (default: all cores)",
@@ -297,7 +292,7 @@ static FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--shards",
         metavar: "N",
-        help: "fork N shard-worker processes per modular sweep row\n(with --workers: shards per row, default 4x worker count;\n plan: shards to plan, default 4)",
+        help: "(fig1, fig14) check every row in N shards on a fleet of N\nloopback `repro worker`s started for the sweep\n(with --workers: shards per row, default 4x worker count;\n plan: shards to plan, default 4)",
         set: |a, f, v| {
             a.shards = typed(f, v, "shard count")?;
             if a.shards == 0 {
@@ -309,7 +304,7 @@ static FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--workers",
         metavar: "LIST",
-        help: "(fig14) dispatch shards over TCP to these comma-separated\n`repro worker` host:port addresses instead of forking",
+        help: "(fig14) dispatch shards over TCP to these comma-separated\n`repro worker` host:port addresses instead of a loopback fleet",
         set: |a, f, v| {
             a.workers =
                 v.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect();
@@ -362,13 +357,13 @@ static FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--die-after",
         metavar: "N",
-        help: "(worker) fault injection: silently drop the connection\nafter N check frames and exit nonzero",
+        help: "(worker) fault injection: silently drop the connection\nafter N check frames and exit nonzero\n(fig14 --shards: arm it in the first loopback worker)",
         set: |a, f, v| typed(f, v, "check count").map(|n| a.die_after = Some(n)),
     },
     FlagSpec {
         name: "--nodes",
         metavar: "LIST",
-        help: "(shard-worker) comma-separated node names to check,\noverriding the locally recomputed striped plan",
+        help: "(shard-worker) comma-separated node names to check: the\n`assigned` list of the shard report being replayed",
         set: |a, _, v| {
             a.nodes = Some(v.to_owned());
             Ok(())
@@ -412,15 +407,6 @@ static FLAGS: &[FlagSpec] = &[
         metavar: "I",
         help: "(shard-worker) which shard of the plan to check",
         set: |a, f, v| typed(f, v, "shard index").map(|s| a.shard = Some(s)),
-    },
-    FlagSpec {
-        name: "--trace-spans",
-        metavar: "",
-        help: "(shard-worker) collect spans and embed them in the report",
-        set: |a, _, _| {
-            a.trace_spans = true;
-            Ok(())
-        },
     },
     FlagSpec {
         name: "--port",
@@ -591,18 +577,44 @@ fn sweep_pool(args: &Args) -> CheckerPool {
     CheckerPool::with_default_parallelism(sweep_options(args, false).check_options())
 }
 
+/// `--shards N` without `--workers`: the sweep's own fleet of `N` loopback
+/// workers, started once and serving every row. `None` for an in-process
+/// sweep and for one whose `--workers` are already running elsewhere.
+fn local_fleet(args: &Args) -> Result<Option<LocalFleet>, String> {
+    if args.shards <= 1 || !args.workers.is_empty() {
+        return Ok(None);
+    }
+    let exe = std::env::current_exe().map_err(|e| format!("own executable path: {e}"))?;
+    LocalFleet::spawn(&exe, args.shards, args.die_after).map(Some).map_err(|e| e.to_string())
+}
+
 fn sweep(
     kind: BenchKind,
     args: &Args,
     history: &[(String, Vec<trend::TrendPoint>)],
+    fleet: Option<&LocalFleet>,
 ) -> Result<Vec<Row>, String> {
     println!("\n=== Fig. {} — {} (Tp vs Ms) ===", kind.figure(), kind.name());
     println!(
         "{:>4} {:>6} {:>12} {:>12} {:>12} {:>12}",
         "k", "nodes", "Tp total", "Tp median", "Tp p99", "Ms"
     );
-    let options = sweep_options(args, args.run_ms);
-    // sharded and distributed rows are checked elsewhere: they start no pool
+    let mut options = sweep_options(args, args.run_ms);
+    let workers: &[String] = match fleet {
+        Some(fleet) => {
+            // an explicit --threads means threads per worker; otherwise the
+            // machine's parallelism is divided across the fleet — N workers
+            // each defaulting to all cores would oversubscribe the CPU N-fold
+            // and measure contention instead of sharding
+            options.threads.get_or_insert_with(|| {
+                let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+                (cores / fleet.addrs().len()).max(1)
+            });
+            fleet.addrs()
+        }
+        None => &args.workers,
+    };
+    // fleet rows are checked elsewhere: they start no pool
     let mut pool = None;
     let mut rows = Vec::new();
     // compiled (file) scenarios have one fixed topology: one row at their
@@ -612,31 +624,20 @@ fn sweep(
         None => ks(args),
     };
     for k in row_ks {
-        let row = if !args.workers.is_empty() {
-            if kind.scenario_file().is_some() {
-                return Err(format!(
-                    "{}: file scenarios cannot be dispatched to TCP workers (the remote \
-                     `repro worker` has no copy of the file); use --shards for local \
-                     subprocess sharding instead",
-                    kind.name()
-                ));
-            }
+        let row = if workers.is_empty() {
+            // the persistent pool carries solver sessions across rows
+            run_row(kind, k, &options, pool.get_or_insert_with(|| sweep_pool(args)))
+        } else {
             run_row_distributed(
                 kind,
                 k,
                 &options,
                 effective_shards(args),
-                &args.workers,
+                workers,
                 &plan_choice(kind, args, history),
                 &DistOptions::default(),
             )
             .map_err(|e| format!("{} k={k}: {e}", kind.name()))?
-        } else if args.shards > 1 {
-            let exe = std::env::current_exe().expect("own executable path");
-            run_row_sharded(kind, k, &options, args.shards, &exe, &plan_choice(kind, args, history))
-        } else {
-            // the persistent pool carries solver sessions across rows
-            run_row(kind, k, &options, pool.get_or_insert_with(|| sweep_pool(args)))
         };
         println!(
             "{:>4} {:>6} {:>12} {:>12} {:>12} {:>12}",
@@ -743,7 +744,12 @@ fn fig1(args: &Args) -> Result<(), String> {
     println!("=== Fig. 1 — modular vs monolithic verification time ===");
     println!("(SpHijack: fattree connectivity with symbolic external announcements)");
     let history = load_history(&args.history)?;
-    sweep(BenchKind::parse("SpHijack").expect("registered"), args, &history).map(|_| ())
+    let fleet = local_fleet(args)?;
+    sweep(BenchKind::parse("SpHijack").expect("registered"), args, &history, fleet.as_ref())?;
+    if let Some(fleet) = fleet {
+        fleet.halt();
+    }
+    Ok(())
 }
 
 fn fig3() {
@@ -974,11 +980,15 @@ fn fig14(args: &Args) -> Result<(), String> {
         timepiece_trace::enable();
     }
     let shards = effective_shards(args);
+    let fleet = local_fleet(args)?;
     let mut rows = Vec::new();
     for kind in kinds {
-        for row in sweep(kind, args, &history)? {
+        for row in sweep(kind, args, &history, fleet.as_ref())? {
             rows.push(row_json(kind, &row, shards));
         }
+    }
+    if let Some(fleet) = fleet {
+        fleet.halt();
     }
     if let Some(path) = &args.json {
         use timepiece_sched::Json;
@@ -1299,16 +1309,13 @@ fn soak_cmd(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The (internal) shard-worker entrypoint: check one shard of one instance
-/// and print the JSON report on stdout.
+/// The `repro shard-worker` subcommand: the deterministic replay of one
+/// recorded shard. Checks exactly the `--nodes` of a shard report's
+/// `assigned` list, the way the fleet worker that produced the report did,
+/// and prints the new report on stdout.
 fn shard_worker(args: &Args) -> Result<(), String> {
-    if args.trace_spans {
-        // the coordinator asked for spans: collect them and let `run_shard`
-        // embed the drained trace in the report
-        timepiece_trace::enable();
-    }
-    // a coordinator sharding a file scenario ships the path; recompile it
-    // into this process's registry before resolving --bench
+    // a file scenario is not in the seed registry: compile it before
+    // resolving --bench
     load_scenario_file(args)?;
     let bench = BenchKind::parse(&args.bench)
         .ok_or_else(|| format!("--bench: {}", unknown_bench(&args.bench)))?;
@@ -1317,34 +1324,22 @@ fn shard_worker(args: &Args) -> Result<(), String> {
     if args.shards <= shard {
         return Err(format!("--shard {shard} out of range for --shards {}", args.shards));
     }
-    let options = sweep_options(args, false);
-    let report = match &args.nodes {
-        // explicit node list from the coordinator: check exactly these
-        // nodes and record the plan spec that produced them, so the report
-        // replays deterministically
-        Some(list) => {
-            let inst = fattree_instance(bench, k);
-            let topology = inst.network.topology();
-            let mut nodes = Vec::new();
-            for name in list.split(',').map(str::trim).filter(|n| !n.is_empty()) {
-                let v = topology
-                    .node_by_name(name)
-                    .ok_or_else(|| format!("--nodes: unknown node {name:?}"))?;
-                nodes.push(v);
-            }
-            let spec = match &args.plan_spec {
-                Some(raw) => {
-                    let value = timepiece_sched::Json::parse(raw)
-                        .map_err(|e| format!("--plan-spec: {e}"))?;
-                    PlanSpec::from_json(&value).map_err(|e| format!("--plan-spec: {e}"))?
-                }
-                None => PlanSpec::striped(),
-            };
-            run_shard_nodes(bench, k, shard, args.shards, spec, &nodes, &options)
+    let nodes = args
+        .nodes
+        .as_deref()
+        .ok_or("shard-worker requires --nodes (the `assigned` list of the report to replay)")?;
+    let nodes: Vec<&str> = nodes.split(',').map(str::trim).filter(|n| !n.is_empty()).collect();
+    let spec = match &args.plan_spec {
+        Some(raw) => {
+            let value =
+                timepiece_sched::Json::parse(raw).map_err(|e| format!("--plan-spec: {e}"))?;
+            PlanSpec::from_json(&value).map_err(|e| format!("--plan-spec: {e}"))?
         }
-        // legacy protocol: recompute the striped plan locally
-        None => run_shard(bench, k, shard, args.shards, &options),
+        None => PlanSpec::striped(),
     };
+    let report = ShardRow::new(bench.name(), k, args.shards, spec, fattree_instance(bench, k))
+        .check(&mut sweep_pool(args), shard, &nodes)
+        .map_err(|e| format!("--nodes: {e}"))?;
     println!("{}", report.to_json());
     Ok(())
 }

@@ -1,12 +1,14 @@
-//! Distributed sharded verification over TCP.
+//! The worker fleet: sharded verification over TCP.
 //!
-//! `repro fig14 --shards N` forks workers on one box; this module is the
-//! next scaling rung: a **coordinator** drives `repro worker --listen`
-//! processes on other hosts over TCP, reusing the NDJSON framing the rest
-//! of the pipeline already speaks ([`timepiece_trace::json`]) and the
-//! [`ShardReport`] protocol of the forked path — the coordinator cannot
-//! tell a remote worker's report from a forked one, so the merge,
-//! coverage-proof and replay machinery is shared.
+//! Per-node checks are independent, so they spread over cores *and*
+//! machines. There is one runtime for both: a **coordinator** drives
+//! `repro worker --listen` processes over TCP, speaking the NDJSON framing
+//! the rest of the pipeline already speaks ([`timepiece_trace::json`]) and
+//! the [`ShardReport`] protocol of [`crate::shard`]. `--workers` names
+//! workers anywhere; `--shards N` alone starts a [`LocalFleet`] of `N` on
+//! loopback ports for the length of the sweep. A worker keeps its
+//! [`CheckerPool`] between rows, so a fleet row starts as warm as a row of
+//! an in-process sweep.
 //!
 //! # Wire protocol
 //!
@@ -15,7 +17,7 @@
 //! ```text
 //! C → W   {"type":"hello", "version":1, "bench":…, "k":…, "shards":N,
 //!          "plan":{…}, "timeout_millis":…, "threads":…, "trace":…,
-//!          "sabotage":[…]}
+//!          "sabotage":[…], "scenario":"…"}
 //! W → C   {"type":"ready", "version":1}
 //! C → W   {"type":"check", "shard":i, "nodes":["core-0",…]}
 //! W → C   {"type":"progress", "shard":i}        (heartbeat, ~2.5 Hz)
@@ -24,6 +26,10 @@
 //! C → W   {"type":"halt"}                       (worker process exits)
 //! either  {"type":"error", "detail":…}          (fatal for the session)
 //! ```
+//!
+//! `scenario` is present for file scenarios only: the text of the scenario
+//! file, which the worker compiles instead of looking `bench` up — a remote
+//! worker has no copy of the file.
 //!
 //! # Scheduling: batched steal-half, and death
 //!
@@ -43,18 +49,18 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::Path;
+use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use timepiece_core::check::CheckOptions;
 use timepiece_core::stats::TimingStats;
 use timepiece_core::sweep::CheckerPool;
-use timepiece_core::Temporal;
 use timepiece_sched::json::{read_line_value, write_line_value, MAX_LINE_BYTES};
-use timepiece_sched::{CancelToken, Json};
+use timepiece_sched::Json;
 use timepiece_trace::Phase;
 
 use crate::runner::{
@@ -62,15 +68,12 @@ use crate::runner::{
     SweepOptions,
 };
 use crate::shard::{
-    merge_reports, plan_row, MergeError, PlanChoice, PlanSpec, ShardReport, PROTOCOL_VERSION,
+    merge_reports, plan_row, MergeError, PlanChoice, PlanSpec, ShardReport, ShardRow,
+    PROTOCOL_VERSION,
 };
 
 /// How often a checking worker emits `progress` heartbeats.
 const HEARTBEAT: Duration = Duration::from_millis(400);
-
-/// How long an idle dispatcher naps before re-polling the queues for
-/// orphans when other dispatchers still have shards in flight.
-const IDLE_POLL: Duration = Duration::from_millis(25);
 
 /// Coordinator-side options for one distributed row.
 #[derive(Debug, Clone)]
@@ -121,13 +124,16 @@ pub enum WorkerExit {
 /// the error alone.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DistError {
-    /// No worker could be reached at all.
+    /// No worker could be reached — or, for a [`LocalFleet`], started — at
+    /// all.
     NoWorkers {
-        /// The per-address connection failures.
+        /// The per-address connection (or per-child start-up) failures.
         detail: String,
     },
-    /// A connected worker sent a fatal `error` frame (version mismatch,
-    /// unknown benchmark, unknown node …).
+    /// A connected worker failed its handshake (version mismatch, unknown
+    /// benchmark, a scenario that does not compile …), or died — closed its
+    /// connection, went silent, sent garbage or an `error` frame — holding
+    /// a shard no surviving worker was left to take.
     Worker {
         /// The worker's address.
         worker: String,
@@ -289,20 +295,21 @@ impl Peer {
         options: &SweepOptions,
         dist: &DistOptions,
     ) -> Result<(), String> {
-        self.send(&frame(
-            "hello",
-            [
-                ("version", Json::from(PROTOCOL_VERSION)),
-                ("bench", Json::str(kind.name())),
-                ("k", Json::from(k)),
-                ("shards", Json::from(shards)),
-                ("plan", spec.to_json()),
-                ("timeout_millis", Json::from(options.timeout.as_millis() as usize)),
-                ("threads", Json::from(options.threads.unwrap_or(0))),
-                ("trace", Json::from(timepiece_trace::enabled())),
-                ("sabotage", Json::arr(dist.sabotage.iter().map(Json::str))),
-            ],
-        ))?;
+        let mut fields = vec![
+            ("version", Json::from(PROTOCOL_VERSION)),
+            ("bench", Json::str(kind.name())),
+            ("k", Json::from(k)),
+            ("shards", Json::from(shards)),
+            ("plan", spec.to_json()),
+            ("timeout_millis", Json::from(options.timeout.as_millis() as usize)),
+            ("threads", Json::from(options.threads.unwrap_or(0))),
+            ("trace", Json::from(timepiece_trace::enabled())),
+            ("sabotage", Json::arr(dist.sabotage.iter().map(Json::str))),
+        ];
+        if let Some(text) = kind.scenario_text() {
+            fields.push(("scenario", Json::str(text)));
+        }
+        self.send(&frame("hello", fields))?;
         let ready = self.recv()?;
         match frame_type(&ready) {
             "ready" => {
@@ -362,20 +369,20 @@ impl Peer {
     }
 }
 
-/// Runs one sweep row across remote workers.
+/// Runs one sweep row across the fleet.
 ///
 /// Connects to every address in `workers`, hands out the shards of the
 /// plan chosen by `choice`, rebalances by batched stealing, survives
 /// worker deaths by reassigning their shards, and merges the reports into
-/// a [`Row`] through the same coverage-proving [`merge_reports`] the
-/// forked path uses. Unreachable workers are warnings (printed to stderr)
-/// as long as at least one connects.
+/// a [`Row`] through the coverage-proving [`merge_reports`]. Unreachable
+/// workers are warnings (printed to stderr) as long as at least one
+/// connects.
 ///
 /// # Errors
 ///
-/// [`DistError`] — no reachable workers, a fatal worker `error` frame, or
-/// a merge failure (including shards left unrun because every worker
-/// died).
+/// [`DistError`] — no reachable workers, a failed handshake, shards left
+/// unrun because their workers died (the error names the last to die), or
+/// any other merge failure.
 pub fn run_row_distributed(
     kind: BenchKind,
     k: usize,
@@ -408,14 +415,19 @@ pub fn run_row_distributed(
     }
 
     let queues = Mutex::new(Queues::seed(peers.len(), shards));
+    // signalled when a shard finishes or is orphaned: what an idle dispatcher
+    // waits for while other dispatchers still have shards in flight
+    let moved = Condvar::new();
     let reports: Mutex<Vec<(String, ShardReport)>> = Mutex::new(Vec::new());
     let fatal: Mutex<Option<DistError>> = Mutex::new(None);
+    let last_death: Mutex<Option<DistError>> = Mutex::new(None);
     let start = Instant::now();
     std::thread::scope(|scope| {
         for (me, mut peer) in peers.into_iter().enumerate() {
-            let queues = &queues;
+            let (queues, moved) = (&queues, &moved);
             let reports = &reports;
             let fatal = &fatal;
+            let last_death = &last_death;
             let spec = &spec;
             let plan = &plan;
             scope.spawn(move || {
@@ -428,6 +440,7 @@ pub fn run_row_distributed(
                     q.reassigned += returned.len();
                     q.orphans.extend(returned);
                     drop(q);
+                    moved.notify_all();
                     eprintln!("warning: worker {} failed handshake: {e}", peer.addr);
                     *fatal.lock().unwrap() = Some(DistError::Worker {
                         worker: peer.addr.clone(),
@@ -436,24 +449,29 @@ pub fn run_row_distributed(
                     return;
                 }
                 loop {
-                    let job = queues.lock().unwrap().next(me);
-                    let shard = match job {
-                        NextJob::Run(shard) => shard,
-                        NextJob::Wait => {
-                            std::thread::sleep(IDLE_POLL);
-                            continue;
+                    let mut q = queues.lock().unwrap();
+                    let shard = loop {
+                        match q.next(me) {
+                            NextJob::Run(shard) => break Some(shard),
+                            NextJob::Wait => q = moved.wait(q).unwrap(),
+                            NextJob::Exhausted => break None,
                         }
-                        NextJob::Exhausted => break,
                     };
+                    drop(q);
+                    let Some(shard) = shard else { break };
                     let nodes: Vec<&str> =
                         plan.nodes_of(shard).iter().map(|&v| topology.name(v)).collect();
                     match peer.check(shard, &nodes) {
                         Ok(mut report) => {
                             if let Some(trace) = report.trace.take() {
-                                timepiece_trace::ingest(format!("{}#s{shard}", peer.addr), trace);
+                                timepiece_trace::ingest(
+                                    format!("shard{shard}@{}", peer.addr),
+                                    trace,
+                                );
                             }
                             reports.lock().unwrap().push((peer.addr.clone(), report));
                             queues.lock().unwrap().finished();
+                            moved.notify_all();
                         }
                         Err(e) => {
                             eprintln!(
@@ -461,6 +479,11 @@ pub fn run_row_distributed(
                                 peer.addr
                             );
                             queues.lock().unwrap().died(me, shard);
+                            moved.notify_all();
+                            *last_death.lock().unwrap() = Some(DistError::Worker {
+                                worker: peer.addr.clone(),
+                                detail: format!("died on shard {shard}: {e}"),
+                            });
                             return;
                         }
                     }
@@ -476,7 +499,13 @@ pub fn run_row_distributed(
 
     let reports = reports.into_inner().unwrap();
     let queues = queues.into_inner().unwrap();
-    let merged = merge_reports(kind, k, shards, &spec.kind, topology, &reports)?;
+    let merged = merge_reports(kind, k, shards, &spec.kind, topology, &reports).map_err(|e| {
+        match (e, last_death.into_inner().unwrap()) {
+            // nobody was left to take a dead worker's shards
+            (MergeError::MissingShards { .. }, Some(death)) => death,
+            (e, _) => DistError::Merge(e),
+        }
+    })?;
     let durations: Vec<Duration> =
         merged.durations.iter().map(|&(_, secs)| Duration::from_secs_f64(secs)).collect();
     let stats = TimingStats::from_durations(&durations);
@@ -489,7 +518,8 @@ pub fn run_row_distributed(
         tp_median: stats.median,
         tp_p99: stats.p99,
         ms,
-        // coordinator-side traffic only; remote arenas live on remote hosts
+        // coordinator-side traffic only: each worker process has its own
+        // arena and encoder caches
         arena: timepiece_expr::arena::stats().delta_since(&arena_before),
         terms: None,
         classes: class_samples(topology, &merged.durations),
@@ -508,18 +538,95 @@ pub fn run_row_distributed(
 /// addresses are returned as warnings — a worker that is already gone is
 /// exactly what halting wants.
 pub fn halt_workers(workers: &[String]) -> Vec<String> {
-    let mut warnings = Vec::new();
-    for addr in workers {
-        match TcpStream::connect(addr) {
-            Ok(mut stream) => {
-                if let Err(e) = write_line_value(&mut stream, &frame("halt", [])) {
-                    warnings.push(format!("{addr}: {e}"));
+    workers.iter().filter_map(|addr| halt_worker(addr).err()).collect()
+}
+
+fn halt_worker(addr: &str) -> Result<(), String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
+    write_line_value(&mut stream, &frame("halt", [])).map_err(|e| format!("{addr}: {e}"))
+}
+
+/// `--shards N` on one box: `N` `repro worker` children on loopback ports,
+/// started once and serving every row of a sweep. Dropping the fleet kills
+/// and reaps whatever is still running, so no worker outlives its
+/// coordinator — on success, on an error return, or on a panic.
+#[derive(Debug)]
+pub struct LocalFleet {
+    children: Vec<Child>,
+    addrs: Vec<String>,
+}
+
+impl LocalFleet {
+    /// Starts `workers` children of `exe` (the `repro` binary) as
+    /// `worker --listen 127.0.0.1:0` and reads the port each one bound from
+    /// its `listening on` line. `die_after` arms the documented
+    /// [`WorkerOptions::die_after`] fault in the first worker — the
+    /// dead-worker drill for a fleet nobody else can reach.
+    ///
+    /// # Errors
+    ///
+    /// [`DistError::NoWorkers`] when a child cannot be spawned or exits
+    /// without reporting an address.
+    pub fn spawn(
+        exe: &Path,
+        workers: usize,
+        die_after: Option<usize>,
+    ) -> Result<LocalFleet, DistError> {
+        let mut fleet = LocalFleet { children: Vec::new(), addrs: Vec::new() };
+        for worker in 0..workers {
+            let mut cmd = Command::new(exe);
+            cmd.args(["worker", "--listen", "127.0.0.1:0"]);
+            if let (0, Some(checks)) = (worker, die_after) {
+                cmd.args(["--die-after", &checks.to_string()]);
+            }
+            let child = cmd.stdin(Stdio::null()).stdout(Stdio::piped()).spawn().map_err(|e| {
+                DistError::NoWorkers { detail: format!("spawning loopback worker {worker}: {e}") }
+            })?;
+            // owned by the fleet from here on: an error below still reaps it
+            fleet.children.push(child);
+        }
+        for (worker, child) in fleet.children.iter_mut().enumerate() {
+            let mut line = String::new();
+            let stdout = child.stdout.as_mut().expect("stdout is piped");
+            let read = BufReader::new(stdout).read_line(&mut line);
+            let addr = line.split_whitespace().last().filter(|a| a.parse::<SocketAddr>().is_ok());
+            match (read, addr) {
+                (Ok(_), Some(addr)) => fleet.addrs.push(addr.to_owned()),
+                (read, _) => {
+                    return Err(DistError::NoWorkers {
+                        detail: format!(
+                            "loopback worker {worker} reported no address ({read:?}, {line:?})"
+                        ),
+                    })
                 }
             }
-            Err(e) => warnings.push(format!("{addr}: {e}")),
+        }
+        Ok(fleet)
+    }
+
+    /// The workers' addresses, in start order.
+    pub fn addrs(&self) -> &[String] {
+        &self.addrs
+    }
+
+    /// Ends the fleet in good order after a sweep: `halt` to every worker,
+    /// then wait for those that were told to exit. A worker that could not
+    /// be told is left to the drop.
+    pub fn halt(mut self) {
+        let told: Vec<bool> = self.addrs.iter().map(|addr| halt_worker(addr).is_ok()).collect();
+        for (child, _) in self.children.iter_mut().zip(told).filter(|(_, told)| *told) {
+            let _ = child.wait();
         }
     }
-    warnings
+}
+
+impl Drop for LocalFleet {
+    fn drop(&mut self) {
+        for child in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
 }
 
 enum SessionEnd {
@@ -530,11 +637,13 @@ enum SessionEnd {
 
 /// Serves coordinator connections on `listener` until halted (or a
 /// [`WorkerOptions`] limit fires). Each connection is one sweep row: the
-/// worker rebuilds the instance named in the `hello`, checks every shard
-/// the coordinator sends through a persistent [`CheckerPool`] — so solver
-/// sessions stay warm across the shards of a row — and heartbeats while
-/// checking. A failed session is logged and the worker re-accepts; a
-/// broken coordinator must not strand the fleet.
+/// worker rebuilds the instance named in the `hello` (or compiles the
+/// scenario text it carries), checks every shard the coordinator sends,
+/// and heartbeats while checking. The [`CheckerPool`] outlives the
+/// connections — it is rebuilt only when a `hello` asks for other threads
+/// or another timeout — so solver sessions stay warm across the shards of
+/// a row *and* across the rows of a sweep. A failed session is logged and
+/// the worker re-accepts; a broken coordinator must not strand the fleet.
 ///
 /// # Errors
 ///
@@ -543,6 +652,7 @@ enum SessionEnd {
 pub fn run_worker(listener: TcpListener, options: &WorkerOptions) -> std::io::Result<WorkerExit> {
     let mut sessions = 0usize;
     let mut checks_served = 0usize;
+    let mut pool = None;
     loop {
         if let Some(max) = options.max_sessions {
             if sessions >= max {
@@ -551,7 +661,7 @@ pub fn run_worker(listener: TcpListener, options: &WorkerOptions) -> std::io::Re
         }
         let (stream, peer) = listener.accept()?;
         sessions += 1;
-        match serve_session(stream, options, &mut checks_served) {
+        match serve_session(stream, options, &mut checks_served, &mut pool) {
             Ok(SessionEnd::Done) => {}
             Ok(SessionEnd::Halted) => return Ok(WorkerExit::Halted),
             Ok(SessionEnd::Died) => return Ok(WorkerExit::Died),
@@ -570,10 +680,48 @@ fn reject(writer: &mut TcpStream, detail: String) -> std::io::Error {
     session_err(detail)
 }
 
+/// The row a `hello` frame describes, on this worker's own copy of the
+/// instance.
+fn hello_row(hello: &Json) -> Result<ShardRow, String> {
+    let version = hello.get("version").and_then(Json::as_usize).unwrap_or(0);
+    if version != PROTOCOL_VERSION {
+        return Err(format!(
+            "coordinator speaks protocol version {version}, worker speaks {PROTOCOL_VERSION}"
+        ));
+    }
+    let (Some(k), Some(shards)) =
+        (hello.get("k").and_then(Json::as_usize), hello.get("shards").and_then(Json::as_usize))
+    else {
+        return Err("hello frame missing k/shards".to_owned());
+    };
+    let spec = match hello.get("plan") {
+        None => PlanSpec::striped(),
+        Some(v) => PlanSpec::from_json(v).map_err(|e| e.to_string())?,
+    };
+    let mut row = match hello.get("scenario").and_then(Json::as_str) {
+        Some(text) => {
+            let compiled = timepiece_scenario::compile_str(text)
+                .map_err(|e| format!("the scenario text does not compile: {e}"))?;
+            ShardRow::new(&compiled.name, compiled.k, shards, spec, compiled.instance())
+        }
+        None => {
+            let bench = hello.get("bench").and_then(Json::as_str).unwrap_or("");
+            let kind =
+                BenchKind::parse(bench).ok_or_else(|| format!("unknown benchmark {bench:?}"))?;
+            ShardRow::new(kind.name(), k, shards, spec, fattree_instance(kind, k))
+        }
+    };
+    for name in hello.get("sabotage").and_then(Json::as_arr).unwrap_or(&[]) {
+        row.sabotage(name.as_str().unwrap_or("")).map_err(|e| format!("sabotage: {e}"))?;
+    }
+    Ok(row)
+}
+
 fn serve_session(
     stream: TcpStream,
     options: &WorkerOptions,
     checks_served: &mut usize,
+    pool: &mut Option<CheckerPool>,
 ) -> std::io::Result<SessionEnd> {
     stream.set_nodelay(true).ok();
     let mut writer = stream.try_clone()?;
@@ -588,67 +736,31 @@ fn serve_session(
     match frame_type(&hello) {
         "halt" => return Ok(SessionEnd::Halted),
         "hello" => {}
-        other => {
-            let _ = write_line_value(
-                &mut writer,
-                &frame("error", [("detail", Json::str(format!("expected hello, got {other:?}")))]),
-            );
-            return Err(session_err(format!("expected hello frame, got {other:?}")));
-        }
+        other => return Err(reject(&mut writer, format!("expected hello, got {other:?}"))),
     }
-    let version = hello.get("version").and_then(Json::as_usize).unwrap_or(0);
-    if version != PROTOCOL_VERSION {
-        return Err(reject(
-            &mut writer,
-            format!(
-                "coordinator speaks protocol version {version}, worker speaks {PROTOCOL_VERSION}"
-            ),
-        ));
+    let row = hello_row(&hello).map_err(|e| reject(&mut writer, e))?;
+    let defaults = SweepOptions::default();
+    let check_options = SweepOptions {
+        timeout: hello
+            .get("timeout_millis")
+            .and_then(Json::as_usize)
+            .map_or(defaults.timeout, |ms| Duration::from_millis(ms as u64)),
+        threads: hello.get("threads").and_then(Json::as_usize).filter(|&n| n > 0),
+        run_monolithic: false,
     }
-    let bench = hello.get("bench").and_then(Json::as_str).unwrap_or("");
-    let Some(kind) = BenchKind::parse(bench) else {
-        return Err(reject(&mut writer, format!("unknown benchmark {bench:?}")));
-    };
-    let (Some(k), Some(shards)) =
-        (hello.get("k").and_then(Json::as_usize), hello.get("shards").and_then(Json::as_usize))
-    else {
-        return Err(reject(&mut writer, "hello frame missing k/shards".to_owned()));
-    };
-    let spec = match hello.get("plan") {
-        None => PlanSpec::striped(),
-        Some(v) => match PlanSpec::from_json(v) {
-            Ok(spec) => spec,
-            Err(e) => return Err(reject(&mut writer, e.to_string())),
-        },
-    };
-    let timeout = hello
-        .get("timeout_millis")
-        .and_then(Json::as_usize)
-        .map(|ms| Duration::from_millis(ms as u64));
-    let threads = match hello.get("threads").and_then(Json::as_usize) {
-        Some(0) | None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        Some(n) => n,
-    };
+    .check_options();
+    let warm = pool.as_ref().map(|p| (p.options().timeout, p.options().threads));
+    if warm != Some((check_options.timeout, check_options.threads)) {
+        *pool = Some(CheckerPool::with_default_parallelism(check_options));
+    }
+    let pool = pool.as_mut().expect("a pool was just installed");
     if hello.get("trace").and_then(Json::as_bool).unwrap_or(false) {
         timepiece_trace::enable();
         let _ = timepiece_trace::take();
+    } else {
+        // an earlier coordinator's tracing must not pile spans up here
+        timepiece_trace::disable();
     }
-
-    let inst = fattree_instance(kind, k);
-    let topology = inst.network.topology();
-    let mut interface = inst.interface.clone();
-    if let Some(sabotage) = hello.get("sabotage").and_then(Json::as_arr) {
-        for name in sabotage {
-            let Some(v) = name.as_str().and_then(|n| topology.node_by_name(n)) else {
-                return Err(reject(&mut writer, format!("sabotage names unknown node {name}")));
-            };
-            interface.set(v, Temporal::globally(|r| r.clone().is_some().not()));
-        }
-    }
-    let mut pool = CheckerPool::new(
-        threads,
-        CheckOptions { timeout, threads: Some(threads), ..CheckOptions::default() },
-    );
 
     write_line_value(&mut writer, &frame("ready", [("version", Json::from(PROTOCOL_VERSION))]))?;
 
@@ -670,84 +782,44 @@ fn serve_session(
                 let Some(shard) = value.get("shard").and_then(Json::as_usize) else {
                     return Err(reject(&mut writer, "check frame missing shard".to_owned()));
                 };
-                let names = value.get("nodes").and_then(Json::as_arr).map(|nodes| {
-                    nodes.iter().map(|n| n.as_str().unwrap_or("")).collect::<Vec<_>>()
-                });
-                let Some(names) = names else {
+                let Some(nodes) = value.get("nodes").and_then(Json::as_arr) else {
                     return Err(reject(&mut writer, "check frame missing nodes".to_owned()));
                 };
-                let mut nodes = Vec::with_capacity(names.len());
-                for name in names {
-                    let Some(v) = topology.node_by_name(name) else {
-                        return Err(reject(
-                            &mut writer,
-                            format!("check frame names unknown node {name:?}"),
-                        ));
-                    };
-                    nodes.push(v);
-                }
+                let nodes: Vec<&str> = nodes.iter().map(|n| n.as_str().unwrap_or("")).collect();
 
                 // check on a side thread; this thread keeps the heartbeat
                 // going so the coordinator can tell "slow solve" from
                 // "dead worker"
                 let (tx, rx) = mpsc::channel();
                 let report = std::thread::scope(|scope| {
-                    let pool = &mut pool;
-                    let inst = &inst;
-                    let interface = &interface;
-                    let nodes = &nodes;
+                    let (row, pool, nodes) = (&row, &mut *pool, &nodes);
                     scope.spawn(move || {
-                        let report = pool.check_nodes(
-                            &inst.network,
-                            interface,
-                            &inst.property,
-                            nodes,
-                            &CancelToken::new(),
-                        );
-                        let _ = tx.send(report);
+                        let _ = tx.send(row.check(pool, shard, nodes));
                     });
                     loop {
                         match rx.recv_timeout(HEARTBEAT) {
                             Ok(report) => break report,
+                            // a failed write means the coordinator is gone;
+                            // the checker thread still joins at scope end
                             Err(mpsc::RecvTimeoutError::Timeout) => {
-                                if write_line_value(
+                                let _ = write_line_value(
                                     &mut writer,
                                     &frame("progress", [("shard", Json::from(shard))]),
-                                )
-                                .is_err()
-                                {
-                                    // coordinator is gone; the checker
-                                    // thread still joins at scope end
-                                    continue;
-                                }
+                                );
                             }
                             Err(mpsc::RecvTimeoutError::Disconnected) => {
-                                break Err(timepiece_core::CoreError::WorkerDied);
+                                break Err("the checking thread died".to_owned());
                             }
                         }
                     }
                 });
-                let report = match report {
-                    Ok(report) => report,
+                match report {
+                    Ok(report) => write_line_value(
+                        &mut writer,
+                        &frame("report", [("report", report.to_json())]),
+                    )?,
                     Err(e) => return Err(reject(&mut writer, format!("check failed: {e}"))),
-                };
-                let mut shard_report = ShardReport::from_check(
-                    kind,
-                    k,
-                    shard,
-                    shards,
-                    spec.clone(),
-                    topology,
-                    &nodes,
-                    &report,
-                );
-                if timepiece_trace::enabled() {
-                    shard_report.trace = Some(timepiece_trace::take());
                 }
-                write_line_value(
-                    &mut writer,
-                    &frame("report", [("report", shard_report.to_json())]),
-                )?;
             }
             other => return Err(reject(&mut writer, format!("unexpected {other:?} frame"))),
         }
@@ -846,6 +918,63 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, DistError::NoWorkers { .. }), "{err}");
+    }
+
+    #[test]
+    fn a_worker_that_answers_garbage_is_named_in_a_typed_error() {
+        // a peer that handshakes like a worker and then answers its first
+        // check with something that is no frame
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let fake = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            let hello = read_line_value(&mut reader, MAX_LINE_BYTES).unwrap().unwrap();
+            assert_eq!(frame_type(&hello), "hello");
+            let ready = frame("ready", [("version", Json::from(PROTOCOL_VERSION))]);
+            write_line_value(&mut writer, &ready).unwrap();
+            let check = read_line_value(&mut reader, MAX_LINE_BYTES).unwrap().unwrap();
+            assert_eq!(frame_type(&check), "check");
+            std::io::Write::write_all(&mut writer, b"%% not a frame %%\n").unwrap();
+        });
+        let err = run_row_distributed(
+            BenchKind::parse("SpReach").unwrap(),
+            4,
+            &sweep_options(),
+            2,
+            std::slice::from_ref(&addr),
+            &PlanChoice::Striped,
+            &DistOptions::default(),
+        )
+        .unwrap_err();
+        assert!(matches!(&err, DistError::Worker { worker, .. } if *worker == addr), "{err}");
+        assert!(err.to_string().contains("died on shard"), "{err}");
+        fake.join().unwrap();
+    }
+
+    #[test]
+    fn malformed_scenario_text_is_answered_with_an_error_frame() {
+        let (addr, handle) = spawn_worker(WorkerOptions::default());
+        let mut peer = Peer::connect(&addr, Duration::from_secs(5)).unwrap();
+        peer.send(&frame(
+            "hello",
+            [
+                ("version", Json::from(PROTOCOL_VERSION)),
+                ("bench", Json::str("whatever")),
+                ("k", Json::from(4usize)),
+                ("shards", Json::from(1usize)),
+                ("scenario", Json::str("[scenario]\nname = \"half a file\"\n[topology")),
+            ],
+        ))
+        .unwrap();
+        let reply = peer.recv().expect("the worker answers");
+        assert_eq!(frame_type(&reply), "error", "{reply}");
+        let detail = reply.get("detail").and_then(Json::as_str).unwrap();
+        assert!(detail.contains("does not compile"), "{detail}");
+        // the worker is still there for the next coordinator
+        assert!(halt_workers(&[addr]).is_empty());
+        assert_eq!(handle.join().unwrap(), WorkerExit::Halted);
     }
 
     #[test]

@@ -17,16 +17,13 @@ pub mod soak;
 pub mod trend;
 
 pub use dist::{
-    halt_workers, run_row_distributed, run_worker, DistError, DistOptions, WorkerExit,
+    halt_workers, run_row_distributed, run_worker, DistError, DistOptions, LocalFleet, WorkerExit,
     WorkerOptions,
 };
 pub use runner::{
     class_samples, fattree_instance, register_scenario, register_scenario_file, run_row, BenchKind,
-    ClassSample, EngineResult, InferSetup, InstanceSource, Row, RowBalance, Scenario, ScenarioSpec,
-    ScenarioSpecBuilder, SweepOptions,
+    ClassSample, EngineResult, InferSetup, InstanceSource, Row, RowBalance, ScenarioSpec,
+    SweepOptions,
 };
-pub use shard::{
-    merge_reports, plan_row, run_row_sharded, run_shard, run_shard_nodes, MergeError, PlanChoice,
-    PlanSpec, ShardReport,
-};
+pub use shard::{merge_reports, plan_row, MergeError, PlanChoice, PlanSpec, ShardReport, ShardRow};
 pub use soak::{run_soak, SoakOptions, SoakResult};

@@ -4,11 +4,11 @@
 //! wires an instance source (a Rust builder keyed by fattree size, or a
 //! compiled scenario file) to a name, and the scenario then appears
 //! everywhere at once — `repro fig14` sweeps, `--json` row dumps,
-//! multi-process sharding (workers rebuild instances by registry-name
-//! lookup, or by recompiling the same scenario file) and `repro infer`.
+//! the worker fleet (workers rebuild instances by registry-name lookup, or
+//! by compiling the scenario text the coordinator ships) and `repro infer`.
 //! Adding a scenario is one [`register_scenario`] call (or, for the
-//! built-ins, one [`Scenario`] literal in the seed table); nothing else
-//! matches on benchmark kinds.
+//! built-ins, one [`ScenarioSpec::built`] line in the seed table); nothing
+//! else matches on benchmark kinds.
 
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Duration;
@@ -51,28 +51,52 @@ pub enum InstanceSource {
 
 /// One registered benchmark scenario (the data-driven registry entry).
 ///
-/// Built-ins are seeded from [`Scenario`] literals; scenario files are
-/// registered at runtime through [`register_scenario_file`]. Construct
-/// custom entries with [`ScenarioSpec::builder`].
+/// Built-ins are [`ScenarioSpec::built`] entries of the seed table; scenario
+/// files are registered at runtime through [`register_scenario_file`].
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
     name: String,
     figure: String,
     source: InstanceSource,
     infer: Option<fn(usize) -> InferSetup>,
-    scenario_file: Option<String>,
+    /// Path and text of the file a compiled scenario came from.
+    file: Option<(String, String)>,
 }
 
 impl ScenarioSpec {
-    /// Starts building a spec with the two mandatory fields.
-    pub fn builder(name: impl Into<String>, figure: impl Into<String>) -> ScenarioSpecBuilder {
-        ScenarioSpecBuilder {
-            name: name.into(),
-            figure: figure.into(),
-            source: None,
-            infer: None,
-            scenario_file: None,
+    /// A scenario whose instances come from a Rust builder keyed by fattree
+    /// size; `infer` declares `repro infer` support.
+    pub fn built(
+        name: &str,
+        figure: &str,
+        build: fn(usize) -> BenchInstance,
+        infer: Option<fn(usize) -> InferSetup>,
+    ) -> ScenarioSpec {
+        ScenarioSpec {
+            name: name.to_owned(),
+            figure: figure.to_owned(),
+            source: InstanceSource::Builder(build),
+            infer,
+            file: None,
         }
+    }
+
+    /// The scenario the file at `path` declares, compiled from its `text` —
+    /// which is kept, so a fleet coordinator can ship the scenario to
+    /// workers that have no copy of the file.
+    ///
+    /// # Errors
+    ///
+    /// The compiler's span-carrying diagnostics, rendered to text.
+    pub fn compiled(path: &str, text: String) -> Result<ScenarioSpec, String> {
+        let compiled = timepiece_scenario::compile_str(&text).map_err(|e| e.to_string())?;
+        Ok(ScenarioSpec {
+            name: compiled.name.clone(),
+            figure: compiled.figure.clone(),
+            source: InstanceSource::Compiled(Arc::new(compiled)),
+            infer: None,
+            file: Some((path.to_owned(), text)),
+        })
     }
 
     /// The scenario's display name (`SpReach`, `ApMed`, …).
@@ -93,87 +117,7 @@ impl ScenarioSpec {
 
     /// The scenario file this spec was compiled from, when it was.
     pub fn scenario_file(&self) -> Option<&str> {
-        self.scenario_file.as_deref()
-    }
-}
-
-/// Builder for [`ScenarioSpec`].
-#[derive(Debug)]
-pub struct ScenarioSpecBuilder {
-    name: String,
-    figure: String,
-    source: Option<InstanceSource>,
-    infer: Option<fn(usize) -> InferSetup>,
-    scenario_file: Option<String>,
-}
-
-impl ScenarioSpecBuilder {
-    /// Instances come from a Rust builder keyed by fattree size.
-    pub fn instance_fn(mut self, f: fn(usize) -> BenchInstance) -> Self {
-        self.source = Some(InstanceSource::Builder(f));
-        self
-    }
-
-    /// Instances come from a compiled scenario.
-    pub fn compiled(mut self, c: CompiledScenario) -> Self {
-        self.source = Some(InstanceSource::Compiled(Arc::new(c)));
-        self
-    }
-
-    /// Records the source file (lets sharded subprocess workers recompile
-    /// the same scenario).
-    pub fn scenario_file(mut self, path: impl Into<String>) -> Self {
-        self.scenario_file = Some(path.into());
-        self
-    }
-
-    /// Declares `repro infer` support.
-    pub fn infer_fn(mut self, f: fn(usize) -> InferSetup) -> Self {
-        self.infer = Some(f);
-        self
-    }
-
-    /// Finishes the spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no instance source was declared — a spec without one is a
-    /// programming error, not a runtime condition.
-    pub fn build(self) -> ScenarioSpec {
-        ScenarioSpec {
-            source: self.source.expect("a ScenarioSpec needs an instance source"),
-            name: self.name,
-            figure: self.figure,
-            infer: self.infer,
-            scenario_file: self.scenario_file,
-        }
-    }
-}
-
-/// A built-in registry entry: the compact literal form the seed table uses.
-/// Converts losslessly into a [`ScenarioSpec`].
-#[derive(Debug)]
-pub struct Scenario {
-    /// The scenario's display name (`SpReach`, `ApMed`, …).
-    pub name: &'static str,
-    /// Which paper figure panel it reproduces (or a tag for post-paper
-    /// scenarios: `med`, `ad`, `fail`).
-    pub figure: &'static str,
-    /// Builds the annotated instance at fattree size `k`.
-    pub build: fn(usize) -> BenchInstance,
-    /// Builds the inference setup, for scenarios `repro infer` supports.
-    pub infer: Option<fn(usize) -> InferSetup>,
-}
-
-impl From<&Scenario> for ScenarioSpec {
-    fn from(s: &Scenario) -> ScenarioSpec {
-        ScenarioSpec {
-            name: s.name.to_owned(),
-            figure: s.figure.to_owned(),
-            source: InstanceSource::Builder(s.build),
-            infer: s.infer,
-            scenario_file: None,
-        }
+        self.file.as_ref().map(|(path, _)| path.as_str())
     }
 }
 
@@ -196,76 +140,34 @@ macro_rules! fixed_dest_infer {
 
 /// The seed registry: the paper's eight Fig. 14 benchmarks followed by
 /// the post-paper scenarios (MED planes, IGP/EGP distance, link failures).
-static SEED: &[Scenario] = &[
-    Scenario {
-        name: "SpReach",
-        figure: "14a",
-        build: |k| ReachBench::single_dest(k, 0).build(),
-        infer: Some(fixed_dest_infer!(ReachBench)),
-    },
-    Scenario {
-        name: "SpLen",
-        figure: "14b",
-        build: |k| LenBench::single_dest(k, 0).build(),
-        infer: Some(fixed_dest_infer!(LenBench)),
-    },
-    Scenario {
-        name: "SpVf",
-        figure: "14c",
-        build: |k| VfBench::single_dest(k, 0).build(),
-        infer: None,
-    },
-    Scenario {
-        name: "SpHijack",
-        figure: "14d",
-        build: |k| HijackBench::single_dest(k, 0).build(),
-        infer: None,
-    },
-    Scenario {
-        name: "ApReach",
-        figure: "14e",
-        build: |k| ReachBench::all_pairs(k).build(),
-        infer: None,
-    },
-    Scenario {
-        name: "ApLen",
-        figure: "14f",
-        build: |k| LenBench::all_pairs(k).build(),
-        infer: None,
-    },
-    Scenario { name: "ApVf", figure: "14g", build: |k| VfBench::all_pairs(k).build(), infer: None },
-    Scenario {
-        name: "ApHijack",
-        figure: "14h",
-        build: |k| HijackBench::all_pairs(k).build(),
-        infer: None,
-    },
-    Scenario {
-        name: "SpMed",
-        figure: "med",
-        build: |k| MedBench::single_dest(k, 0).build(),
-        infer: None,
-    },
-    Scenario {
-        name: "ApMed",
-        figure: "med",
-        build: |k| MedBench::all_pairs(k).build(),
-        infer: None,
-    },
-    Scenario {
-        name: "SpAd",
-        figure: "ad",
-        build: |k| AdBench::single_dest(k, 0).build(),
-        infer: None,
-    },
-    Scenario { name: "ApAd", figure: "ad", build: |k| AdBench::all_pairs(k).build(), infer: None },
-    Scenario {
-        name: "SpFail",
-        figure: "fail",
-        build: |k| FailBench::single_dest(k, 0).build(),
-        infer: None,
-    },
-];
+fn seed() -> Vec<ScenarioSpec> {
+    let built = ScenarioSpec::built;
+    vec![
+        built(
+            "SpReach",
+            "14a",
+            |k| ReachBench::single_dest(k, 0).build(),
+            Some(fixed_dest_infer!(ReachBench)),
+        ),
+        built(
+            "SpLen",
+            "14b",
+            |k| LenBench::single_dest(k, 0).build(),
+            Some(fixed_dest_infer!(LenBench)),
+        ),
+        built("SpVf", "14c", |k| VfBench::single_dest(k, 0).build(), None),
+        built("SpHijack", "14d", |k| HijackBench::single_dest(k, 0).build(), None),
+        built("ApReach", "14e", |k| ReachBench::all_pairs(k).build(), None),
+        built("ApLen", "14f", |k| LenBench::all_pairs(k).build(), None),
+        built("ApVf", "14g", |k| VfBench::all_pairs(k).build(), None),
+        built("ApHijack", "14h", |k| HijackBench::all_pairs(k).build(), None),
+        built("SpMed", "med", |k| MedBench::single_dest(k, 0).build(), None),
+        built("ApMed", "med", |k| MedBench::all_pairs(k).build(), None),
+        built("SpAd", "ad", |k| AdBench::single_dest(k, 0).build(), None),
+        built("ApAd", "ad", |k| AdBench::all_pairs(k).build(), None),
+        built("SpFail", "fail", |k| FailBench::single_dest(k, 0).build(), None),
+    ]
+}
 
 /// The live registry: seed entries plus anything registered at runtime.
 ///
@@ -275,9 +177,8 @@ static SEED: &[Scenario] = &[
 /// deliberate.
 fn registry() -> &'static RwLock<Vec<&'static ScenarioSpec>> {
     static REGISTRY: OnceLock<RwLock<Vec<&'static ScenarioSpec>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        RwLock::new(SEED.iter().map(|s| &*Box::leak(Box::new(ScenarioSpec::from(s)))).collect())
-    })
+    REGISTRY
+        .get_or_init(|| RwLock::new(seed().into_iter().map(|s| &*Box::leak(Box::new(s))).collect()))
 }
 
 /// Registers a scenario, returning its handle. A spec whose name matches an
@@ -297,14 +198,10 @@ pub fn register_scenario(spec: ScenarioSpec) -> BenchKind {
 ///
 /// # Errors
 ///
-/// Propagates the compiler's span-carrying diagnostics, rendered to text.
+/// An unreadable file, or the compiler's diagnostics.
 pub fn register_scenario_file(path: &str) -> Result<BenchKind, String> {
-    let compiled = timepiece_scenario::compile_file(path).map_err(|e| e.to_string())?;
-    let spec = ScenarioSpec::builder(compiled.name.clone(), compiled.figure.clone())
-        .compiled(compiled)
-        .scenario_file(path)
-        .build();
-    Ok(register_scenario(spec))
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+    ScenarioSpec::compiled(path, text).map(register_scenario)
 }
 
 /// A handle to one registered scenario.
@@ -377,10 +274,15 @@ impl BenchKind {
         }
     }
 
-    /// The scenario file backing this entry, when there is one (lets
-    /// subprocess shard workers recompile it).
+    /// The scenario file backing this entry, when there is one.
     pub fn scenario_file(&self) -> Option<&'static str> {
-        self.0.scenario_file.as_deref()
+        self.0.scenario_file()
+    }
+
+    /// The text of that file as it was compiled — what a fleet coordinator
+    /// ships to its workers.
+    pub(crate) fn scenario_text(&self) -> Option<&'static str> {
+        self.0.file.as_ref().map(|(_, text)| text.as_str())
     }
 }
 

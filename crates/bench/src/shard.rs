@@ -1,47 +1,41 @@
-//! Multi-process sharding of the fattree benchmarks.
+//! The shard protocol of the worker fleet: plans, reports and their merge.
 //!
-//! The `Ap*` (symbolic-destination) sweeps are the expensive rows of
-//! Fig. 14, and their per-node conditions are independent — so beyond the
-//! in-process work-stealing pool, whole *shards* of the node set can move to
-//! separate worker processes (each with its own Z3 heap and cache locality)
-//! or, via [`crate::dist`], to worker processes on other hosts.
+//! Per-node conditions are independent, so beyond the in-process
+//! work-stealing pool, whole *shards* of the node set move to `repro worker`
+//! processes (each with its own Z3 heap and cache locality) — a loopback
+//! fleet for `--shards N`, other hosts for `--workers`. [`crate::dist`] is
+//! the transport; this module is what travels over it:
 //!
-//! The protocol:
-//!
-//! 1. the coordinator picks `(bench, k, shards)`, computes a [`ShardPlan`]
-//!    — striped by class, or cost-adaptive when a fitted
-//!    [`timepiece_sched::CostModel`] is available — and spawns one
-//!    `repro shard-worker` subprocess per shard with its *explicit* node
-//!    list and a [`PlanSpec`] describing how the plan was made;
-//! 2. each worker rebuilds the *same* instance by registry name, checks
-//!    exactly the nodes it was handed via `ModularChecker::check_nodes`,
-//!    and prints one JSON [`ShardReport`] on stdout — the report records
-//!    the plan and the assigned node list, so any shard of any run can be
-//!    replayed deterministically from its report alone;
+//! 1. the coordinator picks `(bench, k, shards)` and computes a
+//!    [`ShardPlan`] — striped by class, or cost-adaptive when a fitted
+//!    [`timepiece_sched::CostModel`] is available — with a [`PlanSpec`]
+//!    describing how the plan was made;
+//! 2. a worker holds the *same* instance as a [`ShardRow`], checks exactly
+//!    the nodes it is handed, and answers each shard with one
+//!    [`ShardReport`] — the report records the plan and the assigned node
+//!    list, so any shard of any run can be replayed deterministically from
+//!    its report alone (`repro shard-worker --nodes …`);
 //! 3. the coordinator ingests the reports through [`merge_reports`], which
 //!    *proves coverage* — the assigned sets must partition the full node
 //!    set, every assigned node must carry a check duration, and duplicate
 //!    or mismatched reports produce a typed [`MergeError`] naming the
-//!    offending worker — and merges them into one sweep [`Row`].
+//!    offending worker — and merges them into one sweep row.
 //!
 //! A mismatched plan therefore shows up as a hard, attributed ingestion
 //! error, never as a silently skipped node.
 
 use std::fmt;
-use std::path::Path;
-use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
 
-use timepiece_core::check::{CheckReport, FailureReason, ModularChecker};
-use timepiece_core::stats::TimingStats;
-use timepiece_sched::cost::{cost_striped, imbalance, plan_adaptive, CostModel};
-use timepiece_sched::{Json, ShardPlan};
+use timepiece_core::check::{CheckReport, FailureReason};
+use timepiece_core::sweep::CheckerPool;
+use timepiece_core::Temporal;
+use timepiece_nets::BenchInstance;
+use timepiece_sched::cost::{cost_striped, plan_adaptive, CostModel};
+use timepiece_sched::{CancelToken, Json, ShardPlan};
 use timepiece_topology::{NodeId, Topology};
+use timepiece_trace::Phase;
 
-use crate::runner::{
-    class_samples, fattree_instance, monolithic_result, BenchKind, EngineResult, Row, RowBalance,
-    SweepOptions,
-};
+use crate::runner::BenchKind;
 
 /// The version of the shard-report / distributed-worker protocol. Bumped on
 /// any incompatible change to the report shape or the wire frames; peers
@@ -155,14 +149,6 @@ pub fn plan_row(
     }
 }
 
-/// The deterministic striped plan every participant can recompute: nodes
-/// grouped by their stable class stem and striped round-robin across
-/// shards. This is the legacy (pre-adaptive) plan, still used by workers
-/// invoked without an explicit node list.
-pub fn plan(topology: &Topology, shards: usize) -> ShardPlan {
-    ShardPlan::by_class(topology.nodes(), shards, |v| topology.node_class(v).to_owned())
-}
-
 /// One failure, reduced to what travels between processes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardFailure {
@@ -197,9 +183,8 @@ pub struct ShardReport {
     pub failures: Vec<ShardFailure>,
     /// The worker's wall-clock time for its shard.
     pub wall_secs: f64,
-    /// The worker's span trace, when the coordinator asked for one
-    /// (`--trace-spans`); the coordinator ingests it as its own
-    /// pid-tagged process track.
+    /// The worker's span trace, when the coordinator's `hello` asked for
+    /// one; the coordinator ingests it as its own pid-tagged process track.
     pub trace: Option<timepiece_trace::Trace>,
 }
 
@@ -216,26 +201,22 @@ impl fmt::Display for ShardProtocolError {
 impl std::error::Error for ShardProtocolError {}
 
 impl ShardReport {
-    /// Assembles a report from a completed shard check; `wall_secs` is the
-    /// check's own wall time.
-    #[allow(clippy::too_many_arguments)] // mirrors the wire frame field-for-field
-    pub fn from_check(
-        kind: BenchKind,
-        k: usize,
+    /// Assembles the report of `shard` of `row` from the completed check of
+    /// its `assigned` nodes; `wall_secs` is the check's own wall time.
+    fn from_check(
+        row: &ShardRow,
         shard: usize,
-        shards: usize,
-        plan: PlanSpec,
-        topology: &Topology,
         assigned: &[NodeId],
         report: &CheckReport,
     ) -> ShardReport {
+        let topology = row.inst.network.topology();
         ShardReport {
             version: PROTOCOL_VERSION,
-            bench: kind.name().to_owned(),
-            k,
+            bench: row.bench.clone(),
+            k: row.k,
             shard,
-            shards,
-            plan,
+            shards: row.shards,
+            plan: row.plan.clone(),
             assigned: assigned.iter().map(|&v| topology.name(v).to_owned()).collect(),
             durations: report
                 .node_durations()
@@ -500,7 +481,7 @@ impl fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
-/// The verified union of a row's shard reports, ready to become a [`Row`].
+/// The verified union of a row's shard reports, ready to become a [`crate::Row`].
 #[derive(Debug, Clone)]
 pub struct MergedShards {
     /// Every node's check duration, across all shards.
@@ -627,206 +608,89 @@ pub fn merge_reports(
     })
 }
 
-/// The worker side for an explicit node set: rebuild the instance, check
-/// exactly `nodes`, and report. This is both the forked worker's path (the
-/// coordinator hands it the plan's node list) and the deterministic replay
-/// path (`repro shard-worker --nodes ...` with the `assigned` list of any
-/// recorded [`ShardReport`]).
-pub fn run_shard_nodes(
-    kind: BenchKind,
+/// One sweep row as a worker holds it: the instance — rebuilt by registry
+/// name, or compiled from scenario text a coordinator shipped — and the
+/// labels every shard report of the row carries. This is the one worker
+/// side there is: a `repro worker` session and the deterministic replay
+/// (`repro shard-worker --nodes …` with the `assigned` list of any recorded
+/// [`ShardReport`]) both check their shards through [`ShardRow::check`].
+#[derive(Debug)]
+pub struct ShardRow {
+    bench: String,
     k: usize,
-    shard: usize,
     shards: usize,
-    plan_spec: PlanSpec,
-    nodes: &[NodeId],
-    options: &SweepOptions,
-) -> ShardReport {
-    let inst = fattree_instance(kind, k);
-    let report = ModularChecker::new(options.check_options())
-        .check_nodes(&inst.network, &inst.interface, &inst.property, nodes)
-        .expect("benchmark instances encode");
-    let mut report = ShardReport::from_check(
-        kind,
-        k,
-        shard,
-        shards,
-        plan_spec,
-        inst.network.topology(),
-        nodes,
-        &report,
-    );
-    if timepiece_trace::enabled() {
-        report.trace = Some(timepiece_trace::take());
+    plan: PlanSpec,
+    inst: BenchInstance,
+}
+
+impl ShardRow {
+    /// The row `bench k=K` split into `shards` shards under `plan`, on the
+    /// worker's own copy `inst` of the instance.
+    pub fn new(bench: &str, k: usize, shards: usize, plan: PlanSpec, inst: BenchInstance) -> Self {
+        ShardRow { bench: bench.to_owned(), k, shards, plan, inst }
     }
-    report
-}
 
-/// The legacy worker side: recompute the deterministic *striped* plan and
-/// check this shard of it. Kept for workers invoked without an explicit
-/// node list (`repro shard-worker` without `--nodes`).
-pub fn run_shard(
-    kind: BenchKind,
-    k: usize,
-    shard: usize,
-    shards: usize,
-    options: &SweepOptions,
-) -> ShardReport {
-    let inst = fattree_instance(kind, k);
-    let plan = plan(inst.network.topology(), shards);
-    assert!(shard < plan.shard_count(), "shard index {shard} out of range ({shards} shards)");
-    let nodes = plan.nodes_of(shard).to_vec();
-    run_shard_nodes(kind, k, shard, shards, PlanSpec::striped(), &nodes, options)
-}
+    /// Documented fault injection: replaces the interface of the node named
+    /// `node` with a never-holds-a-route annotation.
+    ///
+    /// # Errors
+    ///
+    /// Names the node when the instance has none by that name.
+    pub fn sabotage(&mut self, node: &str) -> Result<(), String> {
+        let v = self.node(node)?;
+        self.inst.interface.set(v, Temporal::globally(|r| r.clone().is_some().not()));
+        Ok(())
+    }
 
-/// The coordinator side: fork one `shard-worker` subprocess per shard of
-/// the chosen plan, merge their reports into one sweep [`Row`], and *verify
-/// full coverage* through [`merge_reports`].
-///
-/// `worker_exe` is the binary to spawn (the `repro` binary spawns itself).
-/// The monolithic baseline, when enabled, runs in-process: it cannot shard.
-///
-/// Thread budget: with `options.threads = None` the machine's parallelism
-/// is divided across shards. An *explicit* thread count is forwarded to
-/// every worker unchanged — it means "threads per shard", so `--shards 4
-/// --threads 4` deliberately runs 16 solver threads; divide it yourself
-/// when benchmarking all shards on one host.
-///
-/// # Panics
-///
-/// Panics when a worker exits nonzero or the merged reports fail
-/// validation — the [`MergeError`] (naming the offending worker) is the
-/// panic message; a sharding bug must never pass silently as a smaller
-/// verification.
-pub fn run_row_sharded(
-    kind: BenchKind,
-    k: usize,
-    options: &SweepOptions,
-    shards: usize,
-    worker_exe: &Path,
-    choice: &PlanChoice,
-) -> Row {
-    assert!(shards >= 1, "need at least one shard");
-    let arena_before = timepiece_expr::arena::stats();
-    let inst = fattree_instance(kind, k);
-    let topology = inst.network.topology();
-    let (plan, spec, _predicted) = plan_row(topology, shards, choice);
-    let spec_arg = spec.to_json().to_string();
+    fn node(&self, name: &str) -> Result<NodeId, String> {
+        self.inst.network.topology().node_by_name(name).ok_or(format!("unknown node {name:?}"))
+    }
 
-    // a coordinator panic (worker failure, bad report, coverage violation)
-    // must not orphan the sibling workers mid-solve: guards kill any child
-    // not yet reaped when the stack unwinds
-    struct KillOnDrop(Option<std::process::Child>);
-    impl Drop for KillOnDrop {
-        fn drop(&mut self) {
-            if let Some(child) = &mut self.0 {
-                let _ = child.kill();
-            }
+    /// Checks exactly the nodes named in `nodes` — shard `shard` of the row
+    /// — on `pool`, whose solver sessions stay warm from whatever it
+    /// checked before.
+    ///
+    /// # Errors
+    ///
+    /// An unknown node name, or the check's hard error (an encoding failure,
+    /// a dead pool worker).
+    pub fn check(
+        &self,
+        pool: &mut CheckerPool,
+        shard: usize,
+        nodes: &[&str],
+    ) -> Result<ShardReport, String> {
+        let nodes = nodes.iter().map(|name| self.node(name)).collect::<Result<Vec<_>, _>>()?;
+        // the shard's term-cache traffic rides on its span: a traced sweep
+        // shows how warm each worker's sessions were
+        let mut span = timepiece_trace::span(Phase::Other, format!("shard{shard}"));
+        let inst = &self.inst;
+        let report = pool
+            .check_nodes(
+                &inst.network,
+                &inst.interface,
+                &inst.property,
+                &nodes,
+                &CancelToken::new(),
+            )
+            .map_err(|e| format!("shard {shard}: {e}"))?;
+        if let Some(terms) = report.term_cache() {
+            span.arg("term_cache_hits", terms.hits.to_string());
+            span.arg("term_cache_misses", terms.misses.to_string());
         }
+        drop(span);
+        let mut report = ShardReport::from_check(self, shard, &nodes, &report);
+        if timepiece_trace::enabled() {
+            report.trace = Some(timepiece_trace::take());
+        }
+        Ok(report)
     }
-
-    // each worker gets an explicit thread budget: the caller's choice when
-    // given, otherwise the machine's parallelism *divided across shards* —
-    // N workers each defaulting to all cores would oversubscribe the CPU
-    // N-fold and measure contention instead of sharding
-    let worker_threads = options.threads.unwrap_or_else(|| {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        (cores / shards).max(1)
-    });
-    let start = Instant::now();
-    let mut children: Vec<KillOnDrop> = (0..shards)
-        .map(|shard| {
-            let nodes: Vec<&str> = plan.nodes_of(shard).iter().map(|&v| topology.name(v)).collect();
-            let mut cmd = Command::new(worker_exe);
-            cmd.arg("shard-worker")
-                .args(["--bench", kind.name()])
-                .args(["--k", &k.to_string()])
-                .args(["--shard", &shard.to_string()])
-                .args(["--shards", &shards.to_string()])
-                .args(["--nodes", &nodes.join(",")])
-                .args(["--plan-spec", &spec_arg])
-                // millisecond precision: whole seconds would truncate a
-                // sub-second budget to an effectively zero solver timeout
-                .args(["--timeout-millis", &options.timeout.as_millis().to_string()])
-                .args(["--threads", &worker_threads.to_string()]);
-            if let Some(path) = kind.scenario_file() {
-                // file scenarios are not in the worker's seed registry; it
-                // recompiles the same file before resolving --bench
-                cmd.args(["--scenario-file", path]);
-            }
-            if timepiece_trace::enabled() {
-                // the worker collects its own spans and ships them back in
-                // the report; the coordinator merges them as its track
-                cmd.arg("--trace-spans");
-            }
-            cmd.stdout(Stdio::piped());
-            KillOnDrop(Some(
-                cmd.spawn().unwrap_or_else(|e| panic!("spawning shard worker {shard}: {e}")),
-            ))
-        })
-        .collect();
-    let reports: Vec<(String, ShardReport)> = children
-        .iter_mut()
-        .enumerate()
-        .map(|(shard, guard)| {
-            let worker = format!("fork{shard}");
-            let child = guard.0.take().expect("child not yet reaped");
-            let out = child.wait_with_output().expect("waiting for shard worker");
-            assert!(out.status.success(), "shard worker {shard} failed: {}", out.status);
-            let text = String::from_utf8(out.stdout).expect("shard report is UTF-8");
-            let json = Json::parse(&text).unwrap_or_else(|e| {
-                panic!("{}", MergeError::Protocol { worker: worker.clone(), detail: e.to_string() })
-            });
-            let mut report = ShardReport::from_json(&json).unwrap_or_else(|e| {
-                panic!("{}", MergeError::Protocol { worker: worker.clone(), detail: e.to_string() })
-            });
-            if let Some(trace) = report.trace.take() {
-                timepiece_trace::ingest(format!("shard{shard}"), trace);
-            }
-            (worker, report)
-        })
-        .collect();
-    let wall = start.elapsed();
-
-    let merged = merge_reports(kind, k, shards, &spec.kind, topology, &reports)
-        .unwrap_or_else(|e| panic!("{e}"));
-
-    let durations: Vec<Duration> =
-        merged.durations.iter().map(|&(_, secs)| Duration::from_secs_f64(secs)).collect();
-    let stats = TimingStats::from_durations(&durations);
-    let tp = EngineResult::classify(merged.verified, merged.timed_out, wall);
-    let ms = monolithic_result(&inst, options);
-    Row {
-        k,
-        nodes: topology.node_count(),
-        tp,
-        tp_median: stats.median,
-        tp_p99: stats.p99,
-        ms,
-        // coordinator-side traffic only: each worker process has its own
-        // arena and encoder caches, and those die with the worker
-        arena: timepiece_expr::arena::stats().delta_since(&arena_before),
-        terms: None,
-        classes: class_samples(topology, &merged.durations),
-        balance: Some(RowBalance {
-            plan: spec.kind.clone(),
-            shard_secs: merged.shard_secs,
-            steal_batches: 0,
-            stolen_shards: 0,
-            reassigned: 0,
-        }),
-        failing: merged.failing,
-    }
-}
-
-/// `max / mean` over measured shard wall seconds — re-exported view of
-/// [`timepiece_sched::cost::imbalance`] for report consumers.
-pub fn shard_imbalance(shard_secs: &[f64]) -> f64 {
-    imbalance(shard_secs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{fattree_instance, SweepOptions};
 
     fn sample_report(shard: usize, shards: usize) -> ShardReport {
         ShardReport {
@@ -848,13 +712,32 @@ mod tests {
         }
     }
 
+    /// Shard `shard` of SpReach k=4 under the striped plan, checked the way
+    /// a worker checks it.
+    fn striped_shard(shard: usize, shards: usize) -> ShardReport {
+        let kind = BenchKind::parse("SpReach").unwrap();
+        let inst = fattree_instance(kind, 4);
+        let (plan, spec, _) = plan_row(inst.network.topology(), shards, &PlanChoice::Striped);
+        let names: Vec<String> = plan
+            .nodes_of(shard)
+            .iter()
+            .map(|&v| inst.network.topology().name(v).to_owned())
+            .collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut pool = CheckerPool::new(1, SweepOptions::default().check_options());
+        ShardRow::new(kind.name(), 4, shards, spec, inst)
+            .check(&mut pool, shard, &names)
+            .expect("SpReach k=4 encodes")
+    }
+
     #[test]
-    fn plans_are_deterministic_and_cover_the_fattree() {
+    fn striped_plans_are_deterministic_and_cover_the_fattree() {
         let inst = fattree_instance(BenchKind::parse("ApReach").unwrap(), 4);
         let g = inst.network.topology();
-        let a = plan(g, 3);
-        let b = plan(g, 3);
+        let (a, spec, _) = plan_row(g, 3, &PlanChoice::Striped);
+        let (b, _, _) = plan_row(g, 3, &PlanChoice::Striped);
         assert_eq!(a, b);
+        assert_eq!(spec, PlanSpec::striped());
         assert!(a.covers(g.nodes()));
         // class striping balances shard sizes within one node
         let sizes: Vec<usize> = (0..3).map(|s| a.nodes_of(s).len()).collect();
@@ -943,16 +826,9 @@ mod tests {
 
     #[test]
     fn worker_checks_exactly_its_shard() {
-        let report = run_shard(
-            BenchKind::parse("SpReach").unwrap(),
-            4,
-            0,
-            2,
-            &SweepOptions { run_monolithic: false, ..SweepOptions::default() },
-        );
-        let inst = fattree_instance(BenchKind::parse("SpReach").unwrap(), 4);
-        let expected = plan(inst.network.topology(), 2);
-        assert_eq!(report.assigned.len(), expected.nodes_of(0).len());
+        let report = striped_shard(0, 2);
+        assert_eq!((report.bench.as_str(), report.k), ("SpReach", 4));
+        assert_eq!((report.shard, report.shards), (0, 2));
         assert_eq!(report.durations.len(), report.assigned.len());
         assert!(report.failures.is_empty(), "SpReach k=4 verifies");
         assert_eq!(report.version, PROTOCOL_VERSION);
@@ -976,8 +852,7 @@ mod tests {
 
         /// Two honest striped-shard reports covering SpReach k=4.
         fn good_pair() -> Vec<(String, ShardReport)> {
-            let options = SweepOptions { run_monolithic: false, ..SweepOptions::default() };
-            (0..2).map(|s| (format!("w{s}"), run_shard(kind(), 4, s, 2, &options))).collect()
+            (0..2).map(|s| (format!("w{s}"), striped_shard(s, 2))).collect()
         }
 
         #[test]

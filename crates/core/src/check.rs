@@ -244,10 +244,9 @@ impl ModularChecker {
     /// Checks a subset of nodes — one *shard* of the network — in parallel,
     /// and aggregates a report over exactly those nodes.
     ///
-    /// This is the entrypoint shard worker processes use: the coordinator
-    /// plans a deterministic partition (`timepiece_sched::ShardPlan`), each
-    /// worker checks its shard, and the merged reports
-    /// ([`CheckReport::merge`]) cover the whole network.
+    /// The shards of a deterministic partition
+    /// (`timepiece_sched::ShardPlan`), each checked this way, merge
+    /// ([`CheckReport::merge`]) into a report over the whole network.
     ///
     /// The call is a [`CheckerPool`] that lives for one job: the same
     /// work-stealing workers, solver sessions, fail-fast cancellation and

@@ -27,17 +27,17 @@ use crate::check::{CheckReport, Failure};
 use crate::interface::NodeAnnotations;
 use crate::vc::{inductive_vc, initial_vc, safety_vc};
 
-/// A structural fingerprint of one node's three verification conditions
-/// (plus the node's one-step algebra, via
-/// [`Network::node_structural_hash`]). Two equal fingerprints mean the
-/// node's initial, inductive and safety conditions are structurally
-/// identical terms — the checks are interchangeable.
+/// A structural fingerprint of one node's three verification conditions.
+/// Two equal fingerprints mean the node's initial, inductive and safety
+/// conditions are structurally identical terms — the checks are
+/// interchangeable.
 ///
 /// Everything a condition can depend on flows into the compiled terms: the
-/// node's interface and witness time, the predecessors' interfaces, the
-/// in-edge policies (through the transfer functions), the failure budget
-/// (through the symbolic constraints assumed by every condition). A change
-/// to any of them flips the hash; a change to none of them cannot.
+/// node's initial route, interface and witness time, the predecessors'
+/// interfaces, the in-edge policies and the merge (through the one-step
+/// update of the inductive condition), the failure budget (through the
+/// symbolic constraints assumed by every condition). A change to any of
+/// them flips the hash; a change to none of them cannot.
 pub fn node_fingerprint(
     net: &Network,
     interface: &NodeAnnotations,
@@ -46,7 +46,6 @@ pub fn node_fingerprint(
     v: NodeId,
 ) -> u64 {
     let mut h = DefaultHasher::new();
-    net.node_structural_hash(v).hash(&mut h);
     let conditions = [
         initial_vc(net, interface, v),
         inductive_vc(net, interface, v, delay),
@@ -345,6 +344,36 @@ mod tests {
             .unwrap();
         let after = Fingerprints::compute(&dropped, &interface, &property, 0);
         assert_eq!(before.dirty_cone(&after), vec![v2], "only the head's merge inputs changed");
+        // removing the override restores every fingerprint
+        let restored = dropped.set_edge_policy((v1, v2), None).unwrap();
+        assert_eq!(Fingerprints::compute(&restored, &interface, &property, 0), before);
+    }
+
+    #[test]
+    fn a_new_failure_budget_dirties_every_node() {
+        use timepiece_algebra::policy::FailureModel;
+        let schema = RouteSchema::new(
+            "Hop",
+            [("len".to_owned(), Type::Int)],
+            [MergeKey::Lower("len".into())],
+        );
+        let g = gen::undirected_path(3);
+        let node = |name: &str| g.node_by_name(name).unwrap();
+        let (dest, v1, v2) = (node("v0"), node("v1"), node("v2"));
+        let origin = Expr::record(schema.record_def(), vec![Expr::int(0)]).some();
+        let net = NetworkBuilder::from_schema(g, schema)
+            .default_policy(RoutePolicy::new().increment("len"))
+            .failures(FailureModel::at_most(0, [(dest, v1), (v1, v2)]))
+            .init(dest, origin)
+            .build()
+            .unwrap();
+        let annotations = NodeAnnotations::new(net.topology(), Temporal::any());
+        let before = Fingerprints::compute(&net, &annotations, &annotations, 0);
+        // the budget constraint is among the symbolic preconditions every
+        // condition of every node assumes
+        let rebudgeted = net.with_failure_budget(1).unwrap();
+        let after = Fingerprints::compute(&rebudgeted, &annotations, &annotations, 0);
+        assert_eq!(before.dirty_cone(&after).len(), 3);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   discovered violation stops the fleet in interrupt latency, not in
 //!   time-to-finish-the-longest-solve.
 //! * **Across processes** — [`ShardPlan`]: a deterministic partition of the
-//!   node set by symmetry class, recomputed identically by a coordinator
-//!   and its worker subprocesses, plus the [`Json`] value type their shard
+//!   node set by symmetry class, computed by the coordinator of a worker
+//!   fleet (`repro worker` processes on loopback ports or on other hosts)
+//!   and sent to it shard by shard, plus the [`Json`] value type the shard
 //!   reports travel in. The [`cost`] module upgrades striped plans to
 //!   cost-adaptive ones: a per-class [`CostModel`] (fit from measured
 //!   sweep history) drives LPT bin packing so every shard carries the same

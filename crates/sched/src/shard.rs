@@ -1,11 +1,10 @@
 //! Deterministic shard planning for multi-process verification.
 //!
 //! The all-pairs fattree benchmarks produce one independent check per node,
-//! so they shard trivially — *if* every participant agrees on the
-//! partition. A [`ShardPlan`] is a pure function of `(node set, shard count,
-//! class key)`: the coordinator and each worker subprocess rebuild the same
-//! instance and recompute the same plan, so no node list ever crosses a
-//! process boundary, only the shard *index* does.
+//! so they shard trivially. A [`ShardPlan`] is a pure function of `(node
+//! set, shard count, class key)`: the coordinator of a worker fleet computes
+//! it once per row and sends each worker the explicit node list of the
+//! shard it is to check, so a recorded shard replays from its report alone.
 //!
 //! Nodes are grouped by a caller-supplied *symmetry-class* key (for
 //! fattrees: core / aggregation / edge, cf. `Topology::node_class`) and each

@@ -71,10 +71,12 @@ fn assert_policy_agreement(
     let schema = &policies.schema;
     let env = closing_env(policies, net);
 
-    let mut distinct: Vec<&RoutePolicy> = policies.edge_policies.values().collect();
-    distinct.extend(policies.default_policy.as_ref());
-    distinct.sort_by_key(|p| p.structural_hash());
-    distinct.dedup_by_key(|p| p.structural_hash());
+    let mut distinct: Vec<&RoutePolicy> = Vec::new();
+    for policy in policies.edge_policies.values().chain(policies.default_policy.as_ref()) {
+        if !distinct.contains(&policy) {
+            distinct.push(policy);
+        }
+    }
 
     for policy in distinct {
         let var = Expr::var("r", schema.route_type());
