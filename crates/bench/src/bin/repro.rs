@@ -8,25 +8,20 @@
 //! repro fig14     [--bench NAME|all] [--scenario-file PATH]
 //!                 [--max-k N | --ks 4,6,8] [--timeout-secs S]
 //!                 [--no-ms] [--shards N] [--json PATH] [--trace PATH]
-//!                 [--workers HOST:PORT,...] [--plan striped|adaptive]
-//!                 [--history DUMP.json,...] [--halt-workers]
+//!                 [--workers HOST:PORT,...] [--halt-workers]
 //! repro table1
 //! repro table2
 //! repro table3
 //! repro wan       [--peers N] [--timeout-secs S]
 //! repro keyideas
 //! repro infer     [--bench reach|len|all] [--max-k N] [--no-roles] [--trace PATH]
-//! repro arena     [--bench NAME|all] [--max-k N | --ks 4,6,8] [--timeout-secs S]
 //! repro profile   [--bench NAME|all] [--max-k N | --ks 4,6,8] [--timeout-secs S]
-//! repro trend     DUMP.json [DUMP.json ...]   (oldest first)
 //! repro serve     [--bench NAME | --scenario-file PATH] [--k K] [--port P]
 //!                 [--timeout-secs S] [--threads T]
 //! repro ask       [--port P] [--request JSON]
-//! repro soak      [--bench NAME] [--ks 4,6,8] [--clients N] [--deltas M] [--json PATH]
-//! repro plan      [--bench NAME] [--k K] [--shards N] [--history DUMP.json,...]
 //! repro worker    [--listen HOST:PORT] [--die-after N]
 //! repro shard-worker --bench NAME --k K --shard I --shards N
-//!                 --nodes a,b,... [--plan-spec JSON]  (replay one shard)
+//!                 --nodes a,b,...  (replay one shard)
 //! repro fuzz      [--cases N] [--seed S] [--out DIR] [--steps N]
 //! repro check     --scenario-file PATH [--steps N] [--timeout-secs S]
 //! repro export    --bench NAME [--k K] [--out PATH]
@@ -54,11 +49,8 @@
 //! `--shards N` alone starts `N` workers on loopback ports for the length
 //! of the sweep; `--workers` names workers anywhere, and `--shards` then
 //! defaults to 4x the worker count so the steal scheduler has batches to
-//! move. Workers keep their solver sessions from row to row. `--plan adaptive`
-//! replaces class-striped shard plans with cost-model LPT packing, fit from
-//! the accumulated `--json` dumps named by `--history` (uniform costs when
-//! no history exists); `repro plan` prints the resulting plan without
-//! running anything.
+//! move. Workers keep their solver sessions from row to row. Shards are
+//! striped by node class; stealing evens out the rest while the row runs.
 //!
 //! `--trace PATH` (fig14, infer) collects spans from every layer —
 //! per-node checks, per-VC encode/solve, scheduler claim/steal, CEGIS
@@ -72,17 +64,17 @@
 //!
 //! `repro serve` starts `timepieced` — the verification daemon of
 //! `timepiece-daemon` — on one warm instance; `repro ask` sends it a single
-//! request; `repro soak` measures it under concurrent delta streams (cold
-//! full-check baseline, single-edge probe, then N clients × M randomized
-//! deltas) and dumps soak rows that `repro trend` can ingest alongside
-//! fig14 dumps.
+//! request. Load on the daemon is tpbench's job
+//! (`bash benchmark/run.sh --workload serve-edits`).
+//!
+//! A mistyped command line prints the usage and exits 2; a run that was
+//! started and failed prints its one `error:` line and exits 1.
 
 use std::time::Duration;
 
 use timepiece_bench::{
-    fattree_instance, halt_workers, loc, plan_row, run_row, run_row_distributed, run_soak,
-    run_worker, trend, BenchKind, DistOptions, LocalFleet, PlanChoice, PlanSpec, Row, ShardRow,
-    SoakOptions, SweepOptions, WorkerExit, WorkerOptions,
+    fattree_instance, halt_workers, loc, run_row, run_row_distributed, run_worker, BenchKind,
+    DistOptions, LocalFleet, Row, ShardRow, SweepOptions, WorkerExit, WorkerOptions,
 };
 use timepiece_core::check::{CheckOptions, ModularChecker};
 use timepiece_core::monolithic::check_monolithic;
@@ -95,34 +87,35 @@ use timepiece_nets::ghost;
 use timepiece_nets::wan::WanBench;
 use timepiece_topology::FatTree;
 
-const USAGE_HEAD: &str = "usage: repro <subcommand> [flags]
+/// What a subcommand runs. `Err` is the failure of a run that was started
+/// (exit 1); a command line the subcommand cannot accept goes to
+/// [`usage_error`] before anything starts.
+type Command = fn(&Args) -> Result<(), String>;
 
-subcommands:
-  fig1       modular vs monolithic sweep on SpHijack
-  fig3       running example simulation table
-  fig13      example 4-fattree with Vf down-edge tagging
-  fig14      the eight fattree benchmark sweeps (or a --scenario-file)
-  table1     ghost-state property encodings
-  table2     lines of code per benchmark definition
-  table3     eBGP route fields modelled in SMT
-  wan        BlockToExternal on the synthetic Internet2
-  keyideas   the Figs. 4-10 demonstrations
-  infer      infer interfaces from simulation, verify, compare to hand-written
-  arena      per-row term-arena interning traffic and dedup ratios
-  profile    phase-attributed breakdown per sweep row (encode/solve/steal-idle)
-  trend      per-benchmark wall-time trajectories over --json dumps
-  serve      start timepieced: the verification daemon, warm on one instance
-  ask        send one NDJSON request to a running timepieced and print the reply
-  soak       concurrent delta streams against one warm daemon (p50/p95, cones)
-  plan       print the striped and adaptive shard plans without running anything
-  worker     serve shard checks over TCP until a coordinator sends halt
-  shard-worker  replay one recorded shard (--nodes), print its JSON report
-  fuzz       differential-fuzz the three policy evaluators, shrink failures
-  check      replay one --scenario-file through every evaluator and the checker
-  export     print a registry scenario as a scenario file (edit and recompile)
-  all        everything above (except infer, arena, trend and the daemon)
-
-flags:";
+/// The subcommand table: name, help text, and what runs. Like [`FLAGS`],
+/// the table *is* the dispatcher and the usage text — adding a subcommand
+/// is adding one entry.
+static COMMANDS: &[(&str, &str, Command)] = &[
+    ("fig1", "modular vs monolithic sweep on SpHijack", fig1),
+    ("fig3", "running example simulation table", fig3),
+    ("fig13", "example 4-fattree with Vf down-edge tagging", fig13),
+    ("fig14", "the eight fattree benchmark sweeps (or a --scenario-file)", fig14),
+    ("table1", "ghost-state property encodings", table1),
+    ("table2", "lines of code per benchmark definition", table2),
+    ("table3", "eBGP route fields modelled in SMT", table3),
+    ("wan", "BlockToExternal on the synthetic Internet2", wan),
+    ("keyideas", "the Figs. 4-10 demonstrations", keyideas),
+    ("infer", "infer interfaces from simulation, verify, compare to hand-written", infer),
+    ("profile", "phase-attributed breakdown per sweep row (encode/solve/steal-idle)", profile_cmd),
+    ("serve", "start timepieced: the verification daemon, warm on one instance", serve_cmd),
+    ("ask", "send one NDJSON request to a running timepieced and print the reply", ask_cmd),
+    ("worker", "serve shard checks over TCP until a coordinator sends halt", worker_cmd),
+    ("shard-worker", "replay one recorded shard (--nodes), print its JSON report", shard_worker),
+    ("fuzz", "differential-fuzz the three policy evaluators, shrink failures", fuzz_cmd),
+    ("check", "replay one --scenario-file through every evaluator and the checker", check_cmd),
+    ("export", "print a registry scenario as a scenario file (edit and recompile)", export_cmd),
+    ("all", "fig3 fig13 keyideas table1 table2 table3 fig1 fig14 wan, in that order", all),
+];
 
 struct Args {
     max_k: Option<usize>,
@@ -135,21 +128,16 @@ struct Args {
     peers: usize,
     shards: usize,
     workers: Vec<String>,
-    plan: String,
-    history: Vec<String>,
     halt_workers: bool,
     listen: Option<String>,
     die_after: Option<usize>,
     nodes: Option<String>,
-    plan_spec: Option<String>,
     json: Option<String>,
     trace: Option<String>,
     k: Option<usize>,
     shard: Option<usize>,
     port: u16,
     request: Option<String>,
-    clients: usize,
-    deltas: usize,
     scenario_file: Option<String>,
     cases: u32,
     seed: u64,
@@ -170,21 +158,16 @@ impl Default for Args {
             peers: 253,
             shards: 1,
             workers: Vec::new(),
-            plan: "striped".to_owned(),
-            history: Vec::new(),
             halt_workers: false,
             listen: None,
             die_after: None,
             nodes: None,
-            plan_spec: None,
             json: None,
             trace: None,
             k: None,
             shard: None,
             port: 7171,
             request: None,
-            clients: 4,
-            deltas: 8,
             scenario_file: None,
             cases: 100,
             seed: 0,
@@ -213,8 +196,15 @@ static FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--max-k",
         metavar: "N",
-        help: "largest fattree parameter to sweep (default 12; infer: 8)",
-        set: |a, f, v| typed(f, v, "integer k").map(|k| a.max_k = Some(k)),
+        help: "largest fattree parameter to sweep, >= 4 (default 12; infer: 8)",
+        set: |a, f, v| {
+            let k: usize = typed(f, v, "integer k")?;
+            if k < 4 {
+                return Err(format!("{f}: the sweep grid starts at k = 4, got {k}"));
+            }
+            a.max_k = Some(k);
+            Ok(())
+        },
     },
     FlagSpec {
         name: "--ks",
@@ -292,7 +282,7 @@ static FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--shards",
         metavar: "N",
-        help: "(fig1, fig14) check every row in N shards on a fleet of N\nloopback `repro worker`s started for the sweep\n(with --workers: shards per row, default 4x worker count;\n plan: shards to plan, default 4)",
+        help: "(fig1, fig14) check every row in N shards on a fleet of N\nloopback `repro worker`s started for the sweep\n(with --workers: shards per row, default 4x worker count)",
         set: |a, f, v| {
             a.shards = typed(f, v, "shard count")?;
             if a.shards == 0 {
@@ -311,28 +301,6 @@ static FLAGS: &[FlagSpec] = &[
             if a.workers.is_empty() {
                 return Err(format!("{f} requires at least one worker address"));
             }
-            Ok(())
-        },
-    },
-    FlagSpec {
-        name: "--plan",
-        metavar: "P",
-        help: "(fig14, plan) shard plan: striped (default) or adaptive",
-        set: |a, f, v| {
-            if v != "striped" && v != "adaptive" {
-                return Err(format!("{f}: expected striped or adaptive, got {v:?}"));
-            }
-            a.plan = v.to_owned();
-            Ok(())
-        },
-    },
-    FlagSpec {
-        name: "--history",
-        metavar: "LIST",
-        help: "(fig14, plan) comma-separated fig14 --json dumps the\nadaptive cost model is fit from (none: uniform costs)",
-        set: |a, _, v| {
-            a.history =
-                v.split(',').map(str::trim).filter(|p| !p.is_empty()).map(String::from).collect();
             Ok(())
         },
     },
@@ -366,15 +334,6 @@ static FLAGS: &[FlagSpec] = &[
         help: "(shard-worker) comma-separated node names to check: the\n`assigned` list of the shard report being replayed",
         set: |a, _, v| {
             a.nodes = Some(v.to_owned());
-            Ok(())
-        },
-    },
-    FlagSpec {
-        name: "--plan-spec",
-        metavar: "JSON",
-        help: "(shard-worker) plan spec to record in the shard report",
-        set: |a, _, v| {
-            a.plan_spec = Some(v.to_owned());
             Ok(())
         },
     },
@@ -424,24 +383,6 @@ static FLAGS: &[FlagSpec] = &[
         },
     },
     FlagSpec {
-        name: "--clients",
-        metavar: "N",
-        help: "(soak) concurrent client threads (default 4)",
-        set: |a, f, v| {
-            a.clients = typed(f, v, "client count")?;
-            if a.clients == 0 {
-                return Err(format!("{f} requires at least one client"));
-            }
-            Ok(())
-        },
-    },
-    FlagSpec {
-        name: "--deltas",
-        metavar: "M",
-        help: "(soak) deltas each client streams (default 8)",
-        set: |a, f, v| typed(f, v, "deltas per client").map(|d| a.deltas = d),
-    },
-    FlagSpec {
         name: "--cases",
         metavar: "N",
         help: "(fuzz) random cases to run (default 100)",
@@ -470,11 +411,14 @@ static FLAGS: &[FlagSpec] = &[
     },
 ];
 
-/// The usage text: the subcommand table plus a flags section generated from
-/// [`FLAGS`], so the two can never drift apart.
+/// The usage text, generated from [`COMMANDS`] and [`FLAGS`] so that it
+/// cannot drift from what is dispatched and parsed.
 fn usage() -> String {
-    let mut out = String::from(USAGE_HEAD);
-    out.push('\n');
+    let mut out = String::from("usage: repro <subcommand> [flags]\n\nsubcommands:\n");
+    for (name, help, _) in COMMANDS {
+        out.push_str(&format!("  {name:<12} {help}\n"));
+    }
+    out.push_str("\nflags:\n");
     for flag in FLAGS {
         let lhs = if flag.metavar.is_empty() {
             flag.name.to_owned()
@@ -526,36 +470,6 @@ fn ks(args: &Args) -> Vec<usize> {
     }
 }
 
-/// Reads and parses the `--history` dumps the adaptive cost model fits from,
-/// labelled by file stem (matching `repro trend` column headers).
-fn load_history(paths: &[String]) -> Result<Vec<(String, Vec<trend::TrendPoint>)>, String> {
-    paths
-        .iter()
-        .map(|path| {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let points = trend::parse_dump(&text).map_err(|e| format!("{path}: {e}"))?;
-            let label = std::path::Path::new(path)
-                .file_stem()
-                .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());
-            Ok((label, points))
-        })
-        .collect()
-}
-
-/// The shard plan a sweep row uses: striped, or LPT packing over a cost
-/// model fit from the `--history` dumps for this benchmark.
-fn plan_choice(
-    kind: BenchKind,
-    args: &Args,
-    history: &[(String, Vec<trend::TrendPoint>)],
-) -> PlanChoice {
-    if args.plan == "adaptive" {
-        PlanChoice::Adaptive(trend::fit_cost_model(history, kind.name()))
-    } else {
-        PlanChoice::Striped
-    }
-}
-
 /// The per-row shard count: `--shards` when given, else four shards per
 /// worker in distributed mode so the steal scheduler has batches to move.
 fn effective_shards(args: &Args) -> usize {
@@ -588,12 +502,7 @@ fn local_fleet(args: &Args) -> Result<Option<LocalFleet>, String> {
     LocalFleet::spawn(&exe, args.shards, args.die_after).map(Some).map_err(|e| e.to_string())
 }
 
-fn sweep(
-    kind: BenchKind,
-    args: &Args,
-    history: &[(String, Vec<trend::TrendPoint>)],
-    fleet: Option<&LocalFleet>,
-) -> Result<Vec<Row>, String> {
+fn sweep(kind: BenchKind, args: &Args, fleet: Option<&LocalFleet>) -> Result<Vec<Row>, String> {
     println!("\n=== Fig. {} — {} (Tp vs Ms) ===", kind.figure(), kind.name());
     println!(
         "{:>4} {:>6} {:>12} {:>12} {:>12} {:>12}",
@@ -634,7 +543,6 @@ fn sweep(
                 &options,
                 effective_shards(args),
                 workers,
-                &plan_choice(kind, args, history),
                 &DistOptions::default(),
             )
             .map_err(|e| format!("{} k={k}: {e}", kind.name()))?
@@ -650,9 +558,8 @@ fn sweep(
         );
         if let Some(balance) = &row.balance {
             println!(
-                "     [{} plan] shard imbalance {:.2} (max/mean wall), steal batches {}, \
+                "     shard imbalance {:.2} (max/mean wall), steal batches {}, \
                  stolen shards {}, reassigned {}",
-                balance.plan,
                 balance.imbalance(),
                 balance.steal_batches,
                 balance.stolen_shards,
@@ -698,25 +605,10 @@ fn row_json(kind: BenchKind, row: &Row, shards: usize) -> timepiece_sched::Json 
             ("hit_rate", Json::Num(t.hit_rate())),
         ])
     });
-    // per-class wall-time rollups: the samples `repro trend` fits adaptive
-    // cost models from
-    let classes = Json::Arr(
-        row.classes
-            .iter()
-            .map(|c| {
-                Json::obj([
-                    ("class", Json::str(c.class.as_str())),
-                    ("nodes", Json::from(c.nodes)),
-                    ("total_secs", Json::Num(c.total_secs)),
-                ])
-            })
-            .collect(),
-    );
     // shard balance for sharded/distributed rows: per-shard wall times, the
     // max/mean ratio, and the steal/reassignment counters
     let balance = row.balance.as_ref().map_or(Json::Null, |b| {
         Json::obj([
-            ("plan", Json::str(b.plan.as_str())),
             ("shard_secs", Json::Arr(b.shard_secs.iter().map(|&s| Json::Num(s)).collect())),
             ("imbalance", Json::Num(b.imbalance())),
             ("steal_batches", Json::from(b.steal_batches)),
@@ -733,7 +625,6 @@ fn row_json(kind: BenchKind, row: &Row, shards: usize) -> timepiece_sched::Json 
         ("ms", row.ms.as_ref().map_or(Json::Null, engine)),
         ("arena", arena),
         ("term_cache", terms),
-        ("classes", classes),
         ("balance", balance),
     ])
 }
@@ -743,16 +634,15 @@ fn fig1(args: &Args) -> Result<(), String> {
     // policy is the evaluation's benchmark with exactly that shape.
     println!("=== Fig. 1 — modular vs monolithic verification time ===");
     println!("(SpHijack: fattree connectivity with symbolic external announcements)");
-    let history = load_history(&args.history)?;
     let fleet = local_fleet(args)?;
-    sweep(BenchKind::parse("SpHijack").expect("registered"), args, &history, fleet.as_ref())?;
+    sweep(BenchKind::parse("SpHijack").expect("registered"), args, fleet.as_ref())?;
     if let Some(fleet) = fleet {
         fleet.halt();
     }
     Ok(())
 }
 
-fn fig3() {
+fn fig3(_: &Args) -> Result<(), String> {
     println!("=== Fig. 3 — running example simulation ===");
     let ex = RunningExample::new();
     let mut env = Env::new();
@@ -771,9 +661,10 @@ fn fig3() {
         println!();
     }
     println!("paper: stabilizes at time 3; measured: converged at t = {:?}", trace.converged_at());
+    Ok(())
 }
 
-fn fig13() {
+fn fig13(_: &Args) -> Result<(), String> {
     println!("=== Fig. 13 — example 4-fattree with Vf down-edge tagging ===");
     let ft = FatTree::new(4);
     for v in ft.topology().nodes() {
@@ -793,9 +684,10 @@ fn fig13() {
         ft.topology().node_count(),
         ft.topology().edge_count()
     );
+    Ok(())
 }
 
-fn table1() {
+fn table1(_: &Args) -> Result<(), String> {
     println!("=== Table 1 — ghost-state property encodings ===");
     let check = |inst: &timepiece_nets::BenchInstance| {
         ModularChecker::new(CheckOptions::default())
@@ -834,9 +726,10 @@ fn table1() {
         println!("{name:<20} {state:<34} {ok:>9} {caught:>12}");
     }
     println!("(reachability-origin bit: see `repro keyideas` Fig. 10; bounded length: Fig. 14b)");
+    Ok(())
 }
 
-fn table2() {
+fn table2(_: &Args) -> Result<(), String> {
     println!("=== Table 2 — lines of code per benchmark definition ===");
     println!(
         "{:<18} {:>12} {:>14} {:>13}   (paper C# values in parentheses)",
@@ -849,9 +742,10 @@ fn table2() {
             row.benchmark, row.network, row.interface, row.property
         );
     }
+    Ok(())
 }
 
-fn table3() {
+fn table3(_: &Args) -> Result<(), String> {
     println!("=== Table 3 — eBGP route fields modelled in SMT ===");
     let schema = timepiece_nets::bgp::BgpSchema::new(["down"], ["tag"]);
     println!("{:<28} {:<24}", "route field", "modelled type in SMT");
@@ -868,9 +762,10 @@ fn table3() {
         };
         println!("{name:<28} {smt_ty:<24}");
     }
+    Ok(())
 }
 
-fn wan(args: &Args) {
+fn wan(args: &Args) -> Result<(), String> {
     println!("=== §6 WAN — BlockToExternal on synthetic Internet2 ===");
     let bench = WanBench::with_peers(7, args.peers);
     let inst = bench.build();
@@ -902,9 +797,10 @@ fn wan(args: &Args) {
         if mono.outcome.is_verified() { "verified" } else { "timeout/failed" },
         mono.wall.as_secs_f64(),
     );
+    Ok(())
 }
 
-fn keyideas() {
+fn keyideas(_: &Args) -> Result<(), String> {
     println!("=== §2 key ideas — Figs. 4–10 on the running example ===");
     let ex = RunningExample::new();
     let checker = ModularChecker::new(CheckOptions::default());
@@ -936,20 +832,22 @@ fn keyideas() {
         "Fig. 10 ghost interfaces verify 'e's route originated at w':      {}",
         verify(&ex.ghost_interfaces(), &ex.ghost_property())
     );
+    Ok(())
 }
 
-/// The scenarios a `--bench` spec selects (all of them for `all`).
-fn select_kinds(bench: &str) -> Result<Vec<BenchKind>, String> {
+/// The scenarios a `--bench` spec selects (all of them for `all`); a spec
+/// that selects none is a usage error.
+fn select_kinds(bench: &str) -> Vec<BenchKind> {
     if bench.eq_ignore_ascii_case("all") {
-        return Ok(BenchKind::all().collect());
+        return BenchKind::all().collect();
     }
     let spec = bench.to_lowercase();
     let kinds: Vec<BenchKind> =
         BenchKind::all().filter(|k| k.name().to_lowercase().contains(&spec)).collect();
     if kinds.is_empty() {
-        return Err(unknown_bench(bench));
+        usage_error(&unknown_bench(bench));
     }
-    Ok(kinds)
+    kinds
 }
 
 /// Drains the collected spans and writes them as a Chrome trace-event JSON
@@ -973,9 +871,8 @@ fn fig14(args: &Args) -> Result<(), String> {
         // a file scenario with an unrestricted --bench means "sweep the
         // file"; an explicit --bench can still widen or re-select
         Some(kind) if args.bench == "all" => vec![kind],
-        _ => select_kinds(&args.bench)?,
+        _ => select_kinds(&args.bench),
     };
-    let history = load_history(&args.history)?;
     if args.trace.is_some() {
         timepiece_trace::enable();
     }
@@ -983,7 +880,7 @@ fn fig14(args: &Args) -> Result<(), String> {
     let fleet = local_fleet(args)?;
     let mut rows = Vec::new();
     for kind in kinds {
-        for row in sweep(kind, args, &history, fleet.as_ref())? {
+        for row in sweep(kind, args, fleet.as_ref())? {
             rows.push(row_json(kind, &row, shards));
         }
     }
@@ -1011,57 +908,12 @@ fn fig14(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The `repro arena` subcommand: per-row interning traffic, then the
-/// process-wide arena summary. Rows run through one persistent checker
-/// pool, so the compiled-term column shows cross-row reuse directly.
-fn arena_cmd(args: &Args) -> Result<(), String> {
-    use timepiece_expr::arena;
-    let kinds = select_kinds(&args.bench)?;
-    println!("=== term arena — interning and compiled-term traffic per row ===");
-    println!("(arena columns are per-row deltas; `dedup` is constructions per new term;");
-    println!(" `tc hit%` is the persistent pool's compiled-term cache, warm across rows)");
-    println!(
-        "{:>9} {:>3} {:>6} {:>10} {:>12} {:>10} {:>8} {:>8} {:>8}",
-        "bench", "k", "nodes", "new terms", "constructed", "arena hit%", "dedup", "kB", "tc hit%"
-    );
-    let options = sweep_options(args, false);
-    let mut pool = sweep_pool(args);
-    for kind in kinds {
-        for k in ks(args) {
-            let row = run_row(kind, k, &options, &mut pool);
-            println!(
-                "{:>9} {:>3} {:>6} {:>10} {:>12} {:>10} {:>8} {:>8} {:>8}",
-                kind.name(),
-                row.k,
-                row.nodes,
-                row.arena.terms,
-                row.arena.constructed(),
-                format!("{:.1}", 100.0 * row.arena.hit_rate()),
-                format!("{:.1}x", row.arena.dedup_ratio()),
-                row.arena.bytes / 1024,
-                row.terms.map_or("-".to_owned(), |t| format!("{:.1}", 100.0 * t.hit_rate())),
-            );
-        }
-    }
-    let total = arena::stats();
-    println!(
-        "\narena lifetime: {} distinct terms (~{} kB retained), {} constructions, \
-         hit rate {:.1}%, dedup {:.1}x",
-        total.terms,
-        total.bytes / 1024,
-        total.constructed(),
-        100.0 * total.hit_rate(),
-        total.dedup_ratio(),
-    );
-    Ok(())
-}
-
 /// The `repro profile` subcommand: run sweep rows with tracing on and print
 /// the phase-attributed breakdown — self-time shares per phase, per-class
 /// rollups, and slowest-node attribution — instead of writing a trace file.
 fn profile_cmd(args: &Args) -> Result<(), String> {
     use timepiece_trace::{Phase, Profile};
-    let kinds = select_kinds(&args.bench)?;
+    let kinds = select_kinds(&args.bench);
     timepiece_trace::enable();
     println!("=== repro profile — phase-attributed breakdown per sweep row ===");
     println!("(phase columns are self-time shares of the traced work; `intern` is the");
@@ -1149,46 +1001,22 @@ fn load_scenario_file(args: &Args) -> Result<Option<BenchKind>, String> {
     }
 }
 
-/// Prints per-benchmark wall-time trajectories over accumulated `--json`
-/// dumps (oldest first).
-fn trend_cmd(paths: &[String]) -> Result<(), String> {
-    if paths.is_empty() {
-        return Err("trend requires at least one --json dump path".to_owned());
-    }
-    let mut dumps = Vec::new();
-    let mut labels = Vec::new();
-    for path in paths {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        dumps.push(trend::parse_dump(&text).map_err(|e| format!("{path}: {e}"))?);
-        // column headers are the file stems, so long paths don't skew the table
-        labels.push(
-            std::path::Path::new(path)
-                .file_stem()
-                .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned()),
-        );
-    }
-    println!("=== bench trajectories over {} dump(s) ===", dumps.len());
-    print!("{}", trend::render(&labels, &dumps));
-    // only sharded/distributed history carries per-shard wall times
-    if let Some(table) = trend::render_balance(&labels, &dumps) {
-        println!();
-        print!("{table}");
-    }
-    Ok(())
+/// The one benchmark `--bench` names; an unregistered name is a usage
+/// error.
+fn one_bench(name: &str) -> BenchKind {
+    BenchKind::parse(name)
+        .unwrap_or_else(|| usage_error(&format!("--bench: {}", unknown_bench(name))))
 }
 
-/// The benchmark `serve`/`soak` run when `--bench` is unrestricted: soaking
-/// all thirteen scenarios is a sweep, not a service, so the daemon commands
-/// default to the canonical reachability one — or to the `--scenario-file`
-/// when one is loaded.
+/// The benchmark `serve` runs when `--bench` is unrestricted: a daemon is
+/// warm on one instance, so it defaults to the canonical reachability one —
+/// or to the `--scenario-file` when one is loaded.
 fn daemon_bench(args: &Args) -> Result<BenchKind, String> {
-    if let Some(kind) = load_scenario_file(args)? {
-        if args.bench == "all" {
-            return Ok(kind);
-        }
+    match (load_scenario_file(args)?, args.bench.as_str()) {
+        (Some(kind), "all") => Ok(kind),
+        (None, "all") => Ok(one_bench("SpReach")),
+        (_, name) => Ok(one_bench(name)),
     }
-    let name = if args.bench == "all" { "SpReach" } else { args.bench.as_str() };
-    BenchKind::parse(name).ok_or_else(|| format!("--bench: {}", unknown_bench(name)))
 }
 
 /// The `repro serve` subcommand: start `timepieced` warm on one fattree
@@ -1220,92 +1048,18 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
 /// The `repro ask` subcommand: one request to a running daemon, reply on
 /// stdout. Without `--request` it sends `status`.
 fn ask_cmd(args: &Args) -> Result<(), String> {
+    let frame = args.request.as_deref().map(|raw| {
+        timepiece_sched::Json::parse(raw)
+            .unwrap_or_else(|e| usage_error(&format!("--request: {e}")))
+    });
     let mut client = Client::connect(("127.0.0.1", args.port))
         .map_err(|e| format!("connecting to 127.0.0.1:{}: {e}", args.port))?;
-    let reply = match &args.request {
-        Some(raw) => {
-            let frame = timepiece_sched::Json::parse(raw).map_err(|e| format!("--request: {e}"))?;
-            client.request(&frame)
-        }
+    let reply = match &frame {
+        Some(frame) => client.request(frame),
         None => client.send(&Request::Status),
     }
     .map_err(|e| format!("request failed: {e}"))?;
     println!("{reply}");
-    Ok(())
-}
-
-/// The `repro soak` subcommand: measure a warm daemon under concurrent
-/// delta streams, one row per fattree size.
-fn soak_cmd(args: &Args) -> Result<(), String> {
-    let kind = daemon_bench(args)?;
-    let options = SoakOptions {
-        clients: args.clients,
-        deltas_per_client: args.deltas,
-        timeout: args.timeout,
-        threads: args.threads,
-        ..SoakOptions::default()
-    };
-    println!("=== repro soak — {} under concurrent delta streams ===", kind.name());
-    println!(
-        "({} clients x {} deltas each; cold full-check baseline and single-edge \
-         link-down probe per row)",
-        args.clients, args.deltas
-    );
-    println!(
-        "{:>4} {:>6} {:>10} {:>6} {:>6} {:>10} {:>9} {:>9} {:>9} {:>8} {:>5} {:>5} {:>8} {:>7} {:>8}",
-        "k",
-        "nodes",
-        "cold",
-        "cone",
-        "cone%",
-        "probe",
-        "speedup",
-        "p50",
-        "p95",
-        "avgcone",
-        "err",
-        "sess",
-        "terms",
-        "retired",
-        "arena"
-    );
-    let mut rows = Vec::new();
-    // the soak grid defaults to the recorded EXPERIMENTS.md sizes
-    let ks = args.ks.clone().unwrap_or_else(|| vec![4, 6, 8]);
-    for k in ks {
-        let r = run_soak(kind, k, &options);
-        println!(
-            "{:>4} {:>6} {:>10} {:>6} {:>6} {:>10} {:>9} {:>9} {:>9} {:>8} {:>5} {:>5} {:>8} {:>7} {:>8}",
-            r.k,
-            r.nodes,
-            format!("{:.0}ms", r.baseline_full_ms),
-            r.probe_cone,
-            format!("{:.0}%", 100.0 * r.probe_cone_frac()),
-            format!("{:.0}ms", r.probe_ms),
-            format!("{:.1}x", r.probe_speedup()),
-            format!("{:.0}ms", r.p50_ms),
-            format!("{:.0}ms", r.p95_ms),
-            format!("{:.1}", r.mean_cone),
-            r.storm_errors,
-            r.sessions,
-            r.compiled_terms,
-            r.session_retirements,
-            r.arena_terms,
-        );
-        rows.push(r.to_json());
-    }
-    if let Some(path) = &args.json {
-        use timepiece_sched::Json;
-        let doc = Json::obj([
-            ("soak", Json::Bool(true)),
-            ("clients", Json::from(args.clients)),
-            ("deltas_per_client", Json::from(args.deltas)),
-            ("timeout_secs", Json::Num(args.timeout.as_secs_f64())),
-            ("rows", Json::Arr(rows)),
-        ]);
-        std::fs::write(path, format!("{doc}\n")).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
     Ok(())
 }
 
@@ -1314,30 +1068,22 @@ fn soak_cmd(args: &Args) -> Result<(), String> {
 /// `assigned` list, the way the fleet worker that produced the report did,
 /// and prints the new report on stdout.
 fn shard_worker(args: &Args) -> Result<(), String> {
-    // a file scenario is not in the seed registry: compile it before
-    // resolving --bench
-    load_scenario_file(args)?;
-    let bench = BenchKind::parse(&args.bench)
-        .ok_or_else(|| format!("--bench: {}", unknown_bench(&args.bench)))?;
-    let k = args.k.ok_or("shard-worker requires --k")?;
-    let shard = args.shard.ok_or("shard-worker requires --shard")?;
+    let required = |what: &str| -> ! { usage_error(&format!("shard-worker requires {what}")) };
+    let k = args.k.unwrap_or_else(|| required("--k"));
+    let shard = args.shard.unwrap_or_else(|| required("--shard"));
     if args.shards <= shard {
-        return Err(format!("--shard {shard} out of range for --shards {}", args.shards));
+        usage_error(&format!("--shard {shard} out of range for --shards {}", args.shards));
     }
     let nodes = args
         .nodes
         .as_deref()
-        .ok_or("shard-worker requires --nodes (the `assigned` list of the report to replay)")?;
+        .unwrap_or_else(|| required("--nodes (the `assigned` list of the report to replay)"));
     let nodes: Vec<&str> = nodes.split(',').map(str::trim).filter(|n| !n.is_empty()).collect();
-    let spec = match &args.plan_spec {
-        Some(raw) => {
-            let value =
-                timepiece_sched::Json::parse(raw).map_err(|e| format!("--plan-spec: {e}"))?;
-            PlanSpec::from_json(&value).map_err(|e| format!("--plan-spec: {e}"))?
-        }
-        None => PlanSpec::striped(),
-    };
-    let report = ShardRow::new(bench.name(), k, args.shards, spec, fattree_instance(bench, k))
+    // a file scenario is not in the seed registry: compile it before
+    // resolving --bench
+    load_scenario_file(args)?;
+    let bench = one_bench(&args.bench);
+    let report = ShardRow::new(bench.name(), k, args.shards, fattree_instance(bench, k))
         .check(&mut sweep_pool(args), shard, &nodes)
         .map_err(|e| format!("--nodes: {e}"))?;
     println!("{}", report.to_json());
@@ -1365,49 +1111,6 @@ fn worker_cmd(args: &Args) -> Result<(), String> {
         }
         WorkerExit::Halted | WorkerExit::SessionLimit => Ok(()),
     }
-}
-
-/// The `repro plan` subcommand: print the striped and adaptive shard plans
-/// for one instance — per-shard node lists, predicted per-shard seconds and
-/// the predicted max/mean imbalance — without checking anything.
-fn plan_cmd(args: &Args) -> Result<(), String> {
-    let kind = daemon_bench(args)?;
-    let k = args.k.unwrap_or(4);
-    let shards = if args.shards > 1 { args.shards } else { 4 };
-    let history = load_history(&args.history)?;
-    let model = trend::fit_cost_model(&history, kind.name());
-    let inst = fattree_instance(kind, k);
-    let topology = inst.network.topology();
-    println!(
-        "=== shard plans — {} k={k}: {} nodes over {shards} shards ===",
-        kind.name(),
-        topology.node_count()
-    );
-    if model.is_uniform() {
-        println!("cost model: uniform (no class samples in --history; LPT balances sizes)");
-    } else {
-        let costs: Vec<String> =
-            model.classes().map(|(class, secs)| format!("{class}={secs:.3}s/node")).collect();
-        println!("cost model: {} (fit from: {})", costs.join(", "), model.sources().join(", "));
-    }
-    for (label, choice) in
-        [("striped", PlanChoice::Striped), ("adaptive", PlanChoice::Adaptive(model.clone()))]
-    {
-        let (plan, _spec, predicted) = plan_row(topology, shards, &choice);
-        println!(
-            "\n--- {label} plan (predicted imbalance {:.2}) ---",
-            timepiece_sched::cost::imbalance(&predicted)
-        );
-        for (shard, secs) in predicted.iter().enumerate() {
-            let names: Vec<&str> = plan.nodes_of(shard).iter().map(|&v| topology.name(v)).collect();
-            println!(
-                "  shard {shard}: {} nodes, predicted {secs:.3}s: {}",
-                names.len(),
-                names.join(", ")
-            );
-        }
-    }
-    Ok(())
 }
 
 /// One inference run: build the property-only spec, infer, verify, and
@@ -1473,6 +1176,19 @@ fn infer_row(kind: BenchKind, k: usize, args: &Args) {
 }
 
 fn infer(args: &Args) -> Result<(), String> {
+    let spec = args.bench.to_lowercase();
+    let benches: Vec<BenchKind> = BenchKind::all()
+        .filter(BenchKind::supports_inference)
+        .filter(|b| spec == "all" || b.name().to_lowercase().contains(&spec))
+        .collect();
+    if benches.is_empty() {
+        let supported: Vec<&str> =
+            BenchKind::all().filter(BenchKind::supports_inference).map(|k| k.name()).collect();
+        usage_error(&format!(
+            "no inference benchmark matches {spec:?}; scenarios with inference support: {}",
+            supported.join(", ")
+        ));
+    }
     if args.trace.is_some() {
         timepiece_trace::enable();
     }
@@ -1495,19 +1211,6 @@ fn infer(args: &Args) -> Result<(), String> {
         "τ match",
         "hand ok"
     );
-    let spec = args.bench.to_lowercase();
-    let benches: Vec<BenchKind> = BenchKind::all()
-        .filter(BenchKind::supports_inference)
-        .filter(|b| spec == "all" || b.name().to_lowercase().contains(&spec))
-        .collect();
-    if benches.is_empty() {
-        let supported: Vec<&str> =
-            BenchKind::all().filter(BenchKind::supports_inference).map(|k| k.name()).collect();
-        return Err(format!(
-            "no inference benchmark matches {spec:?}; scenarios with inference support: {}",
-            supported.join(", ")
-        ));
-    }
     // `--ks` overrides the default grid here exactly as it does in sweeps
     // (inference defaults to steps of 2 where fig14 uses 4)
     let ks = args.ks.clone().unwrap_or_else(|| (4..=args.max_k.unwrap_or(8)).step_by(2).collect());
@@ -1562,7 +1265,10 @@ fn fuzz_cmd(args: &Args) -> Result<(), String> {
 /// differential evaluator check on its network, then the modular checker on
 /// its property. The replay path for `repro fuzz` failures.
 fn check_cmd(args: &Args) -> Result<(), String> {
-    let path = args.scenario_file.as_deref().ok_or("check requires --scenario-file PATH")?;
+    let path = args
+        .scenario_file
+        .as_deref()
+        .unwrap_or_else(|| usage_error("check requires --scenario-file PATH"));
     let compiled = timepiece_scenario::compile_file(path).map_err(|e| format!("{path}: {e}"))?;
     println!(
         "=== repro check — {} ({} nodes, figure {}) ===",
@@ -1608,13 +1314,12 @@ fn check_cmd(args: &Args) -> Result<(), String> {
 /// Rust.
 fn export_cmd(args: &Args) -> Result<(), String> {
     if args.bench == "all" {
-        return Err(format!(
+        usage_error(&format!(
             "export needs one --bench NAME; registered benchmarks: {}",
             BenchKind::names().join(", ")
         ));
     }
-    let kind = BenchKind::parse(&args.bench)
-        .ok_or_else(|| format!("--bench: {}", unknown_bench(&args.bench)))?;
+    let kind = one_bench(&args.bench);
     let k = kind.native_k().or(args.k).unwrap_or(4);
     let inst = fattree_instance(kind, k);
     let text = timepiece_scenario::export_instance(kind.name(), kind.figure(), &inst, k)?;
@@ -1628,6 +1333,13 @@ fn export_cmd(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The paper's figures and tables, one after the other.
+fn all(args: &Args) -> Result<(), String> {
+    let parts: [Command; 9] = [fig3, fig13, keyideas, table1, table2, table3, fig1, fig14, wan];
+    parts.iter().try_for_each(|part| part(args))
+}
+
+/// A command line that cannot be run: the message, the usage, exit 2.
 fn usage_error(msg: &str) -> ! {
     eprintln!("error: {msg}\n\n{}", usage());
     std::process::exit(2);
@@ -1636,72 +1348,14 @@ fn usage_error(msg: &str) -> ! {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, rest) = argv.split_first().map(|(c, r)| (c.as_str(), r)).unwrap_or(("all", &[]));
-    // trend takes positional dump paths, not flags
-    if cmd == "trend" {
-        if let Err(msg) = trend_cmd(rest) {
-            usage_error(&msg);
-        }
-        return;
-    }
-    let args = match parse_args(rest) {
-        Ok(args) => args,
-        Err(msg) => usage_error(&msg),
+    let Some((_, _, run)) = COMMANDS.iter().find(|(name, ..)| *name == cmd) else {
+        usage_error(&format!("unknown subcommand {cmd:?}"))
     };
-    let result = match cmd {
-        "fig1" => fig1(&args),
-        "fig3" => {
-            fig3();
-            Ok(())
-        }
-        "fig13" => {
-            fig13();
-            Ok(())
-        }
-        "fig14" => fig14(&args),
-        "table1" => {
-            table1();
-            Ok(())
-        }
-        "table2" => {
-            table2();
-            Ok(())
-        }
-        "table3" => {
-            table3();
-            Ok(())
-        }
-        "wan" => {
-            wan(&args);
-            Ok(())
-        }
-        "keyideas" => {
-            keyideas();
-            Ok(())
-        }
-        "infer" => infer(&args),
-        "arena" => arena_cmd(&args),
-        "profile" => profile_cmd(&args),
-        "serve" => serve_cmd(&args),
-        "ask" => ask_cmd(&args),
-        "soak" => soak_cmd(&args),
-        "plan" => plan_cmd(&args),
-        "worker" => worker_cmd(&args),
-        "shard-worker" => shard_worker(&args),
-        "fuzz" => fuzz_cmd(&args),
-        "check" => check_cmd(&args),
-        "export" => export_cmd(&args),
-        "all" => {
-            fig3();
-            fig13();
-            keyideas();
-            table1();
-            table2();
-            table3();
-            fig1(&args).and_then(|()| fig14(&args)).map(|()| wan(&args))
-        }
-        other => usage_error(&format!("unknown subcommand {other:?}")),
-    };
-    if let Err(msg) = result {
-        usage_error(&msg);
+    let args = parse_args(rest).unwrap_or_else(|msg| usage_error(&msg));
+    // the command line was good and the run started: its failure is the
+    // one line worth reading, not a usage problem
+    if let Err(msg) = run(&args) {
+        eprintln!("error: {msg}");
+        std::process::exit(1);
     }
 }

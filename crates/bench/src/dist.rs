@@ -15,10 +15,10 @@
 //! One TCP connection per worker per row; every frame is one JSON line:
 //!
 //! ```text
-//! C → W   {"type":"hello", "version":1, "bench":…, "k":…, "shards":N,
-//!          "plan":{…}, "timeout_millis":…, "threads":…, "trace":…,
+//! C → W   {"type":"hello", "version":2, "bench":…, "k":…, "shards":N,
+//!          "timeout_millis":…, "threads":…, "trace":…,
 //!          "sabotage":[…], "scenario":"…"}
-//! W → C   {"type":"ready", "version":1}
+//! W → C   {"type":"ready", "version":2}
 //! C → W   {"type":"check", "shard":i, "nodes":["core-0",…]}
 //! W → C   {"type":"progress", "shard":i}        (heartbeat, ~2.5 Hz)
 //! W → C   {"type":"report", "report":{…}}       (a ShardReport)
@@ -33,9 +33,13 @@
 //!
 //! # Scheduling: batched steal-half, and death
 //!
-//! The coordinator seeds each worker's pending deque round-robin with shard
-//! indices, then runs one dispatcher thread per worker. A dispatcher with
-//! an empty deque first drains the *orphan* queue (shards returned by dead
+//! The coordinator stripes the node set into shards by symmetry class
+//! ([`ShardPlan::by_class`]), which evens out the class mix; what is left is
+//! cost that varies *within* a class, which no plan made in advance predicts
+//! (EXPERIMENTS.md "PR 9"), so the rest is handled while the row runs. Each
+//! worker's pending deque is seeded round-robin with shard indices and one
+//! dispatcher thread runs per worker. A dispatcher with an empty deque
+//! first drains the *orphan* queue (shards returned by dead
 //! workers), then **steals half** the pending deque — whole shards, back
 //! half — from the most-loaded live worker, so work migrates across hosts
 //! in shard-granularity batches rather than node-at-a-time chatter.
@@ -60,17 +64,13 @@ use std::time::{Duration, Instant};
 use timepiece_core::stats::TimingStats;
 use timepiece_core::sweep::CheckerPool;
 use timepiece_sched::json::{read_line_value, write_line_value, MAX_LINE_BYTES};
-use timepiece_sched::Json;
+use timepiece_sched::{Json, ShardPlan};
 use timepiece_trace::Phase;
 
 use crate::runner::{
-    class_samples, fattree_instance, monolithic_result, BenchKind, EngineResult, Row, RowBalance,
-    SweepOptions,
+    fattree_instance, monolithic_result, BenchKind, EngineResult, Row, RowBalance, SweepOptions,
 };
-use crate::shard::{
-    merge_reports, plan_row, MergeError, PlanChoice, PlanSpec, ShardReport, ShardRow,
-    PROTOCOL_VERSION,
-};
+use crate::shard::{merge_reports, MergeError, ShardReport, ShardRow, PROTOCOL_VERSION};
 
 /// How often a checking worker emits `progress` heartbeats.
 const HEARTBEAT: Duration = Duration::from_millis(400);
@@ -291,7 +291,6 @@ impl Peer {
         kind: BenchKind,
         k: usize,
         shards: usize,
-        spec: &PlanSpec,
         options: &SweepOptions,
         dist: &DistOptions,
     ) -> Result<(), String> {
@@ -300,7 +299,6 @@ impl Peer {
             ("bench", Json::str(kind.name())),
             ("k", Json::from(k)),
             ("shards", Json::from(shards)),
-            ("plan", spec.to_json()),
             ("timeout_millis", Json::from(options.timeout.as_millis() as usize)),
             ("threads", Json::from(options.threads.unwrap_or(0))),
             ("trace", Json::from(timepiece_trace::enabled())),
@@ -372,7 +370,7 @@ impl Peer {
 /// Runs one sweep row across the fleet.
 ///
 /// Connects to every address in `workers`, hands out the shards of the
-/// plan chosen by `choice`, rebalances by batched stealing, survives
+/// class-striped plan, rebalances by batched stealing, survives
 /// worker deaths by reassigning their shards, and merges the reports into
 /// a [`Row`] through the coverage-proving [`merge_reports`]. Unreachable
 /// workers are warnings (printed to stderr) as long as at least one
@@ -389,7 +387,6 @@ pub fn run_row_distributed(
     options: &SweepOptions,
     shards: usize,
     workers: &[String],
-    choice: &PlanChoice,
     dist: &DistOptions,
 ) -> Result<Row, DistError> {
     assert!(shards >= 1, "need at least one shard");
@@ -397,7 +394,7 @@ pub fn run_row_distributed(
     let arena_before = timepiece_expr::arena::stats();
     let inst = fattree_instance(kind, k);
     let topology = inst.network.topology();
-    let (plan, spec, _predicted) = plan_row(topology, shards, choice);
+    let plan = ShardPlan::by_class(topology.nodes(), shards, |v| topology.node_class(v));
 
     let mut peers: Vec<Peer> = Vec::new();
     let mut connect_errors: Vec<String> = Vec::new();
@@ -428,10 +425,9 @@ pub fn run_row_distributed(
             let reports = &reports;
             let fatal = &fatal;
             let last_death = &last_death;
-            let spec = &spec;
             let plan = &plan;
             scope.spawn(move || {
-                if let Err(e) = peer.hello(kind, k, shards, spec, options, dist) {
+                if let Err(e) = peer.hello(kind, k, shards, options, dist) {
                     // a worker that cannot even handshake never takes a
                     // shard; its seeded queue becomes orphans
                     let mut q = queues.lock().unwrap();
@@ -499,7 +495,7 @@ pub fn run_row_distributed(
 
     let reports = reports.into_inner().unwrap();
     let queues = queues.into_inner().unwrap();
-    let merged = merge_reports(kind, k, shards, &spec.kind, topology, &reports).map_err(|e| {
+    let merged = merge_reports(kind, k, shards, topology, &reports).map_err(|e| {
         match (e, last_death.into_inner().unwrap()) {
             // nobody was left to take a dead worker's shards
             (MergeError::MissingShards { .. }, Some(death)) => death,
@@ -522,9 +518,7 @@ pub fn run_row_distributed(
         // arena and encoder caches
         arena: timepiece_expr::arena::stats().delta_since(&arena_before),
         terms: None,
-        classes: class_samples(topology, &merged.durations),
         balance: Some(RowBalance {
-            plan: spec.kind.clone(),
             shard_secs: merged.shard_secs,
             steal_batches: queues.steal_batches,
             stolen_shards: queues.stolen_shards,
@@ -682,7 +676,7 @@ fn reject(writer: &mut TcpStream, detail: String) -> std::io::Error {
 
 /// The row a `hello` frame describes, on this worker's own copy of the
 /// instance.
-fn hello_row(hello: &Json) -> Result<ShardRow, String> {
+pub(crate) fn hello_row(hello: &Json) -> Result<ShardRow, String> {
     let version = hello.get("version").and_then(Json::as_usize).unwrap_or(0);
     if version != PROTOCOL_VERSION {
         return Err(format!(
@@ -694,21 +688,17 @@ fn hello_row(hello: &Json) -> Result<ShardRow, String> {
     else {
         return Err("hello frame missing k/shards".to_owned());
     };
-    let spec = match hello.get("plan") {
-        None => PlanSpec::striped(),
-        Some(v) => PlanSpec::from_json(v).map_err(|e| e.to_string())?,
-    };
     let mut row = match hello.get("scenario").and_then(Json::as_str) {
         Some(text) => {
             let compiled = timepiece_scenario::compile_str(text)
                 .map_err(|e| format!("the scenario text does not compile: {e}"))?;
-            ShardRow::new(&compiled.name, compiled.k, shards, spec, compiled.instance())
+            ShardRow::new(&compiled.name, compiled.k, shards, compiled.instance())
         }
         None => {
             let bench = hello.get("bench").and_then(Json::as_str).unwrap_or("");
             let kind =
                 BenchKind::parse(bench).ok_or_else(|| format!("unknown benchmark {bench:?}"))?;
-            ShardRow::new(kind.name(), k, shards, spec, fattree_instance(kind, k))
+            ShardRow::new(kind.name(), k, shards, fattree_instance(kind, k))
         }
     };
     for name in hello.get("sabotage").and_then(Json::as_arr).unwrap_or(&[]) {
@@ -847,24 +837,15 @@ mod tests {
         let (addr, handle) = spawn_worker(WorkerOptions::default());
         let workers = vec![addr];
         let kind = BenchKind::parse("SpReach").unwrap();
-        let row = run_row_distributed(
-            kind,
-            4,
-            &sweep_options(),
-            3,
-            &workers,
-            &PlanChoice::Striped,
-            &DistOptions::default(),
-        )
-        .expect("distributed row");
+        let row =
+            run_row_distributed(kind, 4, &sweep_options(), 3, &workers, &DistOptions::default())
+                .expect("distributed row");
         assert!(matches!(row.tp, EngineResult::Verified(_)), "{row:?}");
         assert_eq!(row.nodes, 20);
         let balance = row.balance.expect("distributed rows carry balance");
-        assert_eq!(balance.plan, "striped");
         assert_eq!(balance.shard_secs.len(), 3);
         assert!(balance.shard_secs.iter().all(|&s| s > 0.0), "{balance:?}");
         assert_eq!(balance.reassigned, 0);
-        assert!(!row.classes.is_empty());
         assert!(halt_workers(&workers).is_empty());
         assert_eq!(handle.join().unwrap(), WorkerExit::Halted);
     }
@@ -886,7 +867,6 @@ mod tests {
             &sweep_options(),
             4,
             &workers,
-            &PlanChoice::Striped,
             &DistOptions { liveness: Duration::from_secs(2), ..DistOptions::default() },
         )
         .expect("row completes despite the death");
@@ -913,7 +893,6 @@ mod tests {
             &sweep_options(),
             2,
             &[format!("127.0.0.1:{port}")],
-            &PlanChoice::Striped,
             &DistOptions::default(),
         )
         .unwrap_err();
@@ -944,7 +923,6 @@ mod tests {
             &sweep_options(),
             2,
             std::slice::from_ref(&addr),
-            &PlanChoice::Striped,
             &DistOptions::default(),
         )
         .unwrap_err();

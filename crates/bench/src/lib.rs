@@ -13,17 +13,13 @@ pub mod dist;
 pub mod loc;
 pub mod runner;
 pub mod shard;
-pub mod soak;
-pub mod trend;
 
 pub use dist::{
     halt_workers, run_row_distributed, run_worker, DistError, DistOptions, LocalFleet, WorkerExit,
     WorkerOptions,
 };
 pub use runner::{
-    class_samples, fattree_instance, register_scenario, register_scenario_file, run_row, BenchKind,
-    ClassSample, EngineResult, InferSetup, InstanceSource, Row, RowBalance, ScenarioSpec,
-    SweepOptions,
+    fattree_instance, register_scenario, register_scenario_file, run_row, BenchKind, EngineResult,
+    InferSetup, InstanceSource, Row, RowBalance, ScenarioSpec, SweepOptions,
 };
-pub use shard::{merge_reports, plan_row, MergeError, PlanChoice, PlanSpec, ShardReport, ShardRow};
-pub use soak::{run_soak, SoakOptions, SoakResult};
+pub use shard::{merge_reports, MergeError, ShardReport, ShardRow};

@@ -23,7 +23,7 @@ use timepiece_nets::{
 };
 use timepiece_scenario::CompiledScenario;
 use timepiece_smt::TermCacheStats;
-use timepiece_topology::{FatTree, NodeId, Topology};
+use timepiece_topology::{FatTree, NodeId};
 
 /// Everything `repro infer` needs to run interface inference on a scenario
 /// and compare against its hand-written interfaces.
@@ -371,9 +371,6 @@ pub struct Row {
     /// The modular engine's compiled-term cache traffic for this row
     /// (None for sharded rows, whose encoders live in worker processes).
     pub terms: Option<TermCacheStats>,
-    /// Measured per-class check cost for this row — the samples future
-    /// sweeps' adaptive shard plans are fit from (via `repro trend`).
-    pub classes: Vec<ClassSample>,
     /// Shard balance accounting, for rows that ran sharded or distributed
     /// (None for in-process rows: there are no shards to balance).
     pub balance: Option<RowBalance>,
@@ -383,62 +380,13 @@ pub struct Row {
     pub failing: Vec<String>,
 }
 
-/// Aggregate check cost of one symmetry class within a row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassSample {
-    /// The class stem (`core` / `agg` / `edge` / …).
-    pub class: String,
-    /// How many nodes of the class the row checked.
-    pub nodes: usize,
-    /// Their summed check seconds.
-    pub total_secs: f64,
-}
-
-impl ClassSample {
-    /// Mean seconds per node of this class.
-    pub fn mean_secs(&self) -> f64 {
-        if self.nodes == 0 {
-            0.0
-        } else {
-            self.total_secs / self.nodes as f64
-        }
-    }
-}
-
-/// Groups per-node check durations (by node *name*) into per-class cost
-/// samples, in class order. Names not present in the topology are skipped —
-/// a foreign name is a coverage problem, caught by the shard merge, not a
-/// costing problem.
-pub fn class_samples(topology: &Topology, durations: &[(String, f64)]) -> Vec<ClassSample> {
-    let mut by_class: std::collections::BTreeMap<&str, (usize, f64)> =
-        std::collections::BTreeMap::new();
-    for (name, secs) in durations {
-        if let Some(v) = topology.node_by_name(name) {
-            let slot = by_class.entry(topology.node_class(v)).or_insert((0, 0.0));
-            slot.0 += 1;
-            slot.1 += secs;
-        }
-    }
-    by_class
-        .into_iter()
-        .map(|(class, (nodes, total_secs))| ClassSample {
-            class: class.to_owned(),
-            nodes,
-            total_secs,
-        })
-        .collect()
-}
-
 /// How evenly a sharded row's work actually spread, plus how much the
 /// scheduler had to move it around.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowBalance {
-    /// Which planner produced the shard plan (`striped` / `adaptive`).
-    pub plan: String,
     /// Measured wall seconds per shard index.
     pub shard_secs: Vec<f64>,
-    /// Cross-worker steal batches the coordinator executed (0 for forked
-    /// rows: every fork owns exactly one shard).
+    /// Cross-worker steal batches the coordinator executed.
     pub steal_batches: usize,
     /// Whole shards migrated by those batches.
     pub stolen_shards: usize,
@@ -447,9 +395,20 @@ pub struct RowBalance {
 }
 
 impl RowBalance {
-    /// `max / mean` over the measured shard wall seconds (1.0 is perfect).
+    /// `max / mean` over the measured shard wall seconds (1.0 is perfect,
+    /// also for no shards or all-zero times). An idle shard counts toward
+    /// the mean: leaving a shard idle *is* imbalance.
     pub fn imbalance(&self) -> f64 {
-        timepiece_sched::cost::imbalance(&self.shard_secs)
+        if self.shard_secs.is_empty() {
+            return 1.0;
+        }
+        let max = self.shard_secs.iter().copied().fold(0.0_f64, f64::max);
+        let mean = self.shard_secs.iter().sum::<f64>() / self.shard_secs.len() as f64;
+        if mean <= 0.0 {
+            1.0
+        } else {
+            max / mean
+        }
     }
 }
 
@@ -497,22 +456,15 @@ fn assemble_row(
         .any(|f| matches!(f.reason, timepiece_core::check::FailureReason::Unknown(_)));
     let tp = EngineResult::classify(report.is_verified(), timed_out, report.wall());
     let ms = monolithic_result(inst, options);
-    let topology = inst.network.topology();
-    let durations: Vec<(String, f64)> = report
-        .node_durations()
-        .iter()
-        .map(|&(v, d)| (topology.name(v).to_owned(), d.as_secs_f64()))
-        .collect();
     Row {
         k,
-        nodes: topology.node_count(),
+        nodes: inst.network.topology().node_count(),
         tp,
         tp_median: stats.median,
         tp_p99: stats.p99,
         ms,
         arena: arena::stats().delta_since(arena_before),
         terms: report.term_cache(),
-        classes: class_samples(topology, &durations),
         balance: None,
         failing: {
             let mut failing: Vec<String> =
@@ -647,6 +599,25 @@ mod tests {
         assert!(term_rows[1].hits > 0, "{term_rows:?}");
         assert!(term_rows[1].misses < term_rows[0].misses, "{term_rows:?}");
         assert!(term_rows[1].hit_rate() > term_rows[0].hit_rate(), "{term_rows:?}");
+    }
+
+    #[test]
+    fn imbalance_handles_edge_cases() {
+        let imbalance = |shard_secs: &[f64]| {
+            RowBalance {
+                shard_secs: shard_secs.to_vec(),
+                steal_batches: 0,
+                stolen_shards: 0,
+                reassigned: 0,
+            }
+            .imbalance()
+        };
+        assert_eq!(imbalance(&[]), 1.0);
+        assert_eq!(imbalance(&[0.0, 0.0]), 1.0);
+        assert_eq!(imbalance(&[2.0, 2.0]), 1.0);
+        assert_eq!(imbalance(&[3.0, 1.0]), 1.5);
+        // an idle shard is imbalance, not a smaller denominator
+        assert_eq!(imbalance(&[2.0, 0.0]), 2.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The shard protocol of the worker fleet: plans, reports and their merge.
+//! The shard protocol of the worker fleet: reports and their merge.
 //!
 //! Per-node conditions are independent, so beyond the in-process
 //! work-stealing pool, whole *shards* of the node set move to `repro worker`
@@ -6,22 +6,22 @@
 //! fleet for `--shards N`, other hosts for `--workers`. [`crate::dist`] is
 //! the transport; this module is what travels over it:
 //!
-//! 1. the coordinator picks `(bench, k, shards)` and computes a
-//!    [`ShardPlan`] — striped by class, or cost-adaptive when a fitted
-//!    [`timepiece_sched::CostModel`] is available — with a [`PlanSpec`]
-//!    describing how the plan was made;
+//! 1. the coordinator picks `(bench, k, shards)` and stripes the node set
+//!    by symmetry class ([`timepiece_sched::ShardPlan::by_class`]) — the one
+//!    planner there is; what imbalance striping leaves, the coordinator's
+//!    steal-half and the workers' pools absorb while the row runs;
 //! 2. a worker holds the *same* instance as a [`ShardRow`], checks exactly
 //!    the nodes it is handed, and answers each shard with one
-//!    [`ShardReport`] — the report records the plan and the assigned node
-//!    list, so any shard of any run can be replayed deterministically from
-//!    its report alone (`repro shard-worker --nodes …`);
+//!    [`ShardReport`] — the report records the assigned node list, so any
+//!    shard of any run can be replayed deterministically from its report
+//!    alone (`repro shard-worker --nodes …`);
 //! 3. the coordinator ingests the reports through [`merge_reports`], which
 //!    *proves coverage* — the assigned sets must partition the full node
 //!    set, every assigned node must carry a check duration, and duplicate
 //!    or mismatched reports produce a typed [`MergeError`] naming the
 //!    offending worker — and merges them into one sweep row.
 //!
-//! A mismatched plan therefore shows up as a hard, attributed ingestion
+//! A wrong partition therefore shows up as a hard, attributed ingestion
 //! error, never as a silently skipped node.
 
 use std::fmt;
@@ -30,8 +30,7 @@ use timepiece_core::check::{CheckReport, FailureReason};
 use timepiece_core::sweep::CheckerPool;
 use timepiece_core::Temporal;
 use timepiece_nets::BenchInstance;
-use timepiece_sched::cost::{cost_striped, plan_adaptive, CostModel};
-use timepiece_sched::{CancelToken, Json, ShardPlan};
+use timepiece_sched::{CancelToken, Json};
 use timepiece_topology::{NodeId, Topology};
 use timepiece_trace::Phase;
 
@@ -40,114 +39,7 @@ use crate::runner::BenchKind;
 /// The version of the shard-report / distributed-worker protocol. Bumped on
 /// any incompatible change to the report shape or the wire frames; peers
 /// reject mismatches with a typed error instead of misparsing.
-pub const PROTOCOL_VERSION: usize = 1;
-
-/// How a coordinator turned the node set into shards. Travels inside every
-/// [`ShardReport`] so a merged row records which planner produced it and a
-/// replay can attribute imbalance to the plan that caused it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanSpec {
-    /// `striped` (class round-robin) or `adaptive` (cost-model LPT).
-    pub kind: String,
-    /// The per-class costs the adaptive planner used (empty for striped
-    /// plans and for the uniform no-history fallback).
-    pub class_costs: Vec<(String, f64)>,
-    /// Labels of the trend dumps the cost model was fit on.
-    pub sources: Vec<String>,
-}
-
-impl PlanSpec {
-    /// The spec of a class-striped plan.
-    pub fn striped() -> PlanSpec {
-        PlanSpec { kind: "striped".to_owned(), class_costs: Vec::new(), sources: Vec::new() }
-    }
-
-    /// The spec of a cost-adaptive plan driven by `model`.
-    pub fn adaptive(model: &CostModel) -> PlanSpec {
-        PlanSpec {
-            kind: "adaptive".to_owned(),
-            class_costs: model.classes().map(|(c, s)| (c.to_owned(), s)).collect(),
-            sources: model.sources().to_vec(),
-        }
-    }
-
-    /// The spec as a JSON document (also the `--plan-spec` argument form).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("kind", Json::str(&self.kind)),
-            (
-                "class_costs",
-                Json::arr(
-                    self.class_costs
-                        .iter()
-                        .map(|(class, secs)| Json::arr([Json::str(class), Json::Num(*secs)])),
-                ),
-            ),
-            ("sources", Json::arr(self.sources.iter().map(Json::str))),
-        ])
-    }
-
-    /// Parses a spec back from its JSON form.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardProtocolError`] naming the first missing or mistyped field.
-    pub fn from_json(value: &Json) -> Result<PlanSpec, ShardProtocolError> {
-        let err = |what: &str| ShardProtocolError(format!("plan {what}"));
-        let kind = value.get("kind").and_then(Json::as_str).ok_or_else(|| err("kind"))?.to_owned();
-        let class_costs = value
-            .get("class_costs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| err("class_costs"))?
-            .iter()
-            .map(|pair| match pair.as_arr() {
-                Some([class, secs]) => Ok((
-                    class.as_str().ok_or_else(|| err("class name"))?.to_owned(),
-                    secs.as_f64().ok_or_else(|| err("class cost"))?,
-                )),
-                _ => Err(err("class_costs entry")),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let sources = value
-            .get("sources")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| err("sources"))?
-            .iter()
-            .map(|s| s.as_str().map(str::to_owned).ok_or_else(|| err("sources entry")))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(PlanSpec { kind, class_costs, sources })
-    }
-}
-
-/// Which planner a sharded row should use.
-#[derive(Debug, Clone)]
-pub enum PlanChoice {
-    /// Class round-robin striping — the static baseline.
-    Striped,
-    /// Cost-model LPT bin packing (a uniform model balances sizes).
-    Adaptive(CostModel),
-}
-
-/// Computes the row's shard plan under `choice`, together with the spec
-/// recorded in every report and the planner's predicted per-shard seconds
-/// (uniform-cost predictions for striped plans).
-pub fn plan_row(
-    topology: &Topology,
-    shards: usize,
-    choice: &PlanChoice,
-) -> (ShardPlan, PlanSpec, Vec<f64>) {
-    let class = |v: NodeId| topology.node_class(v).to_owned();
-    match choice {
-        PlanChoice::Striped => {
-            let costed = cost_striped(topology.nodes(), shards, class, &CostModel::uniform());
-            (costed.plan, PlanSpec::striped(), costed.predicted)
-        }
-        PlanChoice::Adaptive(model) => {
-            let costed = plan_adaptive(topology.nodes(), shards, class, model);
-            (costed.plan, PlanSpec::adaptive(model), costed.predicted)
-        }
-    }
-}
+pub const PROTOCOL_VERSION: usize = 2;
 
 /// One failure, reduced to what travels between processes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,8 +65,6 @@ pub struct ShardReport {
     pub shard: usize,
     /// Total shard count of the plan.
     pub shards: usize,
-    /// How the plan that produced this shard was made.
-    pub plan: PlanSpec,
     /// Names of the nodes the plan assigned to this shard.
     pub assigned: Vec<String>,
     /// Per-node check durations in seconds, one per assigned node.
@@ -216,7 +106,6 @@ impl ShardReport {
             k: row.k,
             shard,
             shards: row.shards,
-            plan: row.plan.clone(),
             assigned: assigned.iter().map(|&v| topology.name(v).to_owned()).collect(),
             durations: report
                 .node_durations()
@@ -248,7 +137,6 @@ impl ShardReport {
             ("k", Json::from(self.k)),
             ("shard", Json::from(self.shard)),
             ("shards", Json::from(self.shards)),
-            ("plan", self.plan.to_json()),
             ("assigned", Json::arr(self.assigned.iter().map(Json::str))),
             (
                 "durations",
@@ -274,9 +162,10 @@ impl ShardReport {
     }
 
     /// Parses a report back from its JSON form. Reports from peers predating
-    /// the versioned protocol (no `version` / `plan` fields) parse as
-    /// version 0 with a striped plan, so the coordinator's version check can
-    /// name the mismatch instead of a field error masking it.
+    /// the versioned protocol (no `version` field) parse as version 0, and
+    /// fields this version does not know are ignored, so the coordinator's
+    /// version check can name the mismatch instead of a field error masking
+    /// it.
     ///
     /// # Errors
     ///
@@ -345,10 +234,6 @@ impl ShardReport {
             k: usize_field("k")?,
             shard: usize_field("shard")?,
             shards: usize_field("shards")?,
-            plan: match value.get("plan") {
-                None | Some(Json::Null) => PlanSpec::striped(),
-                Some(v) => PlanSpec::from_json(v)?,
-            },
             assigned,
             durations,
             failures,
@@ -396,15 +281,6 @@ pub enum MergeError {
         /// `bench k=K shards=N` the coordinator expected.
         expected: String,
         /// What the report claimed.
-        got: String,
-    },
-    /// A report's plan kind differs from the plan the coordinator computed.
-    PlanMismatch {
-        /// The worker that sent the report.
-        worker: String,
-        /// The coordinator's plan kind.
-        expected: String,
-        /// The report's plan kind.
         got: String,
     },
     /// Two reports claimed the same shard index.
@@ -459,9 +335,6 @@ impl fmt::Display for MergeError {
                     "worker {worker}: checked the wrong instance: expected {expected}, got {got}"
                 )
             }
-            MergeError::PlanMismatch { worker, expected, got } => {
-                write!(f, "worker {worker}: plan kind {got:?} does not match the coordinator's {expected:?}")
-            }
             MergeError::DuplicateShard { worker, earlier, shard } => {
                 write!(f, "worker {worker}: shard {shard} already reported by worker {earlier}")
             }
@@ -503,14 +376,13 @@ pub struct MergedShards {
 /// # Errors
 ///
 /// A [`MergeError`] naming the offending worker when a report is for the
-/// wrong instance/version/plan, a shard is duplicated, missing or out of
+/// wrong instance/version, a shard is duplicated, missing or out of
 /// range, the assigned sets fail to partition `topology`'s node set, or a
 /// worker skipped assigned nodes.
 pub fn merge_reports(
     kind: BenchKind,
     k: usize,
     shards: usize,
-    plan_kind: &str,
     topology: &Topology,
     reports: &[(String, ShardReport)],
 ) -> Result<MergedShards, MergeError> {
@@ -528,13 +400,6 @@ pub fn merge_reports(
                 worker: worker.clone(),
                 expected: format!("{} k={k} shards={shards}", kind.name()),
                 got: format!("{} k={} shards={}", report.bench, report.k, report.shards),
-            });
-        }
-        if report.plan.kind != plan_kind {
-            return Err(MergeError::PlanMismatch {
-                worker: worker.clone(),
-                expected: plan_kind.to_owned(),
-                got: report.plan.kind.clone(),
             });
         }
         if report.shard >= shards {
@@ -619,15 +484,14 @@ pub struct ShardRow {
     bench: String,
     k: usize,
     shards: usize,
-    plan: PlanSpec,
     inst: BenchInstance,
 }
 
 impl ShardRow {
-    /// The row `bench k=K` split into `shards` shards under `plan`, on the
-    /// worker's own copy `inst` of the instance.
-    pub fn new(bench: &str, k: usize, shards: usize, plan: PlanSpec, inst: BenchInstance) -> Self {
-        ShardRow { bench: bench.to_owned(), k, shards, plan, inst }
+    /// The row `bench k=K` split into `shards` shards, on the worker's own
+    /// copy `inst` of the instance.
+    pub fn new(bench: &str, k: usize, shards: usize, inst: BenchInstance) -> Self {
+        ShardRow { bench: bench.to_owned(), k, shards, inst }
     }
 
     /// Documented fault injection: replaces the interface of the node named
@@ -691,6 +555,12 @@ impl ShardRow {
 mod tests {
     use super::*;
     use crate::runner::{fattree_instance, SweepOptions};
+    use timepiece_sched::ShardPlan;
+
+    /// The fleet's plan: the fattree's node classes, striped.
+    fn striped(topology: &Topology, shards: usize) -> ShardPlan {
+        ShardPlan::by_class(topology.nodes(), shards, |v| topology.node_class(v))
+    }
 
     fn sample_report(shard: usize, shards: usize) -> ShardReport {
         ShardReport {
@@ -699,7 +569,6 @@ mod tests {
             k: 4,
             shard,
             shards,
-            plan: PlanSpec::striped(),
             assigned: vec!["core-0".to_owned(), "edge-1-0".to_owned()],
             durations: vec![("core-0".to_owned(), 0.25), ("edge-1-0".to_owned(), 0.125)],
             failures: vec![ShardFailure {
@@ -717,15 +586,14 @@ mod tests {
     fn striped_shard(shard: usize, shards: usize) -> ShardReport {
         let kind = BenchKind::parse("SpReach").unwrap();
         let inst = fattree_instance(kind, 4);
-        let (plan, spec, _) = plan_row(inst.network.topology(), shards, &PlanChoice::Striped);
-        let names: Vec<String> = plan
+        let names: Vec<String> = striped(inst.network.topology(), shards)
             .nodes_of(shard)
             .iter()
             .map(|&v| inst.network.topology().name(v).to_owned())
             .collect();
         let names: Vec<&str> = names.iter().map(String::as_str).collect();
         let mut pool = CheckerPool::new(1, SweepOptions::default().check_options());
-        ShardRow::new(kind.name(), 4, shards, spec, inst)
+        ShardRow::new(kind.name(), 4, shards, inst)
             .check(&mut pool, shard, &names)
             .expect("SpReach k=4 encodes")
     }
@@ -734,33 +602,12 @@ mod tests {
     fn striped_plans_are_deterministic_and_cover_the_fattree() {
         let inst = fattree_instance(BenchKind::parse("ApReach").unwrap(), 4);
         let g = inst.network.topology();
-        let (a, spec, _) = plan_row(g, 3, &PlanChoice::Striped);
-        let (b, _, _) = plan_row(g, 3, &PlanChoice::Striped);
+        let (a, b) = (striped(g, 3), striped(g, 3));
         assert_eq!(a, b);
-        assert_eq!(spec, PlanSpec::striped());
         assert!(a.covers(g.nodes()));
         // class striping balances shard sizes within one node
         let sizes: Vec<usize> = (0..3).map(|s| a.nodes_of(s).len()).collect();
         assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1, "{sizes:?}");
-    }
-
-    #[test]
-    fn plan_row_adaptive_covers_and_records_the_model() {
-        let inst = fattree_instance(BenchKind::parse("SpReach").unwrap(), 4);
-        let g = inst.network.topology();
-        let model = CostModel::fit(
-            [("core".to_owned(), 2.0), ("agg".to_owned(), 1.0), ("edge".to_owned(), 0.5)],
-            ["h1".to_owned()],
-        );
-        let (plan, spec, predicted) = plan_row(g, 3, &PlanChoice::Adaptive(model));
-        assert!(plan.covers(g.nodes()));
-        assert_eq!(spec.kind, "adaptive");
-        assert_eq!(spec.sources, ["h1".to_owned()]);
-        assert_eq!(spec.class_costs.len(), 3);
-        assert_eq!(predicted.len(), 3);
-        // round-trip the spec as it travels to workers
-        let parsed = PlanSpec::from_json(&Json::parse(&spec.to_json().to_string()).unwrap());
-        assert_eq!(parsed.unwrap(), spec);
     }
 
     #[test]
@@ -779,7 +626,6 @@ mod tests {
             k: 4,
             shard: 0,
             shards: 2,
-            plan: PlanSpec::striped(),
             assigned: vec!["core-0".to_owned()],
             durations: vec![("core-0".to_owned(), 0.25)],
             failures: vec![],
@@ -817,11 +663,9 @@ mod tests {
         let mut report = sample_report(0, 1);
         report.trace = None;
         let Json::Obj(pairs) = report.to_json() else { panic!("report is an object") };
-        let stripped =
-            Json::Obj(pairs.into_iter().filter(|(k, _)| k != "version" && k != "plan").collect());
+        let stripped = Json::Obj(pairs.into_iter().filter(|(k, _)| k != "version").collect());
         let parsed = ShardReport::from_json(&stripped).unwrap();
         assert_eq!(parsed.version, 0);
-        assert_eq!(parsed.plan, PlanSpec::striped());
     }
 
     #[test]
@@ -832,7 +676,6 @@ mod tests {
         assert_eq!(report.durations.len(), report.assigned.len());
         assert!(report.failures.is_empty(), "SpReach k=4 verifies");
         assert_eq!(report.version, PROTOCOL_VERSION);
-        assert_eq!(report.plan, PlanSpec::striped());
         // the two shards of a 20-node fattree split 10/10
         assert_eq!(report.assigned.len(), 10);
     }
@@ -858,7 +701,7 @@ mod tests {
         #[test]
         fn honest_reports_merge() {
             let reports = good_pair();
-            let merged = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap();
+            let merged = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap();
             assert!(merged.verified && !merged.timed_out);
             assert_eq!(merged.durations.len(), 20);
             assert_eq!(merged.shard_secs.len(), 2);
@@ -884,7 +727,7 @@ mod tests {
         fn wrong_shard_count_names_the_worker() {
             let mut reports = good_pair();
             reports[1].1.shards = 3;
-            let err = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap_err();
+            let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
             assert!(
                 matches!(&err, MergeError::WrongInstance { worker, .. } if worker == "w1"),
                 "{err}"
@@ -898,7 +741,7 @@ mod tests {
             reports[1].1.shard = 0;
             reports[1].1.assigned = reports[0].1.assigned.clone();
             reports[1].1.durations = reports[0].1.durations.clone();
-            let err = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap_err();
+            let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
             assert_eq!(
                 err,
                 MergeError::DuplicateShard {
@@ -911,34 +754,51 @@ mod tests {
         }
 
         #[test]
-        fn version_and_plan_mismatches_are_typed() {
+        fn version_mismatches_are_typed() {
             let mut reports = good_pair();
             reports[0].1.version = PROTOCOL_VERSION + 1;
-            let err = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap_err();
+            let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
             assert!(
                 matches!(&err, MergeError::VersionMismatch { worker, .. } if worker == "w0"),
                 "{err}"
             );
 
+            // a v1 peer still sends the plan spec v2 dropped: its report is
+            // refused by version, not misparsed…
+            let plan = r#"{"kind":"adaptive","class_costs":[["core",8.0]],"sources":["dump"]}"#;
             let mut reports = good_pair();
-            reports[1].1.plan.kind = "adaptive".to_owned();
-            let err = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap_err();
-            assert!(
-                matches!(&err, MergeError::PlanMismatch { worker, .. } if worker == "w1"),
+            let Json::Obj(mut pairs) = reports[1].1.to_json() else { panic!("an object") };
+            pairs.retain(|(key, _)| key != "version");
+            pairs.push(("version".to_owned(), Json::from(1usize)));
+            pairs.push(("plan".to_owned(), Json::parse(plan).unwrap()));
+            reports[1].1 = ShardReport::from_json(&Json::Obj(pairs)).expect("v1 shape parses");
+            let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
+            assert_eq!(
+                err,
+                MergeError::VersionMismatch {
+                    worker: "w1".to_owned(),
+                    expected: PROTOCOL_VERSION,
+                    got: 1
+                },
                 "{err}"
             );
+            // …and so is its hello, before a worker builds anything
+            let hello = format!(
+                r#"{{"type":"hello","version":1,"bench":"SpReach","k":4,"shards":2,"plan":{plan}}}"#
+            );
+            let err = crate::dist::hello_row(&Json::parse(&hello).unwrap()).unwrap_err();
+            assert!(err.contains("protocol version 1"), "{err}");
         }
 
         #[test]
         fn missing_out_of_range_and_skipped_shards_are_typed() {
             let reports = good_pair();
-            let err =
-                merge_reports(kind(), 4, 2, "striped", &topology(), &reports[..1]).unwrap_err();
+            let err = merge_reports(kind(), 4, 2, &topology(), &reports[..1]).unwrap_err();
             assert_eq!(err, MergeError::MissingShards { shards: vec![1] }, "{err}");
 
             let mut reports = good_pair();
             reports[1].1.shard = 7;
-            let err = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap_err();
+            let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
             assert!(
                 matches!(&err, MergeError::ShardOutOfRange { worker, shard: 7, .. } if worker == "w1"),
                 "{err}"
@@ -946,7 +806,7 @@ mod tests {
 
             let mut reports = good_pair();
             reports[0].1.durations.pop();
-            let err = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap_err();
+            let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
             assert!(
                 matches!(&err, MergeError::SkippedNodes { worker, shard: 0 } if worker == "w0"),
                 "{err}"
@@ -960,14 +820,14 @@ mod tests {
             let stolen = reports[0].1.assigned[0].clone();
             reports[1].1.assigned.push(stolen.clone());
             reports[1].1.durations.push((stolen, 0.01));
-            let err = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap_err();
+            let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
             assert!(matches!(&err, MergeError::Coverage { .. }), "{err}");
 
             let mut reports = good_pair();
             // a node silently dropped from the plan
             reports[1].1.assigned.pop();
             reports[1].1.durations.pop();
-            let err = merge_reports(kind(), 4, 2, "striped", &topology(), &reports).unwrap_err();
+            let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
             assert!(matches!(&err, MergeError::Coverage { .. }), "{err}");
         }
     }

@@ -1,6 +1,6 @@
 //! End-to-end tests of the scenario registry's CLI surface: registry-added
 //! benchmarks sweep through `fig14`/`--json` like the paper's eight, unknown
-//! names print the registered list, and `trend` ingests accumulated dumps.
+//! names print the registered list, and the usage text is the dispatch table.
 
 use std::process::Command;
 
@@ -56,48 +56,53 @@ fn bench_names_parse_case_insensitively() {
     assert!(text.contains("SpMed") && text.contains("ApMed"), "{text}");
 }
 
-#[test]
-fn trend_prints_trajectories_over_dumps() {
-    let dir = std::env::temp_dir();
-    let old = dir.join(format!("timepiece-trend-old-{}.json", std::process::id()));
-    let new = dir.join(format!("timepiece-trend-new-{}.json", std::process::id()));
-    std::fs::write(
-        &old,
-        r#"{"timeout_secs":60,"shards":1,"rows":[
-            {"bench":"SpReach","figure":"14a","k":4,"nodes":20,
-             "tp":{"outcome":"verified","wall_secs":4.0},"ms":null}]}"#,
-    )
-    .unwrap();
-    std::fs::write(
-        &new,
-        r#"{"timeout_secs":60,"shards":1,"rows":[
-            {"bench":"SpReach","figure":"14a","k":4,"nodes":20,
-             "tp":{"outcome":"verified","wall_secs":2.0},"ms":null}]}"#,
-    )
-    .unwrap();
-    let out = repro()
-        .args(["trend", old.to_str().unwrap(), new.to_str().unwrap()])
-        .output()
-        .expect("repro runs");
-    std::fs::remove_file(&old).ok();
-    std::fs::remove_file(&new).ok();
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("SpReach"), "{text}");
-    assert!(text.contains("4.00s") && text.contains("2.00s"), "{text}");
-    assert!(text.contains("2.00x"), "end-to-end speedup column: {text}");
+/// The names listed in one section of the usage text (first word of every
+/// non-continuation line between `header` and the next blank line).
+fn usage_section(usage: &str, header: &str) -> Vec<String> {
+    let (_, section) = usage.split_once(header).expect("the usage has the section");
+    section
+        .lines()
+        .skip(1)
+        .take_while(|line| !line.is_empty())
+        .filter(|line| !line.starts_with("   "))
+        .map(|line| line.split_whitespace().next().unwrap().to_owned())
+        .collect()
 }
 
 #[test]
-fn trend_rejects_missing_and_malformed_dumps() {
-    let out = repro().args(["trend"]).output().expect("repro runs");
-    assert_eq!(out.status.code(), Some(2), "no paths is a usage error");
-    let out = repro().args(["trend", "/nonexistent/rows.json"]).output().expect("repro runs");
+fn the_usage_lists_exactly_what_dispatches_and_parses() {
+    let out = repro().args(["no-such-subcommand"]).output().expect("repro runs");
     assert_eq!(out.status.code(), Some(2));
-    let bad = std::env::temp_dir().join(format!("timepiece-trend-bad-{}.json", std::process::id()));
-    std::fs::write(&bad, "not json").unwrap();
-    let out = repro().args(["trend", bad.to_str().unwrap()]).output().expect("repro runs");
-    std::fs::remove_file(&bad).ok();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("malformed"));
+    let usage = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(usage.contains("unknown subcommand \"no-such-subcommand\""), "{usage}");
+
+    // every listed subcommand is known to the dispatcher: it gets as far as
+    // refusing the flag, without running anything
+    let commands = usage_section(&usage, "subcommands:");
+    assert_eq!(commands.len(), 19, "{commands:?}");
+    for name in &commands {
+        assert_eq!(commands.iter().filter(|c| *c == name).count(), 1, "{name} listed once");
+        let out = repro().args([name.as_str(), "--no-such-flag"]).output().expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(stderr.contains("unknown flag \"--no-such-flag\""), "{name}: {stderr}");
+    }
+    let flags = usage_section(&usage, "flags:");
+    assert_eq!(flags.len(), 25, "{flags:?}");
+
+    // what tpbench and the steal scheduler replaced is gone, not hidden
+    for gone in ["plan", "soak", "trend", "arena"] {
+        assert!(!commands.iter().any(|c| c == gone), "{gone} is still listed");
+        let out = repro().args([gone]).output().expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{gone}: {stderr}");
+        assert!(stderr.contains("unknown subcommand"), "{gone}: {stderr}");
+    }
+    for gone in ["--plan", "--history", "--plan-spec", "--clients", "--deltas"] {
+        assert!(!flags.iter().any(|f| f == gone), "{gone} is still listed");
+        let out = repro().args(["fig14", gone, "1"]).output().expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{gone}: {stderr}");
+        assert!(stderr.contains("unknown flag"), "{gone}: {stderr}");
+    }
 }

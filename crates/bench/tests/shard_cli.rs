@@ -6,11 +6,11 @@ use std::path::Path;
 use std::process::Command;
 
 use timepiece_bench::{
-    fattree_instance, plan_row, run_row_distributed, BenchKind, DistError, DistOptions, LocalFleet,
-    PlanChoice, ShardReport, ShardRow, SweepOptions,
+    fattree_instance, run_row_distributed, BenchKind, DistError, DistOptions, LocalFleet,
+    ShardReport, ShardRow, SweepOptions,
 };
 use timepiece_core::sweep::CheckerPool;
-use timepiece_sched::Json;
+use timepiece_sched::{Json, ShardPlan};
 
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 
@@ -85,77 +85,49 @@ fn sharded_fig14_merges_reports_and_writes_json_rows() {
 }
 
 #[test]
-fn shard_worker_replays_an_explicit_node_list() {
-    // the deterministic-replay contract: any shard reruns from its report's
-    // recorded plan spec and assigned node list alone
-    let spec =
-        r#"{"kind":"adaptive","class_costs":[["core",8.0],["edge",1.0]],"sources":["older-dump"]}"#;
-    let nodes = "core-0,edge-0-0,edge-1-1";
-    let out = repro()
-        .args(["shard-worker", "--bench", "SpReach", "--k", "4", "--shard", "0", "--shards", "3"])
-        .args(["--nodes", nodes, "--plan-spec", spec])
-        .output()
-        .expect("repro runs");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8(out.stdout).unwrap();
-    let report = ShardReport::from_json(&Json::parse(&text).expect("valid JSON")).unwrap();
-    assert_eq!(report.bench, "SpReach");
-    assert_eq!((report.k, report.shard, report.shards), (4, 0, 3));
-    assert_eq!(report.assigned, ["core-0", "edge-0-0", "edge-1-1"]);
-    assert_eq!(report.durations.len(), 3, "exactly the explicit nodes are checked");
-    assert_eq!(report.plan.kind, "adaptive");
-    assert_eq!(report.plan.class_costs, [("core".to_owned(), 8.0), ("edge".to_owned(), 1.0)]);
-    assert_eq!(report.plan.sources, ["older-dump"]);
-    assert!(report.failures.is_empty(), "SpReach k=4 verifies");
-
-    let out = repro()
-        .args(["shard-worker", "--bench", "SpReach", "--k", "4", "--shard", "0", "--shards", "3"])
-        .args(["--nodes", "core-0,no-such-node"])
-        .output()
-        .expect("repro runs");
-    assert!(!out.status.success(), "unknown node names must be a usage error");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("no-such-node"), "stderr: {stderr}");
-
-    // there is no plan to fall back on: a replay names its nodes
-    let out = repro()
-        .args(["shard-worker", "--bench", "SpReach", "--k", "4", "--shard", "1", "--shards", "2"])
-        .output()
-        .expect("repro runs");
-    assert_eq!(out.status.code(), Some(2), "--nodes is required");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("requires --nodes"));
-}
-
-#[test]
 fn a_recorded_shard_replays_to_the_same_nodes_and_verdicts() {
     // shard 1 of 2 the way a fleet worker reports it
     let kind = BenchKind::parse("SpReach").unwrap();
     let inst = fattree_instance(kind, 4);
-    let (plan, spec, _) = plan_row(inst.network.topology(), 2, &PlanChoice::Striped);
+    let topology = inst.network.topology();
+    let plan = ShardPlan::by_class(topology.nodes(), 2, |v| topology.node_class(v));
     let names: Vec<String> =
-        plan.nodes_of(1).iter().map(|&v| inst.network.topology().name(v).to_owned()).collect();
+        plan.nodes_of(1).iter().map(|&v| topology.name(v).to_owned()).collect();
     let names: Vec<&str> = names.iter().map(String::as_str).collect();
     let mut pool = CheckerPool::new(1, SweepOptions::default().check_options());
-    let row = ShardRow::new(kind.name(), 4, 2, spec, inst);
+    let row = ShardRow::new(kind.name(), 4, 2, inst);
     let recorded = row.check(&mut pool, 1, &names).expect("encodes");
     assert_eq!(recorded.assigned.len(), 10, "half of the 20-node fattree");
     assert!(recorded.failures.is_empty(), "SpReach k=4 verifies");
 
+    // the deterministic-replay contract: the shard reruns from its report's
+    // assigned node list alone
+    let replay =
+        ["shard-worker", "--bench", "SpReach", "--k", "4", "--shard", "1", "--shards", "2"];
     let out = repro()
-        .args(["shard-worker", "--bench", "SpReach", "--k", "4", "--shard", "1", "--shards", "2"])
+        .args(replay)
         .args(["--nodes", &recorded.assigned.join(",")])
-        .args(["--plan-spec", &recorded.plan.to_json().to_string()])
         .output()
         .expect("repro runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).unwrap();
     let replayed = ShardReport::from_json(&Json::parse(&text).expect("valid JSON")).unwrap();
+    assert_eq!(replayed.bench, "SpReach");
     assert_eq!(replayed.assigned, recorded.assigned);
     assert_eq!(replayed.failures, recorded.failures);
-    assert_eq!(replayed.plan, recorded.plan);
-    assert_eq!((replayed.shard, replayed.shards), (recorded.shard, recorded.shards));
+    assert_eq!((replayed.k, replayed.shard, replayed.shards), (4, recorded.shard, recorded.shards));
     let checked = |r: &ShardReport| r.durations.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
-    assert_eq!(checked(&replayed), checked(&recorded));
+    assert_eq!(checked(&replayed), checked(&recorded), "exactly the named nodes are checked");
+
+    let out = repro().args(replay).args(["--nodes", "core-0,no-such-node"]).output().unwrap();
+    assert!(!out.status.success(), "unknown node names must be rejected");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("no-such-node"), "stderr: {stderr}");
+
+    // there is no plan to fall back on: a replay names its nodes
+    let out = repro().args(replay).output().expect("repro runs");
+    assert_eq!(out.status.code(), Some(2), "--nodes is required");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("requires --nodes"));
 }
 
 #[test]
@@ -258,16 +230,8 @@ fn a_fleet_with_no_survivor_is_a_typed_error_and_leaves_no_worker_behind() {
     let options = SweepOptions { run_monolithic: false, ..SweepOptions::default() };
     let fleet = LocalFleet::spawn(Path::new(REPRO), 1, Some(0)).expect("one loopback worker");
     let addr = fleet.addrs()[0].clone();
-    let err = run_row_distributed(
-        kind,
-        4,
-        &options,
-        1,
-        fleet.addrs(),
-        &PlanChoice::Striped,
-        &DistOptions::default(),
-    )
-    .unwrap_err();
+    let err = run_row_distributed(kind, 4, &options, 1, fleet.addrs(), &DistOptions::default())
+        .unwrap_err();
     assert!(matches!(&err, DistError::Worker { worker, .. } if *worker == addr), "{err}");
     assert!(err.to_string().contains(&addr), "{err}");
     drop(fleet);
@@ -286,18 +250,17 @@ fn a_fleet_with_no_survivor_is_a_typed_error_and_leaves_no_worker_behind() {
 }
 
 #[test]
-fn plan_subcommand_prints_both_planners() {
+fn a_failed_run_prints_its_error_without_the_usage_and_exits_1() {
+    // nothing listens on port 1: the command line is fine, the run is not
     let out = repro()
-        .args(["plan", "--bench", "SpReach", "--k", "4", "--shards", "2"])
+        .args(["fig14", "--bench", "spreach", "--ks", "4", "--no-ms", "--workers", "127.0.0.1:1"])
         .output()
         .expect("repro runs");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("20 nodes over 2 shards"), "{text}");
-    assert!(text.contains("cost model: uniform"), "{text}");
-    assert!(text.contains("--- striped plan"), "{text}");
-    assert!(text.contains("--- adaptive plan"), "{text}");
-    assert!(text.contains("core-0"), "plans list nodes by name: {text}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a run-time failure is not a usage error: {stderr}");
+    assert!(stderr.contains("error: SpReach k=4: no workers reachable"), "{stderr}");
+    assert!(stderr.contains("127.0.0.1:1"), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
 }
 
 #[test]
@@ -313,10 +276,16 @@ fn shard_worker_rejects_bad_arguments() {
 
 #[test]
 fn ks_flag_rejects_invalid_fattree_parameters() {
-    for bad in ["3", "0", "4,7"] {
-        let out = repro().args(["fig14", "--ks", bad]).output().expect("repro runs");
-        assert_eq!(out.status.code(), Some(2), "--ks {bad} must be a usage error");
+    // a --max-k below the first grid point (4) would sweep nothing
+    for (flag, bad, why) in [
+        ("--ks", "3", "even and >= 2"),
+        ("--ks", "0", "even and >= 2"),
+        ("--ks", "4,7", "even and >= 2"),
+        ("--max-k", "2", "grid starts at k = 4"),
+    ] {
+        let out = repro().args(["fig14", flag, bad]).output().expect("repro runs");
+        assert_eq!(out.status.code(), Some(2), "{flag} {bad} must be a usage error");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("even and >= 2"), "stderr for {bad}: {stderr}");
+        assert!(stderr.contains(why), "stderr for {flag} {bad}: {stderr}");
     }
 }

@@ -23,7 +23,7 @@
 //!   drain on `shutdown` or SIGTERM (in-flight solver calls are interrupted
 //!   through [`timepiece_sched::CancelToken`] hooks);
 //! * [`mod@client`] — a minimal blocking client, used by `repro ask` and
-//!   the soak harness;
+//!   tpbench's `serve-edits` workload;
 //! * [`mod@fixture`] — small self-contained instances for tests and smoke
 //!   runs.
 //!

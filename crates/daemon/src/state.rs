@@ -13,7 +13,7 @@
 //! delta costs what its cone costs, not what the network costs.
 //!
 //! The handler is transport-agnostic — it maps a parsed
-//! [`Request`] to a response [`Json`] — so the TCP server, the soak harness
+//! [`Request`] to a response [`Json`] — so the TCP server, the benchmark
 //! and the equivalence tests all drive the same code.
 
 use std::borrow::Cow;

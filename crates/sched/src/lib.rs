@@ -20,10 +20,10 @@
 //!   node set by symmetry class, computed by the coordinator of a worker
 //!   fleet (`repro worker` processes on loopback ports or on other hosts)
 //!   and sent to it shard by shard, plus the [`Json`] value type the shard
-//!   reports travel in. The [`cost`] module upgrades striped plans to
-//!   cost-adaptive ones: a per-class [`CostModel`] (fit from measured
-//!   sweep history) drives LPT bin packing so every shard carries the same
-//!   *predicted seconds*, not just the same node count.
+//!   reports travel in. Striping is the only planner: it evens out the
+//!   class *mix*, and whatever imbalance is left (within-class variance no
+//!   model predicted — EXPERIMENTS.md "PR 9") is absorbed at run time by
+//!   the coordinator's steal-half of whole shards and each worker's [`Pool`].
 //!
 //! The scheduler is deliberately independent of SMT types: tasks are any
 //! `Send` values, per-worker state is any type, and cancellation hooks are
@@ -65,7 +65,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cancel;
-pub mod cost;
 pub mod pool;
 pub mod queue;
 pub mod shard;
@@ -77,7 +76,6 @@ pub mod shard;
 pub use timepiece_trace::json;
 
 pub use cancel::CancelToken;
-pub use cost::{plan_adaptive, CostModel, CostedPlan};
 pub use json::{Json, JsonError};
 pub use pool::{Job, Pool, PoolError, SchedOutcome, SchedStats};
 pub use queue::StealQueue;

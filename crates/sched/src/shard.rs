@@ -69,14 +69,6 @@ impl ShardPlan {
         plan
     }
 
-    /// A plan from an explicit partition, e.g. one computed by the
-    /// cost-adaptive planner ([`crate::cost::plan_adaptive`]) or received
-    /// over a coordinator protocol. The caller is responsible for the
-    /// partition property; [`ShardPlan::covers`] checks it.
-    pub fn from_shards(shards: Vec<Vec<NodeId>>) -> ShardPlan {
-        ShardPlan { shards }
-    }
-
     /// The number of shards planned.
     pub fn shard_count(&self) -> usize {
         self.shards.len()

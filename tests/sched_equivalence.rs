@@ -11,7 +11,6 @@ use timepiece::core::check::{CheckOptions, CheckReport, ModularChecker};
 use timepiece::core::{NodeAnnotations, Temporal};
 use timepiece::nets::reach::ReachBench;
 use timepiece::nets::BenchInstance;
-use timepiece::sched::cost::{cost_striped, plan_adaptive, CostModel};
 use timepiece::sched::ShardPlan;
 
 /// SpReach k=4 (20 nodes) with the nodes selected by `mask` sabotaged to
@@ -82,52 +81,30 @@ proptest! {
     // pure planning, no solver: cheap enough for a wider net
     #![proptest_config(ProptestConfig { cases: 32, rng_seed: 0x5ced_0002 })]
 
-    // Both planners must partition the node set — every node in exactly one
-    // shard — for any shard count and any (positive) per-class cost model.
+    // The striped plan must partition the node set — every node in exactly
+    // one shard — for any shard count, including more shards than nodes
+    // (k=4 has 20 nodes, k=6 has 45).
     #[test]
-    fn striped_and_adaptive_plans_partition_the_nodes(
-        half_k in 2usize..4,
-        shards in 1usize..8,
-        core in 1u32..300,
-        aggregation in 1u32..300,
-        edge in 1u32..300,
-    ) {
+    fn striped_plans_partition_the_nodes(half_k in 2usize..4, shards in 1usize..64) {
         let k = 2 * half_k; // fattree parameter must be even: k in {4, 6}
         let inst = ReachBench::single_dest(k, 0).build();
         let topology = inst.network.topology();
-        let class = |v| topology.node_class(v).to_owned();
-        // costs in deci-seconds: the shimmed proptest has no float ranges
-        let model = CostModel::fit(
-            [
-                ("core".to_owned(), f64::from(core) / 10.0),
-                ("agg".to_owned(), f64::from(aggregation) / 10.0),
-                ("edge".to_owned(), f64::from(edge) / 10.0),
-            ],
-            ["property".to_owned()],
-        );
-        for costed in [
-            cost_striped(topology.nodes(), shards, class, &CostModel::uniform()),
-            plan_adaptive(topology.nodes(), shards, class, &model),
-        ] {
-            prop_assert_eq!(costed.plan.shard_count(), shards);
-            prop_assert_eq!(costed.predicted.len(), shards);
-            prop_assert!(costed.plan.covers(topology.nodes()));
-            let assigned: usize =
-                (0..shards).map(|s| costed.plan.nodes_of(s).len()).sum();
-            prop_assert_eq!(assigned, topology.node_count());
-        }
+        let plan = ShardPlan::by_class(topology.nodes(), shards, |v| topology.node_class(v));
+        prop_assert_eq!(plan.shard_count(), shards);
+        prop_assert!(plan.covers(topology.nodes()));
+        let assigned: usize = (0..shards).map(|s| plan.nodes_of(s).len()).sum();
+        prop_assert_eq!(assigned, topology.node_count());
     }
 }
 
 /// The full wire drill: a coordinator and two loopback TCP workers must
 /// reproduce exactly the failing-node set of a single-process check on the
-/// same sabotaged instance — under the striped plan and under an adaptive
-/// plan whose skewed cost model forces uneven shards.
+/// same sabotaged instance.
 #[test]
 fn tcp_loopback_distributed_matches_single_process() {
     use timepiece_bench::{
-        run_row_distributed, run_worker, BenchKind, DistOptions, PlanChoice, SweepOptions,
-        WorkerExit, WorkerOptions,
+        run_row_distributed, run_worker, BenchKind, DistOptions, SweepOptions, WorkerExit,
+        WorkerOptions,
     };
 
     let mask = 0b0010_0100_1001u32;
@@ -146,15 +123,16 @@ fn tcp_loopback_distributed_matches_single_process() {
         .map(|v| topology.name(v).to_owned())
         .collect();
 
-    // two real TCP workers on ephemeral loopback ports, serving one session
-    // per distributed row below, then exiting via the session backstop
+    // two real TCP workers on ephemeral loopback ports, serving the one
+    // session of the distributed row below, then exiting via the session
+    // backstop
     let mut addrs = Vec::new();
     let mut handles = Vec::new();
     for _ in 0..2 {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         addrs.push(listener.local_addr().expect("local addr").to_string());
         handles.push(std::thread::spawn(move || {
-            run_worker(listener, &WorkerOptions { max_sessions: Some(2), die_after: None })
+            run_worker(listener, &WorkerOptions { max_sessions: Some(1), die_after: None })
                 .expect("worker io")
         }));
     }
@@ -166,17 +144,11 @@ fn tcp_loopback_distributed_matches_single_process() {
         threads: Some(1),
     };
     let dist = DistOptions { sabotage, ..DistOptions::default() };
-    let skewed = CostModel::fit(
-        [("core".to_owned(), 8.0), ("agg".to_owned(), 2.0), ("edge".to_owned(), 1.0)],
-        ["loopback-test".to_owned()],
-    );
-    for choice in [PlanChoice::Striped, PlanChoice::Adaptive(skewed)] {
-        let row = run_row_distributed(kind, 4, &options, 3, &addrs, &choice, &dist)
-            .expect("distributed row completes");
-        let got: BTreeSet<String> = row.failing.iter().cloned().collect();
-        assert_eq!(got, expected, "TCP workers must reproduce the single-process verdict");
-        assert_eq!(row.tp.outcome(), "failed", "a sabotaged row must not verify");
-    }
+    let row = run_row_distributed(kind, 4, &options, 3, &addrs, &dist)
+        .expect("distributed row completes");
+    let got: BTreeSet<String> = row.failing.iter().cloned().collect();
+    assert_eq!(got, expected, "TCP workers must reproduce the single-process verdict");
+    assert_eq!(row.tp.outcome(), "failed", "a sabotaged row must not verify");
     for handle in handles {
         assert_eq!(handle.join().expect("worker thread"), WorkerExit::SessionLimit);
     }
