@@ -16,12 +16,12 @@
 //! repro keyideas
 //! repro infer     [--bench reach|len|all] [--max-k N] [--no-roles] [--trace PATH]
 //! repro profile   [--bench NAME|all] [--max-k N | --ks 4,6,8] [--timeout-secs S]
-//! repro serve     [--bench NAME | --scenario-file PATH] [--k K] [--port P]
-//!                 [--timeout-secs S] [--threads T]
+//! repro serve     [--bench NAME | --scenario-file PATH] [--k K]
+//!                 [--port P | --listen HOST:PORT] [--timeout-secs S]
+//!                 [--threads T] [--die-after N]
 //! repro ask       [--port P] [--request JSON]
-//! repro worker    [--listen HOST:PORT] [--die-after N]
-//! repro shard-worker --bench NAME --k K --shard I --shards N
-//!                 --nodes a,b,...  (replay one shard)
+//! repro shard-worker --bench NAME --k K --shard I --nodes a,b,...
+//!                 (replay one shard)
 //! repro fuzz      [--cases N] [--seed S] [--out DIR] [--steps N]
 //! repro check     --scenario-file PATH [--steps N] [--timeout-secs S]
 //! repro export    --bench NAME [--k K] [--out PATH]
@@ -43,11 +43,12 @@
 //! smaller `k`.
 //!
 //! With `--shards N` or `--workers host:port,...` the sweep runs on a
-//! *fleet*: each row's shards are dispatched over TCP to `repro worker`
-//! processes, with heartbeat liveness, dead-worker reassignment and batched
+//! *fleet*: each row's shards are dispatched over TCP to `timepieced`
+//! processes (`repro serve --listen ADDR`, started with nothing loaded),
+//! with heartbeat liveness, dead-worker reassignment and batched
 //! cross-worker stealing, and the merged reports must cover every node.
-//! `--shards N` alone starts `N` workers on loopback ports for the length
-//! of the sweep; `--workers` names workers anywhere, and `--shards` then
+//! `--shards N` alone starts `N` of them on loopback ports for the length
+//! of the sweep; `--workers` names daemons anywhere, and `--shards` then
 //! defaults to 4x the worker count so the steal scheduler has batches to
 //! move. Workers keep their solver sessions from row to row. Shards are
 //! striped by node class; stealing evens out the rest while the row runs.
@@ -63,9 +64,11 @@
 //! and the slowest nodes.
 //!
 //! `repro serve` starts `timepieced` — the verification daemon of
-//! `timepiece-daemon` — on one warm instance; `repro ask` sends it a single
-//! request. Load on the daemon is tpbench's job
-//! (`bash benchmark/run.sh --workload serve-edits`).
+//! `timepiece-daemon`, and the one server there is — warm on one instance
+//! (`--bench`/`--scenario-file`) or with nothing loaded, which is what a
+//! fleet worker is: a client's `load` request installs the instance to
+//! check. `repro ask` sends it a single request. Load on the daemon is
+//! tpbench's job (`bash benchmark/run.sh --workload serve-edits`).
 //!
 //! A mistyped command line prints the usage and exits 2; a run that was
 //! started and failed prints its one `error:` line and exits 1.
@@ -73,14 +76,17 @@
 use std::time::Duration;
 
 use timepiece_bench::{
-    fattree_instance, halt_workers, loc, run_row, run_row_distributed, run_worker, BenchKind,
-    DistOptions, LocalFleet, Row, ShardRow, SweepOptions, WorkerExit, WorkerOptions,
+    fattree_instance, load_instance, loc, run_row, run_row_distributed, shut_down, BenchKind,
+    DistOptions, LocalFleet, Row, SweepOptions,
 };
 use timepiece_core::check::{CheckOptions, ModularChecker};
 use timepiece_core::monolithic::check_monolithic;
 use timepiece_core::strawperson::check_strawperson;
 use timepiece_core::sweep::CheckerPool;
-use timepiece_daemon::{serve, spawn_sigterm_watcher, Client, DaemonState, Request};
+use timepiece_daemon::{
+    serve, spawn_sigterm_watcher, Client, DaemonState, Load, LoadSource, NodeCheck, Request,
+    PROTOCOL_VERSION,
+};
 use timepiece_expr::Env;
 use timepiece_nets::example::{RunningExample, EXTERNAL_ROUTE_VAR};
 use timepiece_nets::ghost;
@@ -107,10 +113,9 @@ static COMMANDS: &[(&str, &str, Command)] = &[
     ("keyideas", "the Figs. 4-10 demonstrations", keyideas),
     ("infer", "infer interfaces from simulation, verify, compare to hand-written", infer),
     ("profile", "phase-attributed breakdown per sweep row (encode/solve/steal-idle)", profile_cmd),
-    ("serve", "start timepieced: the verification daemon, warm on one instance", serve_cmd),
+    ("serve", "start timepieced: warm on one instance, or empty as a fleet worker", serve_cmd),
     ("ask", "send one NDJSON request to a running timepieced and print the reply", ask_cmd),
-    ("worker", "serve shard checks over TCP until a coordinator sends halt", worker_cmd),
-    ("shard-worker", "replay one recorded shard (--nodes), print its JSON report", shard_worker),
+    ("shard-worker", "replay one recorded shard (--nodes), print the daemon's reply", shard_worker),
     ("fuzz", "differential-fuzz the three policy evaluators, shrink failures", fuzz_cmd),
     ("check", "replay one --scenario-file through every evaluator and the checker", check_cmd),
     ("export", "print a registry scenario as a scenario file (edit and recompile)", export_cmd),
@@ -128,7 +133,7 @@ struct Args {
     peers: usize,
     shards: usize,
     workers: Vec<String>,
-    halt_workers: bool,
+    shut_down: bool,
     listen: Option<String>,
     die_after: Option<usize>,
     nodes: Option<String>,
@@ -136,7 +141,7 @@ struct Args {
     trace: Option<String>,
     k: Option<usize>,
     shard: Option<usize>,
-    port: u16,
+    port: Option<u16>,
     request: Option<String>,
     scenario_file: Option<String>,
     cases: u32,
@@ -158,7 +163,7 @@ impl Default for Args {
             peers: 253,
             shards: 1,
             workers: Vec::new(),
-            halt_workers: false,
+            shut_down: false,
             listen: None,
             die_after: None,
             nodes: None,
@@ -166,7 +171,7 @@ impl Default for Args {
             trace: None,
             k: None,
             shard: None,
-            port: 7171,
+            port: None,
             request: None,
             scenario_file: None,
             cases: 100,
@@ -282,7 +287,7 @@ static FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--shards",
         metavar: "N",
-        help: "(fig1, fig14) check every row in N shards on a fleet of N\nloopback `repro worker`s started for the sweep\n(with --workers: shards per row, default 4x worker count)",
+        help: "(fig1, fig14) check every row in N shards on a fleet of N\nloopback `repro serve`s started empty for the sweep\n(with --workers: shards per row, default 4x worker count)",
         set: |a, f, v| {
             a.shards = typed(f, v, "shard count")?;
             if a.shards == 0 {
@@ -294,7 +299,7 @@ static FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--workers",
         metavar: "LIST",
-        help: "(fig14) dispatch shards over TCP to these comma-separated\n`repro worker` host:port addresses instead of a loopback fleet",
+        help: "(fig14) dispatch shards over TCP to the `repro serve`s at\nthese comma-separated host:port addresses instead of a\nloopback fleet; each is sent the row's instance first",
         set: |a, f, v| {
             a.workers =
                 v.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect();
@@ -307,16 +312,16 @@ static FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--halt-workers",
         metavar: "",
-        help: "(fig14) send halt to every --workers address afterwards",
+        help: "(fig14) send shutdown to every --workers address afterwards",
         set: |a, _, _| {
-            a.halt_workers = true;
+            a.shut_down = true;
             Ok(())
         },
     },
     FlagSpec {
         name: "--listen",
         metavar: "ADDR",
-        help: "(worker) TCP address to bind (default 127.0.0.1:7272)",
+        help: "(serve) TCP address to bind, any interface and port 0\nincluded, instead of 127.0.0.1 --port",
         set: |a, _, v| {
             a.listen = Some(v.to_owned());
             Ok(())
@@ -325,7 +330,7 @@ static FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--die-after",
         metavar: "N",
-        help: "(worker) fault injection: silently drop the connection\nafter N check frames and exit nonzero\n(fig14 --shards: arm it in the first loopback worker)",
+        help: "(serve) fault injection: after N node-list checks hang up\non every client without a word and exit 17\n(fig14 --shards: arm it in the first loopback worker)",
         set: |a, f, v| typed(f, v, "check count").map(|n| a.die_after = Some(n)),
     },
     FlagSpec {
@@ -364,14 +369,14 @@ static FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--shard",
         metavar: "I",
-        help: "(shard-worker) which shard of the plan to check",
+        help: "(shard-worker) the shard tag the replayed reply carries",
         set: |a, f, v| typed(f, v, "shard index").map(|s| a.shard = Some(s)),
     },
     FlagSpec {
         name: "--port",
         metavar: "P",
         help: "(serve, ask) daemon TCP port on 127.0.0.1 (default 7171)",
-        set: |a, f, v| typed(f, v, "TCP port").map(|p| a.port = p),
+        set: |a, f, v| typed(f, v, "TCP port").map(|p| a.port = Some(p)),
     },
     FlagSpec {
         name: "--request",
@@ -596,8 +601,9 @@ fn row_json(kind: BenchKind, row: &Row, shards: usize) -> timepiece_sched::Json 
         ("hit_rate", Json::Num(row.arena.hit_rate())),
         ("dedup_ratio", Json::Num(row.arena.dedup_ratio())),
     ]);
-    // the modular engine's compiled-term cache; pooled sweeps carry hits
-    // over from structurally identical earlier rows
+    // the modular engine's compiled-term cache (summed over the workers for
+    // a fleet row); a pool or fleet that already checked a structurally
+    // identical row carries its hits over
     let terms = row.terms.map_or(Json::Null, |t| {
         Json::obj([
             ("hits", Json::from(t.hits as usize)),
@@ -637,7 +643,7 @@ fn fig1(args: &Args) -> Result<(), String> {
     let fleet = local_fleet(args)?;
     sweep(BenchKind::parse("SpHijack").expect("registered"), args, fleet.as_ref())?;
     if let Some(fleet) = fleet {
-        fleet.halt();
+        fleet.shutdown();
     }
     Ok(())
 }
@@ -885,7 +891,7 @@ fn fig14(args: &Args) -> Result<(), String> {
         }
     }
     if let Some(fleet) = fleet {
-        fleet.halt();
+        fleet.shutdown();
     }
     if let Some(path) = &args.json {
         use timepiece_sched::Json;
@@ -900,8 +906,8 @@ fn fig14(args: &Args) -> Result<(), String> {
     if let Some(path) = &args.trace {
         write_trace(path);
     }
-    if args.halt_workers && !args.workers.is_empty() {
-        for warning in halt_workers(&args.workers) {
+    if args.shut_down && !args.workers.is_empty() {
+        for warning in shut_down(&args.workers) {
             eprintln!("halt: {warning}");
         }
     }
@@ -1008,41 +1014,64 @@ fn one_bench(name: &str) -> BenchKind {
         .unwrap_or_else(|| usage_error(&format!("--bench: {}", unknown_bench(name))))
 }
 
-/// The benchmark `serve` runs when `--bench` is unrestricted: a daemon is
-/// warm on one instance, so it defaults to the canonical reachability one —
-/// or to the `--scenario-file` when one is loaded.
-fn daemon_bench(args: &Args) -> Result<BenchKind, String> {
+/// The instance `serve` starts warm on: the `--scenario-file` when one is
+/// loaded, else the `--bench` that was named — and none at all when neither
+/// was, which is how a fleet worker starts.
+fn daemon_bench(args: &Args) -> Result<Option<BenchKind>, String> {
     match (load_scenario_file(args)?, args.bench.as_str()) {
-        (Some(kind), "all") => Ok(kind),
-        (None, "all") => Ok(one_bench("SpReach")),
-        (_, name) => Ok(one_bench(name)),
+        (file, "all") => Ok(file),
+        (_, name) => Ok(Some(one_bench(name))),
     }
 }
 
-/// The `repro serve` subcommand: start `timepieced` warm on one fattree
-/// instance and serve until `shutdown` or SIGTERM drains it.
-fn serve_cmd(args: &Args) -> Result<(), String> {
-    let kind = daemon_bench(args)?;
-    let k = kind.native_k().or(args.k).unwrap_or(4);
-    let label = format!("{} k={k}", kind.name());
-    eprintln!("compiling {label} and running the warm-up check...");
-    let options = CheckOptions {
+/// The options of a daemon's own checker pool.
+fn daemon_options(args: &Args) -> CheckOptions {
+    CheckOptions {
         timeout: Some(args.timeout),
         threads: args.threads,
         session_cap: Some(64),
         ..CheckOptions::default()
+    }
+}
+
+/// The `repro serve` subcommand: start `timepieced` — warm on one instance,
+/// or empty — and serve until `shutdown` or SIGTERM drains it. `--die-after
+/// N` arms the documented dead-host fault: after N node-list checks the
+/// process hangs up on everyone and exits 17, so the reassignment drill in
+/// CI looks like a crashed host.
+fn serve_cmd(args: &Args) -> Result<(), String> {
+    let listen = match (&args.listen, args.port) {
+        (Some(_), Some(_)) => usage_error("--listen and --port both name the address: give one"),
+        (Some(listen), None) => listen.clone(),
+        (None, port) => format!("127.0.0.1:{}", port.unwrap_or(7171)),
     };
-    let state = DaemonState::new(label, fattree_instance(kind, k), options)
-        .map_err(|e| format!("warm-up check failed: {e}"))?;
-    let listener = std::net::TcpListener::bind(("127.0.0.1", args.port))
-        .map_err(|e| format!("binding 127.0.0.1:{}: {e}", args.port))?;
+    let state = match daemon_bench(args)? {
+        Some(kind) => {
+            let k = kind.native_k().or(args.k).unwrap_or(4);
+            eprintln!("compiling {} and running the warm-up check...", kind.label(k));
+            DaemonState::new(kind.label(k), fattree_instance(kind, k), daemon_options(args))
+                .map_err(|e| format!("warm-up check failed: {e}"))?
+        }
+        None => DaemonState::empty(daemon_options(args)),
+    }
+    .with_loader(load_instance)
+    .die_after(args.die_after);
+    let listener =
+        std::net::TcpListener::bind(&listen).map_err(|e| format!("binding {listen}: {e}"))?;
     let addr = listener.local_addr().map_err(|e| format!("local address: {e}"))?;
-    spawn_sigterm_watcher(state.drain());
-    // the smoke test and scripts wait for this line before connecting
+    let drain = state.drain();
+    spawn_sigterm_watcher(drain.clone());
+    // scripts and `--shards` fleets wait for this line and read the address
+    // off its end before connecting
     println!("timepieced listening on {addr}");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    serve(listener, state).map_err(|e| format!("serve: {e}"))
+    serve(listener, state).map_err(|e| format!("serve: {e}"))?;
+    if drain.died() {
+        eprintln!("timepieced: the --die-after fault fired, exiting uncleanly");
+        std::process::exit(17);
+    }
+    Ok(())
 }
 
 /// The `repro ask` subcommand: one request to a running daemon, reply on
@@ -1052,8 +1081,9 @@ fn ask_cmd(args: &Args) -> Result<(), String> {
         timepiece_sched::Json::parse(raw)
             .unwrap_or_else(|e| usage_error(&format!("--request: {e}")))
     });
-    let mut client = Client::connect(("127.0.0.1", args.port))
-        .map_err(|e| format!("connecting to 127.0.0.1:{}: {e}", args.port))?;
+    let port = args.port.unwrap_or(7171);
+    let mut client = Client::connect(("127.0.0.1", port))
+        .map_err(|e| format!("connecting to 127.0.0.1:{port}: {e}"))?;
     let reply = match &frame {
         Some(frame) => client.request(frame),
         None => client.send(&Request::Status),
@@ -1064,53 +1094,40 @@ fn ask_cmd(args: &Args) -> Result<(), String> {
 }
 
 /// The `repro shard-worker` subcommand: the deterministic replay of one
-/// recorded shard. Checks exactly the `--nodes` of a shard report's
-/// `assigned` list, the way the fleet worker that produced the report did,
-/// and prints the new report on stdout.
+/// recorded shard. `load`s the instance into a daemon state of its own and
+/// checks exactly the `--nodes` of a shard reply's `cone`, the way the fleet
+/// worker that produced the reply did, and prints the new reply on stdout.
 fn shard_worker(args: &Args) -> Result<(), String> {
     let required = |what: &str| -> ! { usage_error(&format!("shard-worker requires {what}")) };
     let k = args.k.unwrap_or_else(|| required("--k"));
     let shard = args.shard.unwrap_or_else(|| required("--shard"));
-    if args.shards <= shard {
-        usage_error(&format!("--shard {shard} out of range for --shards {}", args.shards));
-    }
     let nodes = args
         .nodes
         .as_deref()
-        .unwrap_or_else(|| required("--nodes (the `assigned` list of the report to replay)"));
-    let nodes: Vec<&str> = nodes.split(',').map(str::trim).filter(|n| !n.is_empty()).collect();
+        .unwrap_or_else(|| required("--nodes (the `cone` of the reply to replay)"));
+    let nodes = nodes.split(',').map(str::trim).filter(|n| !n.is_empty()).map(String::from);
     // a file scenario is not in the seed registry: compile it before
     // resolving --bench
     load_scenario_file(args)?;
-    let bench = one_bench(&args.bench);
-    let report = ShardRow::new(bench.name(), k, args.shards, fattree_instance(bench, k))
-        .check(&mut sweep_pool(args), shard, &nodes)
-        .map_err(|e| format!("--nodes: {e}"))?;
-    println!("{}", report.to_json());
-    Ok(())
-}
-
-/// The `repro worker` subcommand: serve shard checks over TCP until a
-/// coordinator sends `halt`. `--die-after N` arms the documented dead-worker
-/// fault: the process drops the connection after N checks and exits nonzero,
-/// so the reassignment drill in CI looks like a crashed host.
-fn worker_cmd(args: &Args) -> Result<(), String> {
-    let listen = args.listen.clone().unwrap_or_else(|| "127.0.0.1:7272".to_owned());
-    let listener =
-        std::net::TcpListener::bind(&listen).map_err(|e| format!("binding {listen}: {e}"))?;
-    let addr = listener.local_addr().map_err(|e| format!("local address: {e}"))?;
-    // scripts wait for this line before pointing a coordinator here
-    println!("repro worker listening on {addr}");
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    let options = WorkerOptions { max_sessions: None, die_after: args.die_after };
-    match run_worker(listener, &options).map_err(|e| format!("worker: {e}"))? {
-        WorkerExit::Died => {
-            eprintln!("worker: --die-after fault fired, exiting uncleanly");
-            std::process::exit(17);
+    let load = Load {
+        version: PROTOCOL_VERSION,
+        source: LoadSource::Bench { name: one_bench(&args.bench).name().to_owned(), k },
+        sabotage: Vec::new(),
+        threads: None,
+        timeout_millis: None,
+        trace: false,
+    };
+    let check = NodeCheck { nodes: nodes.collect(), generation: None, shard: Some(shard) };
+    let mut state = DaemonState::empty(daemon_options(args)).with_loader(load_instance);
+    let mut reply = timepiece_sched::Json::Null;
+    for request in [Request::Load(load), Request::CheckNodes(check)] {
+        reply = state.handle(&request).reply;
+        if let Some(error) = reply.get("error").and_then(timepiece_sched::Json::as_str) {
+            return Err(error.to_owned());
         }
-        WorkerExit::Halted | WorkerExit::SessionLimit => Ok(()),
     }
+    println!("{reply}");
+    Ok(())
 }
 
 /// One inference run: build the property-only spec, infer, verify, and

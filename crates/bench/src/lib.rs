@@ -14,12 +14,9 @@ pub mod loc;
 pub mod runner;
 pub mod shard;
 
-pub use dist::{
-    halt_workers, run_row_distributed, run_worker, DistError, DistOptions, LocalFleet, WorkerExit,
-    WorkerOptions,
-};
+pub use dist::{run_row_distributed, shut_down, DistError, DistOptions, LocalFleet};
 pub use runner::{
-    fattree_instance, register_scenario, register_scenario_file, run_row, BenchKind, EngineResult,
-    InferSetup, InstanceSource, Row, RowBalance, ScenarioSpec, SweepOptions,
+    fattree_instance, load_instance, register_scenario, register_scenario_file, run_row, BenchKind,
+    EngineResult, InferSetup, InstanceSource, Row, RowBalance, ScenarioSpec, SweepOptions,
 };
-pub use shard::{merge_reports, MergeError, ShardReport, ShardRow};
+pub use shard::{merge_reports, MergeError, ShardReport};

@@ -4,8 +4,9 @@
 //! wires an instance source (a Rust builder keyed by fattree size, or a
 //! compiled scenario file) to a name, and the scenario then appears
 //! everywhere at once — `repro fig14` sweeps, `--json` row dumps,
-//! the worker fleet (workers rebuild instances by registry-name lookup, or
-//! by compiling the scenario text the coordinator ships) and `repro infer`.
+//! the worker fleet (a `timepieced` resolves `load` requests through
+//! [`load_instance`]: registry-name lookup, or compiling the scenario text
+//! the coordinator ships) and `repro infer`.
 //! Adding a scenario is one [`register_scenario`] call (or, for the
 //! built-ins, one [`ScenarioSpec::built`] line in the seed table); nothing
 //! else matches on benchmark kinds.
@@ -16,6 +17,7 @@ use std::time::Duration;
 use timepiece_core::check::CheckOptions;
 use timepiece_core::monolithic::{check_monolithic, MonolithicOutcome};
 use timepiece_core::sweep::CheckerPool;
+use timepiece_daemon::LoadSource;
 use timepiece_expr::{arena, ArenaStats};
 use timepiece_nets::{
     ad::AdBench, fail::FailBench, hijack::HijackBench, len::LenBench, med::MedBench,
@@ -279,10 +281,55 @@ impl BenchKind {
         self.0.scenario_file()
     }
 
-    /// The text of that file as it was compiled — what a fleet coordinator
-    /// ships to its workers.
-    pub(crate) fn scenario_text(&self) -> Option<&'static str> {
-        self.0.file.as_ref().map(|(_, text)| text.as_str())
+    /// What a fleet coordinator `load`s into its workers for a row at size
+    /// `k`: the text of the scenario file as it was compiled — a remote
+    /// worker has no copy of the file — or the registry name.
+    pub(crate) fn load_source(&self, k: usize) -> LoadSource {
+        match &self.0.file {
+            Some((_, text)) => LoadSource::Scenario(text.clone()),
+            None => LoadSource::Bench { name: self.name().to_owned(), k },
+        }
+    }
+
+    /// The label of this scenario's instance at size `k`, as
+    /// [`load_instance`] reports it: how a coordinator recognizes that a
+    /// shard was checked on the instance it asked for.
+    pub fn label(&self, k: usize) -> String {
+        instance_label(self.name(), k)
+    }
+}
+
+fn instance_label(name: &str, k: usize) -> String {
+    format!("{name} k={k}")
+}
+
+/// The loader `repro` hands its `timepieced`
+/// ([`timepiece_daemon::DaemonState::with_loader`]): resolves a `load`
+/// request to a label and this process's own copy of the instance. Scenario
+/// text is compiled without being registered — a long-lived daemon would
+/// otherwise leak one registry entry per row and make later loads depend on
+/// earlier ones.
+///
+/// # Errors
+///
+/// Scenario text that does not compile, a benchmark name the registry does
+/// not know, or a `k` no fattree has.
+pub fn load_instance(source: &LoadSource) -> Result<(String, BenchInstance), String> {
+    match source {
+        LoadSource::Scenario(text) => {
+            let compiled = timepiece_scenario::compile_str(text)
+                .map_err(|e| format!("the scenario text does not compile: {e}"))?;
+            Ok((instance_label(&compiled.name, compiled.k), compiled.instance()))
+        }
+        LoadSource::Bench { name, k } => {
+            let kind =
+                BenchKind::parse(name).ok_or_else(|| format!("unknown benchmark {name:?}"))?;
+            if kind.native_k().is_none() && (*k < 2 || k % 2 != 0) {
+                return Err(format!("fattree parameter k must be even and >= 2, got {k}"));
+            }
+            let k = kind.native_k().unwrap_or(*k);
+            Ok((kind.label(k), fattree_instance(kind, k)))
+        }
     }
 }
 

@@ -1,20 +1,21 @@
-//! The shard protocol of the worker fleet: reports and their merge.
+//! What a fleet row is made of: shard reports and their merge.
 //!
 //! Per-node conditions are independent, so beyond the in-process
-//! work-stealing pool, whole *shards* of the node set move to `repro worker`
+//! work-stealing pool, whole *shards* of the node set move to `timepieced`
 //! processes (each with its own Z3 heap and cache locality) — a loopback
 //! fleet for `--shards N`, other hosts for `--workers`. [`crate::dist`] is
-//! the transport; this module is what travels over it:
+//! the coordinator; this module is what it reads back:
 //!
 //! 1. the coordinator picks `(bench, k, shards)` and stripes the node set
 //!    by symmetry class ([`timepiece_sched::ShardPlan::by_class`]) — the one
 //!    planner there is; what imbalance striping leaves, the coordinator's
 //!    steal-half and the workers' pools absorb while the row runs;
-//! 2. a worker holds the *same* instance as a [`ShardRow`], checks exactly
-//!    the nodes it is handed, and answers each shard with one
-//!    [`ShardReport`] — the report records the assigned node list, so any
-//!    shard of any run can be replayed deterministically from its report
-//!    alone (`repro shard-worker --nodes …`);
+//! 2. a worker is a daemon that was `load`ed the *same* instance; it checks
+//!    exactly the nodes a `check{nodes}` request names and answers with the
+//!    daemon's ordinary report reply, of which [`ShardReport`] is the typed
+//!    view — the reply records the node list (`cone`), so any shard of any
+//!    run can be replayed deterministically from its reply alone
+//!    (`repro shard-worker --nodes …`);
 //! 3. the coordinator ingests the reports through [`merge_reports`], which
 //!    *proves coverage* — the assigned sets must partition the full node
 //!    set, every assigned node must carry a check duration, and duplicate
@@ -26,20 +27,11 @@
 
 use std::fmt;
 
-use timepiece_core::check::{CheckReport, FailureReason};
-use timepiece_core::sweep::CheckerPool;
-use timepiece_core::Temporal;
-use timepiece_nets::BenchInstance;
-use timepiece_sched::{CancelToken, Json};
-use timepiece_topology::{NodeId, Topology};
-use timepiece_trace::Phase;
+use timepiece_sched::Json;
+use timepiece_smt::TermCacheStats;
+use timepiece_topology::Topology;
 
 use crate::runner::BenchKind;
-
-/// The version of the shard-report / distributed-worker protocol. Bumped on
-/// any incompatible change to the report shape or the wire frames; peers
-/// reject mismatches with a typed error instead of misparsing.
-pub const PROTOCOL_VERSION: usize = 2;
 
 /// One failure, reduced to what travels between processes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,199 +44,79 @@ pub struct ShardFailure {
     pub kind: String,
 }
 
-/// What one shard worker verified, as reported over the process boundary.
+/// What one worker verified for one shard: the typed view of a daemon's
+/// reply to a node-list `check`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardReport {
-    /// Protocol version the worker spoke ([`PROTOCOL_VERSION`]).
-    pub version: usize,
-    /// Benchmark name (e.g. `ApReach`).
-    pub bench: String,
-    /// Fattree parameter.
-    pub k: usize,
-    /// This worker's shard index.
+    /// The label of the instance the daemon checked (e.g. `ApReach k=4`).
+    pub label: String,
+    /// The shard index the request carried.
     pub shard: usize,
-    /// Total shard count of the plan.
-    pub shards: usize,
-    /// Names of the nodes the plan assigned to this shard.
+    /// Names of the nodes the request named (the reply's `cone`).
     pub assigned: Vec<String>,
     /// Per-node check durations in seconds, one per assigned node.
     pub durations: Vec<(String, f64)>,
     /// Failures found in this shard (empty when verified).
     pub failures: Vec<ShardFailure>,
-    /// The worker's wall-clock time for its shard.
+    /// The daemon's wall-clock time for the request.
     pub wall_secs: f64,
-    /// The worker's span trace, when the coordinator's `hello` asked for
+    /// The worker's compiled-term cache traffic for this shard.
+    pub terms: TermCacheStats,
+    /// The worker's span trace, when the coordinator's `load` asked for
     /// one; the coordinator ingests it as its own pid-tagged process track.
     pub trace: Option<timepiece_trace::Trace>,
 }
 
-/// A shard report that did not parse or did not match the expected shape.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardProtocolError(pub String);
-
-impl fmt::Display for ShardProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "malformed shard report: {}", self.0)
-    }
-}
-
-impl std::error::Error for ShardProtocolError {}
-
 impl ShardReport {
-    /// Assembles the report of `shard` of `row` from the completed check of
-    /// its `assigned` nodes; `wall_secs` is the check's own wall time.
-    fn from_check(
-        row: &ShardRow,
-        shard: usize,
-        assigned: &[NodeId],
-        report: &CheckReport,
-    ) -> ShardReport {
-        let topology = row.inst.network.topology();
-        ShardReport {
-            version: PROTOCOL_VERSION,
-            bench: row.bench.clone(),
-            k: row.k,
-            shard,
-            shards: row.shards,
-            assigned: assigned.iter().map(|&v| topology.name(v).to_owned()).collect(),
-            durations: report
-                .node_durations()
-                .iter()
-                .map(|&(v, d)| (topology.name(v).to_owned(), d.as_secs_f64()))
-                .collect(),
-            failures: report
-                .failures()
-                .iter()
-                .map(|f| ShardFailure {
-                    node: f.node_name.clone(),
-                    vc: f.vc.to_string(),
-                    kind: match f.reason {
-                        FailureReason::CounterExample(_) => "counterexample".to_owned(),
-                        FailureReason::Unknown(_) => "unknown".to_owned(),
-                    },
-                })
-                .collect(),
-            wall_secs: report.wall().as_secs_f64(),
-            trace: None,
-        }
-    }
-
-    /// The report as a JSON document.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("version", Json::from(self.version)),
-            ("bench", Json::str(&self.bench)),
-            ("k", Json::from(self.k)),
-            ("shard", Json::from(self.shard)),
-            ("shards", Json::from(self.shards)),
-            ("assigned", Json::arr(self.assigned.iter().map(Json::str))),
-            (
-                "durations",
-                Json::arr(
-                    self.durations
-                        .iter()
-                        .map(|(name, secs)| Json::arr([Json::str(name), Json::Num(*secs)])),
-                ),
-            ),
-            (
-                "failures",
-                Json::arr(self.failures.iter().map(|f| {
-                    Json::obj([
-                        ("node", Json::str(&f.node)),
-                        ("vc", Json::str(&f.vc)),
-                        ("kind", Json::str(&f.kind)),
-                    ])
-                })),
-            ),
-            ("wall_secs", Json::Num(self.wall_secs)),
-            ("trace", self.trace.as_ref().map_or(Json::Null, timepiece_trace::trace_to_json)),
-        ])
-    }
-
-    /// Parses a report back from its JSON form. Reports from peers predating
-    /// the versioned protocol (no `version` field) parse as version 0, and
-    /// fields this version does not know are ignored, so the coordinator's
-    /// version check can name the mismatch instead of a field error masking
-    /// it.
+    /// Reads a daemon's reply to a node-list `check` as a shard report.
+    /// Fields the view does not need are ignored.
     ///
     /// # Errors
     ///
-    /// [`ShardProtocolError`] naming the first missing or mistyped field.
-    pub fn from_json(value: &Json) -> Result<ShardReport, ShardProtocolError> {
-        let err = |what: &str| ShardProtocolError(what.to_owned());
-        let str_field = |key: &str| {
-            value.get(key).and_then(Json::as_str).map(str::to_owned).ok_or_else(|| err(key))
+    /// Names the first missing or mistyped field.
+    pub fn from_reply(reply: &Json) -> Result<ShardReport, String> {
+        let err = |what: &str| format!("malformed shard report: {what}");
+        let str_of =
+            |value: &Json, what: &str| value.as_str().map(str::to_owned).ok_or_else(|| err(what));
+        let field = |key: &str| reply.get(key).ok_or_else(|| err(key));
+        let arr_field = |key: &str| field(key)?.as_arr().ok_or_else(|| err(key));
+        let count = |key: &str| {
+            reply.get(key).map_or(Ok(0), |n| n.as_usize().ok_or_else(|| err(key))).map(|n| n as u64)
         };
-        let usize_field =
-            |key: &str| value.get(key).and_then(Json::as_usize).ok_or_else(|| err(key));
-        let assigned = value
-            .get("assigned")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| err("assigned"))?
+        let assigned = arr_field("cone")?
             .iter()
-            .map(|v| v.as_str().map(str::to_owned).ok_or_else(|| err("assigned entry")))
+            .map(|name| str_of(name, "cone entry"))
             .collect::<Result<Vec<_>, _>>()?;
-        let durations = value
-            .get("durations")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| err("durations"))?
+        let durations = arr_field("durations")?
             .iter()
-            .map(|pair| {
-                let pair = pair.as_arr().ok_or_else(|| err("duration entry"))?;
-                match pair {
-                    [name, secs] => Ok((
-                        name.as_str().ok_or_else(|| err("duration name"))?.to_owned(),
-                        secs.as_f64().ok_or_else(|| err("duration secs"))?,
-                    )),
-                    _ => Err(err("duration entry arity")),
-                }
+            .map(|pair| match pair.as_arr() {
+                Some([name, secs]) => Ok((
+                    str_of(name, "duration name")?,
+                    secs.as_f64().ok_or_else(|| err("duration secs"))?,
+                )),
+                _ => Err(err("duration entry")),
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let failures = value
-            .get("failures")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| err("failures"))?
+        let failures = arr_field("failures")?
             .iter()
             .map(|f| {
-                Ok(ShardFailure {
-                    node: f
-                        .get("node")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| err("failure node"))?
-                        .to_owned(),
-                    vc: f
-                        .get("vc")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| err("failure vc"))?
-                        .to_owned(),
-                    kind: f
-                        .get("kind")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| err("failure kind"))?
-                        .to_owned(),
-                })
+                let part = |key: &str| {
+                    str_of(f.get(key).ok_or_else(|| err("failure entry"))?, "failure entry")
+                };
+                Ok(ShardFailure { node: part("node")?, vc: part("vc")?, kind: part("kind")? })
             })
-            .collect::<Result<Vec<_>, ShardProtocolError>>()?;
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(ShardReport {
-            version: match value.get("version") {
-                None => 0,
-                Some(v) => v.as_usize().ok_or_else(|| err("version"))?,
-            },
-            bench: str_field("bench")?,
-            k: usize_field("k")?,
-            shard: usize_field("shard")?,
-            shards: usize_field("shards")?,
+            label: str_of(field("label")?, "label")?,
+            shard: field("shard")?.as_usize().ok_or_else(|| err("shard"))?,
             assigned,
             durations,
             failures,
-            wall_secs: value
-                .get("wall_secs")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| err("wall_secs"))?,
-            // absent and null both mean "worker did not trace" — older
-            // reports simply lack the field
-            trace: match value.get("trace") {
-                None | Some(Json::Null) => None,
+            wall_secs: field("wall_ms")?.as_f64().ok_or_else(|| err("wall_ms"))? / 1e3,
+            terms: TermCacheStats { hits: count("term_hits")?, misses: count("term_misses")? },
+            // absent means the daemon was not asked to trace
+            trace: match reply.get("trace") {
+                None => None,
                 Some(v) => Some(
                     timepiece_trace::trace_from_json(v).map_err(|e| err(&format!("trace: {e}")))?,
                 ),
@@ -265,22 +137,13 @@ pub enum MergeError {
         /// The parse failure.
         detail: String,
     },
-    /// A report spoke a different protocol version.
-    VersionMismatch {
-        /// The worker that sent the report.
-        worker: String,
-        /// The coordinator's version.
-        expected: usize,
-        /// The report's version.
-        got: usize,
-    },
-    /// A report was for the wrong `(bench, k)` or total shard count.
+    /// A report was for another instance than the row's.
     WrongInstance {
         /// The worker that sent the report.
         worker: String,
-        /// `bench k=K shards=N` the coordinator expected.
+        /// The instance label the coordinator expected.
         expected: String,
-        /// What the report claimed.
+        /// The label the report carries.
         got: String,
     },
     /// Two reports claimed the same shard index.
@@ -326,9 +189,6 @@ impl fmt::Display for MergeError {
             MergeError::Protocol { worker, detail } => {
                 write!(f, "worker {worker}: unreadable shard report: {detail}")
             }
-            MergeError::VersionMismatch { worker, expected, got } => {
-                write!(f, "worker {worker}: protocol version {got}, coordinator speaks {expected}")
-            }
             MergeError::WrongInstance { worker, expected, got } => {
                 write!(
                     f,
@@ -365,6 +225,8 @@ pub struct MergedShards {
     pub timed_out: bool,
     /// Did every shard verify?
     pub verified: bool,
+    /// The workers' compiled-term cache traffic, summed over the shards.
+    pub terms: TermCacheStats,
     /// Names of nodes with at least one failed condition, sorted and
     /// deduplicated across shards (empty when `verified`).
     pub failing: Vec<String>,
@@ -376,8 +238,7 @@ pub struct MergedShards {
 /// # Errors
 ///
 /// A [`MergeError`] naming the offending worker when a report is for the
-/// wrong instance/version, a shard is duplicated, missing or out of
-/// range, the assigned sets fail to partition `topology`'s node set, or a
+/// wrong instance, a shard is duplicated, missing or out of range, the assigned sets fail to partition `topology`'s node set, or a
 /// worker skipped assigned nodes.
 pub fn merge_reports(
     kind: BenchKind,
@@ -387,19 +248,13 @@ pub fn merge_reports(
     reports: &[(String, ShardReport)],
 ) -> Result<MergedShards, MergeError> {
     let mut seen: Vec<Option<&str>> = vec![None; shards];
+    let label = kind.label(k);
     for (worker, report) in reports {
-        if report.version != PROTOCOL_VERSION {
-            return Err(MergeError::VersionMismatch {
-                worker: worker.clone(),
-                expected: PROTOCOL_VERSION,
-                got: report.version,
-            });
-        }
-        if (report.bench.as_str(), report.k, report.shards) != (kind.name(), k, shards) {
+        if report.label != label {
             return Err(MergeError::WrongInstance {
                 worker: worker.clone(),
-                expected: format!("{} k={k} shards={shards}", kind.name()),
-                got: format!("{} k={} shards={}", report.bench, report.k, report.shards),
+                expected: label,
+                got: report.label.clone(),
             });
         }
         if report.shard >= shards {
@@ -469,92 +324,19 @@ pub fn merge_reports(
         shard_secs,
         timed_out: reports.iter().flat_map(|(_, r)| &r.failures).any(|f| f.kind == "unknown"),
         verified: reports.iter().all(|(_, r)| r.failures.is_empty()),
+        terms: reports.iter().fold(TermCacheStats::default(), |sum, (_, r)| TermCacheStats {
+            hits: sum.hits + r.terms.hits,
+            misses: sum.misses + r.terms.misses,
+        }),
         failing,
     })
-}
-
-/// One sweep row as a worker holds it: the instance — rebuilt by registry
-/// name, or compiled from scenario text a coordinator shipped — and the
-/// labels every shard report of the row carries. This is the one worker
-/// side there is: a `repro worker` session and the deterministic replay
-/// (`repro shard-worker --nodes …` with the `assigned` list of any recorded
-/// [`ShardReport`]) both check their shards through [`ShardRow::check`].
-#[derive(Debug)]
-pub struct ShardRow {
-    bench: String,
-    k: usize,
-    shards: usize,
-    inst: BenchInstance,
-}
-
-impl ShardRow {
-    /// The row `bench k=K` split into `shards` shards, on the worker's own
-    /// copy `inst` of the instance.
-    pub fn new(bench: &str, k: usize, shards: usize, inst: BenchInstance) -> Self {
-        ShardRow { bench: bench.to_owned(), k, shards, inst }
-    }
-
-    /// Documented fault injection: replaces the interface of the node named
-    /// `node` with a never-holds-a-route annotation.
-    ///
-    /// # Errors
-    ///
-    /// Names the node when the instance has none by that name.
-    pub fn sabotage(&mut self, node: &str) -> Result<(), String> {
-        let v = self.node(node)?;
-        self.inst.interface.set(v, Temporal::globally(|r| r.clone().is_some().not()));
-        Ok(())
-    }
-
-    fn node(&self, name: &str) -> Result<NodeId, String> {
-        self.inst.network.topology().node_by_name(name).ok_or(format!("unknown node {name:?}"))
-    }
-
-    /// Checks exactly the nodes named in `nodes` — shard `shard` of the row
-    /// — on `pool`, whose solver sessions stay warm from whatever it
-    /// checked before.
-    ///
-    /// # Errors
-    ///
-    /// An unknown node name, or the check's hard error (an encoding failure,
-    /// a dead pool worker).
-    pub fn check(
-        &self,
-        pool: &mut CheckerPool,
-        shard: usize,
-        nodes: &[&str],
-    ) -> Result<ShardReport, String> {
-        let nodes = nodes.iter().map(|name| self.node(name)).collect::<Result<Vec<_>, _>>()?;
-        // the shard's term-cache traffic rides on its span: a traced sweep
-        // shows how warm each worker's sessions were
-        let mut span = timepiece_trace::span(Phase::Other, format!("shard{shard}"));
-        let inst = &self.inst;
-        let report = pool
-            .check_nodes(
-                &inst.network,
-                &inst.interface,
-                &inst.property,
-                &nodes,
-                &CancelToken::new(),
-            )
-            .map_err(|e| format!("shard {shard}: {e}"))?;
-        if let Some(terms) = report.term_cache() {
-            span.arg("term_cache_hits", terms.hits.to_string());
-            span.arg("term_cache_misses", terms.misses.to_string());
-        }
-        drop(span);
-        let mut report = ShardReport::from_check(self, shard, &nodes, &report);
-        if timepiece_trace::enabled() {
-            report.trace = Some(timepiece_trace::take());
-        }
-        Ok(report)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{fattree_instance, SweepOptions};
+    use crate::runner::{fattree_instance, load_instance, SweepOptions};
+    use timepiece_daemon::{DaemonState, Load, NodeCheck, Request, PROTOCOL_VERSION};
     use timepiece_sched::ShardPlan;
 
     /// The fleet's plan: the fattree's node classes, striped.
@@ -562,13 +344,10 @@ mod tests {
         ShardPlan::by_class(topology.nodes(), shards, |v| topology.node_class(v))
     }
 
-    fn sample_report(shard: usize, shards: usize) -> ShardReport {
+    fn sample_report(shard: usize) -> ShardReport {
         ShardReport {
-            version: PROTOCOL_VERSION,
-            bench: "ApReach".to_owned(),
-            k: 4,
+            label: "ApReach k=4".to_owned(),
             shard,
-            shards,
             assigned: vec!["core-0".to_owned(), "edge-1-0".to_owned()],
             durations: vec![("core-0".to_owned(), 0.25), ("edge-1-0".to_owned(), 0.125)],
             failures: vec![ShardFailure {
@@ -577,25 +356,37 @@ mod tests {
                 kind: "counterexample".to_owned(),
             }],
             wall_secs: 0.5,
+            terms: TermCacheStats { hits: 3, misses: 5 },
             trace: None,
         }
     }
 
-    /// Shard `shard` of SpReach k=4 under the striped plan, checked the way
-    /// a worker checks it.
-    fn striped_shard(shard: usize, shards: usize) -> ShardReport {
+    /// The reply of a daemon that was loaded SpReach k=4 and asked for shard
+    /// `shard` of the striped plan — what a fleet worker sends.
+    fn striped_reply(shard: usize, shards: usize) -> Json {
         let kind = BenchKind::parse("SpReach").unwrap();
         let inst = fattree_instance(kind, 4);
-        let names: Vec<String> = striped(inst.network.topology(), shards)
-            .nodes_of(shard)
-            .iter()
-            .map(|&v| inst.network.topology().name(v).to_owned())
-            .collect();
-        let names: Vec<&str> = names.iter().map(String::as_str).collect();
-        let mut pool = CheckerPool::new(1, SweepOptions::default().check_options());
-        ShardRow::new(kind.name(), 4, shards, inst)
-            .check(&mut pool, shard, &names)
-            .expect("SpReach k=4 encodes")
+        let g = inst.network.topology();
+        let plan = striped(g, shards);
+        let nodes = plan.nodes_of(shard).iter().map(|&v| g.name(v).to_owned());
+        let options = SweepOptions { threads: Some(1), ..SweepOptions::default() }.check_options();
+        let mut state = DaemonState::empty(options).with_loader(load_instance);
+        let load = Load {
+            version: PROTOCOL_VERSION,
+            source: kind.load_source(4),
+            sabotage: Vec::new(),
+            threads: None,
+            timeout_millis: None,
+            trace: false,
+        };
+        let check = NodeCheck { nodes: nodes.collect(), generation: None, shard: Some(shard) };
+        let loaded = state.handle(&Request::Load(load)).reply;
+        assert_eq!(loaded.get("ok").and_then(Json::as_bool), Some(true), "{loaded}");
+        state.handle(&Request::CheckNodes(check)).reply
+    }
+
+    fn striped_shard(shard: usize, shards: usize) -> ShardReport {
+        ShardReport::from_reply(&striped_reply(shard, shards)).expect("a report reply")
     }
 
     #[test]
@@ -611,73 +402,53 @@ mod tests {
     }
 
     #[test]
-    fn shard_report_roundtrips_through_json() {
-        let report = sample_report(1, 3);
-        let parsed = ShardReport::from_json(&Json::parse(&report.to_json().to_string()).unwrap());
-        assert_eq!(parsed.unwrap(), report);
-    }
-
-    #[test]
-    fn shard_report_carries_its_trace_through_json() {
-        use timepiece_trace::{Phase, SpanKind, SpanRecord, ThreadInfo, Trace};
-        let report = ShardReport {
-            version: PROTOCOL_VERSION,
-            bench: "SpReach".to_owned(),
-            k: 4,
-            shard: 0,
-            shards: 2,
-            assigned: vec!["core-0".to_owned()],
-            durations: vec![("core-0".to_owned(), 0.25)],
-            failures: vec![],
-            wall_secs: 0.25,
-            trace: Some(Trace {
-                spans: vec![SpanRecord {
-                    id: 1,
-                    parent: 0,
-                    kind: SpanKind::Complete,
-                    phase: Phase::Node,
-                    name: "core-0".to_owned(),
-                    start_ns: 10,
-                    dur_ns: 250,
-                    pid: 0,
-                    tid: 3,
-                    args: vec![("class".to_owned(), "core".to_owned())],
-                }],
-                threads: vec![ThreadInfo { pid: 0, tid: 3, label: "worker0".to_owned() }],
-                processes: vec![],
-            }),
-        };
-        let parsed = ShardReport::from_json(&Json::parse(&report.to_json().to_string()).unwrap());
-        assert_eq!(parsed.unwrap(), report);
-    }
-
-    #[test]
-    fn malformed_reports_are_rejected_with_the_field_name() {
-        let json = Json::parse(r#"{"bench":"ApReach","k":4}"#).unwrap();
-        let err = ShardReport::from_json(&json).unwrap_err();
-        assert!(err.to_string().contains("shard"), "{err}");
-    }
-
-    #[test]
-    fn preversion_reports_parse_as_version_zero() {
-        let mut report = sample_report(0, 1);
-        report.trace = None;
-        let Json::Obj(pairs) = report.to_json() else { panic!("report is an object") };
-        let stripped = Json::Obj(pairs.into_iter().filter(|(k, _)| k != "version").collect());
-        let parsed = ShardReport::from_json(&stripped).unwrap();
-        assert_eq!(parsed.version, 0);
-    }
-
-    #[test]
-    fn worker_checks_exactly_its_shard() {
+    fn a_daemon_reply_reads_as_a_shard_report() {
         let report = striped_shard(0, 2);
-        assert_eq!((report.bench.as_str(), report.k), ("SpReach", 4));
-        assert_eq!((report.shard, report.shards), (0, 2));
-        assert_eq!(report.durations.len(), report.assigned.len());
-        assert!(report.failures.is_empty(), "SpReach k=4 verifies");
-        assert_eq!(report.version, PROTOCOL_VERSION);
+        assert_eq!((report.label.as_str(), report.shard), ("SpReach k=4", 0));
         // the two shards of a 20-node fattree split 10/10
         assert_eq!(report.assigned.len(), 10);
+        assert_eq!(report.durations.len(), report.assigned.len());
+        assert!(report.failures.is_empty(), "SpReach k=4 verifies");
+        assert!(report.wall_secs > 0.0 && report.terms.misses > 0, "{report:?}");
+        assert_eq!(report.trace, None, "the load did not ask for a trace");
+    }
+
+    #[test]
+    fn a_shard_report_carries_the_daemons_trace() {
+        use timepiece_trace::{Phase, SpanKind, SpanRecord, ThreadInfo, Trace};
+        let trace = Trace {
+            spans: vec![SpanRecord {
+                id: 1,
+                parent: 0,
+                kind: SpanKind::Complete,
+                phase: Phase::Node,
+                name: "core-0".to_owned(),
+                start_ns: 10,
+                dur_ns: 250,
+                pid: 0,
+                tid: 3,
+                args: vec![("class".to_owned(), "core".to_owned())],
+            }],
+            threads: vec![ThreadInfo { pid: 0, tid: 3, label: "worker0".to_owned() }],
+            processes: vec![],
+        };
+        let Json::Obj(mut pairs) = striped_reply(1, 2) else { panic!("a reply is an object") };
+        pairs.push(("trace".to_owned(), timepiece_trace::trace_to_json(&trace)));
+        // through the text form, as the socket would carry it
+        let wire = Json::parse(&Json::Obj(pairs).to_string()).unwrap();
+        assert_eq!(ShardReport::from_reply(&wire).unwrap().trace, Some(trace));
+    }
+
+    #[test]
+    fn replies_that_are_no_report_are_rejected_with_the_field_name() {
+        let json = Json::parse(r#"{"verb":"check","ok":true,"label":"ApReach k=4"}"#).unwrap();
+        let err = ShardReport::from_reply(&json).unwrap_err();
+        assert!(err.contains("cone"), "{err}");
+        // a full check's reply has everything but the shard tag
+        let Json::Obj(mut pairs) = striped_reply(0, 1) else { panic!("a reply is an object") };
+        pairs.retain(|(key, _)| key != "shard");
+        let err = ShardReport::from_reply(&Json::Obj(pairs)).unwrap_err();
+        assert!(err.contains("shard"), "{err}");
     }
 
     /// The ingestion-hardening suite: every broken report shape must produce
@@ -706,13 +477,16 @@ mod tests {
             assert_eq!(merged.durations.len(), 20);
             assert_eq!(merged.shard_secs.len(), 2);
             assert!(merged.shard_secs.iter().all(|&s| s > 0.0));
+            // the workers' term-cache counters are summed into the row's
+            let misses: u64 = reports.iter().map(|(_, r)| r.terms.misses).sum();
+            assert!(misses > 0 && merged.terms.misses == misses, "{:?}", merged.terms);
         }
 
         #[test]
         fn truncated_frames_are_typed_protocol_errors() {
             // a report cut off mid-stream parses to a JSON error; ingestion
             // wraps it as a Protocol error naming the worker
-            let full = sample_report(0, 1).to_json().to_string();
+            let full = striped_reply(0, 1).to_string();
             let truncated = &full[..full.len() / 2];
             let parse_err = Json::parse(truncated).unwrap_err();
             let err = MergeError::Protocol {
@@ -724,12 +498,17 @@ mod tests {
         }
 
         #[test]
-        fn wrong_shard_count_names_the_worker() {
+        fn a_report_for_another_instance_names_the_worker() {
             let mut reports = good_pair();
-            reports[1].1.shards = 3;
+            reports[1].1.label = sample_report(1).label;
             let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
-            assert!(
-                matches!(&err, MergeError::WrongInstance { worker, .. } if worker == "w1"),
+            assert_eq!(
+                err,
+                MergeError::WrongInstance {
+                    worker: "w1".to_owned(),
+                    expected: "SpReach k=4".to_owned(),
+                    got: "ApReach k=4".to_owned()
+                },
                 "{err}"
             );
             assert!(err.to_string().contains("w1"), "{err}");
@@ -751,43 +530,6 @@ mod tests {
                 },
                 "{err}"
             );
-        }
-
-        #[test]
-        fn version_mismatches_are_typed() {
-            let mut reports = good_pair();
-            reports[0].1.version = PROTOCOL_VERSION + 1;
-            let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
-            assert!(
-                matches!(&err, MergeError::VersionMismatch { worker, .. } if worker == "w0"),
-                "{err}"
-            );
-
-            // a v1 peer still sends the plan spec v2 dropped: its report is
-            // refused by version, not misparsed…
-            let plan = r#"{"kind":"adaptive","class_costs":[["core",8.0]],"sources":["dump"]}"#;
-            let mut reports = good_pair();
-            let Json::Obj(mut pairs) = reports[1].1.to_json() else { panic!("an object") };
-            pairs.retain(|(key, _)| key != "version");
-            pairs.push(("version".to_owned(), Json::from(1usize)));
-            pairs.push(("plan".to_owned(), Json::parse(plan).unwrap()));
-            reports[1].1 = ShardReport::from_json(&Json::Obj(pairs)).expect("v1 shape parses");
-            let err = merge_reports(kind(), 4, 2, &topology(), &reports).unwrap_err();
-            assert_eq!(
-                err,
-                MergeError::VersionMismatch {
-                    worker: "w1".to_owned(),
-                    expected: PROTOCOL_VERSION,
-                    got: 1
-                },
-                "{err}"
-            );
-            // …and so is its hello, before a worker builds anything
-            let hello = format!(
-                r#"{{"type":"hello","version":1,"bench":"SpReach","k":4,"shards":2,"plan":{plan}}}"#
-            );
-            let err = crate::dist::hello_row(&Json::parse(&hello).unwrap()).unwrap_err();
-            assert!(err.contains("protocol version 1"), "{err}");
         }
 
         #[test]

@@ -79,7 +79,7 @@ fn the_usage_lists_exactly_what_dispatches_and_parses() {
     // every listed subcommand is known to the dispatcher: it gets as far as
     // refusing the flag, without running anything
     let commands = usage_section(&usage, "subcommands:");
-    assert_eq!(commands.len(), 19, "{commands:?}");
+    assert_eq!(commands.len(), 18, "{commands:?}");
     for name in &commands {
         assert_eq!(commands.iter().filter(|c| *c == name).count(), 1, "{name} listed once");
         let out = repro().args([name.as_str(), "--no-such-flag"]).output().expect("repro runs");
@@ -90,8 +90,9 @@ fn the_usage_lists_exactly_what_dispatches_and_parses() {
     let flags = usage_section(&usage, "flags:");
     assert_eq!(flags.len(), 25, "{flags:?}");
 
-    // what tpbench and the steal scheduler replaced is gone, not hidden
-    for gone in ["plan", "soak", "trend", "arena"] {
+    // what tpbench, the steal scheduler and the one server replaced is gone,
+    // not hidden
+    for gone in ["plan", "soak", "trend", "arena", "worker"] {
         assert!(!commands.iter().any(|c| c == gone), "{gone} is still listed");
         let out = repro().args([gone]).output().expect("repro runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -105,4 +106,12 @@ fn the_usage_lists_exactly_what_dispatches_and_parses() {
         assert_eq!(out.status.code(), Some(2), "{gone}: {stderr}");
         assert!(stderr.contains("unknown flag"), "{gone}: {stderr}");
     }
+
+    // `serve` binds one address: naming it twice is refused before anything
+    // is bound or compiled
+    let out =
+        repro().args(["serve", "--listen", "127.0.0.1:0", "--port", "7171"]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--listen and --port"), "{stderr}");
 }

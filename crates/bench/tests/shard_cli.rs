@@ -1,5 +1,5 @@
 //! End-to-end test of the multi-process sharding pipeline: the real `repro`
-//! binary, a real fleet of `repro worker` processes, real JSON over TCP.
+//! binary, a real fleet of `repro serve` processes, real JSON over TCP.
 
 use std::net::TcpStream;
 use std::path::Path;
@@ -7,9 +7,8 @@ use std::process::Command;
 
 use timepiece_bench::{
     fattree_instance, run_row_distributed, BenchKind, DistError, DistOptions, LocalFleet,
-    ShardReport, ShardRow, SweepOptions,
+    ShardReport, SweepOptions,
 };
-use timepiece_core::sweep::CheckerPool;
 use timepiece_sched::{Json, ShardPlan};
 
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
@@ -86,38 +85,42 @@ fn sharded_fig14_merges_reports_and_writes_json_rows() {
 
 #[test]
 fn a_recorded_shard_replays_to_the_same_nodes_and_verdicts() {
-    // shard 1 of 2 the way a fleet worker reports it
+    // shard 1 of 2 the way a fleet worker reports it: one row of one shard
+    // pair on a real worker, recorded from the coordinator's side
     let kind = BenchKind::parse("SpReach").unwrap();
     let inst = fattree_instance(kind, 4);
     let topology = inst.network.topology();
     let plan = ShardPlan::by_class(topology.nodes(), 2, |v| topology.node_class(v));
-    let names: Vec<String> =
-        plan.nodes_of(1).iter().map(|&v| topology.name(v).to_owned()).collect();
-    let names: Vec<&str> = names.iter().map(String::as_str).collect();
-    let mut pool = CheckerPool::new(1, SweepOptions::default().check_options());
-    let row = ShardRow::new(kind.name(), 4, 2, inst);
-    let recorded = row.check(&mut pool, 1, &names).expect("encodes");
-    assert_eq!(recorded.assigned.len(), 10, "half of the 20-node fattree");
-    assert!(recorded.failures.is_empty(), "SpReach k=4 verifies");
+    let assigned: Vec<&str> = plan.nodes_of(1).iter().map(|&v| topology.name(v)).collect();
+    assert_eq!(assigned.len(), 10, "half of the 20-node fattree");
 
-    // the deterministic-replay contract: the shard reruns from its report's
-    // assigned node list alone
-    let replay =
-        ["shard-worker", "--bench", "SpReach", "--k", "4", "--shard", "1", "--shards", "2"];
-    let out = repro()
-        .args(replay)
-        .args(["--nodes", &recorded.assigned.join(",")])
-        .output()
-        .expect("repro runs");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8(out.stdout).unwrap();
-    let replayed = ShardReport::from_json(&Json::parse(&text).expect("valid JSON")).unwrap();
-    assert_eq!(replayed.bench, "SpReach");
+    // the deterministic-replay contract: the shard reruns from its reply's
+    // node list alone, and twice the same
+    let replay = ["shard-worker", "--bench", "SpReach", "--k", "4", "--shard", "1"];
+    let run = || {
+        let out = repro()
+            .args(replay)
+            .args(["--nodes", &assigned.join(",")])
+            .output()
+            .expect("repro runs");
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8(out.stdout).unwrap();
+        ShardReport::from_reply(&Json::parse(&text).expect("valid JSON")).unwrap()
+    };
+    let (recorded, replayed) = (run(), run());
+    assert_eq!(recorded.label, "SpReach k=4");
+    assert_eq!(recorded.shard, 1);
+    assert_eq!(recorded.assigned, assigned);
+    assert!(recorded.failures.is_empty(), "SpReach k=4 verifies");
     assert_eq!(replayed.assigned, recorded.assigned);
     assert_eq!(replayed.failures, recorded.failures);
-    assert_eq!((replayed.k, replayed.shard, replayed.shards), (4, recorded.shard, recorded.shards));
     let checked = |r: &ShardReport| r.durations.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
     assert_eq!(checked(&replayed), checked(&recorded), "exactly the named nodes are checked");
+    let mut sorted = checked(&recorded);
+    sorted.sort_unstable();
+    let mut expected = assigned.clone();
+    expected.sort_unstable();
+    assert_eq!(sorted, expected);
 
     let out = repro().args(replay).args(["--nodes", "core-0,no-such-node"]).output().unwrap();
     assert!(!out.status.success(), "unknown node names must be rejected");
@@ -132,15 +135,15 @@ fn a_recorded_shard_replays_to_the_same_nodes_and_verdicts() {
 
 #[test]
 fn a_two_row_sweep_runs_on_two_workers_that_stay_warm() {
-    let trace_path = temp_path("fleet-trace");
+    let (trace_path, json_path) = (temp_path("fleet-trace"), temp_path("fleet-warm"));
     let out = repro()
         .args(["fig14", "--bench", "spreach", "--ks", "4,4", "--shards", "2", "--no-ms"])
         .args(["--threads", "1", "--trace", trace_path.to_str().unwrap()])
+        .args(["--json", json_path.to_str().unwrap()])
         .output()
         .expect("repro runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let events = trace_events(&trace_path);
-    let tracks = shard_tracks(&events);
+    let tracks = shard_tracks(&trace_events(&trace_path));
 
     // two rows of two shards each, served by exactly two worker processes —
     // not one pair per row
@@ -152,36 +155,27 @@ fn a_two_row_sweep_runs_on_two_workers_that_stay_warm() {
     workers.dedup();
     assert_eq!(workers.len(), 2, "{tracks:?}");
 
-    // each worker's solver sessions outlive the row: what it compiled for
-    // row one it does not compile again for the identical row two
-    let misses = |pid: usize| -> usize {
-        events
-            .iter()
-            .filter(|e| e.get("pid").and_then(Json::as_usize) == Some(pid))
-            .filter_map(|e| {
-                e.get("args")?.get("term_cache_misses")?.as_str()?.parse::<usize>().ok()
-            })
-            .sum()
-    };
-    let (row_one, row_two) = tracks.split_at(2);
-    for (pid, shard, addr) in row_two {
-        let (first_pid, ..) =
-            row_one.iter().find(|(_, _, a)| a == addr).expect("the same two workers serve row two");
-        assert!(misses(*first_pid) > 0, "{shard}@{addr}: row one compiles its terms");
-        assert!(
-            misses(*pid) < misses(*first_pid),
-            "{shard}@{addr}: row two must start warm ({} vs {} misses)",
-            misses(*pid),
-            misses(*first_pid)
-        );
-    }
+    // each worker's solver sessions outlive the row (and the `load` of the
+    // next): what the fleet compiled for row one it does not compile again
+    // for the identical row two — read off the rows' own term-cache counters
+    let doc = Json::parse(&std::fs::read_to_string(&json_path).unwrap()).unwrap();
+    std::fs::remove_file(&json_path).ok();
+    let misses: Vec<usize> = doc
+        .get("rows")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|row| row.get("term_cache").unwrap().get("misses").and_then(Json::as_usize).unwrap())
+        .collect();
+    assert!(misses[0] > 0, "row one compiles its terms: {misses:?}");
+    assert_eq!(misses[1], 0, "row two must start warm on single-threaded workers: {misses:?}");
     // and none of them outlives the sweep
     workers.iter().for_each(|addr| assert_gone(addr));
 }
 
 #[test]
 fn a_file_scenario_verifies_on_remote_workers() {
-    // the workers get the scenario as text in the hello: nothing on their
+    // the workers get the scenario as text in the load: nothing on their
     // side knows the file
     let scenario = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/scenarios/sp_reach.toml");
     let fleet = LocalFleet::spawn(Path::new(REPRO), 2, None).expect("two loopback workers");
@@ -201,7 +195,7 @@ fn a_file_scenario_verifies_on_remote_workers() {
     assert_eq!(tp.get("outcome").and_then(Json::as_str), Some("verified"));
     assert_eq!(tp.get("shards").and_then(Json::as_usize), Some(8), "4x the worker count");
     let addrs = fleet.addrs().to_vec();
-    fleet.halt();
+    fleet.shutdown();
     addrs.iter().for_each(|addr| assert_gone(addr));
 }
 
@@ -249,6 +243,55 @@ fn a_fleet_with_no_survivor_is_a_typed_error_and_leaves_no_worker_behind() {
     assert_gone(&addr.into_inner().unwrap());
 }
 
+/// The pids of the live children of process `parent`.
+#[cfg(target_os = "linux")]
+fn children_of(parent: u32) -> Vec<u32> {
+    let tasks = std::fs::read_dir(format!("/proc/{parent}/task")).expect("the parent runs");
+    tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("children")).ok())
+        .flat_map(|pids| pids.split_whitespace().flat_map(str::parse).collect::<Vec<u32>>())
+        .collect()
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_sigkilled_coordinator_takes_its_loopback_fleet_with_it() {
+    use std::time::{Duration, Instant};
+    // a multi-row grid, so the fleet is mid-sweep when the coordinator dies
+    let mut coordinator = repro()
+        .args(["fig14", "--max-k", "4", "--shards", "2", "--no-ms"])
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .expect("repro runs");
+    let within = |limit: Duration, mut done: Box<dyn FnMut() -> bool>| {
+        let deadline = Instant::now() + limit;
+        while !done() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        done()
+    };
+    let pid = coordinator.id();
+    assert!(
+        within(Duration::from_secs(30), Box::new(move || children_of(pid).len() == 2)),
+        "the coordinator starts its two workers"
+    );
+    let workers = children_of(pid);
+    let is_serve = |pid: &u32| {
+        let cmdline = std::fs::read(format!("/proc/{pid}/cmdline")).unwrap_or_default();
+        cmdline.split(|&b| b == 0).any(|arg| arg == b"serve")
+    };
+    assert!(workers.iter().all(is_serve), "both children are `repro serve`s");
+
+    coordinator.kill().expect("SIGKILL is delivered");
+    coordinator.wait().expect("the coordinator is reaped");
+    // no Drop ran; the kernel's parent-death SIGTERM drains each daemon
+    let alive = move || workers.iter().filter(|pid| is_serve(pid)).count();
+    assert!(
+        within(Duration::from_secs(2), Box::new(move || alive() == 0)),
+        "a worker outlived its SIGKILLed coordinator"
+    );
+}
+
 #[test]
 fn a_failed_run_prints_its_error_without_the_usage_and_exits_1() {
     // nothing listens on port 1: the command line is fine, the run is not
@@ -265,11 +308,6 @@ fn a_failed_run_prints_its_error_without_the_usage_and_exits_1() {
 
 #[test]
 fn shard_worker_rejects_bad_arguments() {
-    let out = repro()
-        .args(["shard-worker", "--bench", "SpReach", "--k", "4", "--shard", "5", "--shards", "2"])
-        .output()
-        .expect("repro runs");
-    assert!(!out.status.success(), "out-of-range shard index must fail");
     let out = repro().args(["shard-worker", "--bench", "SpReach"]).output().expect("repro runs");
     assert!(!out.status.success(), "missing --k/--shard must fail");
 }

@@ -2,14 +2,16 @@
 
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 use timepiece_trace::json::{read_line_value, write_line_value, MAX_LINE_BYTES};
 use timepiece_trace::Json;
 
-use crate::protocol::Request;
+use crate::protocol::{is_progress, Request};
 
 /// One blocking connection to a `timepieced` server: write a frame, read
-/// the reply, in strict alternation.
+/// the reply, in strict alternation. The server's `progress` frames in
+/// between are skipped.
 #[derive(Debug)]
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -31,21 +33,42 @@ impl Client {
         Ok(Client { reader: BufReader::new(stream), writer })
     }
 
+    /// Declares the server dead when no frame — reply or `progress` —
+    /// arrives for `liveness` (`None`: wait forever). A server heartbeats
+    /// while it computes, so this bounds how long a death goes unnoticed,
+    /// not how long a check may take.
+    ///
+    /// # Errors
+    ///
+    /// The socket-option write's I/O error.
+    pub fn set_read_timeout(&self, liveness: Option<Duration>) -> std::io::Result<()> {
+        self.writer.set_read_timeout(liveness)
+    }
+
     /// Sends one raw frame and reads the reply frame.
     ///
     /// # Errors
     ///
-    /// I/O errors, and `InvalidData`/`UnexpectedEof` when the server's
-    /// reply is unframable.
+    /// I/O errors (a read timeout among them), and
+    /// `InvalidData`/`UnexpectedEof` when the server's reply is unframable —
+    /// NDJSON cannot resume a half-read line, so any of them ends the
+    /// connection's usefulness.
     pub fn request(&mut self, frame: &Json) -> std::io::Result<Json> {
         write_line_value(&mut self.writer, frame)?;
-        match read_line_value(&mut self.reader, MAX_LINE_BYTES) {
-            Ok(Some(reply)) => Ok(reply),
-            Ok(None) => Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "the server closed the connection before replying",
-            )),
-            Err(e) => Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())),
+        loop {
+            match read_line_value(&mut self.reader, MAX_LINE_BYTES) {
+                Ok(Some(frame)) if is_progress(&frame) => {}
+                Ok(Some(reply)) => return Ok(reply),
+                Ok(None) => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        "the server closed the connection before replying",
+                    ))
+                }
+                Err(e) => {
+                    return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+                }
+            }
         }
     }
 

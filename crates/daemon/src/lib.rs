@@ -1,5 +1,5 @@
 //! `timepieced`: verification as a service with incremental dirty-cone
-//! re-checking.
+//! re-checking — and the one NDJSON server of the workspace.
 //!
 //! Modular verification (Algorithm 1) already pays for this crate's premise:
 //! each node's three conditions depend on a bounded slice of the network, so
@@ -9,21 +9,29 @@
 //! node warm can answer "is the network still correct after this edit?" by
 //! re-checking only that cone, orders of magnitude faster than a cold run.
 //!
+//! The same independence is what lets a fleet split a network into shards,
+//! and a shard is the same request as a cone: *check these nodes of this
+//! instance*. So a fleet worker is this daemon started with nothing loaded:
+//! a coordinator `load`s the row's instance into it and sends node-list
+//! `check`s (`timepiece-bench`'s `dist` module is that client).
+//!
 //! The pieces:
 //!
-//! * [`mod@protocol`] — the NDJSON wire protocol: `check`, `delta`,
-//!   `status`, `profile`, `shutdown` (framing via
-//!   [`timepiece_trace::json`]);
-//! * [`mod@state`] — [`DaemonState`]: the warm instance, the persistent
-//!   [`timepiece_core::sweep::CheckerPool`], the
-//!   [`timepiece_core::Fingerprints`] snapshot and the
-//!   [`timepiece_core::VerdictCache`]; `delta` handling = apply → diff
-//!   fingerprints → re-check the cone → fold verdicts back in;
-//! * [`mod@server`] — the TCP accept/state/connection threads, graceful
-//!   drain on `shutdown` or SIGTERM (in-flight solver calls are interrupted
-//!   through [`timepiece_sched::CancelToken`] hooks);
-//! * [`mod@client`] — a minimal blocking client, used by `repro ask` and
-//!   tpbench's `serve-edits` workload;
+//! * [`mod@protocol`] — the NDJSON wire protocol: `load`, `check`, `delta`,
+//!   `status`, `profile`, `shutdown`, and the server's `progress` heartbeat
+//!   (framing via [`timepiece_trace::json`]);
+//! * [`mod@state`] — [`DaemonState`]: the persistent
+//!   [`timepiece_core::sweep::CheckerPool`] and the current [`Instance`]
+//!   with its [`timepiece_core::Fingerprints`] snapshot and
+//!   [`timepiece_core::VerdictCache`]; every checking request = name a set
+//!   of nodes → re-check it on the pool → fold verdicts back in (`delta`
+//!   names the dirty cone of its edit);
+//! * [`mod@server`] — the TCP accept/state/connection threads, `progress`
+//!   heartbeats while a reply is pending, graceful drain on `shutdown` or
+//!   SIGTERM (in-flight solver calls are interrupted through
+//!   [`timepiece_sched::CancelToken`] hooks);
+//! * [`mod@client`] — a minimal blocking client, used by `repro ask`, the
+//!   fleet coordinator and tpbench's `serve-edits` workload;
 //! * [`mod@fixture`] — small self-contained instances for tests and smoke
 //!   runs.
 //!
@@ -59,6 +67,9 @@ pub mod server;
 pub mod state;
 
 pub use client::Client;
-pub use protocol::{error_response, Delta, PolicySpec, ProtocolError, Request};
+pub use protocol::{
+    error_response, Delta, Load, LoadSource, NodeCheck, PolicySpec, ProtocolError, Request,
+    PROTOCOL_VERSION,
+};
 pub use server::{serve, spawn_sigterm_watcher, trigger_sigterm};
-pub use state::{DaemonState, DrainSignal, Handled};
+pub use state::{DaemonState, DrainSignal, Handled, Instance, Loader};

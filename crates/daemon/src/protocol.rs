@@ -9,11 +9,23 @@
 //!
 //! | verb | request fields | effect |
 //! |---|---|---|
+//! | `load` | `version`, then `scenario` (text) or `bench` + `k`; optional `sabotage`, `threads`, `timeout_millis`, `trace` | install the current instance — no check, no fingerprints; replies `label`, `generation` |
 //! | `check` | — | re-verify every node |
+//! | `check` | `nodes`; optional `generation`, `shard` | re-verify exactly those nodes (a fleet shard) |
 //! | `delta` | `kind` + kind-specific fields | apply one edit, re-verify the dirty cone |
 //! | `status` | — | instance, verdict and counter summary |
 //! | `profile` | — | the metrics-registry snapshot |
 //! | `shutdown` | — | drain in-flight checks and stop serving |
+//!
+//! The server alone sends `{"verb":"progress"}`: the liveness signal of a
+//! connection whose reply is still being computed. A client skips them
+//! ([`crate::Client::request`]); one that stops seeing frames for longer
+//! than its read timeout has a dead peer.
+//!
+//! A daemon holds **one** current instance. Every `load` and every committed
+//! `delta` starts a new *generation*; a node-list `check` that names the
+//! generation it was planned against is refused once the daemon has moved
+//! on, so a shard is never answered from another network.
 //!
 //! Delta kinds: `link_down`/`link_up` (`u`, `v`: node names),
 //! `edge_policy` (`u`, `v`, `policy`: `"drop"`, `"default"`, or
@@ -21,6 +33,11 @@
 //! `failure_budget` (`budget`).
 
 use timepiece_trace::Json;
+
+/// The version of this protocol, negotiated once per instance: a `load`
+/// naming another version is refused before anything is built. Bumped on any
+/// incompatible change to the frames.
+pub const PROTOCOL_VERSION: usize = 3;
 
 /// How an edge's policy is respecified by an `edge_policy` delta.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,11 +90,63 @@ pub enum Delta {
     },
 }
 
+/// Where a `load`'s instance comes from. The daemon hands this to the
+/// loader it was started with and learns nothing about either form.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LoadSource {
+    /// The text of a scenario file, compiled by the daemon's side — the
+    /// client's file system is not the daemon's.
+    Scenario(String),
+    /// A benchmark the daemon's side knows by name, at fattree size `k`.
+    Bench {
+        /// The benchmark's registered name.
+        name: String,
+        /// The fattree parameter.
+        k: usize,
+    },
+}
+
+/// A `load` request: the instance to install and how to check it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Load {
+    /// The protocol version the client speaks ([`PROTOCOL_VERSION`]).
+    pub version: usize,
+    /// What to load.
+    pub source: LoadSource,
+    /// Documented fault injection: nodes whose interface is replaced by a
+    /// never-holds-a-route annotation, so equivalence tests can compare
+    /// failing-node sets across the wire.
+    pub sabotage: Vec<String>,
+    /// Checker threads (`None`: what the daemon was started with).
+    pub threads: Option<usize>,
+    /// Per-condition solver budget (`None`: what the daemon was started
+    /// with).
+    pub timeout_millis: Option<u64>,
+    /// Attach the daemon's span trace to every node-list `check` reply.
+    pub trace: bool,
+}
+
+/// A node-list `check`: one shard of a fleet row, or any ad-hoc subset.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeCheck {
+    /// The names of the nodes to re-verify.
+    pub nodes: Vec<String>,
+    /// The generation the list was planned against; a daemon that has moved
+    /// on refuses the check (`None`: whatever is current).
+    pub generation: Option<u64>,
+    /// An opaque tag echoed in the reply — a coordinator's shard index.
+    pub shard: Option<usize>,
+}
+
 /// One protocol request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
+    /// Install the current instance.
+    Load(Load),
     /// Re-verify every node.
     Check,
+    /// Re-verify exactly the named nodes.
+    CheckNodes(NodeCheck),
     /// Apply one edit and re-verify its dirty cone.
     Delta(Delta),
     /// Summarize the instance, verdicts and counters.
@@ -115,8 +184,42 @@ fn str_field(value: &Json, key: &str) -> Result<String, ProtocolError> {
         .ok_or_else(|| bad(format!("field {key:?} must be a string")))
 }
 
-fn num_field(value: &Json, key: &str) -> Result<f64, ProtocolError> {
-    field(value, key)?.as_f64().ok_or_else(|| bad(format!("field {key:?} must be a number")))
+/// An integer field, converted to `T` only when it fits: a fraction, a
+/// negative count or an out-of-range value is refused by name, never
+/// rounded, clamped or wrapped.
+fn int_field<T: TryFrom<i64>>(value: &Json, key: &str) -> Result<T, ProtocolError> {
+    let n = field(value, key)?
+        .as_f64()
+        .ok_or_else(|| bad(format!("field {key:?} must be a number")))?;
+    // beyond 2^53 an f64 no longer tells neighbouring integers apart
+    if n.fract() != 0.0 || n.abs() > 9_007_199_254_740_992.0 {
+        return Err(bad(format!("field {key:?} must be an integer, got {n}")));
+    }
+    T::try_from(n as i64).map_err(|_| bad(format!("field {key:?} is out of range: {n}")))
+}
+
+/// [`int_field`] for a field that may be absent (or `null`).
+fn opt_int_field<T: TryFrom<i64>>(value: &Json, key: &str) -> Result<Option<T>, ProtocolError> {
+    match value.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(_) => int_field(value, key).map(Some),
+    }
+}
+
+/// An array-of-strings field; absent means empty when `required` is false.
+fn names_field(value: &Json, key: &str, required: bool) -> Result<Vec<String>, ProtocolError> {
+    let items = match value.get(key) {
+        None if !required => return Ok(Vec::new()),
+        None => return Err(bad(format!("missing field {key:?}"))),
+        Some(items) => items.as_arr(),
+    };
+    items
+        .and_then(|items| items.iter().map(|n| n.as_str().map(str::to_owned)).collect())
+        .ok_or_else(|| bad(format!("field {key:?} must be an array of strings")))
+}
+
+fn opt(pairs: &mut Vec<(String, Json)>, key: &str, value: Option<Json>) {
+    pairs.extend(value.map(|v| (key.to_owned(), v)));
 }
 
 impl PolicySpec {
@@ -144,6 +247,39 @@ impl Request {
     /// The request as a wire frame.
     pub fn to_json(&self) -> Json {
         match self {
+            Request::Load(load) => {
+                let mut pairs = vec![
+                    ("verb".to_owned(), Json::str("load")),
+                    ("version".to_owned(), Json::from(load.version)),
+                ];
+                match &load.source {
+                    LoadSource::Scenario(text) => {
+                        pairs.push(("scenario".to_owned(), Json::str(text.clone())));
+                    }
+                    LoadSource::Bench { name, k } => {
+                        pairs.push(("bench".to_owned(), Json::str(name.clone())));
+                        pairs.push(("k".to_owned(), Json::from(*k)));
+                    }
+                }
+                pairs.push(("sabotage".to_owned(), Json::arr(load.sabotage.iter().map(Json::str))));
+                opt(&mut pairs, "threads", load.threads.map(Json::from));
+                opt(
+                    &mut pairs,
+                    "timeout_millis",
+                    load.timeout_millis.map(|ms| Json::Num(ms as f64)),
+                );
+                pairs.push(("trace".to_owned(), Json::Bool(load.trace)));
+                Json::Obj(pairs)
+            }
+            Request::CheckNodes(check) => {
+                let mut pairs = vec![
+                    ("verb".to_owned(), Json::str("check")),
+                    ("nodes".to_owned(), Json::arr(check.nodes.iter().map(Json::str))),
+                ];
+                opt(&mut pairs, "generation", check.generation.map(|g| Json::Num(g as f64)));
+                opt(&mut pairs, "shard", check.shard.map(Json::from));
+                Json::Obj(pairs)
+            }
             Request::Check => Json::obj([("verb", Json::str("check"))]),
             Request::Status => Json::obj([("verb", Json::str("status"))]),
             Request::Profile => Json::obj([("verb", Json::str("profile"))]),
@@ -186,10 +322,35 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// Returns [`ProtocolError`] on unknown verbs/kinds or missing fields.
+    /// Returns [`ProtocolError`] on unknown verbs/kinds, missing fields, and
+    /// numbers that are not the integers their fields hold.
     pub fn from_json(value: &Json) -> Result<Request, ProtocolError> {
         let verb = str_field(value, "verb")?;
         match verb.as_str() {
+            "load" => Ok(Request::Load(Load {
+                version: int_field(value, "version")?,
+                source: match value.get("scenario") {
+                    Some(_) => LoadSource::Scenario(str_field(value, "scenario")?),
+                    None => LoadSource::Bench {
+                        name: str_field(value, "bench")?,
+                        k: int_field(value, "k")?,
+                    },
+                },
+                sabotage: names_field(value, "sabotage", false)?,
+                threads: opt_int_field(value, "threads")?,
+                timeout_millis: opt_int_field(value, "timeout_millis")?,
+                trace: match value.get("trace") {
+                    None => false,
+                    Some(flag) => {
+                        flag.as_bool().ok_or_else(|| bad("field \"trace\" must be a boolean"))?
+                    }
+                },
+            })),
+            "check" if value.get("nodes").is_some() => Ok(Request::CheckNodes(NodeCheck {
+                nodes: names_field(value, "nodes", true)?,
+                generation: opt_int_field(value, "generation")?,
+                shard: opt_int_field(value, "shard")?,
+            })),
             "check" => Ok(Request::Check),
             "status" => Ok(Request::Status),
             "profile" => Ok(Request::Profile),
@@ -210,10 +371,10 @@ impl Request {
                     },
                     "witness_time" => Delta::WitnessTime {
                         node: str_field(value, "node")?,
-                        tau: num_field(value, "tau")? as i64,
+                        tau: int_field(value, "tau")?,
                     },
                     "failure_budget" => {
-                        Delta::FailureBudget { budget: num_field(value, "budget")? as u64 }
+                        Delta::FailureBudget { budget: int_field(value, "budget")? }
                     }
                     other => return Err(bad(format!("unknown delta kind {other:?}"))),
                 };
@@ -229,6 +390,16 @@ pub fn error_response(message: impl Into<String>) -> Json {
     Json::obj([("ok", Json::Bool(false)), ("error", Json::str(message.into()))])
 }
 
+/// The liveness frame a connection emits while its reply is pending.
+pub fn progress() -> Json {
+    Json::obj([("verb", Json::str("progress"))])
+}
+
+/// Is `frame` a [`progress`] frame (and so not the reply)?
+pub fn is_progress(frame: &Json) -> bool {
+    frame.get("verb").and_then(Json::as_str) == Some("progress")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,7 +407,29 @@ mod tests {
     #[test]
     fn requests_roundtrip() {
         let requests = [
+            Request::Load(Load {
+                version: PROTOCOL_VERSION,
+                source: LoadSource::Bench { name: "SpReach".into(), k: 8 },
+                sabotage: vec!["core-0".into()],
+                threads: Some(2),
+                timeout_millis: Some(60_000),
+                trace: true,
+            }),
+            Request::Load(Load {
+                version: PROTOCOL_VERSION,
+                source: LoadSource::Scenario("[scenario]\nname = \"x\"\n".into()),
+                sabotage: vec![],
+                threads: None,
+                timeout_millis: None,
+                trace: false,
+            }),
             Request::Check,
+            Request::CheckNodes(NodeCheck {
+                nodes: vec!["core-0".into(), "edge-1-0".into()],
+                generation: Some(3),
+                shard: Some(1),
+            }),
+            Request::CheckNodes(NodeCheck { nodes: vec![], generation: None, shard: None }),
             Request::Status,
             Request::Profile,
             Request::Shutdown,
@@ -278,10 +471,59 @@ mod tests {
             r#"{"verb": "delta", "kind": "warp", "u": "a0", "v": "t0"}"#,
             r#"{"verb": "delta", "kind": "witness_time", "node": "e0", "tau": "soon"}"#,
             r#"{"verb": "delta", "kind": "edge_policy", "u": "a", "v": "b", "policy": "explode"}"#,
+            r#"{"verb": "load", "bench": "SpReach", "k": 4}"#,
+            r#"{"verb": "load", "version": 3, "bench": "SpReach"}"#,
+            r#"{"verb": "load", "version": 3, "scenario": 7}"#,
+            r#"{"verb": "load", "version": 3, "bench": "SpReach", "k": 4, "trace": "yes"}"#,
+            r#"{"verb": "load", "version": 3, "bench": "SpReach", "k": 4, "sabotage": "core-0"}"#,
+            r#"{"verb": "check", "nodes": "core-0"}"#,
+            r#"{"verb": "check", "nodes": ["core-0", 7]}"#,
         ] {
             let frame = Json::parse(bad_frame).unwrap();
             assert!(Request::from_json(&frame).is_err(), "{bad_frame} must not parse");
         }
+    }
+
+    #[test]
+    fn numbers_that_are_not_the_integers_their_fields_hold_are_refused_by_name() {
+        let load = |field: &str| {
+            format!(r#"{{"verb": "load", "version": 3, "bench": "SpReach", "k": 4, {field}}}"#)
+        };
+        for (bad_frame, field) in [
+            (
+                r#"{"verb": "delta", "kind": "witness_time", "node": "e0", "tau": 2.7}"#.to_owned(),
+                "tau",
+            ),
+            (
+                r#"{"verb": "delta", "kind": "witness_time", "node": "e0", "tau": 1e300}"#
+                    .to_owned(),
+                "tau",
+            ),
+            (r#"{"verb": "delta", "kind": "failure_budget", "budget": -1}"#.to_owned(), "budget"),
+            (r#"{"verb": "delta", "kind": "failure_budget", "budget": 0.5}"#.to_owned(), "budget"),
+            (r#"{"verb": "check", "nodes": [], "shard": -2}"#.to_owned(), "shard"),
+            (r#"{"verb": "check", "nodes": [], "generation": 1.5}"#.to_owned(), "generation"),
+            (r#"{"verb": "load", "version": 3, "bench": "SpReach", "k": -4}"#.to_owned(), "k"),
+            (load(r#""threads": 1.5"#), "threads"),
+            (load(r#""timeout_millis": -60000"#), "timeout_millis"),
+        ] {
+            let frame = Json::parse(&bad_frame).unwrap();
+            let err = Request::from_json(&frame).expect_err(&bad_frame);
+            assert!(err.0.contains(&format!("{field:?}")), "{bad_frame}: {err}");
+        }
+        // the integers themselves, negative where the field is signed, pass
+        let tau = r#"{"verb": "delta", "kind": "witness_time", "node": "e0", "tau": -3}"#;
+        assert_eq!(
+            Request::from_json(&Json::parse(tau).unwrap()).unwrap(),
+            Request::Delta(Delta::WitnessTime { node: "e0".into(), tau: -3 })
+        );
+    }
+
+    #[test]
+    fn progress_frames_are_told_from_replies() {
+        assert!(is_progress(&progress()));
+        assert!(!is_progress(&error_response("no")));
+        assert!(!is_progress(&Request::Check.to_json()));
     }
 
     #[test]

@@ -1,11 +1,19 @@
-//! The TCP serving loop: NDJSON frames in, NDJSON frames out.
+//! The TCP serving loop: NDJSON frames in, NDJSON frames out. This is the
+//! one server of the workspace — a daemon warm on one instance and a fleet
+//! worker that was started empty are the same process.
 //!
 //! Threading model: one accept loop (the caller's thread), one *state*
 //! thread owning the [`DaemonState`] (requests are serialized — the state
 //! holds mutable caches and a checker pool), and one reader thread per
 //! connection forwarding `(frame, reply-channel)` pairs to the state
 //! thread. Clients therefore see strict request/reply ordering on their own
-//! connection, and deltas from concurrent clients interleave atomically.
+//! connection, and requests from concurrent clients interleave atomically.
+//!
+//! Liveness: while a reply is pending, its connection thread writes a
+//! `progress` frame every 400 ms, so a client with a read timeout can
+//! tell a slow solve from a dead daemon. A failed heartbeat write means the
+//! peer hung up: the thread ends, the reply is dropped, and the daemon goes
+//! on to the next request.
 //!
 //! Shutdown is cooperative through the state's [`DrainSignal`]: a
 //! `shutdown` request (after its reply is sent) or a SIGTERM (via
@@ -14,7 +22,9 @@
 //! solver-interrupt hooks — stops the state loop (requests still queued
 //! are answered "shutting down"), wakes the blocking accept loop with a
 //! loopback self-connect, and lets [`serve`] return `Ok(())` so the process
-//! exits 0.
+//! exits 0. The armed [`DaemonState::die_after`] fault takes the same road
+//! with [`DrainSignal::died`] set: nobody is answered, connections just
+//! close.
 //!
 //! Latency: every accepted stream sets `TCP_NODELAY` and every frame is one
 //! `write` ([`write_line_value`]), so a reply leaves in a single segment
@@ -29,13 +39,16 @@ use std::time::Duration;
 use timepiece_trace::json::{read_line_value, write_line_value, MAX_LINE_BYTES};
 use timepiece_trace::Json;
 
-use crate::protocol::{error_response, Request};
+use crate::protocol::{error_response, progress, Request};
 use crate::state::{DaemonState, DrainSignal};
 
 /// How often the state and signal-watcher loops look at the drain signal.
 /// Requests never wait on it: the state loop blocks on its channel and the
 /// accept loop blocks in `accept`.
 const POLL: Duration = Duration::from_millis(25);
+
+/// How often a connection with a pending reply says it is still alive.
+const HEARTBEAT: Duration = Duration::from_millis(400);
 
 /// How long [`serve`] waits, after the drain, for connection threads to put
 /// their last reply (the `shutdown` ack) on the wire.
@@ -117,10 +130,11 @@ pub fn serve(listener: TcpListener, state: DaemonState) -> std::io::Result<()> {
             Ok((stream, _peer)) => {
                 let tx = req_tx.clone();
                 let owed = Arc::clone(&owed);
+                let drain = drain.clone();
                 std::thread::spawn(move || {
                     timepiece_trace::set_thread_label("daemon-conn");
                     // best effort: a broken connection only ends itself
-                    let _ = run_connection(stream, &tx, &owed);
+                    let _ = run_connection(stream, &tx, &owed, &drain);
                 });
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -186,8 +200,11 @@ fn run_state_loop(mut state: DaemonState, drain: &DrainSignal, req_rx: &mpsc::Re
                 Ok(request) => {
                     let handled = state.handle(&request);
                     // the reply leaves before the drain rises, so the
-                    // shutdown caller hears its ack
-                    let _ = reply_tx.send(handled.reply);
+                    // shutdown caller hears its ack; a daemon that died
+                    // answers nobody
+                    if !drain.died() {
+                        let _ = reply_tx.send(handled.reply);
+                    }
                     if handled.shutdown {
                         drain.raise();
                     }
@@ -211,12 +228,13 @@ fn open_connection(stream: TcpStream) -> std::io::Result<(BufReader<TcpStream>, 
     Ok((BufReader::new(stream), writer))
 }
 
-/// One connection: read a frame, forward it, write the reply, repeat until
-/// EOF or error. Runs on its own thread.
+/// One connection: read a frame, forward it, heartbeat until the reply is
+/// there, write it, repeat until EOF or error. Runs on its own thread.
 fn run_connection(
     stream: TcpStream,
     tx: &mpsc::Sender<Forwarded>,
     owed: &OwedReplies,
+    drain: &DrainSignal,
 ) -> std::io::Result<()> {
     let (mut reader, mut writer) = open_connection(stream)?;
     loop {
@@ -231,12 +249,28 @@ fn run_connection(
         };
         owed.add(1);
         let (reply_tx, reply_rx) = mpsc::channel();
-        let reply = match tx.send((frame, reply_tx)).map(|()| reply_rx.recv()) {
-            Ok(Ok(reply)) => reply,
-            // the state thread is gone (drained): tell the client
-            _ => error_response("daemon is shutting down"),
+        // a failed send drops `reply_tx`, which the first receive reports
+        let _ = tx.send((frame, reply_tx));
+        let written = loop {
+            match reply_rx.recv_timeout(HEARTBEAT) {
+                Ok(reply) => break write_line_value(&mut writer, &reply),
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    // a failed heartbeat is a peer that hung up: nobody is
+                    // left to read the reply
+                    if let Err(e) = write_line_value(&mut writer, &progress()) {
+                        break Err(e);
+                    }
+                }
+                // the state thread is gone: drained (tell the client) or
+                // dead (hang up, as a crashed host would)
+                Err(mpsc::RecvTimeoutError::Disconnected) if drain.died() => {
+                    break Err(std::io::ErrorKind::ConnectionAborted.into())
+                }
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    break write_line_value(&mut writer, &error_response("daemon is shutting down"))
+                }
+            }
         };
-        let written = write_line_value(&mut writer, &reply);
         owed.add(-1);
         written?;
     }
@@ -340,6 +374,49 @@ mod tests {
         let reply = client.send(&Request::Shutdown).unwrap();
         assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
         server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_pending_reply_heartbeats_and_a_client_outwaits_its_read_timeout() {
+        // this test plays the state thread, so it decides how long a reply
+        // is pending
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = mpsc::channel::<Forwarded>();
+        let (owed, drain) = (OwedReplies::default(), DrainSignal::new());
+        let answer = Json::obj([("ok", Json::Bool(true))]);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for _ in 0..2 {
+                    let (stream, _) = listener.accept().unwrap();
+                    run_connection(stream, &tx, &owed, &drain).unwrap();
+                }
+            });
+
+            // on the raw socket: `progress` frames until the reply is sent
+            let mut raw = TcpStream::connect(addr).unwrap();
+            write_line_value(&mut raw, &Request::Status.to_json()).unwrap();
+            let mut frames = BufReader::new(raw.try_clone().unwrap());
+            let (_frame, reply_tx) = rx.recv().unwrap();
+            let first = read_line_value(&mut frames, MAX_LINE_BYTES).unwrap().unwrap();
+            assert_eq!(first, progress(), "a pending reply heartbeats");
+            reply_tx.send(answer.clone()).unwrap();
+            let reply = std::iter::repeat_with(|| read_line_value(&mut frames, MAX_LINE_BYTES))
+                .map(|frame| frame.unwrap().unwrap())
+                .find(|frame| *frame != progress());
+            assert_eq!(reply, Some(answer.clone()));
+            drop((raw, frames));
+
+            // through the client: the heartbeats are skipped, and they keep a
+            // read timeout shorter than the wait from firing
+            let mut client = Client::connect(addr).unwrap();
+            client.set_read_timeout(Some(HEARTBEAT * 5 / 2)).unwrap();
+            let asked = scope.spawn(move || client.send(&Request::Status));
+            let (_frame, reply_tx) = rx.recv().unwrap();
+            std::thread::sleep(HEARTBEAT * 4);
+            reply_tx.send(answer.clone()).unwrap();
+            assert_eq!(asked.join().unwrap().unwrap(), answer);
+        });
     }
 
     #[test]

@@ -1,40 +1,49 @@
 //! The daemon's warm verification state and request handler.
 //!
 //! A [`DaemonState`] is everything `timepieced` keeps hot between requests:
-//! the compiled [`Network`] (canonical arena terms), the interface and
-//! property annotations, a persistent [`CheckerPool`] whose workers hold
-//! one solver session each (keyed by what the network declares, so edits
-//! keep it), the last
-//! [`Fingerprints`] snapshot, and a [`VerdictCache`] with the last verdict
-//! per node. Handling a `delta` request means: apply the edit to get a new
-//! network/interface, re-fingerprint the edit's topological *footprint*,
-//! diff into the dirty cone, re-check *only* the cone through the
-//! still-warm pool, and fold the partial report back into the cache — so a
-//! delta costs what its cone costs, not what the network costs.
+//! a persistent [`CheckerPool`] whose workers hold one solver session each
+//! (keyed by what a network declares, so edits — and a re-`load` of the same
+//! kind of network — keep it) and at most one current [`Instance`]: the
+//! compiled [`Network`] (canonical arena terms), the interface and property
+//! annotations, the last [`Fingerprints`] snapshot, and a [`VerdictCache`]
+//! with the last verdict per node. A daemon may start with nothing loaded;
+//! a `load` request installs an instance through the [`Loader`] the process
+//! handed the state, without checking or fingerprinting it.
+//!
+//! Every checking request is the same question — *re-prove these nodes of
+//! the current instance* — answered by the same path: a full `check` names
+//! every node, a node-list `check` (a fleet shard) names its own, and a
+//! `delta` applies the edit, re-fingerprints the edit's topological
+//! *footprint*, diffs into the dirty cone and names that. The cone goes
+//! through the still-warm pool and the partial report is folded back into
+//! the cache — so a request costs what its cone costs, not what the network
+//! costs.
 //!
 //! The handler is transport-agnostic — it maps a parsed
-//! [`Request`] to a response [`Json`] — so the TCP server, the benchmark
-//! and the equivalence tests all drive the same code.
+//! [`Request`] to a response [`Json`] — so the TCP server, the benchmark,
+//! the shard replay and the equivalence tests all drive the same code.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use timepiece_algebra::policy::{RouteGuard, RoutePolicy};
 use timepiece_algebra::Network;
-use timepiece_core::check::{CheckOptions, CheckReport};
+use timepiece_core::check::{CheckOptions, CheckReport, FailureReason};
 use timepiece_core::incremental::interface_cone;
 use timepiece_core::sweep::CheckerPool;
-use timepiece_core::{Fingerprints, NodeAnnotations, VerdictCache};
+use timepiece_core::{CoreError, Fingerprints, NodeAnnotations, Temporal, VerdictCache};
 use timepiece_expr::Expr;
 use timepiece_nets::BenchInstance;
 use timepiece_sched::CancelToken;
 use timepiece_topology::NodeId;
 use timepiece_trace::{Json, Phase};
 
-use crate::protocol::{error_response, Delta, PolicySpec, Request};
+use crate::protocol::{
+    error_response, Delta, Load, LoadSource, NodeCheck, PolicySpec, Request, PROTOCOL_VERSION,
+};
 
 /// The cross-thread drain signal: raising it cancels whatever check is in
 /// flight *and* pre-cancels every later one, so a daemon told to shut down
@@ -52,6 +61,7 @@ pub struct DrainSignal {
 #[derive(Debug, Default)]
 struct DrainInner {
     draining: AtomicBool,
+    died: AtomicBool,
     current: Mutex<Option<CancelToken>>,
 }
 
@@ -74,6 +84,18 @@ impl DrainSignal {
     /// Has the signal been raised?
     pub fn is_draining(&self) -> bool {
         self.inner.draining.load(Ordering::Acquire)
+    }
+
+    /// Was the signal raised by the [`DaemonState::die_after`] fault? The
+    /// server then hangs up on its clients without a word, and the process
+    /// is expected to exit nonzero: from outside, a crashed host.
+    pub fn died(&self) -> bool {
+        self.inner.died.load(Ordering::SeqCst)
+    }
+
+    fn die(&self) {
+        self.inner.died.store(true, Ordering::SeqCst);
+        self.raise();
     }
 
     /// A fresh token for one check, pre-cancelled when already draining.
@@ -102,6 +124,11 @@ pub struct Handled {
     pub shutdown: bool,
 }
 
+/// Resolves a `load` request's source to a label and an instance. The
+/// process that starts the daemon supplies it, so this crate knows neither
+/// a benchmark registry nor a scenario compiler.
+pub type Loader = fn(&LoadSource) -> Result<(String, BenchInstance), String>;
+
 /// The downed-link book: each installed drop-policy direction, mapped to
 /// the edge's pre-`link_down` policy override so `link_up` can restore it.
 type Downed = HashMap<(NodeId, NodeId), Option<RoutePolicy>>;
@@ -121,58 +148,98 @@ struct Applied {
     footprint: Vec<NodeId>,
 }
 
-/// The warm verification state of one `timepieced` instance. See the
-/// module docs.
+/// The one instance a daemon currently holds, with what it knows about it.
 #[derive(Debug)]
-pub struct DaemonState {
+pub struct Instance {
     label: String,
     net: Network,
     interface: NodeAnnotations,
     property: NodeAnnotations,
-    delay: u64,
-    pool: CheckerPool,
-    fingerprints: Fingerprints,
+    /// Computed by the first delta: a `load`ed instance that only ever
+    /// answers node-list checks never pays for them.
+    fingerprints: Option<Fingerprints>,
     verdicts: VerdictCache,
     downed: Downed,
+}
+
+/// The warm verification state of one `timepieced`. See the module docs.
+#[derive(Debug)]
+pub struct DaemonState {
+    current: Option<Instance>,
+    /// Counts the instances this daemon has held: every `load` and every
+    /// committed delta starts a new one.
+    generation: u64,
+    /// What the daemon was started with; a `load` may override threads and
+    /// timeout for its instance.
+    options: CheckOptions,
+    pool: CheckerPool,
+    loader: Option<Loader>,
+    /// Did the last `load` ask for span traces in node-list replies?
+    trace: bool,
+    /// The armed [`DaemonState::die_after`] fault and the node-list checks
+    /// served so far.
+    die_after: Option<usize>,
+    node_checks: usize,
     drain: DrainSignal,
     requests: u64,
     deltas: u64,
 }
 
+const NOTHING_LOADED: &str = "nothing is loaded: send a load request first";
+
 impl DaemonState {
+    /// A daemon with its checker pool up and nothing loaded: every request
+    /// but `load`, `status`, `profile` and `shutdown` is refused until a
+    /// `load` arrives (which needs [`DaemonState::with_loader`]).
+    pub fn empty(options: CheckOptions) -> DaemonState {
+        DaemonState {
+            current: None,
+            generation: 0,
+            pool: CheckerPool::with_default_parallelism(options.clone()),
+            options,
+            loader: None,
+            trace: false,
+            die_after: None,
+            node_checks: 0,
+            drain: DrainSignal::new(),
+            requests: 0,
+            deltas: 0,
+        }
+    }
+
     /// Compiles the instance, spawns the persistent checker pool, and runs
     /// the initial full check so the first client request already hits warm
     /// sessions and a populated verdict cache.
     ///
     /// # Errors
     ///
-    /// Any [`timepiece_core::CoreError`] of the initial check.
+    /// Any [`CoreError`] of the initial check.
     pub fn new(
         label: impl Into<String>,
         instance: BenchInstance,
         options: CheckOptions,
-    ) -> Result<DaemonState, timepiece_core::CoreError> {
-        let delay = options.delay;
-        let mut pool = CheckerPool::with_default_parallelism(options);
-        let BenchInstance { network: net, interface, property } = instance;
-        let fingerprints = Fingerprints::compute(&net, &interface, &property, delay);
-        let report = pool.check(&net, &interface, &property)?;
-        let mut verdicts = VerdictCache::new();
-        verdicts.absorb(&report);
-        Ok(DaemonState {
-            label: label.into(),
-            net,
-            interface,
-            property,
-            delay,
-            pool,
-            fingerprints,
-            verdicts,
-            downed: HashMap::new(),
-            drain: DrainSignal::new(),
-            requests: 0,
-            deltas: 0,
-        })
+    ) -> Result<DaemonState, CoreError> {
+        let mut state = DaemonState::empty(options);
+        let mut inst = Instance::new(label.into(), instance);
+        inst.fingerprints = Some(inst.fingerprint(state.options.delay));
+        let report = state.pool.check(&inst.net, &inst.interface, &inst.property)?;
+        inst.verdicts.absorb(&report);
+        state.install(inst);
+        Ok(state)
+    }
+
+    /// Lets `load` requests install instances, resolved by `loader`.
+    pub fn with_loader(mut self, loader: Loader) -> DaemonState {
+        self.loader = Some(loader);
+        self
+    }
+
+    /// Arms (`Some`) the documented dead-host fault: after that many
+    /// node-list checks have been served, the next one raises the drain as
+    /// [`DrainSignal::died`] instead of being answered.
+    pub fn die_after(mut self, checks: Option<usize>) -> DaemonState {
+        self.die_after = checks;
+        self
     }
 
     /// The drain signal shared with the serving threads: raise it to cancel
@@ -181,47 +248,26 @@ impl DaemonState {
         self.drain.clone()
     }
 
-    /// The instance label (e.g. `"SpReach k=8"`).
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The current network, with every committed delta applied — what a
+    /// The current instance, with every committed delta applied — what a
     /// from-scratch reference check must agree with.
-    pub fn net(&self) -> &Network {
-        &self.net
+    pub fn instance(&self) -> Option<&Instance> {
+        self.current.as_ref()
     }
 
-    /// The current interface annotations (witness-time deltas included).
-    pub fn interface(&self) -> &NodeAnnotations {
-        &self.interface
-    }
-
-    /// The property annotations (deltas never change these).
-    pub fn property(&self) -> &NodeAnnotations {
-        &self.property
-    }
-
-    /// The cached per-node verdicts.
-    pub fn verdicts(&self) -> &VerdictCache {
-        &self.verdicts
-    }
-
-    /// The per-node condition fingerprints of the current instance, kept up
-    /// to date footprint by footprint — always equal to a from-scratch
-    /// [`Fingerprints::compute`].
-    pub fn fingerprints(&self) -> &Fingerprints {
-        &self.fingerprints
-    }
-
-    /// How many nodes the instance has.
+    /// How many nodes the current instance has (0 with nothing loaded).
     pub fn nodes(&self) -> usize {
-        self.net.topology().node_count()
+        self.current.as_ref().map_or(0, Instance::nodes)
     }
 
-    /// Does every node have a cached verified verdict?
+    /// Does every node of the current instance have a cached verified
+    /// verdict?
     pub fn all_verified(&self) -> bool {
-        self.verdicts.len() == self.nodes() && self.verdicts.all_verified()
+        self.current.as_ref().is_some_and(Instance::all_verified)
+    }
+
+    fn install(&mut self, inst: Instance) {
+        self.current = Some(inst);
+        self.generation += 1;
     }
 
     /// Handles one request, updating the state. Each call is traced as one
@@ -229,7 +275,8 @@ impl DaemonState {
     /// deltas additionally record their cone size and latency.
     pub fn handle(&mut self, request: &Request) -> Handled {
         let verb = match request {
-            Request::Check => "check",
+            Request::Load(_) => "load",
+            Request::Check | Request::CheckNodes(_) => "check",
             Request::Delta(_) => "delta",
             Request::Status => "status",
             Request::Profile => "profile",
@@ -240,7 +287,18 @@ impl DaemonState {
         self.requests += 1;
         let mut shutdown = false;
         let reply = match request {
-            Request::Check => self.handle_check(),
+            Request::Load(load) => self.handle_load(load).unwrap_or_else(error_response),
+            Request::Check => self.handle_check(None),
+            Request::CheckNodes(check) => {
+                if self.die_after.is_some_and(|limit| self.node_checks >= limit) {
+                    self.drain.die();
+                    shutdown = true;
+                    error_response("the die-after fault fired")
+                } else {
+                    self.node_checks += 1;
+                    self.handle_check(Some(check))
+                }
+            }
             Request::Delta(delta) => self.handle_delta(delta),
             Request::Status => self.handle_status(),
             Request::Profile => Json::obj([
@@ -256,46 +314,111 @@ impl DaemonState {
         Handled { reply, shutdown }
     }
 
-    /// `check`: re-verify every node through the warm pool.
-    fn handle_check(&mut self) -> Json {
-        let start = Instant::now();
-        let cone: Vec<NodeId> = self.net.topology().nodes().collect();
-        let token = self.drain.begin();
-        let result =
-            self.pool.check_nodes(&self.net, &self.interface, &self.property, &cone, &token);
-        self.drain.end();
-        match result {
-            Ok(report) => {
-                self.verdicts.invalidate(&cone);
-                self.verdicts.absorb(&report);
-                self.report_response("check", &cone, &report, start)
-            }
-            Err(e) => error_response(format!("check failed: {e}")),
+    /// `load`: resolve the source, apply the sabotage, make the instance
+    /// current. No check runs and nothing is fingerprinted; the pool is
+    /// rebuilt only when the request asks for other threads or another
+    /// timeout than it has, so solver sessions survive from load to load.
+    fn handle_load(&mut self, load: &Load) -> Result<Json, String> {
+        if load.version != PROTOCOL_VERSION {
+            return Err(format!(
+                "the client speaks protocol version {}, this daemon speaks {PROTOCOL_VERSION}",
+                load.version
+            ));
         }
+        let loader = self.loader.ok_or("this daemon was started without a loader")?;
+        let (label, instance) = loader(&load.source)?;
+        let mut inst = Instance::new(label, instance);
+        for name in &load.sabotage {
+            let v = inst.node(name).map_err(|e| format!("sabotage: {e}"))?;
+            inst.interface.set(v, Temporal::globally(|r| r.clone().is_some().not()));
+        }
+        let options = CheckOptions {
+            threads: load.threads.or(self.options.threads),
+            timeout: load.timeout_millis.map(Duration::from_millis).or(self.options.timeout),
+            ..self.options.clone()
+        };
+        let warm = self.pool.options();
+        if (warm.threads, warm.timeout) != (options.threads, options.timeout) {
+            self.pool = CheckerPool::with_default_parallelism(options);
+        }
+        self.trace = load.trace;
+        if load.trace {
+            timepiece_trace::enable();
+            let _ = timepiece_trace::take();
+        } else {
+            // an earlier client's tracing must not pile spans up here
+            timepiece_trace::disable();
+        }
+        let (label, nodes) = (inst.label.clone(), inst.nodes());
+        self.install(inst);
+        Ok(Json::obj([
+            ("verb", Json::str("load")),
+            ("ok", Json::Bool(true)),
+            ("version", Json::from(PROTOCOL_VERSION)),
+            ("label", Json::str(label)),
+            ("nodes", Json::from(nodes)),
+            ("generation", Json::Num(self.generation as f64)),
+        ]))
+    }
+
+    /// `check`: re-verify every node — or, for a node-list check, exactly
+    /// the named ones — through the warm pool.
+    fn handle_check(&mut self, subset: Option<&NodeCheck>) -> Json {
+        let start = Instant::now();
+        let Some(inst) = self.current.as_mut() else { return error_response(NOTHING_LOADED) };
+        let cone: Vec<NodeId> = match subset {
+            None => inst.net.topology().nodes().collect(),
+            Some(check) => {
+                if let Some(planned) = check.generation.filter(|&g| g != self.generation) {
+                    return error_response(format!(
+                        "stale generation {planned}: this daemon now holds generation {} ({})",
+                        self.generation, inst.label
+                    ));
+                }
+                match check.nodes.iter().map(|name| inst.node(name)).collect() {
+                    Ok(cone) => cone,
+                    Err(message) => return error_response(message),
+                }
+            }
+        };
+        let proved =
+            prove(&mut self.pool, &self.drain, &inst.net, &inst.interface, &inst.property, &cone);
+        let report = match proved {
+            Ok(report) => report,
+            Err(e) => return error_response(format!("check failed: {e}")),
+        };
+        inst.absorb(&cone, &report);
+        let mut reply = inst.report_response("check", self.generation, &cone, &report, start);
+        if let (Some(check), Json::Obj(pairs)) = (subset, &mut reply) {
+            pairs.extend(check.shard.map(|shard| ("shard".to_owned(), Json::from(shard))));
+            if self.trace {
+                let trace = timepiece_trace::trace_to_json(&timepiece_trace::take());
+                pairs.push(("trace".to_owned(), trace));
+            }
+        }
+        reply
     }
 
     /// `delta`: apply the edit, diff fingerprints into the dirty cone,
     /// re-check only the cone, commit.
     fn handle_delta(&mut self, delta: &Delta) -> Json {
         let start = Instant::now();
-        let applied = match self.apply(delta) {
+        let Some(inst) = self.current.as_mut() else { return error_response(NOTHING_LOADED) };
+        let applied = match inst.apply(delta) {
             Ok(applied) => applied,
             Err(message) => return error_response(message),
         };
-        let net = applied.net.as_ref().unwrap_or(&self.net);
-        let interface = applied.interface.as_ref().unwrap_or(&self.interface);
-        let after = self.fingerprints.refreshed(
-            net,
-            interface,
-            &self.property,
-            self.delay,
-            &applied.footprint,
-        );
-        let cone = self.fingerprints.dirty_cone(&after);
-        let token = self.drain.begin();
-        let result = self.pool.check_nodes(net, interface, &self.property, &cone, &token);
-        self.drain.end();
-        let report = match result {
+        let delay = self.options.delay;
+        if inst.fingerprints.is_none() {
+            inst.fingerprints = Some(inst.fingerprint(delay));
+        }
+        let before = inst.fingerprints.as_ref().expect("fingerprinted just above");
+        let net = applied.net.as_ref().unwrap_or(&inst.net);
+        let interface = applied.interface.as_ref().unwrap_or(&inst.interface);
+        let after = before.refreshed(net, interface, &inst.property, delay, &applied.footprint);
+        let cone = before.dirty_cone(&after);
+        let proved = prove(&mut self.pool, &self.drain, net, interface, &inst.property, &cone);
+        let report = match proved {
             Ok(report) => report,
             Err(e) => return error_response(format!("re-check failed: {e}")),
         };
@@ -303,41 +426,48 @@ impl DaemonState {
         // nodes the (possibly cancelled) report did not reach stay
         // invalidated rather than serving a stale verdict
         if let Some(net) = applied.net {
-            self.net = net;
+            inst.net = net;
         }
         if let Some(interface) = applied.interface {
-            self.interface = interface;
+            inst.interface = interface;
         }
         if let Some(downed) = applied.downed {
-            self.downed = downed;
+            inst.downed = downed;
         }
-        self.fingerprints = after;
-        self.verdicts.invalidate(&cone);
-        self.verdicts.absorb(&report);
+        inst.fingerprints = Some(after);
+        inst.absorb(&cone, &report);
+        self.generation += 1;
         self.deltas += 1;
         timepiece_trace::counter("daemon.deltas").inc();
         timepiece_trace::histogram("daemon.cone_nodes").record(cone.len() as u64);
         timepiece_trace::histogram("daemon.delta_ns").record_duration(start.elapsed());
-        self.report_response("delta", &cone, &report, start)
+        inst.report_response("delta", self.generation, &cone, &report, start)
     }
 
     /// `status`: the instance and cache summary.
     fn handle_status(&self) -> Json {
-        let g = self.net.topology();
-        let failed: Vec<Json> =
-            self.verdicts.failed_nodes().iter().map(|v| Json::str(g.name(*v))).collect();
+        let (label, failed, downed, cached) = match &self.current {
+            Some(inst) => (
+                Json::str(inst.label.clone()),
+                inst.failed(),
+                inst.downed.len(),
+                inst.verdicts.len(),
+            ),
+            None => (Json::Null, Vec::new(), 0, 0),
+        };
         let sessions = self.pool.session_stats();
         Json::obj([
             ("verb", Json::str("status")),
             ("ok", Json::Bool(true)),
-            ("label", Json::str(self.label.clone())),
+            ("label", label),
+            ("generation", Json::Num(self.generation as f64)),
             ("nodes", Json::from(self.nodes())),
             ("workers", Json::from(self.pool.workers())),
             ("requests", Json::from(self.requests as usize)),
             ("deltas", Json::from(self.deltas as usize)),
-            ("downed_edges", Json::from(self.downed.len())),
+            ("downed_edges", Json::from(downed)),
             ("verified", Json::Bool(self.all_verified())),
-            ("cached_verdicts", Json::from(self.verdicts.len())),
+            ("cached_verdicts", Json::from(cached)),
             ("failed", Json::Arr(failed)),
             // what the daemon's memory is made of: the workers' live solver
             // sessions and the compiled terms they hold (bounded: overgrown
@@ -349,12 +479,98 @@ impl DaemonState {
             ("arena_terms", Json::from(timepiece_expr::arena::stats().terms as usize)),
         ])
     }
+}
 
-    /// The common `check`/`delta` response: per-node verdicts plus cone and
-    /// cache-hit statistics.
+/// Re-proves `cone` on the pool under a fresh drain token — the one way a
+/// request reaches the solver.
+fn prove(
+    pool: &mut CheckerPool,
+    drain: &DrainSignal,
+    net: &Network,
+    interface: &NodeAnnotations,
+    property: &NodeAnnotations,
+    cone: &[NodeId],
+) -> Result<CheckReport, CoreError> {
+    let token = drain.begin();
+    let result = pool.check_nodes(net, interface, property, cone, &token);
+    drain.end();
+    result
+}
+
+impl Instance {
+    fn new(label: String, instance: BenchInstance) -> Instance {
+        let BenchInstance { network: net, interface, property } = instance;
+        Instance {
+            label,
+            net,
+            interface,
+            property,
+            fingerprints: None,
+            verdicts: VerdictCache::new(),
+            downed: HashMap::new(),
+        }
+    }
+
+    /// The network, with every committed delta applied.
+    pub fn net(&self) -> &Network {
+        &self.net
+    }
+
+    /// The interface annotations (witness-time deltas included).
+    pub fn interface(&self) -> &NodeAnnotations {
+        &self.interface
+    }
+
+    /// The property annotations (deltas never change these).
+    pub fn property(&self) -> &NodeAnnotations {
+        &self.property
+    }
+
+    /// The cached per-node verdicts.
+    pub fn verdicts(&self) -> &VerdictCache {
+        &self.verdicts
+    }
+
+    /// The per-node condition fingerprints, once a delta (or
+    /// [`DaemonState::new`]) has computed them; from then on kept up to date
+    /// footprint by footprint — always equal to a from-scratch
+    /// [`Fingerprints::compute`].
+    pub fn fingerprints(&self) -> Option<&Fingerprints> {
+        self.fingerprints.as_ref()
+    }
+
+    fn nodes(&self) -> usize {
+        self.net.topology().node_count()
+    }
+
+    fn all_verified(&self) -> bool {
+        self.verdicts.len() == self.nodes() && self.verdicts.all_verified()
+    }
+
+    fn fingerprint(&self, delay: u64) -> Fingerprints {
+        Fingerprints::compute(&self.net, &self.interface, &self.property, delay)
+    }
+
+    /// Folds a cone's report into the verdict cache.
+    fn absorb(&mut self, cone: &[NodeId], report: &CheckReport) {
+        self.verdicts.invalidate(cone);
+        self.verdicts.absorb(report);
+    }
+
+    /// The names of the nodes whose cached verdict is a failure.
+    fn failed(&self) -> Vec<Json> {
+        let g = self.net.topology();
+        self.verdicts.failed_nodes().iter().map(|v| Json::str(g.name(*v))).collect()
+    }
+
+    /// The common `check`/`delta` response: the cache's verdicts, cone and
+    /// cache-hit statistics, and what this cone's check itself found —
+    /// per-node durations and failures — which is all a fleet coordinator
+    /// reads (`ShardReport` in `timepiece-bench` is a typed view of it).
     fn report_response(
         &self,
         verb: &str,
+        generation: u64,
         cone: &[NodeId],
         report: &CheckReport,
         start: Instant,
@@ -370,19 +586,36 @@ impl DaemonState {
                 (g.name(v).to_owned(), Json::str(word))
             })
             .collect();
-        let failed: Vec<Json> =
-            self.verdicts.failed_nodes().iter().map(|v| Json::str(g.name(*v))).collect();
+        let durations = report
+            .node_durations()
+            .iter()
+            .map(|&(v, d)| Json::arr([Json::str(g.name(v)), Json::Num(d.as_secs_f64())]));
+        let failures = report.failures().iter().map(|f| {
+            let kind = match f.reason {
+                FailureReason::CounterExample(_) => "counterexample",
+                FailureReason::Unknown(_) => "unknown",
+            };
+            Json::obj([
+                ("node", Json::str(f.node_name.clone())),
+                ("vc", Json::str(f.vc.to_string())),
+                ("kind", Json::str(kind)),
+            ])
+        });
         let mut pairs = vec![
             ("verb".to_owned(), Json::str(verb)),
             ("ok".to_owned(), Json::Bool(true)),
+            ("label".to_owned(), Json::str(self.label.clone())),
+            ("generation".to_owned(), Json::Num(generation as f64)),
             ("verified".to_owned(), Json::Bool(self.all_verified())),
             ("nodes".to_owned(), Json::from(nodes)),
             ("cone".to_owned(), Json::Arr(cone_names)),
             ("cone_size".to_owned(), Json::from(cone.len())),
             ("cached".to_owned(), Json::from(nodes.saturating_sub(cone.len()))),
             ("checked".to_owned(), Json::from(report.node_durations().len())),
-            ("failed".to_owned(), Json::Arr(failed)),
+            ("failed".to_owned(), Json::Arr(self.failed())),
             ("verdicts".to_owned(), Json::Obj(verdicts)),
+            ("durations".to_owned(), Json::arr(durations)),
+            ("failures".to_owned(), Json::arr(failures)),
             ("wall_ms".to_owned(), Json::Num(start.elapsed().as_secs_f64() * 1e3)),
         ];
         if let Some(terms) = report.term_cache() {

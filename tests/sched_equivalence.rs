@@ -103,9 +103,9 @@ proptest! {
 #[test]
 fn tcp_loopback_distributed_matches_single_process() {
     use timepiece_bench::{
-        run_row_distributed, run_worker, BenchKind, DistOptions, SweepOptions, WorkerExit,
-        WorkerOptions,
+        load_instance, run_row_distributed, shut_down, BenchKind, DistOptions, SweepOptions,
     };
+    use timepiece_daemon::{serve, DaemonState};
 
     let mask = 0b0010_0100_1001u32;
     let (inst, interface) = sabotaged_instance(mask);
@@ -123,18 +123,15 @@ fn tcp_loopback_distributed_matches_single_process() {
         .map(|v| topology.name(v).to_owned())
         .collect();
 
-    // two real TCP workers on ephemeral loopback ports, serving the one
-    // session of the distributed row below, then exiting via the session
-    // backstop
+    // two real TCP workers — daemons started with nothing loaded — on
+    // ephemeral loopback ports, serving the distributed row below
     let mut addrs = Vec::new();
     let mut handles = Vec::new();
     for _ in 0..2 {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         addrs.push(listener.local_addr().expect("local addr").to_string());
-        handles.push(std::thread::spawn(move || {
-            run_worker(listener, &WorkerOptions { max_sessions: Some(1), die_after: None })
-                .expect("worker io")
-        }));
+        let state = DaemonState::empty(CheckOptions::default()).with_loader(load_instance);
+        handles.push(std::thread::spawn(move || serve(listener, state)));
     }
 
     let kind = BenchKind::parse("SpReach").expect("registered");
@@ -149,7 +146,8 @@ fn tcp_loopback_distributed_matches_single_process() {
     let got: BTreeSet<String> = row.failing.iter().cloned().collect();
     assert_eq!(got, expected, "TCP workers must reproduce the single-process verdict");
     assert_eq!(row.tp.outcome(), "failed", "a sabotaged row must not verify");
+    assert_eq!(shut_down(&addrs), Vec::<String>::new());
     for handle in handles {
-        assert_eq!(handle.join().expect("worker thread"), WorkerExit::SessionLimit);
+        handle.join().expect("worker thread").expect("the daemon drains cleanly");
     }
 }
