@@ -854,8 +854,8 @@ mod tests {
             .build()
             .expect("policy network builds");
         assert!(net.policies().is_some());
-        // sessions are keyed by declarations, not by how the network was
-        // built: the same route type without an IR shares the key
+        // the signature names declarations, not how the network was built:
+        // the same route type without an IR has the same signature
         let closure_built = NetworkBuilder::new(gen::path(5), schema.route_type())
             .merge(|a, _| a.clone())
             .default_transfer(|r| r.clone())

@@ -859,7 +859,7 @@ fn select_kinds(bench: &str) -> Vec<BenchKind> {
 /// Drains the collected spans and writes them as a Chrome trace-event JSON
 /// (one track per worker thread / shard process), with the metrics
 /// registry's snapshot attached under `otherData`.
-fn write_trace(path: &str) {
+fn write_trace(path: &str) -> Result<(), String> {
     use timepiece_sched::Json;
     let trace = timepiece_trace::take();
     let spans = trace.spans.len();
@@ -867,8 +867,9 @@ fn write_trace(path: &str) {
     if let Json::Obj(pairs) = &mut doc {
         pairs.push(("otherData".to_owned(), timepiece_trace::metrics_json()));
     }
-    std::fs::write(path, format!("{doc}\n")).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    std::fs::write(path, format!("{doc}\n")).map_err(|e| format!("writing {path}: {e}"))?;
     eprintln!("wrote {path} ({spans} spans)");
+    Ok(())
 }
 
 fn fig14(args: &Args) -> Result<(), String> {
@@ -900,11 +901,11 @@ fn fig14(args: &Args) -> Result<(), String> {
             ("shards", Json::from(shards)),
             ("rows", Json::Arr(rows)),
         ]);
-        std::fs::write(path, format!("{doc}\n")).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        std::fs::write(path, format!("{doc}\n")).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
     if let Some(path) = &args.trace {
-        write_trace(path);
+        write_trace(path)?;
     }
     if args.shut_down && !args.workers.is_empty() {
         for warning in shut_down(&args.workers) {
@@ -1026,12 +1027,7 @@ fn daemon_bench(args: &Args) -> Result<Option<BenchKind>, String> {
 
 /// The options of a daemon's own checker pool.
 fn daemon_options(args: &Args) -> CheckOptions {
-    CheckOptions {
-        timeout: Some(args.timeout),
-        threads: args.threads,
-        session_cap: Some(64),
-        ..CheckOptions::default()
-    }
+    CheckOptions { timeout: Some(args.timeout), threads: args.threads, ..CheckOptions::default() }
 }
 
 /// The `repro serve` subcommand: start `timepieced` — warm on one instance,
@@ -1237,7 +1233,7 @@ fn infer(args: &Args) -> Result<(), String> {
         }
     }
     if let Some(path) = &args.trace {
-        write_trace(path);
+        write_trace(path)?;
     }
     Ok(())
 }

@@ -130,13 +130,6 @@ impl ShardReport {
 /// a multi-host sweep is attributable from the error alone.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MergeError {
-    /// A report frame did not parse (malformed or truncated JSON).
-    Protocol {
-        /// The worker whose output failed to parse.
-        worker: String,
-        /// The parse failure.
-        detail: String,
-    },
     /// A report was for another instance than the row's.
     WrongInstance {
         /// The worker that sent the report.
@@ -186,9 +179,6 @@ pub enum MergeError {
 impl fmt::Display for MergeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MergeError::Protocol { worker, detail } => {
-                write!(f, "worker {worker}: unreadable shard report: {detail}")
-            }
             MergeError::WrongInstance { worker, expected, got } => {
                 write!(
                     f,
@@ -480,21 +470,6 @@ mod tests {
             // the workers' term-cache counters are summed into the row's
             let misses: u64 = reports.iter().map(|(_, r)| r.terms.misses).sum();
             assert!(misses > 0 && merged.terms.misses == misses, "{:?}", merged.terms);
-        }
-
-        #[test]
-        fn truncated_frames_are_typed_protocol_errors() {
-            // a report cut off mid-stream parses to a JSON error; ingestion
-            // wraps it as a Protocol error naming the worker
-            let full = striped_reply(0, 1).to_string();
-            let truncated = &full[..full.len() / 2];
-            let parse_err = Json::parse(truncated).unwrap_err();
-            let err = MergeError::Protocol {
-                worker: "tcp:9001".to_owned(),
-                detail: parse_err.to_string(),
-            };
-            assert!(err.to_string().contains("tcp:9001"), "{err}");
-            assert!(err.to_string().contains("unreadable"), "{err}");
         }
 
         #[test]

@@ -138,6 +138,11 @@ const CLIENT_FAULTS: &[(&str, &str, Cell)] = &[
         accepted(client.send(&spreach_k4()).unwrap());
         refusal(client.send(&nodes(&["core-0", "no-such-node"], None)).unwrap())
     }),
+    ("a node named twice in nodes", "node \"core-0\" is named twice", |addr| {
+        let mut client = Client::connect(addr).unwrap();
+        accepted(client.send(&spreach_k4()).unwrap());
+        refusal(client.send(&nodes(&["core-0", "edge-0-0", "core-0"], None)).unwrap())
+    }),
     ("a stale generation after a second client's load", "stale generation", |addr| {
         let (mut first, mut second) =
             (Client::connect(addr).unwrap(), Client::connect(addr).unwrap());

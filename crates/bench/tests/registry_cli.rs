@@ -34,6 +34,23 @@ fn registry_scenarios_sweep_and_dump_json() {
 }
 
 #[test]
+fn an_unwritable_json_path_is_one_error_line_and_exit_1() {
+    // the sweep runs, then the write fails: a run that started and failed,
+    // not a panic
+    let out = repro()
+        .args(["fig14", "--bench", "spreach", "--ks", "4", "--no-ms"])
+        .args(["--json", "/nonexistent-dir/rows.json"])
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(errors[0].contains("writing /nonexistent-dir/rows.json"), "{stderr}");
+}
+
+#[test]
 fn unknown_bench_lists_the_registry() {
     let out = repro().args(["fig14", "--bench", "nosuch"]).output().expect("repro runs");
     assert_eq!(out.status.code(), Some(2), "unknown benchmark is a usage error");

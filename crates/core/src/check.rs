@@ -4,9 +4,10 @@
 //! discharged *independently* ([`ModularChecker::check_node`] is the whole
 //! procedure for one node). Which worker runs which node, on which solver
 //! session, is answered in one place — [`crate::sweep::CheckerPool`], the
-//! checking engine — and [`ModularChecker::check_nodes`] is that engine
-//! living for one call. The report records per-node wall times so the
-//! paper's total/median/p99 figures can be reproduced.
+//! checking engine, whose workers hold one session each — and
+//! [`ModularChecker::check_nodes`] is that engine living for one call. The
+//! report records per-node wall times so the paper's total/median/p99
+//! figures can be reproduced.
 
 use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
@@ -14,7 +15,7 @@ use std::time::{Duration, Instant};
 use timepiece_algebra::Network;
 use timepiece_expr::Env;
 use timepiece_sched::{CancelToken, SchedStats};
-use timepiece_smt::{SessionPool, SolverSession, TermCacheStats, Validity};
+use timepiece_smt::{SolverSession, TermCacheStats, Validity};
 use timepiece_topology::NodeId;
 
 use crate::error::CoreError;
@@ -34,24 +35,13 @@ pub struct CheckOptions {
     pub delay: u64,
     /// Stop scheduling new nodes after the first failure.
     pub fail_fast: bool,
-    /// Bound each worker's solver-session pool to this many sessions,
-    /// evicting least-recently-used ones (`None`: unbounded). Sessions are
-    /// keyed by declarations ([`Network::encoder_signature`]), so only a
-    /// service that checks networks of many different route types or
-    /// symbolic inputs ever holds more than one per worker.
+    /// Has no effect: a checker worker holds at most one solver session
+    /// (see [`crate::sweep`]), so there is nothing to bound. Nothing reads
+    /// the field; it remains only so that callers which still set it compile.
     pub session_cap: Option<usize>,
 }
 
 impl CheckOptions {
-    /// A session pool honoring [`CheckOptions::timeout`] and
-    /// [`CheckOptions::session_cap`].
-    pub(crate) fn session_pool(&self) -> SessionPool {
-        match self.session_cap {
-            Some(cap) => SessionPool::with_capacity(self.timeout, cap),
-            None => SessionPool::new(self.timeout),
-        }
-    }
-
     /// [`CheckOptions::threads`], resolved against the machine.
     pub(crate) fn workers(&self) -> usize {
         self.threads

@@ -1,31 +1,40 @@
-//! The checking engine: one pool of work-stealing workers whose solver
-//! sessions survive across checks.
+//! The checking engine: one pool of work-stealing workers, each holding one
+//! solver session that survives across checks.
 //!
 //! Algorithm 1 is one loop over independent per-node checks; this module is
 //! the one place that decides which worker runs which node on which solver
-//! session. A [`CheckerPool`] keeps `n` worker threads of a
-//! [`timepiece_sched::Pool`] alive for its whole lifetime; each worker owns
-//! one [`timepiece_smt::SessionPool`] keyed by
-//! [`timepiece_algebra::Network::encoder_signature`], so a `repro fig14
-//! --ks 4,6,8` sweep — or a daemon's stream of edits — reuses solver
-//! sessions (and the terms already compiled into them) from one check to
-//! the next. Every check is one job on the pool: each node is dealt to its
-//! home worker (the same one in every job, so it meets its own compiled
-//! terms) and the job is re-balanced by steal-half, the first hard error or
-//! (under [`CheckOptions::fail_fast`]) the first failure cancels the job and
-//! interrupts in-flight solver calls, and the report carries the job's
-//! scheduler statistics. A one-shot check
+//! session, and how long that session lives. A [`CheckerPool`] keeps `n`
+//! worker threads of a [`timepiece_sched::Pool`] alive for its whole
+//! lifetime, so a `repro fig14 --ks 4,6,8` sweep — or a daemon's stream of
+//! edits — reuses each worker's session (and the terms already compiled into
+//! it) from one check to the next. Every check is one job on the pool: each
+//! node is dealt to its home worker (the same one in every job, so it meets
+//! its own compiled terms) and the job is re-balanced by steal-half, the
+//! first hard error or (under [`CheckOptions::fail_fast`]) the first failure
+//! cancels the job and interrupts in-flight solver calls, and the report
+//! carries the job's scheduler statistics. A one-shot check
 //! ([`crate::check::ModularChecker::check_nodes`]) is this pool dropped
 //! after its first job — the caller picks a lifetime, never an engine.
 //!
-//! Sessions that live this long need a bound. Stealing must not copy the
-//! instance into every worker: a thief forgets the terms of a node it stole
-//! as soon as it has checked it ([`SolverSession::scratch`]), so the workers
-//! together keep one compiled copy — each its own nodes. And under a daemon's stream of edits an encoder
-//! cache fills with the terms of instances long edited away, and a solver
-//! keeps a residue per check: each worker therefore ends every job with
-//! [`timepiece_smt::SessionPool::end_job`], which retires a session that
-//! has outgrown the jobs it serves; the next job rebuilds it cold.
+//! The session's lifetime is one rule, applied per worker:
+//!
+//! * **Which session.** A job's conditions can clash inside one encoder on
+//!   exactly one thing, a variable's *(name, type)*, and
+//!   [`Network::encoder_signature`] names exactly that. A worker keeps the
+//!   session while jobs carry its signature and replaces it, once, at the
+//!   start of the first job that carries another.
+//! * **What a thief keeps.** Stealing must not copy the instance into every
+//!   worker: a thief forgets the terms of a node it stole as soon as it has
+//!   checked it ([`SolverSession::scratch`]), so the workers together keep
+//!   one compiled copy — each its own nodes.
+//! * **When it is dropped.** A condition that fails to encode may already
+//!   have declared variables at types the next one contradicts, so an
+//!   encode error drops the session. And under a daemon's stream of edits an
+//!   encoder cache fills with the terms of instances long edited away, and a
+//!   solver keeps a residue per check: every job therefore ends by retiring
+//!   a session that has outgrown the jobs it serves (`RETIRE_AT_JOB_TERMS`,
+//!   `RETIRE_AT_JOB_CHECKS`); the next job rebuilds it cold.
+//!
 //! [`CheckerPool::session_stats`] reports the sizes and the retirement
 //! count.
 
@@ -34,29 +43,132 @@ use std::time::{Duration, Instant};
 
 use timepiece_algebra::Network;
 use timepiece_sched::{CancelToken, Job, Pool, PoolError};
-use timepiece_smt::{SessionPool, SessionPoolStats, SolverSession, TermCacheStats};
+use timepiece_smt::{SolverSession, TermCacheStats};
 use timepiece_topology::NodeId;
 
 use crate::check::{check_node_in_session, CheckOptions, CheckReport, Failure};
 use crate::error::CoreError;
 use crate::interface::NodeAnnotations;
 
+/// A worker's session is retired once its encoder cache holds this many
+/// times the compiled terms the largest single job added. One compiled copy
+/// of the instance per worker is the floor (an edited network keeps its
+/// declarations, hence its session); the rest of the budget is room for the
+/// terms of instances since edited away — two more copies' worth before the
+/// worker starts cold again. Measured on a daemon serving SpReach k=8 edits:
+/// 2 thrashes (+26 % time), 3 costs ~4 % and holds the process at its
+/// footprint, 4 costs nothing but lets RSS run 9 % higher.
+const RETIRE_AT_JOB_TERMS: usize = 3;
+
+/// A worker's session is retired once it has discharged this many times the
+/// checks of the largest single job: the solver's per-check residue (see
+/// [`SolverSession::checks`]) is then bounded by a megabyte or two per
+/// worker, for one cold rebuild every few dozen full checks.
+const RETIRE_AT_JOB_CHECKS: u64 = 64;
+
+/// The workers' solver sessions, summed ([`CheckerPool::session_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SessionStats {
+    /// Live sessions: at most one per worker.
+    pub sessions: usize,
+    /// Compiled terms held by the live sessions' encoder caches.
+    pub compiled_terms: usize,
+    /// Sessions retired for outgrowing their jobs so far.
+    pub retirements: usize,
+}
+
 /// What a worker thread owns for the pool's life.
 struct Worker {
     index: usize,
-    /// The sessions (and their Z3 contexts, declarations and compiled-term
-    /// caches) live exactly as long as the worker's thread: across every
-    /// job the pool ever runs.
-    sessions: SessionPool,
-    /// The sessions' term-cache counters when the current job began.
+    timeout: Option<Duration>,
+    /// The worker's one session (its Z3 solver, declarations and
+    /// compiled-term cache) and the signature it was opened for. It lives
+    /// across jobs until a job brings another signature, an encode error
+    /// drops it, or [`Worker::end_job`] retires it.
+    held: Option<(String, SolverSession)>,
+    /// What the largest single job so far added to the session, in compiled
+    /// terms and in checks — the unit [`Worker::end_job`] measures growth in.
+    largest_job: (usize, u64),
+    /// The session's compiled terms and checks when the last job ended.
+    job_mark: (usize, u64),
+    retirements: usize,
+    /// The session's term-cache counters when the current job began.
     job_start: TermCacheStats,
+}
+
+impl Worker {
+    fn new(index: usize, timeout: Option<Duration>) -> Worker {
+        Worker {
+            index,
+            timeout,
+            held: None,
+            largest_job: (0, 0),
+            job_mark: (0, 0),
+            retirements: 0,
+            job_start: TermCacheStats::default(),
+        }
+    }
+
+    /// The session for conditions that declare `signature`: the held one if
+    /// it was opened for the same signature, else a fresh one replacing it.
+    fn open(&mut self, signature: &str) -> &mut SolverSession {
+        if self.held.as_ref().is_none_or(|(held, _)| held != signature) {
+            self.held = Some((signature.to_owned(), SolverSession::new(self.timeout)));
+            self.job_mark = (0, 0);
+        }
+        let (_, session) = self.held.as_mut().expect("held or just opened");
+        session
+    }
+
+    /// The session's compiled terms and checks.
+    fn totals(&self) -> (usize, u64) {
+        self.held.as_ref().map_or((0, 0), |(_, s)| (s.compiled_terms(), s.checks()))
+    }
+
+    fn term_cache_stats(&self) -> TermCacheStats {
+        self.held.as_ref().map(|(_, s)| s.term_cache_stats()).unwrap_or_default()
+    }
+
+    /// Marks the end of one job and retires the session if it has outgrown
+    /// the jobs it serves; returns how many sessions were retired (0 or 1).
+    ///
+    /// The yardstick is the worker's own history: the most compiled terms
+    /// and checks any single job added. The session goes when it holds a
+    /// fixed multiple of the one, or is a fixed multiple of the other old —
+    /// so a worker fed ever larger instances (a sweep over `k`) raises its
+    /// own bound and keeps its warm start, one fed the same instance again
+    /// and again retires on age alone, and one that only ever ends one job
+    /// (a one-shot check) has no history to outgrow and never retires.
+    fn end_job(&mut self) -> usize {
+        let (terms, checks) = self.totals();
+        self.largest_job.0 = self.largest_job.0.max(terms.saturating_sub(self.job_mark.0));
+        self.largest_job.1 = self.largest_job.1.max(checks.saturating_sub(self.job_mark.1));
+        let max_terms = self.largest_job.0.saturating_mul(RETIRE_AT_JOB_TERMS);
+        let max_checks = self.largest_job.1.saturating_mul(RETIRE_AT_JOB_CHECKS);
+        let retired = if terms > max_terms || checks > max_checks {
+            usize::from(self.held.take().is_some())
+        } else {
+            0
+        };
+        self.retirements += retired;
+        self.job_mark = self.totals();
+        retired
+    }
+
+    fn stats(&self) -> SessionStats {
+        SessionStats {
+            sessions: usize::from(self.held.is_some()),
+            compiled_terms: self.totals().0,
+            retirements: self.retirements,
+        }
+    }
 }
 
 /// What the workers report back beside per-node results.
 #[derive(Debug, Default)]
 struct Tally {
-    /// Each worker's session pool as of its last finished job.
-    sessions: Vec<SessionPoolStats>,
+    /// Each worker's session as of its last finished job.
+    sessions: Vec<SessionStats>,
     /// The current job's term-cache traffic, summed over its workers. The
     /// hits include terms compiled by *earlier* jobs into the persistent
     /// sessions — the cross-row reuse a long-lived pool exists for.
@@ -89,13 +201,14 @@ impl Job for CheckJob {
     }
 
     fn begin(&self, worker: &mut Worker, token: &CancelToken) {
+        let session = worker.open(&self.signature);
         // the job's token must reach this worker's in-flight solver calls:
         // hooks are per token (jobs come with fresh tokens), so the handle
         // is registered anew for every job — on an already-raised token the
         // hook fires immediately and the worker never starts a check
-        let handle = worker.sessions.session(&self.signature).interrupt_handle();
+        let handle = session.interrupt_handle();
         token.on_cancel(move || handle.interrupt());
-        worker.job_start = worker.sessions.term_cache_stats();
+        worker.job_start = worker.term_cache_stats();
     }
 
     fn run(
@@ -115,7 +228,9 @@ impl Job for CheckJob {
                 v,
             )
         };
-        let session = worker.sessions.session(&self.signature);
+        // `begin` opened it, and only an error drops it — after which the
+        // pool runs nothing more on this worker in this job
+        let (_, session) = worker.held.as_mut().expect("the job's session is open");
         let checked = if v.index() % self.workers == worker.index {
             check(session)
         } else {
@@ -127,7 +242,7 @@ impl Job for CheckJob {
         };
         if checked.is_err() {
             // whatever the ill-typed condition declared must not outlive it
-            worker.sessions.discard(&self.signature);
+            worker.held = None;
         }
         let Some((failures, duration)) = checked? else { return Ok(None) };
         if self.options.fail_fast && !failures.is_empty() {
@@ -137,18 +252,18 @@ impl Job for CheckJob {
     }
 
     fn end(&self, worker: &mut Worker) {
-        let terms = worker.sessions.term_cache_stats().delta_since(&worker.job_start);
-        // between jobs nothing holds a session: the one point where an
+        let terms = worker.term_cache_stats().delta_since(&worker.job_start);
+        // between jobs nothing holds the session: the one point where an
         // overgrown one can be dropped whole
-        worker.sessions.end_job();
+        worker.end_job();
         let mut tally = self.tally.lock().expect("tally updates cannot panic");
         tally.terms += terms;
-        tally.sessions[worker.index] = worker.sessions.stats();
+        tally.sessions[worker.index] = worker.stats();
     }
 }
 
-/// A pool of persistent verification workers with long-lived solver
-/// sessions. See the module docs.
+/// A pool of persistent verification workers, each with one long-lived
+/// solver session. See the module docs.
 ///
 /// # Example
 ///
@@ -164,7 +279,8 @@ impl Job for CheckJob {
 ///     let report = pool.check(&net, &interface, &property).unwrap();
 ///     assert!(report.is_verified());
 /// }
-/// // sessions built for k = 4 served k = 6 and k = 8 too
+/// // the sessions built for k = 4 served k = 6 and k = 8 too: one schema,
+/// // one declaration signature
 /// ```
 #[derive(Debug)]
 pub struct CheckerPool {
@@ -174,22 +290,17 @@ pub struct CheckerPool {
 }
 
 impl CheckerPool {
-    /// Spawns `workers` persistent threads, each with its own solver-session
-    /// pool bounded by `options.timeout`.
+    /// Spawns `workers` persistent threads, each to hold one solver session
+    /// bounded by `options.timeout`.
     ///
     /// # Panics
     ///
     /// Panics if `workers` is zero.
     pub fn new(workers: usize, options: CheckOptions) -> CheckerPool {
         assert!(workers > 0, "a checker pool needs at least one worker");
-        let worker_options = options.clone();
-        let pool = Pool::new(workers, move |index| Worker {
-            index,
-            sessions: worker_options.session_pool(),
-            job_start: TermCacheStats::default(),
-        });
-        let tally =
-            Tally { sessions: vec![SessionPoolStats::default(); workers], ..Tally::default() };
+        let timeout = options.timeout;
+        let pool = Pool::new(workers, move |index| Worker::new(index, timeout));
+        let tally = Tally { sessions: vec![SessionStats::default(); workers], ..Tally::default() };
         CheckerPool { pool, options, tally: Arc::new(Mutex::new(tally)) }
     }
 
@@ -209,19 +320,24 @@ impl CheckerPool {
         &self.options
     }
 
-    /// The workers' solver-session pools, summed, as of each worker's last
-    /// finished job: live sessions, the compiled terms they hold, and how
-    /// many sessions were retired for outgrowing their jobs. Bounded by one
-    /// copy of each worker's own nodes, but not repeatable for a given
-    /// request sequence: a node stolen in one job is compiled at home in a
-    /// later one.
-    pub fn session_stats(&self) -> SessionPoolStats {
+    /// The workers' solver sessions, summed, as of each worker's last
+    /// finished job: live sessions (at most one per worker), the compiled
+    /// terms they hold, and how many sessions were retired for outgrowing
+    /// their jobs. Bounded by one copy of each worker's own nodes, but not
+    /// repeatable for a given request sequence: a node stolen in one job is
+    /// compiled at home in a later one.
+    pub fn session_stats(&self) -> SessionStats {
         let tally = self.tally.lock().expect("tally updates cannot panic");
-        tally.sessions.iter().fold(SessionPoolStats::default(), |sum, &w| sum + w)
+        tally.sessions.iter().fold(SessionStats::default(), |sum, w| SessionStats {
+            sessions: sum.sessions + w.sessions,
+            compiled_terms: sum.compiled_terms + w.compiled_terms,
+            retirements: sum.retirements + w.retirements,
+        })
     }
 
     /// Checks every node of a network across the persistent workers,
-    /// reusing any solver sessions previous checks already opened.
+    /// reusing the solver sessions previous checks opened when the network
+    /// declares what theirs did.
     ///
     /// # Errors
     ///
@@ -304,6 +420,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use timepiece_algebra::NetworkBuilder;
     use timepiece_expr::{Expr, Type};
+    use timepiece_smt::Vc;
     use timepiece_topology::gen;
 
     /// Boolean-reachability network over an undirected path of length `n`.
@@ -681,36 +798,163 @@ mod tests {
         assert_eq!(report.node_durations().len(), 5, "fresh token, full check");
     }
 
+    /// Hop-count-like reachability over `Option<Int>` routes: a route type
+    /// (hence a declaration signature) other than [`reach_net`]'s.
+    fn int_net(n: usize) -> Network {
+        let g = gen::undirected_path(n);
+        let v0 = g.node_by_name("v0").unwrap();
+        NetworkBuilder::new(g, Type::option(Type::Int))
+            .merge(|a, b| b.clone().is_none().ite(a.clone(), b.clone()))
+            .default_transfer(|r| r.clone())
+            .init(v0, Expr::int(0).some())
+            .build()
+            .unwrap()
+    }
+
     #[test]
-    fn session_cap_bounds_worker_pools() {
-        // one worker, cap 1: checking two networks of different route types
-        // (distinct signatures) must evict rather than accumulate — smoke
-        // for the daemon's bounded-session configuration
-        let mut pool =
-            CheckerPool::new(1, CheckOptions { session_cap: Some(1), ..Default::default() });
-        let bool_net = reach_net(3);
-        let int_net = {
-            let g = gen::undirected_path(3);
-            let v0 = g.node_by_name("v0").unwrap();
-            NetworkBuilder::new(g, Type::option(Type::Int))
-                .merge(|a, b| b.clone().is_none().ite(a.clone(), b.clone()))
-                .default_transfer(|r| r.clone())
-                .init(v0, Expr::int(0).some())
-                .build()
-                .unwrap()
-        };
+    fn alternating_signatures_keep_one_session_per_worker() {
+        // a pool that alternates between two route types holds one session
+        // per worker, not one per signature: the second network's job
+        // replaces each worker's session instead of adding one beside it
+        let mut pool = CheckerPool::new(2, CheckOptions::default());
+        let (bool_net, int_net) = (reach_net(3), int_net(3));
+        assert_ne!(bool_net.encoder_signature(), int_net.encoder_signature());
         let bool_interface = reach_interface(&bool_net);
-        for _ in 0..2 {
-            assert!(pool
-                .check(&bool_net, &bool_interface, &anything(&bool_net))
-                .unwrap()
-                .is_verified());
-            assert!(pool
-                .check(&int_net, &anything(&int_net), &anything(&int_net))
-                .unwrap()
-                .is_verified());
-            assert_eq!(pool.session_stats().sessions, 1, "the cap holds between jobs");
+        for _ in 0..3 {
+            let report = pool.check(&bool_net, &bool_interface, &anything(&bool_net)).unwrap();
+            assert!(report.is_verified());
+            assert!(pool.session_stats().sessions <= pool.workers(), "{:?}", pool.session_stats());
+            let report = pool.check(&int_net, &anything(&int_net), &anything(&int_net)).unwrap();
+            assert!(report.is_verified());
+            assert!(pool.session_stats().sessions <= pool.workers(), "{:?}", pool.session_stats());
         }
+    }
+
+    fn vc_over_int_x() -> Vc {
+        let x = Expr::var("x", Type::Int);
+        Vc::new("t", [x.clone().gt(Expr::int(2))], x.gt(Expr::int(1)))
+    }
+
+    /// A condition that declares `x` at another type than [`vc_over_int_x`].
+    fn vc_over_bool_x() -> Vc {
+        Vc::new("bool", [], Expr::var("x", Type::Bool))
+    }
+
+    #[test]
+    fn one_signature_reuses_the_workers_session() {
+        let mut worker = Worker::new(0, None);
+        assert_eq!(worker.stats().sessions, 0, "opened by the first job");
+        for _ in 0..3 {
+            assert!(worker.open("sig-a").check(&vc_over_int_x()).unwrap().is_valid());
+        }
+        assert_eq!(worker.open("sig-a").checks(), 3, "one session served all three");
+        assert_eq!(worker.stats().sessions, 1);
+    }
+
+    #[test]
+    fn another_signature_replaces_the_workers_session() {
+        let mut worker = Worker::new(0, None);
+        assert!(worker.open("sig-a").check(&vc_over_int_x()).unwrap().is_valid());
+        // a fresh session with its own encoder, so a clashing redeclaration
+        // of `x` is fine there
+        assert!(worker.open("sig-b").check(&vc_over_bool_x()).is_ok());
+        assert_eq!(worker.stats().sessions, 1, "replaced, not added");
+        // and the first signature's session is gone: it comes back cold
+        assert_eq!(worker.open("sig-a").checks(), 0);
+    }
+
+    #[test]
+    fn a_session_dropped_after_a_clashing_declaration_is_rebuilt_without_it() {
+        let mut worker = Worker::new(0, None);
+        assert!(worker.open("sig-a").check(&vc_over_int_x()).unwrap().is_valid());
+        assert!(worker.open("sig-a").check(&vc_over_bool_x()).is_err());
+        // what an encode error does to the worker (`CheckJob::run`): the
+        // failed check may have left its declaration behind
+        worker.held = None;
+        assert_eq!(worker.stats().sessions, 0);
+        assert!(worker.open("sig-a").check(&vc_over_bool_x()).is_ok());
+    }
+
+    /// `n` distinct valid conditions over fresh constants starting at `from`.
+    fn distinct_vcs(from: i64, n: i64) -> Vec<Vc> {
+        let x = Expr::var("x", Type::Int);
+        (from..from + n)
+            .map(|i| {
+                Vc::new(
+                    format!("gt-{i}"),
+                    [x.clone().gt(Expr::int(i + 1))],
+                    x.clone().gt(Expr::int(i)),
+                )
+            })
+            .collect()
+    }
+
+    /// One job: discharges `vcs` through the worker's session, then ends the
+    /// job.
+    fn run(worker: &mut Worker, vcs: &[Vc]) -> usize {
+        let session = worker.open("sig");
+        for vc in vcs {
+            assert!(session.check(vc).unwrap().is_valid());
+        }
+        worker.end_job()
+    }
+
+    #[test]
+    fn end_job_retires_a_pool_that_outgrew_its_jobs() {
+        let mut pool = Worker::new(0, None);
+        // the first job sets the yardstick: what one job compiles
+        assert_eq!(run(&mut pool, &distinct_vcs(0, 20)), 0);
+        let one_job = pool.stats().compiled_terms;
+        assert!(one_job > 0);
+        // the same job again compiles nothing new: no growth, no retirement
+        for _ in 0..10 {
+            assert_eq!(run(&mut pool, &distinct_vcs(0, 20)), 0);
+            assert_eq!(pool.stats().compiled_terms, one_job);
+        }
+        // a stream of small, always new jobs — edits — grows the cache until
+        // it passes the multiple; then the session goes and is rebuilt cold
+        let mut retired_at = None;
+        for edit in 0..200 {
+            if run(&mut pool, &distinct_vcs(1000 + 2 * edit, 2)) > 0 {
+                retired_at = Some(edit);
+                break;
+            }
+            assert!(pool.stats().compiled_terms <= RETIRE_AT_JOB_TERMS * one_job);
+        }
+        assert!(retired_at.is_some(), "the cache must not grow without bound");
+        assert_eq!(pool.stats(), SessionStats { sessions: 0, compiled_terms: 0, retirements: 1 });
+        // lazily rebuilt: the next job finds a fresh, working session
+        assert_eq!(run(&mut pool, &distinct_vcs(0, 20)), 0);
+        assert_eq!(pool.stats().compiled_terms, one_job);
+        assert_eq!(pool.stats().sessions, 1);
+    }
+
+    #[test]
+    fn end_job_retires_on_age_and_a_larger_job_raises_the_bound() {
+        let mut pool = Worker::new(0, None);
+        let vcs = distinct_vcs(0, 4);
+        // nothing new is ever compiled, so only the solver's age can retire
+        let mut jobs = 0;
+        while run(&mut pool, &vcs) == 0 {
+            jobs += 1;
+            assert!(jobs <= RETIRE_AT_JOB_CHECKS, "age must retire the session");
+        }
+        assert_eq!(jobs, RETIRE_AT_JOB_CHECKS);
+        assert_eq!(pool.stats().retirements, 1);
+        // a job ten times the size is the new yardstick: the pool now holds
+        // far more than three of the old jobs' terms, and keeps them
+        assert_eq!(run(&mut pool, &distinct_vcs(100, 40)), 0);
+        assert_eq!(run(&mut pool, &vcs), 0);
+        assert_eq!(pool.stats().retirements, 1);
+        // a pool that is never told of jobs never retires
+        let mut scoped = Worker::new(0, None);
+        for vc in distinct_vcs(0, 50) {
+            assert!(scoped.open("sig").check(&vc).unwrap().is_valid());
+        }
+        assert_eq!(scoped.stats().retirements, 0);
+        // nor does one whose first job is its only one (a one-shot check)
+        assert_eq!(scoped.end_job(), 0);
+        assert_eq!(scoped.stats().sessions, 1);
     }
 
     #[test]

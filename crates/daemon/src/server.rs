@@ -285,7 +285,7 @@ mod tests {
     use timepiece_core::check::CheckOptions;
 
     fn options() -> CheckOptions {
-        CheckOptions { threads: Some(2), session_cap: Some(4), ..Default::default() }
+        CheckOptions { threads: Some(2), ..Default::default() }
     }
 
     #[test]

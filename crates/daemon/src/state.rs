@@ -2,8 +2,9 @@
 //!
 //! A [`DaemonState`] is everything `timepieced` keeps hot between requests:
 //! a persistent [`CheckerPool`] whose workers hold one solver session each
-//! (keyed by what a network declares, so edits — and a re-`load` of the same
-//! kind of network — keep it) and at most one current [`Instance`]: the
+//! (kept while the networks checked declare the same variables, so edits —
+//! and a re-`load` of the same kind of network — keep it) and at most one
+//! current [`Instance`]: the
 //! compiled [`Network`] (canonical arena terms), the interface and property
 //! annotations, the last [`Fingerprints`] snapshot, and a [`VerdictCache`]
 //! with the last verdict per node. A daemon may start with nothing loaded;
@@ -24,7 +25,7 @@
 //! the shard replay and the equivalence tests all drive the same code.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -375,10 +376,17 @@ impl DaemonState {
                         self.generation, inst.label
                     ));
                 }
-                match check.nodes.iter().map(|name| inst.node(name)).collect() {
-                    Ok(cone) => cone,
-                    Err(message) => return error_response(message),
+                let cone: Vec<NodeId> =
+                    match check.nodes.iter().map(|name| inst.node(name)).collect() {
+                        Ok(cone) => cone,
+                        Err(message) => return error_response(message),
+                    };
+                // a node named twice would be proved twice and counted twice
+                let mut seen = HashSet::new();
+                if let Some(i) = cone.iter().position(|v| !seen.insert(*v)) {
+                    return error_response(format!("node {:?} is named twice", check.nodes[i]));
                 }
+                cone
             }
         };
         let proved =

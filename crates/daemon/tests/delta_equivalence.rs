@@ -25,7 +25,7 @@ use timepiece_topology::NodeId;
 use timepiece_trace::Json;
 
 fn options() -> CheckOptions {
-    CheckOptions { threads: Some(2), session_cap: Some(8), ..Default::default() }
+    CheckOptions { threads: Some(2), ..Default::default() }
 }
 
 /// What the opcodes of one instance decode against: its links (one
@@ -75,8 +75,13 @@ impl Targets {
             // a policy edit between two nodes that need not be adjacent
             5 => Delta::EdgePolicy { u: node(a), v: node(b), policy: PolicySpec::Drop },
             _ => {
-                let mut nodes = vec![node(a), node(b), node(a + b)];
-                nodes.dedup();
+                // distinct names: naming a node twice is refused
+                let mut nodes: Vec<String> = Vec::new();
+                for name in [node(a), node(b), node(a + b)] {
+                    if !nodes.contains(&name) {
+                        nodes.push(name);
+                    }
+                }
                 return Request::CheckNodes(NodeCheck { nodes, generation: None, shard: None });
             }
         })
@@ -104,10 +109,10 @@ fn from_scratch_failed(state: &DaemonState) -> Vec<NodeId> {
 ///   a from-scratch [`Fingerprints::compute`] — i.e. the footprint covered
 ///   the exact cone, so no node kept a stale hash (which a later delta
 ///   would then diff against, missing a dirty node), and
-/// * no worker holds a second solver session: sessions are keyed by what a
-///   network declares, and no delta — policy or budget — declares anything,
-///   so an edited network lands in the session that already holds its
-///   compiled terms.
+/// * no worker holds more than one solver session: a worker keeps its
+///   session while networks declare alike, and no delta — policy or budget —
+///   declares anything, so an edited network lands in the session that
+///   already holds its compiled terms.
 ///
 /// A node-list check must additionally answer for exactly the nodes it
 /// named.

@@ -2,8 +2,8 @@
 //!
 //! The workers' solver sessions are the part of a `timepieced` that grows:
 //! every edit compiles new terms into an encoder cache that never forgets,
-//! and every check leaves a residue in its solver. The pool retires
-//! overgrown sessions between requests (`SessionPool::end_job`); these
+//! and every check leaves a residue in its solver. Each worker retires its
+//! overgrown session between requests (the rule in `core::sweep`); these
 //! tests drive one [`DaemonState`] through hundreds of checks and edits and
 //! assert the plateau on the counters `status` reports — and, in an
 //! `#[ignore]`d release-mode variant, on the process's resident set.
@@ -110,8 +110,7 @@ fn drive(instance: BenchInstance, witnessed: Vec<String>, mut sample: impl FnMut
         .map(|(u, v)| (g.name(u).to_owned(), g.name(v).to_owned()))
         .collect();
     let one_copy = one_copy(&instance);
-    let options =
-        CheckOptions { threads: Some(WORKERS), session_cap: Some(8), ..Default::default() };
+    let options = CheckOptions { threads: Some(WORKERS), ..Default::default() };
     let mut state = DaemonState::new("plateau", instance, options).unwrap();
     let base = counters(&mut state);
 

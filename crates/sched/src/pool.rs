@@ -172,8 +172,8 @@ impl<J: Job> Drop for Ticket<J> {
 /// A pool of persistent work-stealing worker threads for jobs of kind `J`.
 ///
 /// Each worker builds its state once, on its own thread, via the pool's
-/// `init` — this is where a verification worker opens its solver-session
-/// pool — and keeps it across every job until the pool is dropped, so
+/// `init` — this is where a verification worker makes room for its solver
+/// session — and keeps it across every job until the pool is dropped, so
 /// consecutive jobs start warm. A pool that is dropped after one job is the
 /// one-shot case; there is no second engine for it.
 ///

@@ -1,6 +1,10 @@
 //! Validity checking of verification conditions.
+//!
+//! [`SolverSession`] is mechanism only: it checks, counts its checks and
+//! compiled terms, forgets scratch work and can be interrupted. Which
+//! conditions share a session and when one is replaced or retired is its
+//! owner's policy (`timepiece_core::sweep`: one session per checker worker).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -174,7 +178,7 @@ impl SolverSession {
     ///
     /// The cache is keyed by stable intern ids, so hits accumulate across
     /// every condition this session ever discharged — including conditions
-    /// from *earlier sweep rows* when the session lives in a pool.
+    /// from *earlier sweep rows* when a pool worker keeps the session.
     pub fn term_cache_stats(&self) -> TermCacheStats {
         self.enc.term_cache_stats()
     }
@@ -186,7 +190,7 @@ impl SolverSession {
     /// conditions grows by some tens of bytes per check for as long as it
     /// lives, and only dropping it returns the memory. Together with
     /// [`SolverSession::compiled_terms`] this is what a long-lived owner
-    /// budgets a session's age by ([`SessionPool::end_job`]).
+    /// budgets a session's age by.
     pub fn checks(&self) -> u64 {
         self.checks
     }
@@ -335,244 +339,6 @@ pub fn check_validity(vc: &Vc, timeout: Option<Duration>) -> Result<Validity, Sm
     SolverSession::new(timeout).check(vc)
 }
 
-/// A pool's sessions are retired once their encoder caches together hold
-/// this many times the compiled terms the largest single job added. One
-/// compiled copy of the instance per worker is the floor (an edited network
-/// keeps its declarations, hence its session); the rest of the budget is
-/// room for the terms of instances since edited away — two more copies'
-/// worth before the worker starts cold again. Measured on a daemon serving
-/// SpReach k=8 edits: 2 thrashes (+26 % time), 3 costs ~4 % and holds the
-/// process at its footprint, 4 costs nothing but lets RSS run 9 % higher.
-const RETIRE_AT_JOB_TERMS: usize = 3;
-
-/// A pool's sessions are retired once they have together discharged this
-/// many times the checks of the largest single job: the solver's per-check
-/// residue (see [`SolverSession::checks`]) is then bounded by a megabyte or
-/// two per worker, for one cold rebuild every few dozen full checks.
-const RETIRE_AT_JOB_CHECKS: u64 = 64;
-
-/// A snapshot of a [`SessionPool`]'s size ([`SessionPool::stats`]). Sums
-/// over the pools of several workers with `+`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionPoolStats {
-    /// Live sessions.
-    pub sessions: usize,
-    /// Compiled terms held by the live sessions' encoder caches.
-    pub compiled_terms: usize,
-    /// Sessions [`SessionPool::end_job`] retired so far.
-    pub retirements: usize,
-}
-
-impl std::ops::Add for SessionPoolStats {
-    type Output = SessionPoolStats;
-    fn add(self, rhs: SessionPoolStats) -> SessionPoolStats {
-        SessionPoolStats {
-            sessions: self.sessions + rhs.sessions,
-            compiled_terms: self.compiled_terms + rhs.compiled_terms,
-            retirements: self.retirements + rhs.retirements,
-        }
-    }
-}
-
-/// A keyed collection of long-lived [`SolverSession`]s: one per
-/// *declaration signature*.
-///
-/// The only thing two conditions can clash on inside one encoder is a
-/// variable's *(name, type)*, so the key names exactly that: conditions
-/// that share a signature — the same route type and the same symbolic
-/// inputs, hence consistent declarations and well-formedness shapes — are
-/// discharged through one session, so the solver context, declarations and
-/// compiled-term cache are reused across *every* condition with that
-/// signature, not just within one node's. A scheduler worker holds one pool and batches all the nodes it
-/// owns through it; terms shared between nodes (symbolic-destination
-/// constraints, role-templated interfaces) are then encoded once per worker
-/// instead of once per node.
-///
-/// Like [`SolverSession`], a pool lives on its creating thread.
-///
-/// # Example
-///
-/// ```
-/// use timepiece_expr::{Expr, Type};
-/// use timepiece_smt::{SessionPool, Vc};
-///
-/// let mut pool = SessionPool::new(None);
-/// let x = Expr::var("x", Type::Int);
-/// let vc = Vc::new("t", [x.clone().gt(Expr::int(2))], x.gt(Expr::int(1)));
-/// assert!(pool.session("int-routes").check(&vc)?.is_valid());
-/// assert!(pool.session("int-routes").check(&vc)?.is_valid());
-/// assert_eq!(pool.len(), 1); // same signature, same session
-/// # Ok::<(), timepiece_smt::SmtError>(())
-/// ```
-#[derive(Debug)]
-pub struct SessionPool {
-    timeout: Option<Duration>,
-    /// At most this many sessions are kept (`None`: unbounded); opening one
-    /// beyond the bound evicts the least-recently-used session.
-    capacity: Option<usize>,
-    /// Least-recently-used order of signatures (front = coldest).
-    order: Vec<String>,
-    evictions: usize,
-    sessions: HashMap<String, SolverSession>,
-    /// What the largest single job so far added to the pool, in compiled
-    /// terms and in checks — the unit [`SessionPool::end_job`] measures the
-    /// pool's growth in.
-    largest_job: (usize, u64),
-    /// The live sessions' summed compiled terms and checks when the last job
-    /// ended.
-    job_mark: (usize, u64),
-    retirements: usize,
-}
-
-impl SessionPool {
-    /// Creates an empty pool; every session it opens uses `timeout`.
-    pub fn new(timeout: Option<Duration>) -> SessionPool {
-        SessionPool {
-            timeout,
-            capacity: None,
-            order: Vec::new(),
-            evictions: 0,
-            sessions: HashMap::new(),
-            largest_job: (0, 0),
-            job_mark: (0, 0),
-            retirements: 0,
-        }
-    }
-
-    /// A pool keeping at most `capacity` sessions, evicting the
-    /// least-recently-used one beyond that: a service that checks instances
-    /// of many different declaration signatures would otherwise accumulate
-    /// one solver context per signature forever. Evicted sessions drop their declarations, compiled-term caches *and*
-    /// term-cache counters (so [`SessionPool::term_cache_stats`] only sums
-    /// the live sessions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(timeout: Option<Duration>, capacity: usize) -> SessionPool {
-        assert!(capacity > 0, "a session pool needs room for at least one session");
-        SessionPool { capacity: Some(capacity), ..SessionPool::new(timeout) }
-    }
-
-    /// The session for `signature`, created on first use.
-    pub fn session(&mut self, signature: &str) -> &mut SolverSession {
-        match self.order.iter().position(|s| s == signature) {
-            Some(pos) => {
-                // touch: move to the warm end
-                let key = self.order.remove(pos);
-                self.order.push(key);
-            }
-            None => {
-                self.order.push(signature.to_owned());
-                if let Some(cap) = self.capacity {
-                    while self.order.len() > cap {
-                        let coldest = self.order.remove(0);
-                        self.sessions.remove(&coldest);
-                        self.evictions += 1;
-                    }
-                }
-            }
-        }
-        // looked up once per node: no key is allocated for a warm session
-        if !self.sessions.contains_key(signature) {
-            self.sessions.insert(signature.to_owned(), SolverSession::new(self.timeout));
-        }
-        self.sessions.get_mut(signature).expect("present or just inserted")
-    }
-
-    /// Drops the session for `signature`, if there is one. For the owner of
-    /// a session whose check returned an error: a condition that failed to
-    /// encode may already have declared variables, at types the next
-    /// well-typed condition under the same signature contradicts.
-    pub fn discard(&mut self, signature: &str) {
-        self.order.retain(|s| s != signature);
-        self.sessions.remove(signature);
-    }
-
-    /// Marks the end of one job — a batch of checks after which the owner
-    /// holds the pool idle — and, if the pool has outgrown the jobs it
-    /// serves, retires its sessions; returns how many. Retired sessions are
-    /// dropped whole (solver, declarations, compiled terms) and rebuilt
-    /// lazily, cold, by the next [`SessionPool::session`] call for their
-    /// signature.
-    ///
-    /// This matters to an owner that lives across many jobs (a daemon's
-    /// persistent workers): without it an encoder cache keeps the compiled
-    /// form of every term it ever saw — under a stream of edits, mostly
-    /// terms of instances long since edited away — and each solver keeps a
-    /// per-check residue, so memory tracks the request count. A pool that
-    /// only ever ends one job (a one-shot check) has no history to outgrow
-    /// and never retires.
-    ///
-    /// The yardstick is the pool's own history: the most compiled terms and
-    /// checks any single job added. The sessions go when together they hold
-    /// a fixed multiple of the one, or are a fixed multiple of the other
-    /// old — so a pool fed ever larger instances (a sweep over `k`) raises
-    /// its own bound and keeps its warm start, and one fed the same instance
-    /// again and again retires on age alone. All go at once: the budget is
-    /// the pool's, and evicting only the largest session was measured to
-    /// hold more memory for more rebuilds.
-    pub fn end_job(&mut self) -> usize {
-        let (terms, checks) = self.totals();
-        self.largest_job.0 = self.largest_job.0.max(terms.saturating_sub(self.job_mark.0));
-        self.largest_job.1 = self.largest_job.1.max(checks.saturating_sub(self.job_mark.1));
-        let max_terms = self.largest_job.0.saturating_mul(RETIRE_AT_JOB_TERMS);
-        let max_checks = self.largest_job.1.saturating_mul(RETIRE_AT_JOB_CHECKS);
-        let retired = if terms > max_terms || checks > max_checks {
-            self.order.clear();
-            self.sessions.drain().count()
-        } else {
-            0
-        };
-        self.retirements += retired;
-        self.job_mark = self.totals();
-        retired
-    }
-
-    /// The live sessions' summed compiled terms and checks.
-    fn totals(&self) -> (usize, u64) {
-        self.sessions
-            .values()
-            .fold((0, 0), |(terms, checks), s| (terms + s.compiled_terms(), checks + s.checks()))
-    }
-
-    /// How many sessions are live, how many compiled terms they hold, and
-    /// how many sessions [`SessionPool::end_job`] has retired.
-    pub fn stats(&self) -> SessionPoolStats {
-        SessionPoolStats {
-            sessions: self.sessions.len(),
-            compiled_terms: self.totals().0,
-            retirements: self.retirements,
-        }
-    }
-
-    /// How many sessions this pool evicted to stay within its capacity.
-    pub fn evictions(&self) -> usize {
-        self.evictions
-    }
-
-    /// How many distinct signatures have sessions.
-    pub fn len(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Aggregated compiled-term cache counters across every session in the
-    /// pool. Snapshot before and after a batch of checks to attribute the
-    /// traffic (hits on structurally shared terms, including terms first
-    /// compiled by *previous* batches through the same pool).
-    pub fn term_cache_stats(&self) -> TermCacheStats {
-        self.sessions
-            .values()
-            .map(SolverSession::term_cache_stats)
-            .fold(TermCacheStats::default(), |acc, s| acc + s)
-    }
-
-    /// Is the pool empty?
-    pub fn is_empty(&self) -> bool {
-        self.sessions.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -707,138 +473,6 @@ mod tests {
         let cancel = AtomicBool::new(false);
         let validity = session.check_cancellable(&vc, &cancel).unwrap();
         assert!(matches!(validity, Some(Validity::Invalid(_))));
-    }
-
-    #[test]
-    fn session_pool_reuses_sessions_per_signature() {
-        let mut pool = SessionPool::new(None);
-        assert!(pool.is_empty());
-        let x = Expr::var("x", Type::Int);
-        let vc = Vc::new("t", [x.clone().gt(Expr::int(2))], x.clone().gt(Expr::int(1)));
-        for _ in 0..3 {
-            assert!(pool.session("sig-a").check(&vc).unwrap().is_valid());
-        }
-        assert_eq!(pool.session("sig-a").checks(), 3, "one session served all three");
-        assert_eq!(pool.len(), 1);
-        // a different signature opens a fresh session with its own encoder,
-        // so a clashing redeclaration of `x` is fine there
-        let clash = Vc::new("bool", [], Expr::var("x", Type::Bool));
-        assert!(pool.session("sig-b").check(&clash).is_ok());
-        assert_eq!(pool.len(), 2);
-        // ...but not on the original session
-        assert!(pool.session("sig-a").check(&clash).is_err());
-        // the failed check may have left its declaration behind; a discarded
-        // session is rebuilt without it
-        pool.discard("sig-a");
-        assert_eq!(pool.len(), 1);
-        assert!(pool.session("sig-a").check(&clash).is_ok());
-    }
-
-    #[test]
-    fn bounded_pool_evicts_least_recently_used() {
-        let mut pool = SessionPool::with_capacity(None, 2);
-        let x = Expr::var("x", Type::Int);
-        let vc = Vc::new("t", [x.clone().gt(Expr::int(2))], x.clone().gt(Expr::int(1)));
-        assert!(pool.session("a").check(&vc).unwrap().is_valid());
-        assert!(pool.session("b").check(&vc).unwrap().is_valid());
-        // touch "a" so "b" is now the coldest
-        pool.session("a");
-        assert!(pool.session("c").check(&vc).unwrap().is_valid());
-        assert_eq!(pool.len(), 2);
-        assert_eq!(pool.evictions(), 1);
-        // "b" was evicted: recreating it evicts the new coldest ("a")
-        assert_eq!(pool.session("b").checks(), 0, "evicted session must be rebuilt on next use");
-        assert_eq!(pool.evictions(), 2);
-        // an unbounded pool never evicts
-        let mut pool = SessionPool::new(None);
-        for sig in ["a", "b", "c", "d"] {
-            pool.session(sig);
-        }
-        assert_eq!(pool.len(), 4);
-        assert_eq!(pool.evictions(), 0);
-    }
-
-    /// `n` distinct valid conditions over fresh constants starting at `from`.
-    fn distinct_vcs(from: i64, n: i64) -> Vec<Vc> {
-        let x = Expr::var("x", Type::Int);
-        (from..from + n)
-            .map(|i| {
-                Vc::new(
-                    format!("gt-{i}"),
-                    [x.clone().gt(Expr::int(i + 1))],
-                    x.clone().gt(Expr::int(i)),
-                )
-            })
-            .collect()
-    }
-
-    /// One job: discharges `vcs` through the pool, then ends the job.
-    fn run(pool: &mut SessionPool, vcs: &[Vc]) -> usize {
-        for vc in vcs {
-            assert!(pool.session("sig").check(vc).unwrap().is_valid());
-        }
-        pool.end_job()
-    }
-
-    #[test]
-    fn end_job_retires_a_pool_that_outgrew_its_jobs() {
-        let mut pool = SessionPool::new(None);
-        // the first job sets the yardstick: what one job compiles
-        assert_eq!(run(&mut pool, &distinct_vcs(0, 20)), 0);
-        let one_job = pool.stats().compiled_terms;
-        assert!(one_job > 0);
-        // the same job again compiles nothing new: no growth, no retirement
-        for _ in 0..10 {
-            assert_eq!(run(&mut pool, &distinct_vcs(0, 20)), 0);
-            assert_eq!(pool.stats().compiled_terms, one_job);
-        }
-        // a stream of small, always new jobs — edits — grows the cache until
-        // it passes the multiple; then the session goes and is rebuilt cold
-        let mut retired_at = None;
-        for edit in 0..200 {
-            if run(&mut pool, &distinct_vcs(1000 + 2 * edit, 2)) > 0 {
-                retired_at = Some(edit);
-                break;
-            }
-            assert!(pool.stats().compiled_terms <= RETIRE_AT_JOB_TERMS * one_job);
-        }
-        assert!(retired_at.is_some(), "the cache must not grow without bound");
-        assert_eq!(
-            pool.stats(),
-            SessionPoolStats { sessions: 0, compiled_terms: 0, retirements: 1 }
-        );
-        // lazily rebuilt: the next job finds a fresh, working session
-        assert_eq!(run(&mut pool, &distinct_vcs(0, 20)), 0);
-        assert_eq!(pool.stats().compiled_terms, one_job);
-        assert_eq!(pool.stats().sessions, 1);
-    }
-
-    #[test]
-    fn end_job_retires_on_age_and_a_larger_job_raises_the_bound() {
-        let mut pool = SessionPool::new(None);
-        let vcs = distinct_vcs(0, 4);
-        // nothing new is ever compiled, so only the solver's age can retire
-        let mut jobs = 0;
-        while run(&mut pool, &vcs) == 0 {
-            jobs += 1;
-            assert!(jobs <= RETIRE_AT_JOB_CHECKS, "age must retire the session");
-        }
-        assert_eq!(jobs, RETIRE_AT_JOB_CHECKS);
-        assert_eq!(pool.stats().retirements, 1);
-        // a job ten times the size is the new yardstick: the pool now holds
-        // far more than three of the old jobs' terms, and keeps them
-        assert_eq!(run(&mut pool, &distinct_vcs(100, 40)), 0);
-        assert_eq!(run(&mut pool, &vcs), 0);
-        assert_eq!(pool.stats().retirements, 1);
-        // a pool that is never told of jobs never retires
-        let mut scoped = SessionPool::new(None);
-        for vc in distinct_vcs(0, 50) {
-            assert!(scoped.session("sig").check(&vc).unwrap().is_valid());
-        }
-        assert_eq!(scoped.stats().retirements, 0);
-        // nor does one whose first job is its only one (a one-shot check)
-        assert_eq!(scoped.end_job(), 0);
-        assert_eq!(scoped.stats().sessions, 1);
     }
 
     #[test]

@@ -1,4 +1,8 @@
 //! Compilation from expression terms to symbolic values.
+//!
+//! An [`Encoder`] caches what it compiles for as long as it lives; its
+//! scratch marks ([`Encoder::open_scratch`], [`Encoder::drop_scratch`]) let
+//! an owner forget the terms of work it does not expect to repeat.
 
 use std::collections::HashMap;
 use std::ops::{Add, AddAssign};
@@ -14,9 +18,8 @@ use crate::sym::{set_width, Sym};
 /// With hash-consed terms the cache is keyed by stable [`InternId`]s, so a
 /// hit can come from *any* earlier compilation through the same encoder —
 /// another condition of the same node, another node, or another sweep row
-/// entirely (encoders live inside `SolverSession`s that a `SessionPool`
-/// keeps alive per signature). The cross-row hit rate is the number this
-/// refactor exists to make nonzero.
+/// entirely (an encoder lives inside a `SolverSession`, which a checker
+/// worker keeps from job to job while the jobs declare the same variables).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TermCacheStats {
     /// Lookups served from the cache.

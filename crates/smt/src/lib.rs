@@ -14,6 +14,11 @@
 //! separate threads with zero shared state — this is what makes Timepiece's
 //! modular checks embarrassingly parallel.
 //!
+//! The crate is mechanism: a [`SolverSession`] discharges a sequence of
+//! conditions through one solver and one [`Encoder`] cache. How many sessions
+//! exist and how long each lives is the checking engine's rule
+//! (`timepiece_core::sweep`), not this crate's.
+//!
 //! # Example
 //!
 //! ```
@@ -38,9 +43,7 @@ pub mod encode;
 pub mod error;
 pub mod sym;
 
-pub use check::{
-    check_validity, CounterExample, SessionPool, SessionPoolStats, SolverSession, Validity, Vc,
-};
+pub use check::{check_validity, CounterExample, SolverSession, Validity, Vc};
 pub use encode::{Encoder, TermCacheStats};
 pub use error::SmtError;
 pub use sym::Sym;
