@@ -45,22 +45,29 @@ pub fn initial_vc(net: &Network, interface: &NodeAnnotations, v: NodeId) -> Vc {
 /// Builds the inductive condition (6) for node `v`, generalized to `delay`
 /// units of staleness (§4, "Incorporating delay"):
 ///
-/// for all `t ≥ 0` and neighbor routes `s_u ∈ ⋃_{δ ≤ delay} A(u)(t+δ)`, the
-/// merged result lies in `A(v)(t + delay + 1)`.
+/// for all `t ≥ −delay` and neighbor routes
+/// `s_u ∈ ⋃_{δ ≤ delay} A(u)(max(0, t+δ))`, the merged result lies in
+/// `A(v)(t + delay + 1)`.
 ///
-/// With `delay = 0` this is exactly equation (6).
+/// The step at time `T = t + delay + 1` reads neighbor states from times
+/// `T − 1 − δ'` for `δ' ≤ delay`, with history before time 0 clamped to time
+/// 0 (as `timepiece_sim::simulate_delayed` does), so the windows cover every
+/// step `T ≥ 1` — the initial condition covers `T = 0`. With `delay = 0`
+/// this is exactly equation (6).
 pub fn inductive_vc(net: &Network, interface: &NodeAnnotations, v: NodeId, delay: u64) -> Vc {
     let t = time_var();
     let name = format!("inductive@{}", net.topology().name(v));
     let mut assumptions = net.symbolic_constraints();
-    assumptions.push(t.clone().ge(Expr::int(0)));
+    assumptions.push(t.clone().ge(Expr::int(-(delay as i64))));
 
     let preds = net.topology().preds(v);
     let neighbor_routes: Vec<Expr> = preds.iter().map(|&u| net.route_var(u)).collect();
     for (&u, r) in preds.iter().zip(&neighbor_routes) {
         let in_some_window = Expr::or_all((0..=delay).map(|d| {
             let shifted = t.clone().add(Expr::int(d as i64));
-            interface.get(u).at(&shifted, r)
+            // t + delay ≥ 0 already; earlier windows may reach before time 0
+            let at = if d < delay { shifted.max(Expr::int(0)) } else { shifted };
+            interface.get(u).at(&at, r)
         }));
         assumptions.push(in_some_window);
     }

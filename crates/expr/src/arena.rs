@@ -270,14 +270,16 @@ mod tests {
         let before = stats();
         // a fresh structure: one miss, then a hit on reconstruction
         let salt = "arena-stats-probe";
-        let _a = Expr::var(salt, Type::Int).add(Expr::var(salt, Type::Int));
+        let a = Expr::var(salt, Type::Int).add(Expr::var(salt, Type::Int));
         let after_first = stats();
         assert!(after_first.misses > before.misses);
         assert!(after_first.bytes > before.bytes);
-        let _b = Expr::var(salt, Type::Int).add(Expr::var(salt, Type::Int));
+        let b = Expr::var(salt, Type::Int).add(Expr::var(salt, Type::Int));
         let after_second = stats();
+        // the counters are process-global and sibling tests intern
+        // concurrently, so "all hits" is read off the structure itself
+        assert_eq!(b.node_id(), a.node_id(), "rebuild must be all hits");
         let delta = after_second.delta_since(&after_first);
-        assert_eq!(delta.misses, 0, "rebuild must be all hits");
         assert!(delta.hits >= 2);
         assert!(after_second.hit_rate() > 0.0);
         assert!(after_second.dedup_ratio() >= 1.0);

@@ -124,4 +124,25 @@ fn infers_sp_reach_k4_under_delay() {
         let tau = result.report.role_templates[node_role.role_of(v)].tau;
         assert_eq!(tau, ft.dist(v, dest) * 2, "τ at {}", ft.topology().name(v));
     }
+    // what the delayed verdict promises, observed: every seeded run with at
+    // most one step of message delay stays inside the interfaces throughout
+    let env = timepiece_expr::Env::new();
+    for (max_delay, seed) in (0..=1).flat_map(|d| (0..6).map(move |s| (d, s))) {
+        let trace = timepiece_sim::simulate_delayed(&spec.network, &env, 64, max_delay, seed)
+            .expect("simulates");
+        assert!(trace.converged_at().is_some(), "delay {max_delay} seed {seed}");
+        for (t, state) in trace.states().iter().enumerate() {
+            for v in ft.topology().nodes() {
+                let route = timepiece_expr::Expr::constant(state[v.index()].clone());
+                let time = timepiece_expr::Expr::int(t as i64);
+                let inside = result.interface.get(v).at(&time, &route).eval_bool(&env);
+                assert_eq!(
+                    inside,
+                    Ok(true),
+                    "σ({})({t}) escapes its interface at delay {max_delay} seed {seed}",
+                    ft.topology().name(v)
+                );
+            }
+        }
+    }
 }

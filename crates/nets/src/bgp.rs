@@ -26,7 +26,6 @@
 
 use std::sync::Arc;
 
-pub use timepiece_algebra::Origin;
 use timepiece_algebra::{MergeKey, RoutePolicy, RouteSchema};
 use timepiece_expr::{Expr, RecordDef, Type};
 
@@ -36,6 +35,28 @@ pub const DEFAULT_AD: u64 = 20;
 pub const DEFAULT_LP: u64 = 100;
 /// Default multi-exit discriminator.
 pub const DEFAULT_MED: u64 = 0;
+
+/// BGP origin codes, in preference order (IGP best, unknown worst).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Origin {
+    /// Learned from an interior gateway protocol.
+    Igp,
+    /// Learned from an exterior gateway protocol.
+    Egp,
+    /// Origin unknown ("incomplete").
+    Unknown,
+}
+
+impl Origin {
+    /// The lowercase variant name of the schema's `origin` enum field.
+    pub fn variant(&self) -> &'static str {
+        match self {
+            Origin::Igp => "igp",
+            Origin::Egp => "egp",
+            Origin::Unknown => "unknown",
+        }
+    }
+}
 
 /// A configured eBGP route schema: community universe plus ghost fields.
 ///
@@ -369,38 +390,35 @@ mod tests {
         assert_eq!(eval_merge(&s, igp.clone(), egp), igp);
     }
 
-    #[test]
-    fn merge_agrees_with_concrete_bgp_on_lp_len() {
-        use timepiece_algebra::{Bgp, BgpRoute, RoutingAlgebra};
-        let s = schema();
-        let concrete = Bgp::new();
-        for (lp_a, len_a) in [(100u64, 0i64), (100, 3), (200, 5)] {
-            for (lp_b, len_b) in [(100u64, 1i64), (200, 2), (100, 3)] {
-                let ca = BgpRoute { lp: lp_a, len: len_a as u64, tags: Default::default() };
-                let cb = BgpRoute { lp: lp_b, len: len_b as u64, tags: Default::default() };
-                let winner = concrete.merge(&Some(ca.clone()), &Some(cb.clone())).unwrap();
-                let ea = route(&s, lp_a, len_a, &[], false);
-                let eb = route(&s, lp_b, len_b, &[], false);
-                let got = eval_merge(&s, ea, eb).unwrap_or_default().unwrap();
-                assert_eq!(
-                    got.field("lp").unwrap().as_bv(),
-                    Some(winner.lp),
-                    "{lp_a},{len_a} vs {lp_b},{len_b}"
-                );
-                assert_eq!(got.field("len").unwrap().as_int(), Some(winner.len as i128));
-            }
+    /// The attributes the decision process reads below the administrative
+    /// distance.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct DecisionRoute {
+        lp: u64,
+        len: u64,
+        med: u64,
+        origin: Origin,
+    }
+
+    /// The BGP decision process written out by hand, independently of the
+    /// schema's merge keys: lp ≻ len ≻ MED ≻ origin, the first argument
+    /// winning ties.
+    fn decision_bgp_merge(a: DecisionRoute, b: DecisionRoute) -> DecisionRoute {
+        let key = |r: &DecisionRoute| (std::cmp::Reverse(r.lp), r.len, r.med, r.origin);
+        if key(&b) < key(&a) {
+            b
+        } else {
+            a
         }
     }
 
     #[test]
     fn merge_agrees_with_full_decision_process() {
-        use timepiece_algebra::{DecisionBgp, DecisionRoute, RoutingAlgebra};
         let s = schema();
         let def = s.record_def();
         let comm_def = def.field_type("comms").unwrap().set_def().unwrap().clone();
         let origin_def = def.field_type("origin").unwrap().enum_def().unwrap().clone();
         let symbolic = |r: &DecisionRoute| {
-            let origin = r.origin.variant();
             Value::some(Value::record(
                 def,
                 vec![
@@ -408,26 +426,32 @@ mod tests {
                     Value::bv(DEFAULT_AD, 32),
                     Value::bv(r.lp, 32),
                     Value::bv(r.med, 32),
-                    Value::enum_variant(&origin_def, origin),
+                    Value::enum_variant(&origin_def, r.origin.variant()),
                     Value::int(r.len as i64),
                     Value::set_of(&comm_def, []),
                     Value::Bool(false),
                 ],
             ))
         };
-        let concrete = DecisionBgp::new();
+        let full = |lp, len, med, origin| DecisionRoute { lp, len, med, origin };
+        // local preference and path length alone (MED 0, origin IGP) ...
+        let lp_len = [(100, 0), (100, 3), (200, 5), (100, 1), (200, 2)]
+            .map(|(lp, len)| full(lp, len, DEFAULT_MED, Origin::Igp));
+        // ... and ties broken further down the process
         let samples = [
-            DecisionRoute { lp: 100, len: 2, med: 0, origin: Origin::Igp },
-            DecisionRoute { lp: 100, len: 2, med: 5, origin: Origin::Igp },
-            DecisionRoute { lp: 100, len: 2, med: 0, origin: Origin::Egp },
-            DecisionRoute { lp: 200, len: 9, med: 9, origin: Origin::Unknown },
-            DecisionRoute { lp: 100, len: 1, med: 9, origin: Origin::Unknown },
+            full(100, 2, 0, Origin::Igp),
+            full(100, 2, 5, Origin::Igp),
+            full(100, 2, 0, Origin::Egp),
+            full(200, 9, 9, Origin::Unknown),
+            full(100, 1, 9, Origin::Unknown),
         ];
-        for a in &samples {
-            for b in &samples {
-                let winner = concrete.merge(&Some(*a), &Some(*b)).unwrap();
-                let got = eval_merge(&s, symbolic(a), symbolic(b));
-                assert_eq!(got, symbolic(&winner), "{a:?} vs {b:?}");
+        let env = Env::new();
+        for a in lp_len.iter().chain(&samples) {
+            for b in lp_len.iter().chain(&samples) {
+                let winner = symbolic(&decision_bgp_merge(*a, *b));
+                assert_eq!(eval_merge(&s, symbolic(a), symbolic(b)), winner, "{a:?} vs {b:?}");
+                let value = s.ir().merge_value(&symbolic(a), &symbolic(b), &env).unwrap();
+                assert_eq!(value, winner, "{a:?} vs {b:?} on values");
             }
         }
     }

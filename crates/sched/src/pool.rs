@@ -2,8 +2,7 @@
 //! drains each job through a [`StealQueue`], with per-worker state that
 //! lives as long as the pool and fail-fast cancellation.
 
-use std::sync::{mpsc, Arc, Condvar};
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Arc, Condvar, OnceLock};
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -175,7 +174,9 @@ impl<J: Job> Drop for Ticket<J> {
 /// `init` — this is where a verification worker makes room for its solver
 /// session — and keeps it across every job until the pool is dropped, so
 /// consecutive jobs start warm. A pool that is dropped after one job is the
-/// one-shot case; there is no second engine for it.
+/// one-shot case; there is no second engine for it. Dropping a pool drops
+/// every worker's state on its thread and parks the threads for the next
+/// pool instead of ending them.
 ///
 /// # Example
 ///
@@ -211,7 +212,48 @@ impl<J: Job> Drop for Ticket<J> {
 /// ```
 pub struct Pool<J: Job> {
     mailboxes: Vec<mpsc::Sender<Ticket<J>>>,
-    threads: Vec<JoinHandle<()>>,
+    /// Per worker, a channel whose sender the worker drops after its state:
+    /// its disconnect means the worker is off its thread.
+    retired: Vec<mpsc::Receiver<()>>,
+}
+
+/// A worker loop handed to a thread.
+type Work = Box<dyn FnOnce() + Send>;
+
+/// Threads whose worker loop has ended, each waiting for the next one.
+///
+/// A thread keeps its allocator arena for life (and its Z3 context: the
+/// solver binding has one per thread), and a worker's solver session leaves
+/// megabytes freed but still mapped in that arena; a thread that exits
+/// leaves them behind where the next pool's fresh threads may never reuse
+/// them. So a pool's threads outlive it, parked here, and the next
+/// pool runs its workers on them: a process that builds pools one after
+/// another (a daemon loaded anew, a one-shot check per call) keeps one
+/// set of threads and one footprint. There are never more parked threads
+/// than there were workers at once.
+fn parked() -> &'static Mutex<Vec<mpsc::Sender<Work>>> {
+    static PARKED: OnceLock<Mutex<Vec<mpsc::Sender<Work>>>> = OnceLock::new();
+    PARKED.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+/// Runs `work` on a parked thread, or on a new one if none is parked.
+fn run_on_thread(work: Work) {
+    if let Some(thread) = parked().lock().pop() {
+        // a parked thread holds its own sender: it is there to receive
+        thread.send(work).expect("a parked thread waits for work");
+        return;
+    }
+    std::thread::spawn(move || {
+        let (wake, next) = mpsc::channel::<Work>();
+        let mut work = Some(work);
+        while let Some(run) = work.take() {
+            // a panicking worker unwinds out of here: its thread is not
+            // parked again
+            run();
+            parked().lock().push(wake.clone());
+            work = next.recv().ok();
+        }
+    });
 }
 
 impl<J: Job> std::fmt::Debug for Pool<J> {
@@ -221,28 +263,32 @@ impl<J: Job> std::fmt::Debug for Pool<J> {
 }
 
 impl<J: Job> Pool<J> {
-    /// Spawns `workers` threads (at least one); worker `w` owns `init(w)`.
+    /// Starts `workers` workers (at least one), each on a thread of its
+    /// own — a parked one where there is one; worker `w` owns `init(w)`.
     pub fn new(
         workers: usize,
         init: impl Fn(usize) -> J::State + Send + Sync + 'static,
     ) -> Pool<J> {
         let init = Arc::new(init);
-        let (mailboxes, threads) = (0..workers.max(1))
+        let (mailboxes, retired) = (0..workers.max(1))
             .map(|w| {
                 let (mailbox, tickets) = mpsc::channel::<Ticket<J>>();
+                let (retiring, retired) = mpsc::channel::<()>();
                 let init = Arc::clone(&init);
-                let thread = std::thread::spawn(move || {
+                run_on_thread(Box::new(move || {
+                    // dropped last, after the state — also in an unwind
+                    let _retiring = retiring;
                     timepiece_trace::set_thread_label(format!("worker{w}"));
                     let mut state = init(w);
                     while let Ok(mut ticket) = tickets.recv() {
                         ticket.run.work(w, &mut state);
                         ticket.done = true;
                     }
-                });
-                (mailbox, thread)
+                }));
+                (mailbox, retired)
             })
             .unzip();
-        Pool { mailboxes, threads }
+        Pool { mailboxes, retired }
     }
 
     /// How many worker threads the pool runs.
@@ -336,11 +382,12 @@ impl<J: Job> Pool<J> {
 
 impl<J: Job> Drop for Pool<J> {
     fn drop(&mut self) {
-        // closing a mailbox ends its worker's receive loop; joining makes
-        // the workers' state (solver contexts) gone when the pool is
+        // closing a mailbox ends its worker's receive loop; waiting for the
+        // disconnects makes the workers' state (solver sessions) gone when
+        // the pool is
         self.mailboxes.clear();
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
+        for retired in self.retired.drain(..) {
+            let _ = retired.recv();
         }
     }
 }
@@ -551,6 +598,37 @@ mod tests {
         pool.run(vec![(); 3], &CancelToken::new(), job()).unwrap();
         assert_eq!(begun.load(Ordering::Relaxed), 3 * 4 + 3);
         assert_eq!(ended.load(Ordering::Relaxed), 3 * 4 + 3);
+    }
+
+    #[test]
+    fn a_dropped_pool_has_dropped_its_workers_state_and_the_next_pool_runs() {
+        /// Counts the states dropped.
+        struct Counted(Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        struct Noop;
+        impl Job for Noop {
+            type State = Counted;
+            type Task = ();
+            type Output = ();
+            type Error = ();
+            fn run(&self, _: &mut Counted, _: (), _: &CancelToken) -> Result<Option<()>, ()> {
+                Ok(Some(()))
+            }
+        }
+        let dropped = Arc::new(AtomicUsize::new(0));
+        for round in 1..=3 {
+            let counter = Arc::clone(&dropped);
+            let mut pool = Pool::new(3, move |_| Counted(Arc::clone(&counter)));
+            let outcome = pool.run(vec![(); 9], &CancelToken::new(), Noop).unwrap();
+            assert_eq!(outcome.results.len(), 9);
+            drop(pool);
+            // the threads are parked, not ended, but the state is gone
+            assert_eq!(dropped.load(Ordering::SeqCst), 3 * round);
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * [`expr`] — the typed expression IR used to model routes and policies.
 //! * [`smt`] — the Z3 backend: validity checking and counterexamples.
 //! * [`topology`] — network graphs and generators (fattrees, WANs, …).
-//! * [`algebra`] — routing algebras (S, I, F, ⊕) and standard instances.
-//! * [`sim`] — synchronous and bounded-delay network simulators.
+//! * [`algebra`] — routing algebras (S, I, F, ⊕) as expression-level
+//!   networks, and the declarative route-policy IR they are built from.
+//! * [`sim`] — the network simulator: synchronous and bounded-delay runs.
 //! * [`sched`] — verification scheduling: work-stealing execution,
 //!   cooperative cancellation with solver interrupts, and deterministic
 //!   shard planning for multi-process runs.

@@ -7,6 +7,11 @@
 //!   *excludes* a state the simulator actually reaches can never pass the
 //!   checker — if it did, the soundness theorem would be violated.
 //!
+//! * **Soundness under bounded delay** (§4): the same contrapositive for the
+//!   delayed inductive condition, against seeded delayed executions — an
+//!   interface excluding a state some execution with at most `d` steps of
+//!   message delay reaches can never pass the checker at `delay = d`.
+//!
 //! Networks are random boolean-reachability instances: random connected
 //! topologies, a random originating node, and random per-edge drop filters.
 
@@ -15,8 +20,8 @@ use timepiece::algebra::{Network, NetworkBuilder};
 use timepiece::core::check::{CheckOptions, ModularChecker};
 use timepiece::core::{NodeAnnotations, Temporal};
 use timepiece::expr::{Env, Expr, Type, Value};
-use timepiece::sim::simulate;
-use timepiece::topology::{NodeId, Topology};
+use timepiece::sim::{simulate, simulate_delayed, Trace};
+use timepiece::topology::{gen, NodeId, Topology};
 
 /// A randomly generated boolean-reachability network description.
 #[derive(Debug, Clone)]
@@ -75,12 +80,85 @@ fn build(desc: &RandomNet) -> Network {
 /// Per-node value sequences up to one step past convergence.
 fn node_traces(net: &Network) -> Vec<Vec<Value>> {
     let trace = simulate(net, &Env::new(), 64).expect("closed network simulates");
-    assert!(trace.converged_at().is_some(), "monotone reach network converges");
-    let horizon = trace.states().len();
+    per_node(net, &trace, trace.states().len())
+}
+
+/// Per-node value sequences of a converged run over `horizon` steps; the
+/// trace saturates at its stable state beyond its own length.
+fn per_node(net: &Network, trace: &Trace, horizon: usize) -> Vec<Vec<Value>> {
+    assert!(trace.converged_at().is_some(), "reach network converges");
     net.topology()
         .nodes()
         .map(|v| (0..horizon).map(|t| trace.state(v, t).clone()).collect())
         .collect()
+}
+
+/// Exact interfaces from per-node sequences, except that `σ(v)(t)` is
+/// claimed to be its opposite.
+fn exact_but_flipped(net: &Network, traces: &[Vec<Value>], v: usize, t: usize) -> NodeAnnotations {
+    NodeAnnotations::from_fn(net.topology(), |u| {
+        let mut claimed = traces[u.index()].clone();
+        if u.index() == v {
+            let actual = claimed[t].as_bool().expect("bool route");
+            claimed[t] = Value::Bool(!actual);
+        }
+        Temporal::from_trace(&claimed)
+    })
+}
+
+fn verified_with_delay(net: &Network, interface: &NodeAnnotations, delay: u64) -> bool {
+    ModularChecker::new(CheckOptions { delay, ..CheckOptions::default() })
+        .check(net, interface, interface)
+        .expect("check runs")
+        .is_verified()
+}
+
+/// The directed path `v0 → v1` with `I(v0) = true`: at step 1 every
+/// delivery is `σ(v0)(0)`, however stale, so `σ(v1)(1) = true` in every
+/// execution. An interface (and property) claiming `v1` has no route before
+/// time 2 must be rejected at every delay — the delayed inductive condition
+/// once assumed `t ≥ 0` and so never checked steps `1..=delay`.
+#[test]
+fn delay_does_not_hide_the_first_steps() {
+    let g = gen::path(2);
+    let v0 = g.node_by_name("v0").unwrap();
+    let net = NetworkBuilder::new(g, Type::Bool)
+        .merge(|a, b| a.clone().or(b.clone()))
+        .default_transfer(|r| r.clone())
+        .init(v0, Expr::bool(true))
+        .build()
+        .unwrap();
+    let v1 = net.topology().node_by_name("v1").unwrap();
+    let mut interface = NodeAnnotations::new(net.topology(), Temporal::globally(|r| r.clone()));
+    interface.set(v1, Temporal::until_at(2, |r| r.clone().not(), Temporal::any()));
+    for delay in 0..=2 {
+        for seed in 0..4 {
+            let trace = simulate_delayed(&net, &Env::new(), 16, delay, seed).unwrap();
+            assert_eq!(trace.state(v1, 1), &Value::Bool(true), "delay {delay} seed {seed}");
+        }
+        assert!(
+            !verified_with_delay(&net, &interface, delay as u64),
+            "σ(v1)(1) = true is excluded, yet delay {delay} verified"
+        );
+    }
+}
+
+/// Delay 0 is the synchronous semantics on every registry scenario, the
+/// policy fast path included, whatever the schedule's seed.
+#[test]
+fn zero_delay_runs_equal_simulate_on_registry_scenarios() {
+    use timepiece_bench::runner::{fattree_instance, BenchKind};
+    for kind in BenchKind::all() {
+        let net = fattree_instance(kind, 4).network;
+        let env = timepiece_scenario::closing_env(&net);
+        let sync = simulate(&net, &env, 64).expect("registry scenario simulates");
+        assert!(sync.converged_at().is_some(), "{}", kind.name());
+        for seed in [0, 7, 1 << 40] {
+            let delayed = simulate_delayed(&net, &env, 64, 0, seed).unwrap();
+            assert_eq!(delayed.states(), sync.states(), "{} seed {seed}", kind.name());
+            assert_eq!(delayed.converged_at(), sync.converged_at());
+        }
+    }
 }
 
 proptest! {
@@ -116,21 +194,9 @@ proptest! {
         let v = victim.index(net.topology().node_count());
         let t = time.index(horizon);
         // exact interfaces everywhere, except at (v, t): claim the opposite
-        let interface = NodeAnnotations::from_fn(net.topology(), |u| {
-            if u.index() == v {
-                let mut lied = traces[u.index()].clone();
-                let actual = lied[t].as_bool().expect("bool route");
-                lied[t] = Value::Bool(!actual);
-                Temporal::from_trace(&lied)
-            } else {
-                Temporal::from_trace(&traces[u.index()])
-            }
-        });
-        let report = ModularChecker::new(CheckOptions::default())
-            .check(&net, &interface, &interface)
-            .expect("check runs");
+        let interface = exact_but_flipped(&net, &traces, v, t);
         prop_assert!(
-            !report.is_verified(),
+            !verified_with_delay(&net, &interface, 0),
             "an interface excluding σ({v})({t}) was accepted — soundness violated"
         );
     }
@@ -158,5 +224,50 @@ proptest! {
         let report = timepiece::core::monolithic::check_monolithic(&net, &property, None)
             .expect("check runs");
         prop_assert!(report.outcome.is_verified());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, rng_seed: 0x0071_313e_9ece_0002 })]
+
+    /// Soundness under bounded delay (§4, contrapositive): a seeded run with
+    /// up to `d` steps of message delay is one of the executions the delayed
+    /// inductive condition quantifies over, so an interface excluding a
+    /// state it reaches must be rejected at `delay = d`. Two such interfaces
+    /// per run: the run's exact interface with one `(v, t)` flipped, and —
+    /// when delay changed the run — the exact interface of the synchronous
+    /// run.
+    #[test]
+    fn delayed_interfaces_excluding_reached_states_are_rejected(
+        desc in random_net(),
+        delay in 1usize..3,
+        seed in 0u64..u64::MAX,
+        victim in any::<prop::sample::Index>(),
+        time in any::<prop::sample::Index>(),
+    ) {
+        let net = build(&desc);
+        let delayed = simulate_delayed(&net, &Env::new(), 64, delay, seed).expect("simulates");
+        let sync = simulate(&net, &Env::new(), 64).expect("simulates");
+        let horizon = delayed.states().len().max(sync.states().len());
+        let reached = per_node(&net, &delayed, horizon);
+
+        let v = victim.index(net.topology().node_count());
+        let t = time.index(delayed.states().len());
+        let flipped = exact_but_flipped(&net, &reached, v, t);
+        prop_assert!(
+            !verified_with_delay(&net, &flipped, delay as u64),
+            "an interface excluding σ({v})({t}) of a delay-{delay} run was accepted"
+        );
+
+        let synchronous = per_node(&net, &sync, horizon);
+        if synchronous != reached {
+            let exact = NodeAnnotations::from_fn(net.topology(), |u| {
+                Temporal::from_trace(&synchronous[u.index()])
+            });
+            prop_assert!(
+                !verified_with_delay(&net, &exact, delay as u64),
+                "the synchronous interface excludes states of a delay-{delay} run, yet verified"
+            );
+        }
     }
 }
