@@ -1126,14 +1126,14 @@ fn shard_worker(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// One inference run: build the property-only spec, infer, verify, and
+/// One inference run: infer from the instance's network and property, verify, and
 /// compare against the hand-written interface of the same benchmark.
 fn infer_row(kind: BenchKind, k: usize, args: &Args) {
     use timepiece_infer::{InferOptions, InferenceEngine, RoleMap};
 
     let name = kind.name();
     let setup = kind.infer_setup(k).expect("caller filtered for inference support");
-    let (spec, instance, fattree, dest) = (setup.spec, setup.instance, setup.fattree, setup.dest);
+    let (instance, fattree, dest) = (setup.instance, setup.fattree, setup.dest);
     let roles = if args.use_roles {
         RoleMap::fattree(&fattree, dest)
     } else {
@@ -1151,7 +1151,7 @@ fn infer_row(kind: BenchKind, k: usize, args: &Args) {
         ..InferOptions::default()
     });
     let result = engine
-        .infer(&spec.network, &spec.property, roles, &[Env::new()])
+        .infer(&instance.network, &instance.property, roles, &[Env::new()])
         .expect("benchmark specs simulate and encode");
     let report = &result.report;
 

@@ -21,7 +21,7 @@ use timepiece_daemon::LoadSource;
 use timepiece_expr::{arena, ArenaStats};
 use timepiece_nets::{
     ad::AdBench, fail::FailBench, hijack::HijackBench, len::LenBench, med::MedBench,
-    reach::ReachBench, vf::VfBench, BenchInstance, PropertySpec,
+    reach::ReachBench, vf::VfBench, BenchInstance,
 };
 use timepiece_scenario::CompiledScenario;
 use timepiece_smt::TermCacheStats;
@@ -31,9 +31,8 @@ use timepiece_topology::{FatTree, NodeId};
 /// and compare against its hand-written interfaces.
 #[derive(Debug)]
 pub struct InferSetup {
-    /// The property-only form inference consumes.
-    pub spec: PropertySpec,
-    /// The annotated instance (for the hand-written comparison).
+    /// The annotated instance: inference reads its network and property,
+    /// the hand-written comparison its interface.
     pub instance: BenchInstance,
     /// The underlying fattree (for role generalization).
     pub fattree: FatTree,
@@ -125,13 +124,12 @@ impl ScenarioSpec {
 
 /// The inference setup of a fixed-destination fattree bench — one
 /// expression per builder type, since every such bench exposes the same
-/// `spec`/`build`/`fattree`/`dest_node` surface.
+/// `build`/`fattree`/`dest_node` surface.
 macro_rules! fixed_dest_infer {
     ($bench:ty) => {
         |k: usize| {
             let bench = <$bench>::single_dest(k, 0);
             InferSetup {
-                spec: bench.spec(),
                 instance: bench.build(),
                 fattree: bench.fattree().clone(),
                 dest: bench.dest_node().expect("fixed destination"),
@@ -532,16 +530,14 @@ fn assemble_row(
 /// gives the row fresh solver state.
 pub fn run_row(kind: BenchKind, k: usize, options: &SweepOptions, pool: &mut CheckerPool) -> Row {
     let arena_before = arena::stats();
-    let inst = fattree_instance(kind, k);
-    let report = pool
-        .check(&inst.network, &inst.interface, &inst.property)
-        .expect("benchmark instances encode");
+    let inst = Arc::new(fattree_instance(kind, k));
+    let report = pool.check(&inst).expect("benchmark instances encode");
     assemble_row(k, &inst, &report, options, &arena_before)
 }
 
 /// The monolithic baseline on one instance, when the options ask for it.
 pub(crate) fn monolithic_result(
-    inst: &timepiece_nets::BenchInstance,
+    inst: &BenchInstance,
     options: &SweepOptions,
 ) -> Option<EngineResult> {
     options.run_monolithic.then(|| {

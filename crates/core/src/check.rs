@@ -10,6 +10,7 @@
 //! figures can be reproduced.
 
 use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use timepiece_algebra::Network;
@@ -19,6 +20,7 @@ use timepiece_smt::{SolverSession, TermCacheStats, Validity};
 use timepiece_topology::NodeId;
 
 use crate::error::CoreError;
+use crate::instance::Instance;
 use crate::interface::NodeAnnotations;
 use crate::stats::TimingStats;
 use crate::sweep::CheckerPool;
@@ -240,7 +242,9 @@ impl ModularChecker {
     ///
     /// The call is a [`CheckerPool`] that lives for one job: the same
     /// work-stealing workers, solver sessions, fail-fast cancellation and
-    /// report as a pool kept across checks, minus the warm start.
+    /// report as a pool kept across checks, minus the warm start. It is the
+    /// one place that copies an instance: once per call, into the [`Arc`]
+    /// every worker reads.
     ///
     /// # Errors
     ///
@@ -254,10 +258,13 @@ impl ModularChecker {
         nodes: &[NodeId],
     ) -> Result<CheckReport, CoreError> {
         let workers = self.options.workers().min(nodes.len().max(1));
+        let instance = Arc::new(Instance {
+            network: net.clone(),
+            interface: interface.clone(),
+            property: property.clone(),
+        });
         CheckerPool::new(workers, self.options.clone()).check_nodes(
-            net,
-            interface,
-            property,
+            &instance,
             nodes,
             &CancelToken::new(),
         )

@@ -7,57 +7,66 @@
 //! in-edges, the interfaces of its predecessors, and the network's symbolic
 //! preconditions. A delta therefore invalidates a bounded **cone** of
 //! nodes, not the whole network — and since the conditions are built from
-//! hash-consed terms, "did this node's check change" is decidable in O(1)
-//! per node by comparing structural hashes of the *compiled conditions*
-//! before and after the delta.
+//! hash-consed terms, "did this node's check change" is decided exactly by
+//! comparing the intern ids of the *compiled conditions* before and after
+//! the delta.
 //!
-//! [`Fingerprints`] captures those hashes; [`Fingerprints::dirty_cone`]
+//! [`Fingerprints`] captures those ids; [`Fingerprints::dirty_cone`]
 //! diffs two snapshots into the exact set of nodes whose conditions
 //! changed. [`VerdictCache`] remembers the last verdict per node, so a
 //! service re-checks the cone and serves everything else from cache.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 
 use timepiece_algebra::Network;
+use timepiece_expr::{Expr, InternId};
 use timepiece_topology::{NodeId, Topology};
 
 use crate::check::{CheckReport, Failure};
 use crate::interface::NodeAnnotations;
 use crate::vc::{inductive_vc, initial_vc, safety_vc};
 
-/// A structural fingerprint of one node's three verification conditions.
-/// Two equal fingerprints mean the node's initial, inductive and safety
-/// conditions are structurally identical terms — the checks are
-/// interchangeable.
+/// The exact key of one node's three verification conditions: the intern
+/// ids of each condition's assumptions and goal (initial, inductive, safety,
+/// in that order) and how many ids each condition has. The arena gives
+/// equal ids exactly to structurally equal terms and never reuses an id, so
+/// two keys are equal exactly when the conditions are structurally
+/// identical terms — the checks are interchangeable, and no edit can
+/// collide with the key it replaces.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeKey {
+    lens: [usize; 3],
+    ids: Box<[InternId]>,
+}
+
+/// The [`NodeKey`] of node `v`.
 ///
 /// Everything a condition can depend on flows into the compiled terms: the
 /// node's initial route, interface and witness time, the predecessors'
 /// interfaces, the in-edge policies and the merge (through the one-step
 /// update of the inductive condition), the failure budget (through the
 /// symbolic constraints assumed by every condition). A change to any of
-/// them flips the hash; a change to none of them cannot.
+/// them changes the key; a change to none of them cannot.
 pub fn node_fingerprint(
     net: &Network,
     interface: &NodeAnnotations,
     property: &NodeAnnotations,
     delay: u64,
     v: NodeId,
-) -> u64 {
-    let mut h = DefaultHasher::new();
+) -> NodeKey {
     let conditions = [
         initial_vc(net, interface, v),
         inductive_vc(net, interface, v, delay),
         safety_vc(net, interface, property, v),
     ];
-    for vc in conditions {
-        for a in vc.assumptions() {
-            a.structural_hash().hash(&mut h);
-        }
-        vc.goal().structural_hash().hash(&mut h);
+    NodeKey {
+        lens: conditions.each_ref().map(|vc| vc.assumptions().len() + 1),
+        ids: conditions
+            .iter()
+            .flat_map(|vc| vc.assumptions().iter().chain([vc.goal()]))
+            .map(Expr::node_id)
+            .collect(),
     }
-    h.finish()
 }
 
 /// One snapshot of [`node_fingerprint`] over every node of an instance.
@@ -68,7 +77,7 @@ pub fn node_fingerprint(
 /// ([`Fingerprints::dirty_cone`]) is how a delta becomes a work list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprints {
-    map: BTreeMap<NodeId, u64>,
+    map: BTreeMap<NodeId, NodeKey>,
 }
 
 impl Fingerprints {
@@ -90,7 +99,7 @@ impl Fingerprints {
     /// This snapshot brought up to date after an edit whose *footprint* —
     /// a topological upper bound on the nodes whose conditions the edit can
     /// reach — is known: only the footprint is re-fingerprinted against the
-    /// edited instance, every other hash is carried over. One condition
+    /// edited instance, every other key is carried over. One condition
     /// construction per footprint node instead of one per node.
     ///
     /// Equal to [`Fingerprints::compute`] on the edited instance exactly
@@ -113,9 +122,9 @@ impl Fingerprints {
         Fingerprints { map }
     }
 
-    /// The fingerprint of one node, if it was part of the snapshot.
-    pub fn get(&self, v: NodeId) -> Option<u64> {
-        self.map.get(&v).copied()
+    /// The key of one node, if it was part of the snapshot.
+    pub fn get(&self, v: NodeId) -> Option<&NodeKey> {
+        self.map.get(&v)
     }
 
     /// How many nodes the snapshot covers.
@@ -414,6 +423,93 @@ mod tests {
         assert_eq!(before.refreshed(&dropped, &interface, &property, 0, &all), refreshed);
         // an empty footprint is the identity, whatever the instance
         assert_eq!(before.refreshed(&dropped, &edited, &property, 0, &[]), before);
+    }
+
+    /// [`policy_instance`] with a failure bit on every edge under an
+    /// at-most-`budget` assumption, so every delta kind applies.
+    fn budgeted_instance(n: usize, budget: u64) -> (Network, NodeAnnotations, NodeAnnotations) {
+        use timepiece_algebra::policy::FailureModel;
+        let (net, interface, property) = policy_instance(n);
+        let g = net.topology().clone();
+        let schema = net.policies().unwrap().schema.clone();
+        let origin = Expr::record(schema.record_def(), vec![Expr::int(0)]).some();
+        let net = NetworkBuilder::from_schema(g.clone(), schema)
+            .default_policy(RoutePolicy::new().increment("len"))
+            .failures(FailureModel::at_most(budget, g.edges()))
+            .init(g.node_by_name("v0").unwrap(), origin)
+            .build()
+            .unwrap();
+        (net, interface, property)
+    }
+
+    #[test]
+    fn keys_are_equal_exactly_when_the_conditions_are() {
+        // two independent builds intern to the same terms: every node keeps
+        // its key, and across both builds and a budget edit a key is shared
+        // exactly by the nodes whose three conditions are equal terms
+        let (a, interface, property) = budgeted_instance(4, 0);
+        let (b, _, _) = budgeted_instance(4, 0);
+        let c = a.with_failure_budget(1).unwrap();
+        let conditions = |net: &Network, v| {
+            [
+                initial_vc(net, &interface, v),
+                inductive_vc(net, &interface, v, 0),
+                safety_vc(net, &interface, &property, v),
+            ]
+            .map(|vc| (vc.assumptions().to_vec(), vc.goal().clone()))
+        };
+        let nodes: Vec<(&Network, NodeId)> = [&a, &b, &c]
+            .into_iter()
+            .flat_map(|net| net.topology().nodes().map(move |v| (net, v)))
+            .collect();
+        let mut shared = 0;
+        for &(n1, v1) in &nodes {
+            for &(n2, v2) in &nodes {
+                let same_key = node_fingerprint(n1, &interface, &property, 0, v1)
+                    == node_fingerprint(n2, &interface, &property, 0, v2);
+                assert_eq!(same_key, conditions(n1, v1) == conditions(n2, v2), "{v1:?} {v2:?}");
+                shared += usize::from(same_key && v1 == v2 && !std::ptr::eq(n1, n2));
+            }
+        }
+        assert_eq!(shared, 2 * 4, "a and b share every key, c shares none");
+    }
+
+    #[test]
+    fn every_delta_kind_changes_the_key_of_each_node_it_edits() {
+        let (net, interface, property) = budgeted_instance(5, 0);
+        let g = net.topology();
+        let node = |name: &str| g.node_by_name(name).unwrap();
+        let (v1, v2) = (node("v1"), node("v2"));
+        let drop = || Some(RoutePolicy::new().drop_if(RouteGuard::True));
+        let down = net.set_edge_policy((v1, v2), drop()).unwrap();
+        let down = down.set_edge_policy((v2, v1), drop()).unwrap();
+        let up = down.set_edge_policy((v1, v2), None).unwrap();
+        let up = up.set_edge_policy((v2, v1), None).unwrap();
+        let policy = net.set_edge_policy((v1, v2), Some(RoutePolicy::new())).unwrap();
+        let budget = net.with_failure_budget(1).unwrap();
+        let mut witness = interface.clone();
+        witness.set(v2, interface.get(v2).with_witness(&Expr::int(9)).unwrap());
+        let all: Vec<NodeId> = g.nodes().collect();
+        // (kind, before, after, the nodes the edit reaches)
+        let edits = [
+            ("link_down", (&net, &interface), (&down, &interface), vec![v1, v2]),
+            ("link_up", (&down, &interface), (&up, &interface), vec![v1, v2]),
+            ("edge_policy", (&net, &interface), (&policy, &interface), vec![v2]),
+            ("witness_time", (&net, &interface), (&net, &witness), interface_cone(g, v2)),
+            ("failure_budget", (&net, &interface), (&budget, &interface), all),
+        ];
+        for (kind, (n0, i0), (n1, i1), edited) in edits {
+            for v in edited {
+                let before = node_fingerprint(n0, i0, &property, 0, v);
+                let after = node_fingerprint(n1, i1, &property, 0, v);
+                assert_ne!(before, after, "{kind} left the key of {} unchanged", g.name(v));
+            }
+        }
+        // bringing the link up restores the keys it had before it went down
+        assert_eq!(
+            Fingerprints::compute(&up, &interface, &property, 0),
+            Fingerprints::compute(&net, &interface, &property, 0)
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //!   `F^τ(Q)` with lifted intersection/union/negation (Fig. 12), including
 //!   *symbolic* witness times (needed for all-pairs benchmarks);
 //! * [`interface`] — per-node annotations: interfaces `A` and properties `P`;
+//! * [`instance`] — the instance `(N, A, P)` every checker takes;
 //! * [`vc`] — the three verification conditions: initial (5), inductive (6)
 //!   and safety (7), plus the bounded-delay variant of the inductive
 //!   condition (§4);
@@ -54,6 +55,7 @@
 pub mod check;
 pub mod error;
 pub mod incremental;
+pub mod instance;
 pub mod interface;
 pub mod monolithic;
 pub mod stats;
@@ -65,6 +67,7 @@ pub mod vc;
 pub use check::{CheckOptions, CheckReport, Failure, ModularChecker};
 pub use error::CoreError;
 pub use incremental::{Fingerprints, NodeVerdict, VerdictCache};
+pub use instance::{Instance, PropertySpec};
 pub use interface::NodeAnnotations;
 pub use temporal::Temporal;
 pub use vc::VcKind;

@@ -20,9 +20,9 @@
 //!
 //! * **Which session.** A job's conditions can clash inside one encoder on
 //!   exactly one thing, a variable's *(name, type)*, and
-//!   [`Network::encoder_signature`] names exactly that. A worker keeps the
-//!   session while jobs carry its signature and replaces it, once, at the
-//!   start of the first job that carries another.
+//!   [`timepiece_algebra::Network::encoder_signature`] names exactly that.
+//!   A worker keeps the session while jobs carry its signature and replaces
+//!   it, once, at the start of the first job that carries another.
 //! * **What a thief keeps.** Stealing must not copy the instance into every
 //!   worker: a thief forgets the terms of a node it stole as soon as it has
 //!   checked it ([`SolverSession::scratch`]), so the workers together keep
@@ -41,14 +41,13 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use timepiece_algebra::Network;
 use timepiece_sched::{CancelToken, Job, Pool, PoolError};
 use timepiece_smt::{SolverSession, TermCacheStats};
 use timepiece_topology::NodeId;
 
 use crate::check::{check_node_in_session, CheckOptions, CheckReport, Failure};
 use crate::error::CoreError;
-use crate::interface::NodeAnnotations;
+use crate::instance::Instance;
 
 /// A worker's session is retired once its encoder cache holds this many
 /// times the compiled terms the largest single job added. One compiled copy
@@ -175,12 +174,10 @@ struct Tally {
     terms: TermCacheStats,
 }
 
-/// One `check_nodes` call: the instance (copied once per call, shared by
-/// every worker) and how to check a node of it.
+/// One `check_nodes` call: the caller's instance (shared by every worker,
+/// never copied) and how to check a node of it.
 struct CheckJob {
-    net: Network,
-    interface: NodeAnnotations,
-    property: NodeAnnotations,
+    instance: Arc<Instance>,
     signature: String,
     options: CheckOptions,
     workers: usize,
@@ -217,13 +214,14 @@ impl Job for CheckJob {
         v: NodeId,
         token: &CancelToken,
     ) -> Result<Option<Self::Output>, CoreError> {
+        let Instance { network, interface, property } = &*self.instance;
         let check = |session: &mut SolverSession| {
             check_node_in_session(
                 session,
                 token.flag(),
-                &self.net,
-                &self.interface,
-                &self.property,
+                network,
+                interface,
+                property,
                 self.options.delay,
                 v,
             )
@@ -268,15 +266,15 @@ impl Job for CheckJob {
 /// # Example
 ///
 /// ```no_run
+/// use std::sync::Arc;
 /// use timepiece_core::check::CheckOptions;
 /// use timepiece_core::sweep::CheckerPool;
-/// # fn instance_at(_k: usize) -> (timepiece_algebra::Network,
-/// #     timepiece_core::NodeAnnotations, timepiece_core::NodeAnnotations) { unimplemented!() }
+/// # fn instance_at(_k: usize) -> timepiece_core::Instance { unimplemented!() }
 ///
 /// let mut pool = CheckerPool::new(4, CheckOptions::default());
 /// for k in [4, 6, 8] {
-///     let (net, interface, property) = instance_at(k);
-///     let report = pool.check(&net, &interface, &property).unwrap();
+///     let instance = Arc::new(instance_at(k));
+///     let report = pool.check(&instance).unwrap();
 ///     assert!(report.is_verified());
 /// }
 /// // the sessions built for k = 4 served k = 6 and k = 8 too: one schema,
@@ -335,21 +333,16 @@ impl CheckerPool {
         })
     }
 
-    /// Checks every node of a network across the persistent workers,
+    /// Checks every node of an instance across the persistent workers,
     /// reusing the solver sessions previous checks opened when the network
     /// declares what theirs did.
     ///
     /// # Errors
     ///
     /// As [`CheckerPool::check_nodes`].
-    pub fn check(
-        &mut self,
-        net: &Network,
-        interface: &NodeAnnotations,
-        property: &NodeAnnotations,
-    ) -> Result<CheckReport, CoreError> {
-        let nodes: Vec<NodeId> = net.topology().nodes().collect();
-        self.check_nodes(net, interface, property, &nodes, &CancelToken::new())
+    pub fn check(&mut self, instance: &Arc<Instance>) -> Result<CheckReport, CoreError> {
+        let nodes: Vec<NodeId> = instance.network.topology().nodes().collect();
+        self.check_nodes(instance, &nodes, &CancelToken::new())
     }
 
     /// Checks a *subset* of nodes across the persistent workers — the
@@ -372,19 +365,15 @@ impl CheckerPool {
     /// reported as [`Failure`]s.
     pub fn check_nodes(
         &mut self,
-        net: &Network,
-        interface: &NodeAnnotations,
-        property: &NodeAnnotations,
+        instance: &Arc<Instance>,
         nodes: &[NodeId],
         cancel: &CancelToken,
     ) -> Result<CheckReport, CoreError> {
         let start = Instant::now();
         self.tally.lock().expect("tally updates cannot panic").terms = TermCacheStats::default();
         let job = CheckJob {
-            net: net.clone(),
-            interface: interface.clone(),
-            property: property.clone(),
-            signature: net.encoder_signature(),
+            instance: Arc::clone(instance),
+            signature: instance.network.encoder_signature(),
             options: self.options.clone(),
             workers: self.pool.workers(),
             tally: Arc::clone(&self.tally),
@@ -415,10 +404,11 @@ impl CheckerPool {
 mod tests {
     use super::*;
     use crate::check::ModularChecker;
+    use crate::interface::NodeAnnotations;
     use crate::temporal::Temporal;
     use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use timepiece_algebra::NetworkBuilder;
+    use timepiece_algebra::{Network, NetworkBuilder};
     use timepiece_expr::{Expr, Type};
     use timepiece_smt::Vc;
     use timepiece_topology::gen;
@@ -456,6 +446,19 @@ mod tests {
         NodeAnnotations::new(net.topology(), Temporal::any())
     }
 
+    /// The instance as a pool takes it.
+    fn shared(
+        net: &Network,
+        interface: &NodeAnnotations,
+        property: &NodeAnnotations,
+    ) -> Arc<Instance> {
+        Arc::new(Instance {
+            network: net.clone(),
+            interface: interface.clone(),
+            property: property.clone(),
+        })
+    }
+
     /// The engine at one of its two lifetimes: a fresh pool per call
     /// ([`ModularChecker`]), or one pool that has already served a job.
     enum Engine {
@@ -469,7 +472,7 @@ mod tests {
         fn lifetimes(options: CheckOptions) -> [Engine; 2] {
             let mut pool = CheckerPool::with_default_parallelism(options.clone());
             let warm_up = reach_net(3);
-            pool.check(&warm_up, &reach_interface(&warm_up), &anything(&warm_up)).unwrap();
+            pool.check(&shared(&warm_up, &reach_interface(&warm_up), &anything(&warm_up))).unwrap();
             [Engine::OneShot(options), Engine::Reused(pool)]
         }
 
@@ -491,7 +494,7 @@ mod tests {
                 Engine::OneShot(options) => ModularChecker::new(options.clone())
                     .check_nodes(net, interface, property, nodes),
                 Engine::Reused(pool) => {
-                    pool.check_nodes(net, interface, property, nodes, &CancelToken::new())
+                    pool.check_nodes(&shared(net, interface, property), nodes, &CancelToken::new())
                 }
             }
         }
@@ -677,16 +680,16 @@ mod tests {
                     let own: Vec<NodeId> =
                         net.topology().nodes().filter(|v| v.index() % workers == w).collect();
                     let mut alone = CheckerPool::new(1, CheckOptions::default());
-                    alone
-                        .check_nodes(&net, &interface, &property, &own, &CancelToken::new())
-                        .unwrap();
+                    let instance = shared(&net, &interface, &property);
+                    alone.check_nodes(&instance, &own, &CancelToken::new()).unwrap();
                     alone.session_stats().compiled_terms
                 })
                 .sum();
             let mut pool = CheckerPool::new(workers, CheckOptions::default());
+            let instance = shared(&net, &interface, &property);
             let mut steals = 0;
             for _ in 0..3 {
-                let report = pool.check(&net, &interface, &property).unwrap();
+                let report = pool.check(&instance).unwrap();
                 assert!(report.is_verified());
                 steals += report.scheduler().unwrap().steals;
                 let held = pool.session_stats().compiled_terms;
@@ -713,7 +716,7 @@ mod tests {
         let mut pool = CheckerPool::new(2, CheckOptions::default());
         let all: Vec<NodeId> = net.topology().nodes().collect();
         let token = CancelToken::new();
-        let result = pool.check_nodes(&net, &interface, &property, &all, &token);
+        let result = pool.check_nodes(&shared(&net, &interface, &property), &all, &token);
         assert!(matches!(result, Err(CoreError::Smt(_))), "{result:?}");
         assert!(token.is_cancelled(), "the error must stop the rest of the job");
         // one-shot: same error
@@ -721,7 +724,10 @@ mod tests {
         assert!(matches!(result, Err(CoreError::Smt(_))), "{result:?}");
         // the pool survives an error: nobody died, and the worker that hit
         // it dropped the session the ill-typed declaration had got into
-        assert!(pool.check(&net, &reach_interface(&net), &property).unwrap().is_verified());
+        assert!(pool
+            .check(&shared(&net, &reach_interface(&net), &property))
+            .unwrap()
+            .is_verified());
     }
 
     #[test]
@@ -758,7 +764,7 @@ mod tests {
             }
         });
         let mut pool = CheckerPool::new(2, CheckOptions { fail_fast: true, ..threads(2) });
-        let report = pool.check_nodes(&net, &interface, &property, &all, &token).unwrap();
+        let report = pool.check_nodes(&shared(&net, &interface, &property), &all, &token).unwrap();
         assert!(!report.is_verified());
         assert!(fired.load(Ordering::SeqCst) >= 2, "a lost interrupt was never re-delivered");
     }
@@ -770,9 +776,9 @@ mod tests {
         // second structurally identical row must show hits and fewer misses
         let mut pool = CheckerPool::new(1, CheckOptions::default());
         let net = reach_net(5);
-        let (interface, property) = (reach_interface(&net), anything(&net));
-        let first = pool.check(&net, &interface, &property).unwrap();
-        let second = pool.check(&net, &interface, &property).unwrap();
+        let instance = shared(&net, &reach_interface(&net), &anything(&net));
+        let first = pool.check(&instance).unwrap();
+        let second = pool.check(&instance).unwrap();
         let t1 = first.term_cache().expect("pooled reports carry term stats");
         let t2 = second.term_cache().expect("pooled reports carry term stats");
         assert!(t2.hits > 0, "row 2 saw no cache hits: {t2:?}");
@@ -786,15 +792,14 @@ mod tests {
         // every node is abandoned, the pool stays reusable
         let mut pool = CheckerPool::new(2, CheckOptions::default());
         let net = reach_net(5);
-        let (interface, property) = (reach_interface(&net), anything(&net));
+        let instance = shared(&net, &reach_interface(&net), &anything(&net));
         let all: Vec<NodeId> = net.topology().nodes().collect();
         let token = CancelToken::new();
         token.cancel();
-        let report = pool.check_nodes(&net, &interface, &property, &all, &token).unwrap();
+        let report = pool.check_nodes(&instance, &all, &token).unwrap();
         assert_eq!(report.node_durations().len(), 0, "all nodes abandoned");
         assert!(report.is_verified(), "abandoned nodes report no failures");
-        let report =
-            pool.check_nodes(&net, &interface, &property, &all, &CancelToken::new()).unwrap();
+        let report = pool.check_nodes(&instance, &all, &CancelToken::new()).unwrap();
         assert_eq!(report.node_durations().len(), 5, "fresh token, full check");
     }
 
@@ -819,12 +824,13 @@ mod tests {
         let mut pool = CheckerPool::new(2, CheckOptions::default());
         let (bool_net, int_net) = (reach_net(3), int_net(3));
         assert_ne!(bool_net.encoder_signature(), int_net.encoder_signature());
-        let bool_interface = reach_interface(&bool_net);
+        let bool_instance = shared(&bool_net, &reach_interface(&bool_net), &anything(&bool_net));
+        let int_instance = shared(&int_net, &anything(&int_net), &anything(&int_net));
         for _ in 0..3 {
-            let report = pool.check(&bool_net, &bool_interface, &anything(&bool_net)).unwrap();
+            let report = pool.check(&bool_instance).unwrap();
             assert!(report.is_verified());
             assert!(pool.session_stats().sessions <= pool.workers(), "{:?}", pool.session_stats());
-            let report = pool.check(&int_net, &anything(&int_net), &anything(&int_net)).unwrap();
+            let report = pool.check(&int_instance).unwrap();
             assert!(report.is_verified());
             assert!(pool.session_stats().sessions <= pool.workers(), "{:?}", pool.session_stats());
         }
@@ -961,7 +967,7 @@ mod tests {
     fn more_workers_than_nodes_wakes_only_as_many_as_there_are_nodes() {
         let mut pool = CheckerPool::new(8, CheckOptions::default());
         let net = reach_net(2);
-        let report = pool.check(&net, &reach_interface(&net), &anything(&net)).unwrap();
+        let report = pool.check(&shared(&net, &reach_interface(&net), &anything(&net))).unwrap();
         assert!(report.is_verified());
         assert_eq!(report.node_durations().len(), 2);
         assert_eq!(report.scheduler().unwrap().workers, 2);

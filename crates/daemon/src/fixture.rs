@@ -10,9 +10,8 @@
 
 use timepiece_algebra::policy::{FailureModel, MergeKey, RoutePolicy, RouteSchema};
 use timepiece_algebra::NetworkBuilder;
-use timepiece_core::{NodeAnnotations, Temporal};
+use timepiece_core::{Instance, NodeAnnotations, Temporal};
 use timepiece_expr::{Expr, Type};
-use timepiece_nets::BenchInstance;
 use timepiece_topology::gen;
 
 /// A hop-count instance on an undirected path of `n` nodes, destination
@@ -24,7 +23,7 @@ use timepiece_topology::gen;
 /// # Panics
 ///
 /// Panics if `n < 2` (no edges to edit).
-pub fn hop_path(n: usize, budget: Option<u64>) -> BenchInstance {
+pub fn hop_path(n: usize, budget: Option<u64>) -> Instance {
     assert!(n >= 2, "a hop path needs at least one edge");
     let schema =
         RouteSchema::new("Hop", [("len".to_owned(), Type::Int)], [MergeKey::Lower("len".into())]);
@@ -52,7 +51,7 @@ pub fn hop_path(n: usize, budget: Option<u64>) -> BenchInstance {
         }
     });
     let property = NodeAnnotations::new(network.topology(), Temporal::any());
-    BenchInstance { network, interface, property }
+    Instance { network, interface, property }
 }
 
 #[cfg(test)]

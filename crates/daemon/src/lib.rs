@@ -21,8 +21,9 @@
 //!   `status`, `profile`, `shutdown`, and the server's `progress` heartbeat
 //!   (framing via [`timepiece_trace::json`]);
 //! * [`mod@state`] — [`DaemonState`]: the persistent
-//!   [`timepiece_core::sweep::CheckerPool`] and the current [`Instance`]
-//!   with its [`timepiece_core::Fingerprints`] snapshot and
+//!   [`timepiece_core::sweep::CheckerPool`] and the [`Loaded`] instance —
+//!   one [`timepiece_core::Instance`] the pool's workers share, its
+//!   [`timepiece_core::Fingerprints`] snapshot and
 //!   [`timepiece_core::VerdictCache`]; every checking request = name a set
 //!   of nodes → re-check it on the pool → fold verdicts back in (`delta`
 //!   names the dirty cone of its edit);
@@ -72,4 +73,4 @@ pub use protocol::{
     PROTOCOL_VERSION,
 };
 pub use server::{serve, spawn_sigterm_watcher, trigger_sigterm};
-pub use state::{DaemonState, DrainSignal, Handled, Instance, Loader};
+pub use state::{DaemonState, DrainSignal, Handled, Loaded, Loader};

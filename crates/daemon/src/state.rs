@@ -4,12 +4,14 @@
 //! a persistent [`CheckerPool`] whose workers hold one solver session each
 //! (kept while the networks checked declare the same variables, so edits —
 //! and a re-`load` of the same kind of network — keep it) and at most one
-//! current [`Instance`]: the
-//! compiled [`Network`] (canonical arena terms), the interface and property
-//! annotations, the last [`Fingerprints`] snapshot, and a [`VerdictCache`]
-//! with the last verdict per node. A daemon may start with nothing loaded;
-//! a `load` request installs an instance through the [`Loader`] the process
-//! handed the state, without checking or fingerprinting it.
+//! [`Loaded`] instance: its label, the [`Instance`] itself behind the one
+//! [`Arc`] the pool's workers read, the last [`Fingerprints`] snapshot, a
+//! [`VerdictCache`] with the last verdict per node, and the downed-link
+//! book. An instance is installed one way, without checking or
+//! fingerprinting it: a `load` request resolves it through the [`Loader`]
+//! the process handed the state, and [`DaemonState::new`] is an empty state
+//! that installs the instance it is given and then answers a unit `check`.
+//! The first delta computes the fingerprints.
 //!
 //! Every checking request is the same question — *re-prove these nodes of
 //! the current instance* — answered by the same path: a full `check` names
@@ -18,7 +20,8 @@
 //! *footprint*, diffs into the dirty cone and names that. The cone goes
 //! through the still-warm pool and the partial report is folded back into
 //! the cache — so a request costs what its cone costs, not what the network
-//! costs.
+//! costs. A delta builds the edited [`Instance`] and commits it only after
+//! its cone has been re-proved.
 //!
 //! The handler is transport-agnostic — it maps a parsed
 //! [`Request`] to a response [`Json`] — so the TCP server, the benchmark,
@@ -35,11 +38,10 @@ use timepiece_algebra::Network;
 use timepiece_core::check::{CheckOptions, CheckReport, FailureReason};
 use timepiece_core::incremental::interface_cone;
 use timepiece_core::sweep::CheckerPool;
-use timepiece_core::{CoreError, Fingerprints, NodeAnnotations, Temporal, VerdictCache};
+use timepiece_core::{CoreError, Fingerprints, Instance, Temporal, VerdictCache};
 use timepiece_expr::Expr;
-use timepiece_nets::BenchInstance;
 use timepiece_sched::CancelToken;
-use timepiece_topology::NodeId;
+use timepiece_topology::{NodeId, Topology};
 use timepiece_trace::{Json, Phase};
 
 use crate::protocol::{
@@ -128,20 +130,18 @@ pub struct Handled {
 /// Resolves a `load` request's source to a label and an instance. The
 /// process that starts the daemon supplies it, so this crate knows neither
 /// a benchmark registry nor a scenario compiler.
-pub type Loader = fn(&LoadSource) -> Result<(String, BenchInstance), String>;
+pub type Loader = fn(&LoadSource) -> Result<(String, Instance), String>;
 
 /// The downed-link book: each installed drop-policy direction, mapped to
 /// the edge's pre-`link_down` policy override so `link_up` can restore it.
 type Downed = HashMap<(NodeId, NodeId), Option<RoutePolicy>>;
 
-/// A network edit applied but not yet committed: the delta handler builds
-/// this, re-checks the dirty cone, and only then swaps it into the state.
-/// Only what the delta edits is here (`None`: untouched, the state's own
-/// copy stands).
+/// A delta applied but not yet committed: the delta handler builds the
+/// edited instance and downed-link book, re-checks the dirty cone, and only
+/// then swaps them into the state.
 struct Applied {
-    net: Option<Network>,
-    interface: Option<NodeAnnotations>,
-    downed: Option<Downed>,
+    instance: Instance,
+    downed: Downed,
     /// A topological upper bound on the nodes whose conditions the edit can
     /// change — the only ones worth re-fingerprinting: an edge's policy
     /// feeds its head's merge alone, an interface is assumed by the node's
@@ -151,13 +151,11 @@ struct Applied {
 
 /// The one instance a daemon currently holds, with what it knows about it.
 #[derive(Debug)]
-pub struct Instance {
+pub struct Loaded {
     label: String,
-    net: Network,
-    interface: NodeAnnotations,
-    property: NodeAnnotations,
-    /// Computed by the first delta: a `load`ed instance that only ever
-    /// answers node-list checks never pays for them.
+    instance: Arc<Instance>,
+    /// Computed by the first delta: an instance that only ever answers
+    /// `check`s never pays for them.
     fingerprints: Option<Fingerprints>,
     verdicts: VerdictCache,
     downed: Downed,
@@ -166,7 +164,7 @@ pub struct Instance {
 /// The warm verification state of one `timepieced`. See the module docs.
 #[derive(Debug)]
 pub struct DaemonState {
-    current: Option<Instance>,
+    current: Option<Loaded>,
     /// Counts the instances this daemon has held: every `load` and every
     /// committed delta starts a new one.
     generation: u64,
@@ -208,24 +206,22 @@ impl DaemonState {
         }
     }
 
-    /// Compiles the instance, spawns the persistent checker pool, and runs
-    /// the initial full check so the first client request already hits warm
-    /// sessions and a populated verdict cache.
+    /// An [`empty`](DaemonState::empty) daemon that installs `instance` as
+    /// a `load` would and answers a unit `check`, so the first client
+    /// request already hits warm sessions and a populated verdict cache.
     ///
     /// # Errors
     ///
     /// Any [`CoreError`] of the initial check.
     pub fn new(
         label: impl Into<String>,
-        instance: BenchInstance,
+        instance: Instance,
         options: CheckOptions,
     ) -> Result<DaemonState, CoreError> {
         let mut state = DaemonState::empty(options);
-        let mut inst = Instance::new(label.into(), instance);
-        inst.fingerprints = Some(inst.fingerprint(state.options.delay));
-        let report = state.pool.check(&inst.net, &inst.interface, &inst.property)?;
-        inst.verdicts.absorb(&report);
-        state.install(inst);
+        let nodes: Vec<NodeId> = instance.network.topology().nodes().collect();
+        state.install(label.into(), instance);
+        state.check_nodes(&nodes)?;
         Ok(state)
     }
 
@@ -249,26 +245,44 @@ impl DaemonState {
         self.drain.clone()
     }
 
-    /// The current instance, with every committed delta applied — what a
-    /// from-scratch reference check must agree with.
-    pub fn instance(&self) -> Option<&Instance> {
+    /// The current instance and what the daemon knows about it, with every
+    /// committed delta applied — what a from-scratch reference check must
+    /// agree with.
+    pub fn loaded(&self) -> Option<&Loaded> {
         self.current.as_ref()
     }
 
     /// How many nodes the current instance has (0 with nothing loaded).
     pub fn nodes(&self) -> usize {
-        self.current.as_ref().map_or(0, Instance::nodes)
+        self.current.as_ref().map_or(0, Loaded::nodes)
     }
 
     /// Does every node of the current instance have a cached verified
     /// verdict?
     pub fn all_verified(&self) -> bool {
-        self.current.as_ref().is_some_and(Instance::all_verified)
+        self.current.as_ref().is_some_and(Loaded::all_verified)
     }
 
-    fn install(&mut self, inst: Instance) {
-        self.current = Some(inst);
+    /// Makes `instance` current — the one way an instance is installed —
+    /// with no verdicts and no fingerprints yet.
+    fn install(&mut self, label: String, instance: Instance) {
+        self.current = Some(Loaded {
+            label,
+            instance: Arc::new(instance),
+            fingerprints: None,
+            verdicts: VerdictCache::new(),
+            downed: HashMap::new(),
+        });
         self.generation += 1;
+    }
+
+    /// Re-proves `nodes` of the current instance and folds the verdicts into
+    /// its cache.
+    fn check_nodes(&mut self, nodes: &[NodeId]) -> Result<CheckReport, CoreError> {
+        let loaded = self.current.as_mut().expect("an instance is installed");
+        let report = prove(&mut self.pool, &self.drain, &loaded.instance, nodes)?;
+        loaded.absorb(nodes, &report);
+        Ok(report)
     }
 
     /// Handles one request, updating the state. Each call is traced as one
@@ -327,11 +341,11 @@ impl DaemonState {
             ));
         }
         let loader = self.loader.ok_or("this daemon was started without a loader")?;
-        let (label, instance) = loader(&load.source)?;
-        let mut inst = Instance::new(label, instance);
+        let (label, mut instance) = loader(&load.source)?;
         for name in &load.sabotage {
-            let v = inst.node(name).map_err(|e| format!("sabotage: {e}"))?;
-            inst.interface.set(v, Temporal::globally(|r| r.clone().is_some().not()));
+            let v = node_named(instance.network.topology(), name)
+                .map_err(|e| format!("sabotage: {e}"))?;
+            instance.interface.set(v, Temporal::globally(|r| r.clone().is_some().not()));
         }
         let options = CheckOptions {
             threads: load.threads.or(self.options.threads),
@@ -350,8 +364,8 @@ impl DaemonState {
             // an earlier client's tracing must not pile spans up here
             timepiece_trace::disable();
         }
-        let (label, nodes) = (inst.label.clone(), inst.nodes());
-        self.install(inst);
+        let nodes = instance.network.topology().node_count();
+        self.install(label.clone(), instance);
         Ok(Json::obj([
             ("verb", Json::str("load")),
             ("ok", Json::Bool(true)),
@@ -366,9 +380,9 @@ impl DaemonState {
     /// the named ones — through the warm pool.
     fn handle_check(&mut self, subset: Option<&NodeCheck>) -> Json {
         let start = Instant::now();
-        let Some(inst) = self.current.as_mut() else { return error_response(NOTHING_LOADED) };
+        let Some(inst) = self.current.as_ref() else { return error_response(NOTHING_LOADED) };
         let cone: Vec<NodeId> = match subset {
-            None => inst.net.topology().nodes().collect(),
+            None => inst.instance.network.topology().nodes().collect(),
             Some(check) => {
                 if let Some(planned) = check.generation.filter(|&g| g != self.generation) {
                     return error_response(format!(
@@ -389,14 +403,15 @@ impl DaemonState {
                 cone
             }
         };
-        let proved =
-            prove(&mut self.pool, &self.drain, &inst.net, &inst.interface, &inst.property, &cone);
-        let report = match proved {
+        let report = match self.check_nodes(&cone) {
             Ok(report) => report,
             Err(e) => return error_response(format!("check failed: {e}")),
         };
-        inst.absorb(&cone, &report);
-        let mut reply = inst.report_response("check", self.generation, &cone, &report, start);
+        let inst = self.current.as_ref().expect("checked above");
+        // a node-list check answers for its nodes; a unit check for them all
+        let answered = subset.map(|_| cone.as_slice());
+        let mut reply =
+            inst.report_response("check", self.generation, &cone, answered, &report, start);
         if let (Some(check), Json::Obj(pairs)) = (subset, &mut reply) {
             pairs.extend(check.shard.map(|shard| ("shard".to_owned(), Json::from(shard))));
             if self.trace {
@@ -416,32 +431,25 @@ impl DaemonState {
             Ok(applied) => applied,
             Err(message) => return error_response(message),
         };
+        let Applied { instance, downed, footprint } = applied;
         let delay = self.options.delay;
-        if inst.fingerprints.is_none() {
-            inst.fingerprints = Some(inst.fingerprint(delay));
-        }
-        let before = inst.fingerprints.as_ref().expect("fingerprinted just above");
-        let net = applied.net.as_ref().unwrap_or(&inst.net);
-        let interface = applied.interface.as_ref().unwrap_or(&inst.interface);
-        let after = before.refreshed(net, interface, &inst.property, delay, &applied.footprint);
+        let before = inst.fingerprints.get_or_insert_with(|| {
+            let Instance { network, interface, property } = &*inst.instance;
+            Fingerprints::compute(network, interface, property, delay)
+        });
+        let Instance { network, interface, property } = &instance;
+        let after = before.refreshed(network, interface, property, delay, &footprint);
         let cone = before.dirty_cone(&after);
-        let proved = prove(&mut self.pool, &self.drain, net, interface, &inst.property, &cone);
-        let report = match proved {
+        let instance = Arc::new(instance);
+        let report = match prove(&mut self.pool, &self.drain, &instance, &cone) {
             Ok(report) => report,
             Err(e) => return error_response(format!("re-check failed: {e}")),
         };
         // commit: the edited instance is now the daemon's instance; cone
         // nodes the (possibly cancelled) report did not reach stay
         // invalidated rather than serving a stale verdict
-        if let Some(net) = applied.net {
-            inst.net = net;
-        }
-        if let Some(interface) = applied.interface {
-            inst.interface = interface;
-        }
-        if let Some(downed) = applied.downed {
-            inst.downed = downed;
-        }
+        inst.instance = instance;
+        inst.downed = downed;
         inst.fingerprints = Some(after);
         inst.absorb(&cone, &report);
         self.generation += 1;
@@ -449,7 +457,7 @@ impl DaemonState {
         timepiece_trace::counter("daemon.deltas").inc();
         timepiece_trace::histogram("daemon.cone_nodes").record(cone.len() as u64);
         timepiece_trace::histogram("daemon.delta_ns").record_duration(start.elapsed());
-        inst.report_response("delta", self.generation, &cone, &report, start)
+        inst.report_response("delta", self.generation, &cone, None, &report, start)
     }
 
     /// `status`: the instance and cache summary.
@@ -457,7 +465,7 @@ impl DaemonState {
         let (label, failed, downed, cached) = match &self.current {
             Some(inst) => (
                 Json::str(inst.label.clone()),
-                inst.failed(),
+                inst.failed(None),
                 inst.downed.len(),
                 inst.verdicts.len(),
             ),
@@ -494,44 +502,25 @@ impl DaemonState {
 fn prove(
     pool: &mut CheckerPool,
     drain: &DrainSignal,
-    net: &Network,
-    interface: &NodeAnnotations,
-    property: &NodeAnnotations,
+    instance: &Arc<Instance>,
     cone: &[NodeId],
 ) -> Result<CheckReport, CoreError> {
     let token = drain.begin();
-    let result = pool.check_nodes(net, interface, property, cone, &token);
+    let result = pool.check_nodes(instance, cone, &token);
     drain.end();
     result
 }
 
-impl Instance {
-    fn new(label: String, instance: BenchInstance) -> Instance {
-        let BenchInstance { network: net, interface, property } = instance;
-        Instance {
-            label,
-            net,
-            interface,
-            property,
-            fingerprints: None,
-            verdicts: VerdictCache::new(),
-            downed: HashMap::new(),
-        }
-    }
+/// Resolves a node name against a topology.
+fn node_named(g: &Topology, name: &str) -> Result<NodeId, String> {
+    g.node_by_name(name).ok_or_else(|| format!("no node named {name:?}"))
+}
 
-    /// The network, with every committed delta applied.
-    pub fn net(&self) -> &Network {
-        &self.net
-    }
-
-    /// The interface annotations (witness-time deltas included).
-    pub fn interface(&self) -> &NodeAnnotations {
-        &self.interface
-    }
-
-    /// The property annotations (deltas never change these).
-    pub fn property(&self) -> &NodeAnnotations {
-        &self.property
+impl Loaded {
+    /// The instance, with every committed delta applied (deltas edit the
+    /// network and the interfaces, never the properties).
+    pub fn instance(&self) -> &Instance {
+        &self.instance
     }
 
     /// The cached per-node verdicts.
@@ -539,24 +528,19 @@ impl Instance {
         &self.verdicts
     }
 
-    /// The per-node condition fingerprints, once a delta (or
-    /// [`DaemonState::new`]) has computed them; from then on kept up to date
-    /// footprint by footprint — always equal to a from-scratch
-    /// [`Fingerprints::compute`].
+    /// The per-node condition fingerprints, once the first delta has
+    /// computed them; from then on kept up to date footprint by footprint —
+    /// always equal to a from-scratch [`Fingerprints::compute`].
     pub fn fingerprints(&self) -> Option<&Fingerprints> {
         self.fingerprints.as_ref()
     }
 
     fn nodes(&self) -> usize {
-        self.net.topology().node_count()
+        self.instance.network.topology().node_count()
     }
 
     fn all_verified(&self) -> bool {
         self.verdicts.len() == self.nodes() && self.verdicts.all_verified()
-    }
-
-    fn fingerprint(&self, delay: u64) -> Fingerprints {
-        Fingerprints::compute(&self.net, &self.interface, &self.property, delay)
     }
 
     /// Folds a cone's report into the verdict cache.
@@ -565,13 +549,19 @@ impl Instance {
         self.verdicts.absorb(report);
     }
 
-    /// The names of the nodes whose cached verdict is a failure.
-    fn failed(&self) -> Vec<Json> {
-        let g = self.net.topology();
-        self.verdicts.failed_nodes().iter().map(|v| Json::str(g.name(*v))).collect()
+    /// The names of the nodes whose cached verdict is a failure, of all
+    /// nodes or (`Some`) of the named ones only.
+    fn failed(&self, answered: Option<&[NodeId]>) -> Vec<Json> {
+        let g = self.instance.network.topology();
+        let failed = self.verdicts.failed_nodes().into_iter();
+        failed
+            .filter(|v| answered.is_none_or(|nodes| nodes.contains(v)))
+            .map(|v| Json::str(g.name(v)))
+            .collect()
     }
 
-    /// The common `check`/`delta` response: the cache's verdicts, cone and
+    /// The common `check`/`delta` response: the cache's verdicts — of every
+    /// node, or (`Some`) of the nodes the request named — cone and
     /// cache-hit statistics, and what this cone's check itself found —
     /// per-node durations and failures — which is all a fleet coordinator
     /// reads (`ShardReport` in `timepiece-bench` is a typed view of it).
@@ -580,15 +570,17 @@ impl Instance {
         verb: &str,
         generation: u64,
         cone: &[NodeId],
+        answered: Option<&[NodeId]>,
         report: &CheckReport,
         start: Instant,
     ) -> Json {
-        let g = self.net.topology();
+        let g = self.instance.network.topology();
         let nodes = self.nodes();
         let cone_names: Vec<Json> = cone.iter().map(|v| Json::str(g.name(*v))).collect();
         let verdicts: Vec<(String, Json)> = self
             .verdicts
             .iter()
+            .filter(|(v, _)| answered.is_none_or(|nodes| nodes.contains(v)))
             .map(|(v, verdict)| {
                 let word = if verdict.is_verified() { "verified" } else { "failed" };
                 (g.name(v).to_owned(), Json::str(word))
@@ -620,7 +612,7 @@ impl Instance {
             ("cone_size".to_owned(), Json::from(cone.len())),
             ("cached".to_owned(), Json::from(nodes.saturating_sub(cone.len()))),
             ("checked".to_owned(), Json::from(report.node_durations().len())),
-            ("failed".to_owned(), Json::Arr(self.failed())),
+            ("failed".to_owned(), Json::Arr(self.failed(answered))),
             ("verdicts".to_owned(), Json::Obj(verdicts)),
             ("durations".to_owned(), Json::arr(durations)),
             ("failures".to_owned(), Json::arr(failures)),
@@ -635,7 +627,15 @@ impl Instance {
 
     /// Resolves a node name against the topology.
     fn node(&self, name: &str) -> Result<NodeId, String> {
-        self.net.topology().node_by_name(name).ok_or_else(|| format!("no node named {name:?}"))
+        node_named(self.instance.network.topology(), name)
+    }
+
+    /// The delta that replaces the network by an edited one.
+    fn network_edit(&self, network: Network, downed: Downed, footprint: Vec<NodeId>) -> Applied {
+        let Instance { interface, property, .. } = &*self.instance;
+        let instance =
+            Instance { network, interface: interface.clone(), property: property.clone() };
+        Applied { instance, downed, footprint }
     }
 
     /// Applies one delta to a *copy* of the instance; the caller commits it
@@ -648,11 +648,12 @@ impl Instance {
             Delta::WitnessTime { node, tau } => self.apply_witness_time(node, *tau),
             Delta::FailureBudget { budget } => {
                 let net = self
-                    .net
+                    .instance
+                    .network
                     .with_failure_budget(*budget)
                     .map_err(|e| format!("failure_budget: {e}"))?;
-                let footprint = self.net.topology().nodes().collect();
-                Ok(Applied { net: Some(net), interface: None, downed: None, footprint })
+                let footprint = net.topology().nodes().collect();
+                Ok(self.network_edit(net, self.downed.clone(), footprint))
             }
         }
     }
@@ -661,7 +662,7 @@ impl Instance {
     /// link, remembering each direction's previous policy override.
     fn apply_link_down(&self, u: &str, v: &str) -> Result<Applied, String> {
         let (u, v) = (self.node(u)?, self.node(v)?);
-        let g = self.net.topology();
+        let g = self.instance.network.topology();
         let directions: Vec<(NodeId, NodeId)> =
             [(u, v), (v, u)].into_iter().filter(|(a, b)| g.succs(*a).contains(b)).collect();
         if directions.is_empty() {
@@ -670,9 +671,9 @@ impl Instance {
         if directions.iter().any(|edge| self.downed.contains_key(edge)) {
             return Err(format!("link {:?} -- {:?} is already down", g.name(u), g.name(v)));
         }
-        let policies = self.net.policies().ok_or("the network has no policy IR")?;
+        let policies = self.instance.network.policies().ok_or("the network has no policy IR")?;
         // borrowed until the first edit: `set_edge_policy` makes the copy
-        let mut net = Cow::Borrowed(&self.net);
+        let mut net = Cow::Borrowed(&self.instance.network);
         let mut downed = self.downed.clone();
         for edge in directions {
             downed.insert(edge, policies.edge_policies.get(&edge).cloned());
@@ -681,20 +682,19 @@ impl Instance {
                 .map_err(|e| format!("link_down: {e}"))?;
             net = Cow::Owned(dropped);
         }
-        let net = Some(net.into_owned());
-        Ok(Applied { net, interface: None, downed: Some(downed), footprint: vec![u, v] })
+        Ok(self.network_edit(net.into_owned(), downed, vec![u, v]))
     }
 
     /// Restores the remembered pre-`link_down` policies of the link.
     fn apply_link_up(&self, u: &str, v: &str) -> Result<Applied, String> {
         let (u, v) = (self.node(u)?, self.node(v)?);
-        let g = self.net.topology();
+        let g = self.instance.network.topology();
         let directions: Vec<(NodeId, NodeId)> =
             [(u, v), (v, u)].into_iter().filter(|edge| self.downed.contains_key(edge)).collect();
         if directions.is_empty() {
             return Err(format!("link {:?} -- {:?} is not down", g.name(u), g.name(v)));
         }
-        let mut net = Cow::Borrowed(&self.net);
+        let mut net = Cow::Borrowed(&self.instance.network);
         let mut downed = self.downed.clone();
         for edge in directions {
             let remembered = downed.remove(&edge).expect("direction filtered on membership");
@@ -702,8 +702,7 @@ impl Instance {
                 net.set_edge_policy(edge, remembered).map_err(|e| format!("link_up: {e}"))?;
             net = Cow::Owned(restored);
         }
-        let net = Some(net.into_owned());
-        Ok(Applied { net, interface: None, downed: Some(downed), footprint: vec![u, v] })
+        Ok(self.network_edit(net.into_owned(), downed, vec![u, v]))
     }
 
     /// Replaces one directed edge's policy override.
@@ -716,7 +715,8 @@ impl Instance {
             PolicySpec::Drop => Some(RoutePolicy::new().drop_if(RouteGuard::True)),
             PolicySpec::Default => None,
             PolicySpec::Increment(field) => {
-                let policies = self.net.policies().ok_or("the network has no policy IR")?;
+                let policies =
+                    self.instance.network.policies().ok_or("the network has no policy IR")?;
                 let known = policies.schema.record_def().fields();
                 if !known.iter().any(|(name, _)| name == field) {
                     let names: Vec<&str> = known.iter().map(|(name, _)| name.as_str()).collect();
@@ -725,22 +725,26 @@ impl Instance {
                 Some(RoutePolicy::new().increment(field.clone()))
             }
         };
-        let net =
-            self.net.set_edge_policy(edge, policy).map_err(|e| format!("edge_policy: {e}"))?;
-        Ok(Applied { net: Some(net), interface: None, downed: None, footprint: vec![edge.1] })
+        let net = self
+            .instance
+            .network
+            .set_edge_policy(edge, policy)
+            .map_err(|e| format!("edge_policy: {e}"))?;
+        Ok(self.network_edit(net, self.downed.clone(), vec![edge.1]))
     }
 
     /// Rewrites the outermost witness time of one node's interface.
     fn apply_witness_time(&self, node: &str, tau: i64) -> Result<Applied, String> {
         let v = self.node(node)?;
-        let edited = self
-            .interface
+        let Instance { network, interface, property } = &*self.instance;
+        let edited = interface
             .get(v)
             .with_witness(&Expr::int(tau))
             .ok_or_else(|| format!("the interface of {node:?} has no witness time"))?;
-        let mut interface = self.interface.clone();
+        let mut interface = interface.clone();
         interface.set(v, edited);
-        let footprint = interface_cone(self.net.topology(), v);
-        Ok(Applied { net: None, interface: Some(interface), downed: None, footprint })
+        let footprint = interface_cone(network.topology(), v);
+        let instance = Instance { network: network.clone(), interface, property: property.clone() };
+        Ok(Applied { instance, downed: self.downed.clone(), footprint })
     }
 }

@@ -9,17 +9,19 @@
 //! outside the cone may keep cached verdicts *because* their conditions are
 //! structurally unchanged. The same claim read the other way round is the
 //! fleet's: the shards of a `load`ed instance, each checked on its own,
-//! union to the from-scratch answer.
+//! union to the from-scratch answer. And a daemon installs an instance one
+//! way: every stream runs on a [`DaemonState::new`] daemon and on an empty
+//! one that was sent `load` and a unit `check`, and the two must answer
+//! every request alike.
 
 use proptest::prelude::*;
 use timepiece_core::check::{CheckOptions, ModularChecker};
-use timepiece_core::Fingerprints;
+use timepiece_core::{Fingerprints, Instance};
 use timepiece_daemon::fixture::hop_path;
 use timepiece_daemon::{
     DaemonState, Delta, Load, LoadSource, NodeCheck, PolicySpec, Request, PROTOCOL_VERSION,
 };
 use timepiece_nets::reach::ReachBench;
-use timepiece_nets::BenchInstance;
 use timepiece_sched::ShardPlan;
 use timepiece_topology::NodeId;
 use timepiece_trace::Json;
@@ -38,7 +40,7 @@ struct Targets {
 }
 
 impl Targets {
-    fn of(instance: &BenchInstance, field: &'static str) -> Targets {
+    fn of(instance: &Instance, field: &'static str) -> Targets {
         let g = instance.network.topology();
         let name = |v: NodeId| g.name(v).to_owned();
         Targets {
@@ -90,9 +92,10 @@ impl Targets {
 
 /// The reference: a fresh checker run on the daemon's current instance.
 fn from_scratch_failed(state: &DaemonState) -> Vec<NodeId> {
-    let inst = state.instance().expect("an instance is loaded");
+    let Instance { network, interface, property } =
+        state.loaded().expect("an instance is loaded").instance();
     let report = ModularChecker::new(options())
-        .check(inst.net(), inst.interface(), inst.property())
+        .check(network, interface, property)
         .expect("reference check");
     let mut failed: Vec<NodeId> = report.failures().iter().map(|f| f.node).collect();
     failed.sort_unstable();
@@ -100,15 +103,19 @@ fn from_scratch_failed(state: &DaemonState) -> Vec<NodeId> {
     failed
 }
 
-/// Drives one daemon through `ops`, checking after *every* request (accepted
-/// or rejected) that
+/// Drives one stream through two daemons that installed the instance
+/// `source` names the two ways — [`DaemonState::new`], and an empty daemon
+/// sent `load` and a unit `check` — checking after *every* request
+/// (accepted or rejected) that both answer with the same verdict map, cone
+/// and failing set, and that on each
 ///
 /// * the verdict cache equals a from-scratch check of the daemon's current
 ///   instance, and
-/// * the fingerprints the daemon refreshed over the delta's footprint equal
-///   a from-scratch [`Fingerprints::compute`] — i.e. the footprint covered
-///   the exact cone, so no node kept a stale hash (which a later delta
-///   would then diff against, missing a dirty node), and
+/// * no fingerprints exist before the first applied delta, and from then
+///   on the fingerprints the daemon refreshed over each delta's footprint
+///   equal a from-scratch [`Fingerprints::compute`] — i.e. the footprint
+///   covered the exact cone, so no node kept a stale key (which a later
+///   delta would then diff against, missing a dirty node), and
 /// * no worker holds more than one solver session: a worker keeps its
 ///   session while networks declare alike, and no delta — policy or budget —
 ///   declares anything, so an edited network lands in the session that
@@ -116,20 +123,27 @@ fn from_scratch_failed(state: &DaemonState) -> Vec<NodeId> {
 ///
 /// A node-list check must additionally answer for exactly the nodes it
 /// named.
-fn check_sequence(
-    label: &str,
-    instance: BenchInstance,
-    field: &'static str,
-    ops: Vec<(u8, u64, u64)>,
-) {
+fn check_sequence(source: LoadSource, field: &'static str, ops: Vec<(u8, u64, u64)>) {
+    let (label, instance) = loader(&source).unwrap();
     let targets = Targets::of(&instance, field);
     let n = targets.nodes.len();
-    let mut state = DaemonState::new(label, instance, options()).unwrap();
+    let mut loaded = DaemonState::empty(options()).with_loader(loader);
+    for request in [Request::Load(load(source, Vec::new())), Request::Check] {
+        let reply = loaded.handle(&request).reply;
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true), "{reply}");
+    }
+    let mut states = [DaemonState::new(label, instance, options()).unwrap(), loaded];
+    let mut fingerprinted = false;
     for (kind, a, b) in ops {
         let request = targets.decode(kind, a, b);
-        let reply = state.handle(&request).reply;
+        let replies = states.each_mut().map(|state| state.handle(&request).reply);
+        for key in ["ok", "verdicts", "cone", "failed"] {
+            assert_eq!(replies[0].get(key), replies[1].get(key), "{key} after {request:?}");
+        }
+        let reply = &replies[0];
         let ok = reply.get("ok").and_then(Json::as_bool);
         assert!(ok.is_some(), "reply must carry ok: {reply}");
+        fingerprinted |= matches!(request, Request::Delta(_)) && ok == Some(true);
         if let Request::CheckNodes(check) = &request {
             let cone: Vec<&str> = reply
                 .get("cone")
@@ -141,69 +155,118 @@ fn check_sequence(
             assert_eq!(cone, check.nodes, "a node-list check re-proves what it names: {reply}");
             assert_eq!(reply.get("checked").and_then(Json::as_usize), Some(cone.len()), "{reply}");
         }
-        let inst = state.instance().expect("the daemon started loaded");
-        assert_eq!(
-            inst.verdicts().len(),
-            n,
-            "no cancellation ran, so every node must keep a verdict"
-        );
-        let recomputed = Fingerprints::compute(inst.net(), inst.interface(), inst.property(), 0);
-        assert_eq!(
-            inst.fingerprints().expect("new() fingerprints").dirty_cone(&recomputed),
-            Vec::<NodeId>::new(),
-            "after {:?} (ok={:?}) the footprint missed nodes whose conditions changed",
-            request,
-            ok
-        );
-        let cached_failed = inst.verdicts().failed_nodes();
-        let reference_failed = from_scratch_failed(&state);
-        assert_eq!(
-            cached_failed, reference_failed,
-            "after {:?} (ok={:?}) the cache diverged from a fresh check",
-            request, ok
-        );
-        let status = state.handle(&Request::Status).reply;
-        let count = |key: &str| status.get(key).and_then(Json::as_usize).unwrap();
-        assert!(
-            count("sessions") <= count("workers"),
-            "after {request:?} the workers hold a second compiled copy: {status}"
-        );
+        for state in &mut states {
+            let inst = state.loaded().expect("the daemon started loaded");
+            assert_eq!(
+                inst.verdicts().len(),
+                n,
+                "no cancellation ran, so every node must keep a verdict"
+            );
+            if fingerprinted {
+                let Instance { network, interface, property } = inst.instance();
+                let recomputed = Fingerprints::compute(network, interface, property, 0);
+                assert_eq!(
+                    inst.fingerprints()
+                        .expect("the first delta fingerprints")
+                        .dirty_cone(&recomputed),
+                    Vec::<NodeId>::new(),
+                    "after {:?} (ok={:?}) the footprint missed nodes whose conditions changed",
+                    request,
+                    ok
+                );
+            } else {
+                assert!(inst.fingerprints().is_none(), "only a delta fingerprints: {request:?}");
+            }
+            let cached_failed = inst.verdicts().failed_nodes();
+            let reference_failed = from_scratch_failed(state);
+            assert_eq!(
+                cached_failed, reference_failed,
+                "after {:?} (ok={:?}) the cache diverged from a fresh check",
+                request, ok
+            );
+            let status = state.handle(&Request::Status).reply;
+            let count = |key: &str| status.get(key).and_then(Json::as_usize).unwrap();
+            assert!(
+                count("sessions") <= count("workers"),
+                "after {request:?} the workers hold a second compiled copy: {status}"
+            );
+        }
     }
 }
 
-/// What a `repro` process hands its daemon, cut down to the one benchmark
-/// this test loads.
-fn loader(source: &LoadSource) -> Result<(String, BenchInstance), String> {
+/// What a `repro` process hands its daemon, cut down to the instances this
+/// test loads: SpReach at fattree size `k`, and a hop path of `k` nodes with
+/// a failure budget of one.
+fn loader(source: &LoadSource) -> Result<(String, Instance), String> {
     match source {
         LoadSource::Bench { name, k } if name == "SpReach" => {
             Ok((format!("SpReach k={k}"), ReachBench::single_dest(*k, 0).build()))
         }
-        other => Err(format!("this test loads SpReach only, not {other:?}")),
+        LoadSource::Bench { name, k } if name == "hop" => {
+            Ok((format!("hop n={k}"), hop_path(*k, Some(1))))
+        }
+        other => Err(format!("this test loads SpReach and hop only, not {other:?}")),
     }
+}
+
+/// The `load` request for `source`, with `sabotage`.
+fn load(source: LoadSource, sabotage: Vec<String>) -> Load {
+    Load {
+        version: PROTOCOL_VERSION,
+        source,
+        sabotage,
+        threads: None,
+        timeout_millis: None,
+        trace: false,
+    }
+}
+
+fn spreach(k: usize) -> LoadSource {
+    LoadSource::Bench { name: "SpReach".into(), k }
+}
+
+#[test]
+fn a_node_list_check_answers_for_its_nodes_only() {
+    let mut state = DaemonState::empty(options()).with_loader(loader);
+    let load = load(spreach(4), vec!["agg-1-0".to_owned()]);
+    assert_eq!(state.handle(&Request::Load(load)).reply.get("ok"), Some(&Json::Bool(true)));
+    let names = |reply: &Json, key: &str| -> Vec<String> {
+        match reply.get(key) {
+            Some(Json::Obj(pairs)) => pairs.iter().map(|(name, _)| name.clone()).collect(),
+            Some(Json::Arr(items)) => {
+                items.iter().map(|n| n.as_str().unwrap().to_owned()).collect()
+            }
+            _ => panic!("{key} missing: {reply}"),
+        }
+    };
+    // a unit check fills the cache with every node's verdict, the
+    // sabotaged node's failure among them
+    let unit = state.handle(&Request::Check).reply;
+    assert_eq!(names(&unit, "verdicts").len(), 20, "{unit}");
+    assert!(names(&unit, "failed").contains(&"agg-1-0".to_owned()), "{unit}");
+    // a node-list check answers for the nodes it names, not the cache
+    let nodes = vec!["core-0".to_owned(), "edge-0-0".to_owned()];
+    let check = NodeCheck { nodes: nodes.clone(), generation: None, shard: None };
+    let reply = state.handle(&Request::CheckNodes(check)).reply;
+    assert_eq!(names(&reply, "verdicts"), nodes, "{reply}");
+    assert_eq!(names(&reply, "failed"), Vec::<String>::new(), "{reply}");
+    assert_eq!(state.loaded().unwrap().verdicts().len(), 20, "the cache itself is whole");
 }
 
 #[test]
 fn the_shards_of_a_loaded_instance_union_to_the_from_scratch_failures() {
     let mut state = DaemonState::empty(options()).with_loader(loader);
     let sabotage = vec!["agg-1-0".to_owned(), "edge-2-1".to_owned()];
-    let load = Load {
-        version: PROTOCOL_VERSION,
-        source: LoadSource::Bench { name: "SpReach".into(), k: 4 },
-        sabotage: sabotage.clone(),
-        threads: None,
-        timeout_millis: None,
-        trace: false,
-    };
-    let reply = state.handle(&Request::Load(load)).reply;
+    let reply = state.handle(&Request::Load(load(spreach(4), sabotage))).reply;
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true), "{reply}");
     let generation = reply.get("generation").and_then(Json::as_usize).map(|g| g as u64);
     assert_eq!(generation, Some(1), "{reply}");
     // a load installs; it neither checks nor fingerprints
-    let inst = state.instance().expect("loaded");
+    let inst = state.loaded().expect("loaded");
     assert!(inst.verdicts().is_empty() && inst.fingerprints().is_none(), "{inst:?}");
 
     let reference = from_scratch_failed(&state);
-    let g = state.instance().unwrap().net().topology().clone();
+    let g = state.loaded().unwrap().instance().network.topology().clone();
     assert!(!reference.is_empty(), "the sabotage must be detectable");
     for shards in [1, 3, 7] {
         let plan = ShardPlan::by_class(g.nodes(), shards, |v| g.node_class(v));
@@ -238,7 +301,7 @@ fn the_shards_of_a_loaded_instance_union_to_the_from_scratch_failures() {
         failing.sort_unstable();
         failing.dedup();
         assert_eq!(failing, reference, "{shards} shards");
-        assert_eq!(state.instance().unwrap().verdicts().failed_nodes(), reference);
+        assert_eq!(state.loaded().unwrap().verdicts().failed_nodes(), reference);
     }
 }
 
@@ -251,7 +314,7 @@ proptest! {
     ) {
         // a failure budget makes every delta kind meaningful (and makes the
         // exact interface fail at some nodes, so both verdicts occur)
-        check_sequence("hop equivalence", hop_path(5, Some(1)), "len", ops);
+        check_sequence(LoadSource::Bench { name: "hop".into(), k: 5 }, "len", ops);
     }
 
     #[test]
@@ -260,6 +323,6 @@ proptest! {
     ) {
         // SpReach k=4: 20 nodes of degree 2-4, no failure model (budget
         // deltas are rejected), boolean routes (increments are rejected)
-        check_sequence("SpReach k=4", ReachBench::single_dest(4, 0).build(), "len", ops);
+        check_sequence(spreach(4), "len", ops);
     }
 }

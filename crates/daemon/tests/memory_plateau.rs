@@ -13,12 +13,14 @@
 //! compiles it in a later job instead. The yardstick is therefore taken
 //! where nothing can be stolen ([`one_copy`]), not from the first check.
 
+use std::sync::Arc;
+
 use timepiece_core::check::CheckOptions;
 use timepiece_core::sweep::CheckerPool;
+use timepiece_core::Instance;
 use timepiece_daemon::fixture::hop_path;
 use timepiece_daemon::{DaemonState, Delta, PolicySpec, Request};
 use timepiece_nets::reach::ReachBench;
-use timepiece_nets::BenchInstance;
 use timepiece_sched::CancelToken;
 use timepiece_trace::Json;
 
@@ -51,14 +53,19 @@ fn counters(state: &mut DaemonState) -> Counters {
 /// The compiled terms of one copy of `instance` as [`WORKERS`] workers hold
 /// it: each worker's own nodes (node `v` is at home on worker `v.index() %
 /// WORKERS`), checked by a pool of one, which has nobody to steal from it.
-fn one_copy(instance: &BenchInstance) -> usize {
-    let BenchInstance { network, interface, property } = instance;
+fn one_copy(instance: &Instance) -> usize {
+    let Instance { network, interface, property } = instance;
+    let instance = Arc::new(Instance {
+        network: network.clone(),
+        interface: interface.clone(),
+        property: property.clone(),
+    });
+    let g = network.topology();
     (0..WORKERS)
         .map(|w| {
-            let own: Vec<_> =
-                network.topology().nodes().filter(|v| v.index() % WORKERS == w).collect();
+            let own: Vec<_> = g.nodes().filter(|v| v.index() % WORKERS == w).collect();
             let mut pool = CheckerPool::new(1, CheckOptions::default());
-            pool.check_nodes(network, interface, property, &own, &CancelToken::new()).unwrap();
+            pool.check_nodes(&instance, &own, &CancelToken::new()).unwrap();
             pool.session_stats().compiled_terms
         })
         .sum()
@@ -102,7 +109,7 @@ struct Drive {
 
 /// `CHECKS` full checks of the unchanged instance, then `DELTAS` edits with
 /// a full check every 25th; `sample` runs after every request batch.
-fn drive(instance: BenchInstance, witnessed: Vec<String>, mut sample: impl FnMut(usize)) -> Drive {
+fn drive(instance: Instance, witnessed: Vec<String>, mut sample: impl FnMut(usize)) -> Drive {
     let g = instance.network.topology().clone();
     let links: Vec<(String, String)> = g
         .edges()

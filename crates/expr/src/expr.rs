@@ -143,14 +143,6 @@ impl Expr {
         self.0.id
     }
 
-    /// The term's structural hash, as precomputed by the arena.
-    ///
-    /// Deterministic within a build; cheap enough to fingerprint whole
-    /// policy programs without re-walking the IR.
-    pub fn structural_hash(&self) -> u64 {
-        self.0.hash
-    }
-
     /// Do two handles point at the same node? With hash-consing this *is*
     /// structural equality (`==`); kept for call sites that want to spell
     /// out that identity, not just equivalence, is being asserted.

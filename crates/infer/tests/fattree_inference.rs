@@ -32,13 +32,23 @@ fn infer_and_verify(name: &str, spec: &PropertySpec, ft: &FatTree, dest: NodeId)
 fn reach_at(k: usize) {
     let bench = ReachBench::single_dest(k, 0);
     let dest = bench.dest_node().expect("fixed destination");
-    infer_and_verify(&format!("SpReach k={k}"), &bench.spec(), &bench.fattree().clone(), dest);
+    infer_and_verify(
+        &format!("SpReach k={k}"),
+        &bench.build().into_spec(),
+        &bench.fattree().clone(),
+        dest,
+    );
 }
 
 fn len_at(k: usize) {
     let bench = LenBench::single_dest(k, 0);
     let dest = bench.dest_node().expect("fixed destination");
-    infer_and_verify(&format!("SpLen k={k}"), &bench.spec(), &bench.fattree().clone(), dest);
+    infer_and_verify(
+        &format!("SpLen k={k}"),
+        &bench.build().into_spec(),
+        &bench.fattree().clone(),
+        dest,
+    );
 }
 
 #[test]
@@ -83,7 +93,7 @@ fn infers_sp_reach_k4_under_delay() {
 
     let bench = ReachBench::single_dest(4, 0);
     let dest = bench.dest_node().expect("fixed destination");
-    let spec = bench.spec();
+    let spec = bench.build().into_spec();
     let delayed = CheckOptions { delay: 1, ..CheckOptions::default() };
     let wide_property = NodeAnnotations::new(
         bench.fattree().topology(),

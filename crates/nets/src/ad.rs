@@ -26,7 +26,7 @@ use timepiece_topology::{FatTree, FatTreeRole};
 
 use crate::bgp::{BgpSchema, Origin, DEFAULT_LP, DEFAULT_MED};
 use crate::fattree_common::{DestSpec, DEST_VAR};
-use crate::{BenchInstance, PropertySpec};
+use crate::BenchInstance;
 
 /// The administrative distance of eBGP-learned routes.
 pub const EBGP_AD: u64 = 20;
@@ -78,11 +78,6 @@ impl AdBench {
             interface: self.interface(),
             property: self.property(),
         }
-    }
-
-    /// The property-only form (no interface annotations), for inference.
-    pub fn spec(&self) -> PropertySpec {
-        PropertySpec { network: self.network(), property: self.property() }
     }
 
     /// The network: plain eBGP transfers; the destination originates the

@@ -35,7 +35,7 @@ use timepiece_expr::Expr;
 use timepiece_topology::{FatTree, FatTreeRole, NodeId};
 
 use crate::bgp::{BgpSchema, DEFAULT_AD, DEFAULT_LP, DEFAULT_MED};
-use crate::{BenchInstance, PropertySpec};
+use crate::BenchInstance;
 
 /// Builder for `SpFail` instances.
 #[derive(Debug, Clone)]
@@ -103,11 +103,6 @@ impl FailBench {
             interface: self.interface(),
             property: self.property(),
         }
-    }
-
-    /// The property-only form (no interface annotations), for inference.
-    pub fn spec(&self) -> PropertySpec {
-        PropertySpec { network: self.network(), property: self.property() }
     }
 
     /// The network: plain eBGP with the failure model on the destination's

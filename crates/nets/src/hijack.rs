@@ -24,7 +24,7 @@ use timepiece_topology::{FatTree, NodeId, Topology};
 
 use crate::bgp::BgpSchema;
 use crate::fattree_common::{DestSpec, DEST_VAR};
-use crate::{BenchInstance, PropertySpec};
+use crate::BenchInstance;
 
 /// The symbolic internal prefix variable.
 pub const PREFIX_VAR: &str = "prefix";
@@ -99,11 +99,6 @@ impl HijackBench {
             interface: self.interface(),
             property: self.property(),
         }
-    }
-
-    /// The property-only form (no interface annotations), for inference.
-    pub fn spec(&self) -> PropertySpec {
-        PropertySpec { network: self.network(), property: self.property() }
     }
 
     fn prefix() -> Expr {

@@ -14,7 +14,7 @@ use timepiece_topology::FatTree;
 
 use crate::bgp::{BgpSchema, DEFAULT_AD, DEFAULT_LP, DEFAULT_MED};
 use crate::fattree_common::{DestSpec, DEST_VAR};
-use crate::{BenchInstance, PropertySpec};
+use crate::BenchInstance;
 
 /// Builder for `SpLen`/`ApLen` instances.
 #[derive(Debug, Clone)]
@@ -71,11 +71,6 @@ impl LenBench {
             interface: self.interface(),
             property: self.property(),
         }
-    }
-
-    /// The property-only form (no interface annotations), for inference.
-    pub fn spec(&self) -> PropertySpec {
-        PropertySpec { network: self.network(), property: self.property() }
     }
 
     /// Same network as `Reach` (plain eBGP, incrementing transfer), declared

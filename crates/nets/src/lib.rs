@@ -1,8 +1,9 @@
 //! The benchmark networks of the Timepiece paper (§2 and §6).
 //!
-//! Each module builds a ready-to-verify triple — a
+//! Each module builds a ready-to-verify [`timepiece_core::Instance`] — a
 //! [`timepiece_algebra::Network`], an interface and a property (both
-//! [`timepiece_core::NodeAnnotations`]) — for one of the paper's benchmarks:
+//! [`timepiece_core::NodeAnnotations`]), re-exported here as
+//! [`BenchInstance`] — for one of the paper's benchmarks:
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -35,47 +36,5 @@ pub mod reach;
 pub mod vf;
 pub mod wan;
 
-/// A benchmark in its *property-only* form: the network and the property to
-/// prove, with no interface annotations.
-///
-/// This is the input shape of interface **inference** (`timepiece-infer`):
-/// everything a verification problem needs except the hand-written per-node
-/// interfaces. Every benchmark builder exposes a `spec()` constructor for
-/// this form alongside its annotated [`BenchInstance`].
-#[derive(Debug, Clone)]
-pub struct PropertySpec {
-    /// The network `N = (G, S, I, F, ⊕)`.
-    pub network: timepiece_algebra::Network,
-    /// The per-node properties `P`.
-    pub property: timepiece_core::NodeAnnotations,
-}
-
-impl From<BenchInstance> for PropertySpec {
-    fn from(inst: BenchInstance) -> PropertySpec {
-        inst.into_spec()
-    }
-}
-
-/// A benchmark instance ready for the modular or monolithic checker.
-#[derive(Debug)]
-pub struct BenchInstance {
-    /// The network `N = (G, S, I, F, ⊕)`.
-    pub network: timepiece_algebra::Network,
-    /// The per-node interfaces `A`.
-    pub interface: timepiece_core::NodeAnnotations,
-    /// The per-node properties `P`.
-    pub property: timepiece_core::NodeAnnotations,
-}
-
-impl BenchInstance {
-    /// The property-only form: surrenders the hand-written interface so an
-    /// inference engine can synthesize its own.
-    pub fn into_spec(self) -> PropertySpec {
-        PropertySpec { network: self.network, property: self.property }
-    }
-
-    /// A cloning variant of [`BenchInstance::into_spec`].
-    pub fn spec(&self) -> PropertySpec {
-        PropertySpec { network: self.network.clone(), property: self.property.clone() }
-    }
-}
+// the core instance types, under the names the benchmark harness uses
+pub use timepiece_core::instance::{Instance as BenchInstance, PropertySpec};

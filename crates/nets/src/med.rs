@@ -26,7 +26,7 @@ use timepiece_topology::{FatTree, FatTreeRole};
 
 use crate::bgp::{BgpSchema, DEFAULT_AD, DEFAULT_LP};
 use crate::fattree_common::{DestSpec, DEST_VAR};
-use crate::{BenchInstance, PropertySpec};
+use crate::BenchInstance;
 
 /// Builder for `SpMed`/`ApMed` instances.
 #[derive(Debug, Clone)]
@@ -73,11 +73,6 @@ impl MedBench {
             interface: self.interface(),
             property: self.property(),
         }
-    }
-
-    /// The property-only form (no interface annotations), for inference.
-    pub fn spec(&self) -> PropertySpec {
-        PropertySpec { network: self.network(), property: self.property() }
     }
 
     /// The exit-advertisement policy of an uplink into plane `j`: stamp

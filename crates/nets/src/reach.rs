@@ -11,7 +11,7 @@ use timepiece_topology::FatTree;
 
 use crate::bgp::BgpSchema;
 use crate::fattree_common::{DestSpec, DEST_VAR};
-use crate::{BenchInstance, PropertySpec};
+use crate::BenchInstance;
 
 /// Builder for `SpReach`/`ApReach` instances.
 #[derive(Debug, Clone)]
@@ -61,11 +61,6 @@ impl ReachBench {
         let interface = self.interface();
         let property = self.property();
         BenchInstance { network, interface, property }
-    }
-
-    /// The property-only form (no interface annotations), for inference.
-    pub fn spec(&self) -> PropertySpec {
-        PropertySpec { network: self.network(), property: self.property() }
     }
 
     /// The network alone (plain eBGP with incrementing transfer), declared

@@ -18,7 +18,7 @@ use timepiece_topology::FatTree;
 
 use crate::bgp::{BgpSchema, DEFAULT_AD, DEFAULT_LP, DEFAULT_MED};
 use crate::fattree_common::{DestSpec, DEST_VAR};
-use crate::{BenchInstance, PropertySpec};
+use crate::BenchInstance;
 
 /// The community used to mark routes that traversed a down edge.
 pub const DOWN: &str = "down";
@@ -60,11 +60,6 @@ impl VfBench {
             interface: self.interface(),
             property: self.property(),
         }
-    }
-
-    /// The property-only form (no interface annotations), for inference.
-    pub fn spec(&self) -> PropertySpec {
-        PropertySpec { network: self.network(), property: self.property() }
     }
 
     /// The valley-free network: down edges tag `D`, up edges drop tagged

@@ -21,7 +21,7 @@ use timepiece_expr::Expr;
 use timepiece_topology::{NodeId, PeerClass, Wan};
 
 use crate::bgp::BgpSchema;
-use crate::{BenchInstance, PropertySpec};
+use crate::BenchInstance;
 
 /// The "block to external" community.
 pub const BTE: &str = "bte";
@@ -79,11 +79,6 @@ impl WanBench {
         let network = self.network();
         let interface = self.block_to_external();
         BenchInstance { network, property: interface.clone(), interface }
-    }
-
-    /// The property-only form (no interface annotations), for inference.
-    pub fn spec(&self) -> PropertySpec {
-        PropertySpec { network: self.network(), property: self.block_to_external() }
     }
 
     /// The export policy on internal→peer links: drop BTE-tagged routes.

@@ -4,7 +4,7 @@
 //! merge key checked with positions) → lower (build the
 //! [`Network`], per-node interface and property through the same
 //! [`NetworkBuilder`] path the Rust-literal benchmarks use). The output,
-//! [`CompiledScenario`], produces [`BenchInstance`]s on demand, so compiled
+//! [`CompiledScenario`], produces [`Instance`]s on demand, so compiled
 //! scenarios run unmodified through sweeps, sharding, the daemon and
 //! inference.
 
@@ -15,10 +15,9 @@ use timepiece_algebra::{
     FailureModel, MergeKey, Network, NetworkBuilder, PolicyClause, RewriteOp, RouteGuard,
     RoutePolicy, RouteSchema, Symbolic,
 };
-use timepiece_core::{NodeAnnotations, Temporal};
+use timepiece_core::{Instance, NodeAnnotations, Temporal};
 use timepiece_expr::{Env, Expr, Type, Value};
 use timepiece_infer::{InferOptions, InferenceEngine, RoleMap};
-use timepiece_nets::BenchInstance;
 use timepiece_topology::{FatTree, NodeId, Topology};
 
 use crate::term::{self, TypeEnv};
@@ -81,8 +80,8 @@ pub struct CompiledScenario {
 
 impl CompiledScenario {
     /// A fresh annotated instance (clones the compiled parts).
-    pub fn instance(&self) -> BenchInstance {
-        BenchInstance {
+    pub fn instance(&self) -> Instance {
+        Instance {
             network: self.network.clone(),
             interface: self.interface.clone(),
             property: self.property.clone(),

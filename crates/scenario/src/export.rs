@@ -1,6 +1,6 @@
 //! Exporting compiled instances back to scenario text.
 //!
-//! The inverse of [`crate::compile`]: given a [`BenchInstance`] whose network
+//! The inverse of [`crate::compile`]: given a [`Instance`] whose network
 //! was built in policy mode, produce a TOML document that recompiles to an
 //! equivalent scenario. Round-tripping is semantic, not textual — the route
 //! terms are printed from the interned expression graph, so constant folding
@@ -8,8 +8,8 @@
 
 use std::collections::BTreeMap;
 
+use timepiece_core::Instance;
 use timepiece_expr::Type;
-use timepiece_nets::BenchInstance;
 use timepiece_topology::{NodeId, Topology};
 
 use crate::term;
@@ -24,7 +24,7 @@ use crate::term;
 pub fn export_instance(
     name: &str,
     figure: &str,
-    instance: &BenchInstance,
+    instance: &Instance,
     k: usize,
 ) -> Result<String, String> {
     let network = &instance.network;

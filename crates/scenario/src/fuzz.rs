@@ -21,9 +21,8 @@ use proptest::TestRng;
 use timepiece_algebra::{
     MergeKey, Network, NetworkBuilder, RewriteOp, RouteGuard, RoutePolicy, RouteSchema,
 };
-use timepiece_core::{NodeAnnotations, Temporal};
+use timepiece_core::{Instance, NodeAnnotations, Temporal};
 use timepiece_expr::{Env, Expr, Type, Value};
-use timepiece_nets::BenchInstance;
 use timepiece_smt::{check_validity, Validity, Vc};
 use timepiece_topology::Topology;
 
@@ -308,10 +307,10 @@ impl CaseSpec {
 
     /// The case as an annotated instance (trivial `globally true` property
     /// and interface, so the interesting content is the policy layer).
-    fn instance(&self) -> Result<BenchInstance, String> {
+    fn instance(&self) -> Result<Instance, String> {
         let network = self.network()?;
         let anns = NodeAnnotations::new(network.topology(), Temporal::any());
-        Ok(BenchInstance { interface: anns.clone(), property: anns, network })
+        Ok(Instance { interface: anns.clone(), property: anns, network })
     }
 
     /// Serializes the case as a scenario document (replayable with

@@ -5,11 +5,13 @@
 //! A multi-`k` sweep checks the *same* declarations over and over — only
 //! the topology grows. `ModularChecker::check` is a [`CheckerPool`] that
 //! lives for one call, so every row rebuilds its Z3 contexts and
-//! compiled-term caches; a pool kept across rows keeps them alive, keyed by
-//! what the network declares, so later rows start from warm sessions. This
+//! compiled-term caches; a pool kept across rows keeps them alive while the
+//! networks declare alike, so later rows start from warm sessions. A pool
+//! checks an instance behind an [`Arc`] its workers share. This
 //! example times both lifetimes on the `SpLen` family and prints the
 //! per-row and total deltas (recorded in `EXPERIMENTS.md`).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use timepiece::core::check::{CheckOptions, ModularChecker};
@@ -25,7 +27,7 @@ fn main() {
     let mut pooled_total = 0.0;
     let mut pool = CheckerPool::with_default_parallelism(options.clone());
     for k in ks {
-        let inst = LenBench::all_pairs(k).build();
+        let inst = Arc::new(LenBench::all_pairs(k).build());
 
         let t0 = Instant::now();
         let fresh = ModularChecker::new(options.clone())
@@ -35,7 +37,7 @@ fn main() {
         assert!(fresh.is_verified());
 
         let t0 = Instant::now();
-        let pooled = pool.check(&inst.network, &inst.interface, &inst.property).expect("encodes");
+        let pooled = pool.check(&inst).expect("encodes");
         let pooled_secs = t0.elapsed().as_secs_f64();
         assert!(pooled.is_verified());
 
