@@ -611,6 +611,10 @@ fn row_json(kind: BenchKind, row: &Row, shards: usize) -> timepiece_sched::Json 
             ("hit_rate", Json::Num(t.hit_rate())),
         ])
     });
+    // how the row's nodes got their verdicts: one proof per distinct key,
+    // every other node a memo hit
+    let memo =
+        Json::obj([("proofs", Json::from(row.memo.proofs)), ("hits", Json::from(row.memo.hits))]);
     // shard balance for sharded/distributed rows: per-shard wall times, the
     // max/mean ratio, and the steal/reassignment counters
     let balance = row.balance.as_ref().map_or(Json::Null, |b| {
@@ -631,6 +635,7 @@ fn row_json(kind: BenchKind, row: &Row, shards: usize) -> timepiece_sched::Json 
         ("ms", row.ms.as_ref().map_or(Json::Null, engine)),
         ("arena", arena),
         ("term_cache", terms),
+        ("memo", memo),
         ("balance", balance),
     ])
 }

@@ -427,6 +427,7 @@ pub fn run_row_distributed(
         // arena
         arena: timepiece_expr::arena::stats().delta_since(&arena_before),
         terms: Some(merged.terms),
+        memo: merged.memo,
         balance: Some(RowBalance {
             shard_secs: merged.shard_secs,
             steal_batches: queues.steal_batches,

@@ -14,7 +14,7 @@
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Duration;
 
-use timepiece_core::check::CheckOptions;
+use timepiece_core::check::{CheckOptions, MemoStats};
 use timepiece_core::monolithic::{check_monolithic, MonolithicOutcome};
 use timepiece_core::sweep::CheckerPool;
 use timepiece_daemon::LoadSource;
@@ -416,6 +416,9 @@ pub struct Row {
     /// The modular engine's compiled-term cache traffic for this row
     /// (None for sharded rows, whose encoders live in worker processes).
     pub terms: Option<TermCacheStats>,
+    /// How the row's nodes got their verdicts: proofs and memo hits (summed
+    /// over the shards of a fleet row).
+    pub memo: MemoStats,
     /// Shard balance accounting, for rows that ran sharded or distributed
     /// (None for in-process rows: there are no shards to balance).
     pub balance: Option<RowBalance>,
@@ -510,6 +513,7 @@ fn assemble_row(
         ms,
         arena: arena::stats().delta_since(arena_before),
         terms: report.term_cache(),
+        memo: report.memo(),
         balance: None,
         failing: {
             let mut failing: Vec<String> =

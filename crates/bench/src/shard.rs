@@ -27,6 +27,7 @@
 
 use std::fmt;
 
+use timepiece_core::MemoStats;
 use timepiece_sched::Json;
 use timepiece_smt::TermCacheStats;
 use timepiece_topology::Topology;
@@ -62,6 +63,9 @@ pub struct ShardReport {
     pub wall_secs: f64,
     /// The worker's compiled-term cache traffic for this shard.
     pub terms: TermCacheStats,
+    /// How the shard's nodes got their verdicts: proofs and memo hits
+    /// (zero from a daemon that predates the counters).
+    pub memo: MemoStats,
     /// The worker's span trace, when the coordinator's `load` asked for
     /// one; the coordinator ingests it as its own pid-tagged process track.
     pub trace: Option<timepiece_trace::Trace>,
@@ -114,6 +118,10 @@ impl ShardReport {
             failures,
             wall_secs: field("wall_ms")?.as_f64().ok_or_else(|| err("wall_ms"))? / 1e3,
             terms: TermCacheStats { hits: count("term_hits")?, misses: count("term_misses")? },
+            memo: MemoStats {
+                proofs: count("memo_proofs")? as usize,
+                hits: count("memo_hits")? as usize,
+            },
             // absent means the daemon was not asked to trace
             trace: match reply.get("trace") {
                 None => None,
@@ -217,6 +225,8 @@ pub struct MergedShards {
     pub verified: bool,
     /// The workers' compiled-term cache traffic, summed over the shards.
     pub terms: TermCacheStats,
+    /// The shards' memo counters, summed.
+    pub memo: MemoStats,
     /// Names of nodes with at least one failed condition, sorted and
     /// deduplicated across shards (empty when `verified`).
     pub failing: Vec<String>,
@@ -318,6 +328,10 @@ pub fn merge_reports(
             hits: sum.hits + r.terms.hits,
             misses: sum.misses + r.terms.misses,
         }),
+        memo: reports.iter().fold(MemoStats::default(), |mut sum, (_, r)| {
+            sum += r.memo;
+            sum
+        }),
         failing,
     })
 }
@@ -347,6 +361,7 @@ mod tests {
             }],
             wall_secs: 0.5,
             terms: TermCacheStats { hits: 3, misses: 5 },
+            memo: MemoStats { proofs: 1, hits: 1 },
             trace: None,
         }
     }

@@ -271,15 +271,21 @@ fn a_sigkilled_coordinator_takes_its_loopback_fleet_with_it() {
         done()
     };
     let pid = coordinator.id();
-    assert!(
-        within(Duration::from_secs(30), Box::new(move || children_of(pid).len() == 2)),
-        "the coordinator starts its two workers"
-    );
-    let workers = children_of(pid);
     let is_serve = |pid: &u32| {
         let cmdline = std::fs::read(format!("/proc/{pid}/cmdline")).unwrap_or_default();
         cmdline.split(|&b| b == 0).any(|arg| arg == b"serve")
     };
+    // a child seen between `fork` and `exec` still has the coordinator's
+    // command line: wait until both children have become `repro serve`s
+    let both_serve = move || {
+        let children = children_of(pid);
+        children.len() == 2 && children.iter().all(is_serve)
+    };
+    assert!(
+        within(Duration::from_secs(30), Box::new(both_serve)),
+        "the coordinator starts its two workers, both `repro serve`s"
+    );
+    let workers = children_of(pid);
     assert!(workers.iter().all(is_serve), "both children are `repro serve`s");
 
     coordinator.kill().expect("SIGKILL is delivered");

@@ -1,14 +1,18 @@
 //! End-to-end tracing: a 4-thread modular check of a real benchmark
 //! instance must produce a Chrome trace with one complete, labelled track
-//! per worker thread, a verdict-carrying node span per network node, and a
-//! document that survives the JSON codec round trip.
+//! per worker thread, a verdict-carrying node span per network node — a
+//! proof or a memo hit — and a document that survives the JSON codec round
+//! trip.
 
+use std::collections::HashSet;
 use std::time::Duration;
 
 use timepiece_bench::{fattree_instance, BenchKind};
 use timepiece_core::check::{CheckOptions, ModularChecker};
+use timepiece_core::incremental::NodeKey;
+use timepiece_core::{Fingerprints, MemoStats};
 use timepiece_sched::Json;
-use timepiece_trace::{chrome_trace, Phase, SpanKind};
+use timepiece_trace::{chrome_trace, Phase, SpanKind, SpanRecord};
 
 #[test]
 fn four_worker_check_yields_one_complete_track_per_worker() {
@@ -25,8 +29,9 @@ fn four_worker_check_yields_one_complete_track_per_worker() {
     timepiece_trace::disable();
     let trace = timepiece_trace::take();
 
-    // one verdict-carrying node span per network node, each with encode and
-    // solve work nested inside it
+    // one verdict-carrying node span per network node, each tagged with how
+    // the node got its verdict: a proof nests encode and solve work, a memo
+    // hit nests neither, and there is one proof per distinct key
     let nodes: Vec<_> = trace
         .spans
         .iter()
@@ -35,15 +40,25 @@ fn four_worker_check_yields_one_complete_track_per_worker() {
     assert_eq!(nodes.len(), inst.network.topology().node_count());
     assert!(nodes.iter().all(|s| s.arg("verdict") == Some("verified")), "all verified");
     assert!(nodes.iter().all(|s| !s.arg("class").unwrap_or("").is_empty()), "classes tagged");
-    for phase in [Phase::Encode, Phase::Solve] {
-        let nested = trace
+    let nests = |node: &SpanRecord, phase: Phase| {
+        trace
             .spans
             .iter()
-            .filter(|s| s.kind == SpanKind::Complete && s.phase == phase)
-            .filter(|s| nodes.iter().any(|n| n.id == s.parent))
-            .count();
-        assert!(nested >= nodes.len(), "every node span nests {phase} work");
+            .any(|s| s.kind == SpanKind::Complete && s.phase == phase && s.parent == node.id)
+    };
+    let (proofs, hits): (Vec<&SpanRecord>, Vec<&SpanRecord>) =
+        nodes.iter().partition(|s| s.arg("memo") == Some("proof"));
+    assert!(hits.iter().all(|s| s.arg("memo") == Some("hit")), "memo is proof or hit");
+    for phase in [Phase::Encode, Phase::Solve] {
+        assert!(proofs.iter().all(|s| nests(s, phase)), "every proof span nests {phase} work");
+        assert!(hits.iter().all(|s| !nests(s, phase)), "no hit span nests {phase} work");
     }
+    assert_eq!(proofs.len() + hits.len(), 20, "SpReach k=4 has 20 nodes");
+    let keys = Fingerprints::compute(&inst.network, &inst.interface, &inst.property, 0);
+    let distinct: HashSet<&NodeKey> =
+        inst.network.topology().nodes().filter_map(|v| keys.get(v)).collect();
+    assert_eq!(proofs.len(), distinct.len(), "one proof per distinct key");
+    assert_eq!(report.memo(), MemoStats { proofs: proofs.len(), hits: hits.len() });
 
     // exactly the four workers registered labelled tracks, and each track
     // carries at least one complete span

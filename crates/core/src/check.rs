@@ -6,6 +6,9 @@
 //! session, is answered in one place — [`crate::sweep::CheckerPool`], the
 //! checking engine, whose workers hold one session each — and
 //! [`ModularChecker::check_nodes`] is that engine living for one call. The
+//! engine proves each distinct condition once per call: nodes whose
+//! conditions are one formula up to the names of their route variables are
+//! answered by one proof ([`CheckReport::memo`] counts both kinds). The
 //! report records per-node wall times so the paper's total/median/p99
 //! figures can be reproduced.
 
@@ -16,7 +19,7 @@ use std::time::{Duration, Instant};
 use timepiece_algebra::Network;
 use timepiece_expr::Env;
 use timepiece_sched::{CancelToken, SchedStats};
-use timepiece_smt::{SolverSession, TermCacheStats, Validity};
+use timepiece_smt::{SolverSession, TermCacheStats, Validity, Vc};
 use timepiece_topology::NodeId;
 
 use crate::error::CoreError;
@@ -24,7 +27,7 @@ use crate::instance::Instance;
 use crate::interface::NodeAnnotations;
 use crate::stats::TimingStats;
 use crate::sweep::CheckerPool;
-use crate::vc::{inductive_vc, initial_vc, safety_vc, VcKind};
+use crate::vc::{node_conditions, VcKind};
 
 /// Options controlling a modular check.
 #[derive(Debug, Clone, Default)]
@@ -97,6 +100,26 @@ impl std::fmt::Display for Failure {
     }
 }
 
+/// How the nodes of a check got their verdicts: by a proof of their own
+/// key, or as a memo hit — served by the proof of an equal key within the
+/// same check (see [`crate::sweep`]). `proofs + hits` is the number of
+/// nodes the check answered.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Proof attempts: one per distinct key, plus one per node whose key's
+    /// proof came back unknown or abandoned (those are never shared).
+    pub proofs: usize,
+    /// Nodes answered by another node's proof.
+    pub hits: usize,
+}
+
+impl std::ops::AddAssign for MemoStats {
+    fn add_assign(&mut self, other: MemoStats) {
+        self.proofs += other.proofs;
+        self.hits += other.hits;
+    }
+}
+
 /// The outcome of a modular check.
 #[derive(Debug, Clone)]
 pub struct CheckReport {
@@ -105,6 +128,7 @@ pub struct CheckReport {
     pub(crate) wall: Duration,
     pub(crate) sched: Option<SchedStats>,
     pub(crate) terms: Option<TermCacheStats>,
+    pub(crate) memo: MemoStats,
 }
 
 impl CheckReport {
@@ -118,7 +142,9 @@ impl CheckReport {
         &self.failures
     }
 
-    /// Per-node total check durations (all three conditions).
+    /// Per-node total check durations (all three conditions). A memo hit's
+    /// duration is the time to build and key its conditions: it is answered
+    /// without a solver call.
     pub fn node_durations(&self) -> &[(NodeId, Duration)] {
         &self.node_durations
     }
@@ -150,10 +176,17 @@ impl CheckReport {
         self.terms
     }
 
+    /// How many of the answered nodes were proved and how many were memo
+    /// hits.
+    pub fn memo(&self) -> MemoStats {
+        self.memo
+    }
+
     /// Merges shard reports into one: failures and durations are
     /// concatenated (and re-sorted by node), the wall time is the maximum —
     /// shards run concurrently, so the slowest one bounds the merged run.
-    /// Term-cache counters sum over the shards that carry them.
+    /// Memo counters sum, and so do the term-cache counters of the shards
+    /// that carry them.
     pub fn merge(reports: impl IntoIterator<Item = CheckReport>) -> CheckReport {
         let mut merged = CheckReport {
             failures: Vec::new(),
@@ -161,11 +194,13 @@ impl CheckReport {
             wall: Duration::ZERO,
             sched: None,
             terms: None,
+            memo: MemoStats::default(),
         };
         for report in reports {
             merged.failures.extend(report.failures);
             merged.node_durations.extend(report.node_durations);
             merged.wall = merged.wall.max(report.wall);
+            merged.memo += report.memo;
             if let Some(t) = report.terms {
                 *merged.terms.get_or_insert_with(TermCacheStats::default) += t;
             }
@@ -190,6 +225,8 @@ impl ModularChecker {
 
     /// Checks the initial, inductive and safety conditions of a single node
     /// in a fresh solver session, returning its failures and the time spent.
+    /// The node's own conditions are proved, not its key's: no memo is
+    /// consulted.
     ///
     /// # Errors
     ///
@@ -203,17 +240,25 @@ impl ModularChecker {
         v: NodeId,
     ) -> Result<(Vec<Failure>, Duration), CoreError> {
         let mut session = SolverSession::new(self.options.timeout);
+        let start = Instant::now();
+        let g = net.topology();
+        let mut node_span = timepiece_trace::span(timepiece_trace::Phase::Node, g.name(v));
+        node_span.arg("class", g.node_class(v));
+        node_span.arg("memo", "proof");
+        let conditions = node_conditions(net, interface, property, self.options.delay, v);
         let never = AtomicBool::new(false);
-        let checked = check_node_in_session(
-            &mut session,
-            &never,
-            net,
-            interface,
-            property,
-            self.options.delay,
-            v,
-        );
-        Ok(checked?.expect("a check without a canceller runs to completion"))
+        let results = discharge(&mut session, &never, &conditions)?
+            .expect("a check without a canceller runs to completion");
+        let failures: Vec<Failure> = failed(results)
+            .map(|(kind, reason)| Failure {
+                node: v,
+                node_name: g.name(v).to_owned(),
+                vc: kind,
+                reason,
+            })
+            .collect();
+        node_span.arg("verdict", if failures.is_empty() { "verified" } else { "failed" });
+        Ok((failures, start.elapsed()))
     }
 
     /// Checks every node, in parallel, and aggregates a report.
@@ -241,8 +286,9 @@ impl ModularChecker {
     /// ([`CheckReport::merge`]) into a report over the whole network.
     ///
     /// The call is a [`CheckerPool`] that lives for one job: the same
-    /// work-stealing workers, solver sessions, fail-fast cancellation and
-    /// report as a pool kept across checks, minus the warm start. It is the
+    /// work-stealing workers, solver sessions, per-job verdict memo,
+    /// fail-fast cancellation and report as a pool kept across checks, minus
+    /// the warm start. It is the
     /// one place that copies an instance: once per call, into the [`Arc`]
     /// every worker reads.
     ///
@@ -271,57 +317,38 @@ impl ModularChecker {
     }
 }
 
-/// Discharges one node's three conditions through an existing session — the
-/// batched path: the session (and its encoder cache) typically outlives many
-/// nodes on one pool worker.
-///
-/// Returns `None` when `cancel` was raised and the node was abandoned
-/// part-way; abandoned nodes report neither failures nor durations.
+/// The conditions among three results, in [`VcKind::ALL`] order, that did
+/// not hold, and why.
+pub(crate) fn failed(results: [Validity; 3]) -> impl Iterator<Item = (VcKind, FailureReason)> {
+    VcKind::ALL.into_iter().zip(results).filter_map(|(kind, result)| match result {
+        Validity::Valid => None,
+        Validity::Invalid(cex) => Some((kind, FailureReason::CounterExample(cex))),
+        Validity::Unknown(why) => Some((kind, FailureReason::Unknown(why))),
+    })
+}
+
+/// Discharges three conditions through one session, in [`VcKind::ALL`]
+/// order: one solver via push/pop, sharing variable declarations and the
+/// compiled-term cache across them. The cancellation flag is consulted
+/// between scopes, so a fail-fast stop lands within one condition, not one
+/// node; `None` means it did, and the results are abandoned.
 ///
 /// # Errors
 ///
-/// As [`ModularChecker::check_node`].
-pub(crate) fn check_node_in_session(
+/// [`CoreError::Smt`] if a condition cannot be encoded.
+pub(crate) fn discharge(
     session: &mut SolverSession,
     cancel: &AtomicBool,
-    net: &Network,
-    interface: &NodeAnnotations,
-    property: &NodeAnnotations,
-    delay: u64,
-    v: NodeId,
-) -> Result<Option<(Vec<Failure>, Duration)>, CoreError> {
-    let start = Instant::now();
-    let mut node_span = timepiece_trace::span(timepiece_trace::Phase::Node, net.topology().name(v));
-    node_span.arg("class", net.topology().node_class(v));
-    let conditions = [
-        (VcKind::Initial, initial_vc(net, interface, v)),
-        (VcKind::Inductive, inductive_vc(net, interface, v, delay)),
-        (VcKind::Safety, safety_vc(net, interface, property, v)),
-    ];
-    // one solver discharges all three conditions via push/pop, sharing
-    // variable declarations and the compiled-term cache across them; the
-    // cancellation flag is consulted between scopes so a fail-fast stop
-    // lands within one condition, not one node
-    let mut failures = Vec::new();
-    for (kind, vc) in conditions {
-        let reason = match session.check_cancellable(&vc, cancel)? {
-            None => {
-                node_span.arg("verdict", "abandoned");
-                return Ok(None);
-            }
-            Some(Validity::Valid) => continue,
-            Some(Validity::Invalid(cex)) => FailureReason::CounterExample(cex),
-            Some(Validity::Unknown(why)) => FailureReason::Unknown(why),
-        };
-        failures.push(Failure {
-            node: v,
-            node_name: net.topology().name(v).to_owned(),
-            vc: kind,
-            reason,
-        });
+    conditions: &[Vc; 3],
+) -> Result<Option<[Validity; 3]>, CoreError> {
+    let mut results = Vec::with_capacity(3);
+    for vc in conditions {
+        match session.check_cancellable(vc, cancel)? {
+            Some(result) => results.push(result),
+            None => return Ok(None),
+        }
     }
-    node_span.arg("verdict", if failures.is_empty() { "verified" } else { "failed" });
-    Ok(Some((failures, start.elapsed())))
+    Ok(Some(results.try_into().expect("one result per condition")))
 }
 
 #[cfg(test)]

@@ -1,5 +1,4 @@
-//! Incremental re-checking: per-node fingerprints, dirty cones and a
-//! verdict cache.
+//! Incremental re-checking: per-node keys, dirty cones and a verdict cache.
 //!
 //! Modularity (Algorithm 1) makes every node's check depend on a *bounded*
 //! slice of the problem: node `v`'s three verification conditions mention
@@ -11,7 +10,16 @@
 //! comparing the intern ids of the *compiled conditions* before and after
 //! the delta.
 //!
-//! [`Fingerprints`] captures those ids; [`Fingerprints::dirty_cone`]
+//! The ids are taken after one renaming, the same for every node: `v`'s own
+//! route variable becomes [`SELF_ROUTE`] and the route variable of its
+//! `i`-th predecessor [`neighbour_route`]`(i)`, in `preds(v)` order, never
+//! sorted. The renaming is injective, so for one node a key still changes
+//! exactly when its conditions do; across nodes, two keys are equal exactly
+//! when the two nodes' conditions are the same formula up to the names of
+//! their route variables — one proof answers both, which is what
+//! [`crate::sweep::CheckerPool`]'s per-job memo exploits.
+//!
+//! [`Fingerprints`] captures those keys; [`Fingerprints::dirty_cone`]
 //! diffs two snapshots into the exact set of nodes whose conditions
 //! changed. [`VerdictCache`] remembers the last verdict per node, so a
 //! service re-checks the cone and serves everything else from cache.
@@ -19,24 +27,106 @@
 use std::collections::BTreeMap;
 
 use timepiece_algebra::Network;
-use timepiece_expr::{Expr, InternId};
+use timepiece_expr::{Expr, InternId, RenameError, Renaming};
+use timepiece_smt::Vc;
 use timepiece_topology::{NodeId, Topology};
 
 use crate::check::{CheckReport, Failure};
 use crate::interface::NodeAnnotations;
-use crate::vc::{inductive_vc, initial_vc, safety_vc};
+use crate::vc::node_conditions;
+
+/// The name a node's own route variable takes in its [`NodeKey`].
+pub const SELF_ROUTE: &str = "route@self";
+
+/// The name the route variable of a node's `i`-th predecessor takes in the
+/// node's [`NodeKey`].
+pub fn neighbour_route(i: usize) -> String {
+    format!("route@in{i}")
+}
 
 /// The exact key of one node's three verification conditions: the intern
 /// ids of each condition's assumptions and goal (initial, inductive, safety,
-/// in that order) and how many ids each condition has. The arena gives
-/// equal ids exactly to structurally equal terms and never reuses an id, so
-/// two keys are equal exactly when the conditions are structurally
-/// identical terms — the checks are interchangeable, and no edit can
-/// collide with the key it replaces.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// in that order), after the positional renaming of the node's route
+/// variables (see the module docs), and how many ids each condition has.
+/// The arena gives equal ids exactly to structurally equal terms and never
+/// reuses an id, so two keys are equal exactly when the two nodes'
+/// conditions are alpha-equivalent under the positional renaming — the
+/// checks are interchangeable, and no edit can collide with the key it
+/// replaces.
+///
+/// A node whose conditions cannot be renamed (one of the renamed names is
+/// already free in them) is keyed by its conditions as they are; the key
+/// still names exactly the formula that is proved.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NodeKey {
     lens: [usize; 3],
     ids: Box<[InternId]>,
+}
+
+impl NodeKey {
+    fn of(conditions: &[Vc; 3]) -> NodeKey {
+        NodeKey {
+            lens: conditions.each_ref().map(|vc| vc.assumptions().len() + 1),
+            ids: conditions
+                .iter()
+                .flat_map(|vc| vc.assumptions().iter().chain([vc.goal()]))
+                .map(Expr::node_id)
+                .collect(),
+        }
+    }
+}
+
+/// Node `v`'s three conditions in the names of its key.
+pub(crate) struct KeyedConditions {
+    pub(crate) key: NodeKey,
+    /// The formulas the key names: `v`'s own conditions, renamed.
+    pub(crate) conditions: [Vc; 3],
+    /// From the key's names back to `v`'s own; `None` when the conditions
+    /// could not be renamed and are keyed as they are.
+    pub(crate) back: Option<Renaming>,
+}
+
+/// The positional renaming of node `v`'s route variables.
+pub(crate) fn positional_renaming(net: &Network, v: NodeId) -> Result<Renaming, RenameError> {
+    let preds = net.topology().preds(v).iter().enumerate();
+    Renaming::new(
+        std::iter::once((net.route_var_name(v), SELF_ROUTE.to_owned()))
+            .chain(preds.map(|(i, &u)| (net.route_var_name(u), neighbour_route(i)))),
+    )
+}
+
+/// Node `v`'s conditions, renamed, and their key.
+pub(crate) fn keyed_conditions(
+    net: &Network,
+    interface: &NodeAnnotations,
+    property: &NodeAnnotations,
+    delay: u64,
+    v: NodeId,
+) -> KeyedConditions {
+    let own = node_conditions(net, interface, property, delay, v);
+    let renamed = positional_renaming(net, v)
+        .and_then(|renaming| Ok((rename_conditions(&own, &renaming)?, renaming.inverse())));
+    let (conditions, back) = match renamed {
+        Ok((renamed, back)) => (renamed, Some(back)),
+        Err(_) => (own, None),
+    };
+    KeyedConditions { key: NodeKey::of(&conditions), conditions, back }
+}
+
+/// The three conditions renamed by one substitution (they share the
+/// symbolic preconditions and much of the interfaces).
+fn rename_conditions(conditions: &[Vc; 3], renaming: &Renaming) -> Result<[Vc; 3], RenameError> {
+    let terms: Vec<Expr> = conditions
+        .iter()
+        .flat_map(|vc| vc.assumptions().iter().chain([vc.goal()]))
+        .cloned()
+        .collect();
+    let mut renamed = renaming.apply(&terms)?.into_iter();
+    Ok(conditions.each_ref().map(|vc| {
+        let assumptions: Vec<Expr> = renamed.by_ref().take(vc.assumptions().len()).collect();
+        let goal = renamed.next().expect("one renamed goal per condition");
+        Vc::new(vc.name(), assumptions, goal)
+    }))
 }
 
 /// The [`NodeKey`] of node `v`.
@@ -54,19 +144,7 @@ pub fn node_fingerprint(
     delay: u64,
     v: NodeId,
 ) -> NodeKey {
-    let conditions = [
-        initial_vc(net, interface, v),
-        inductive_vc(net, interface, v, delay),
-        safety_vc(net, interface, property, v),
-    ];
-    NodeKey {
-        lens: conditions.each_ref().map(|vc| vc.assumptions().len() + 1),
-        ids: conditions
-            .iter()
-            .flat_map(|vc| vc.assumptions().iter().chain([vc.goal()]))
-            .map(Expr::node_id)
-            .collect(),
-    }
+    keyed_conditions(net, interface, property, delay, v).key
 }
 
 /// One snapshot of [`node_fingerprint`] over every node of an instance.
@@ -443,20 +521,27 @@ mod tests {
     }
 
     #[test]
-    fn keys_are_equal_exactly_when_the_conditions_are() {
+    fn keys_are_equal_exactly_when_the_conditions_are_alpha_equivalent() {
         // two independent builds intern to the same terms: every node keeps
         // its key, and across both builds and a budget edit a key is shared
-        // exactly by the nodes whose three conditions are equal terms
+        // exactly by the nodes whose three conditions are one formula up to
+        // the positional renaming of their route variables — and, for one
+        // node, exactly when its own conditions are equal terms
         let (a, interface, property) = budgeted_instance(4, 0);
         let (b, _, _) = budgeted_instance(4, 0);
         let c = a.with_failure_budget(1).unwrap();
-        let conditions = |net: &Network, v| {
-            [
-                initial_vc(net, &interface, v),
-                inductive_vc(net, &interface, v, 0),
-                safety_vc(net, &interface, &property, v),
-            ]
-            .map(|vc| (vc.assumptions().to_vec(), vc.goal().clone()))
+        let own = |net: &Network, v| {
+            crate::vc::node_conditions(net, &interface, &property, 0, v)
+                .map(|vc| (vc.assumptions().to_vec(), vc.goal().clone()))
+        };
+        // the renaming applied term by term, apart from the key's code path
+        let alpha = |net: &Network, v| {
+            let renaming = positional_renaming(net, v).unwrap();
+            own(net, v).map(|(assumptions, goal)| {
+                let renamed: Vec<Expr> =
+                    assumptions.iter().map(|e| e.rename(&renaming).unwrap()).collect();
+                (renamed, goal.rename(&renaming).unwrap())
+            })
         };
         let nodes: Vec<(&Network, NodeId)> = [&a, &b, &c]
             .into_iter()
@@ -467,11 +552,58 @@ mod tests {
             for &(n2, v2) in &nodes {
                 let same_key = node_fingerprint(n1, &interface, &property, 0, v1)
                     == node_fingerprint(n2, &interface, &property, 0, v2);
-                assert_eq!(same_key, conditions(n1, v1) == conditions(n2, v2), "{v1:?} {v2:?}");
+                assert_eq!(same_key, alpha(n1, v1) == alpha(n2, v2), "{v1:?} {v2:?}");
+                if v1 == v2 {
+                    assert_eq!(same_key, own(n1, v1) == own(n2, v2), "{v1:?}");
+                }
                 shared += usize::from(same_key && v1 == v2 && !std::ptr::eq(n1, n2));
             }
         }
         assert_eq!(shared, 2 * 4, "a and b share every key, c shares none");
+    }
+
+    #[test]
+    fn nodes_alike_up_to_their_route_names_share_a_key() {
+        // a ring: every node has the same two neighbours' shape and the same
+        // trivially true annotations, so after renaming all conditions are
+        // one formula — and without the renaming none would be
+        let g = gen::ring(5);
+        let net = NetworkBuilder::new(g, Type::Bool)
+            .merge(|a, b| a.clone().or(b.clone()))
+            .default_transfer(|r| r.clone())
+            .build()
+            .unwrap();
+        let reached = NodeAnnotations::new(net.topology(), Temporal::globally(|r| r.clone().not()));
+        let keys = Fingerprints::compute(&net, &reached, &reached, 0);
+        let first = keys.get(NodeId::new(0)).unwrap();
+        assert!(net.topology().nodes().all(|v| keys.get(v) == Some(first)));
+        // the key's formulas mention only the renamed names
+        let keyed = keyed_conditions(&net, &reached, &reached, 0, NodeId::new(3));
+        let free: Vec<String> = keyed
+            .conditions
+            .iter()
+            .flat_map(|vc| vc.assumptions().iter().chain([vc.goal()]))
+            .flat_map(|e| e.free_vars().unwrap().into_keys())
+            .filter(|name| name.starts_with("route"))
+            .collect();
+        assert!(free.iter().all(|name| name.starts_with("route@")), "{free:?}");
+        let back = keyed.back.expect("renamed");
+        assert_eq!(back.get(SELF_ROUTE), Some("route-v3"));
+    }
+
+    #[test]
+    fn a_node_whose_conditions_hold_a_renamed_name_is_keyed_as_it_is() {
+        // v1's interface mentions a free variable spelled like the renamed
+        // self name: renaming would capture it, so v1 keeps its own names
+        let (net, mut interface, property) = policy_instance(3);
+        let v1 = net.topology().node_by_name("v1").unwrap();
+        let ty = net.route_type().clone();
+        interface
+            .set(v1, Temporal::globally(move |r| Expr::var(SELF_ROUTE, ty.clone()).eq(r.clone())));
+        let keyed = keyed_conditions(&net, &interface, &property, 0, v1);
+        assert!(keyed.back.is_none());
+        let own = crate::vc::node_conditions(&net, &interface, &property, 0, v1);
+        assert_eq!(keyed.key, NodeKey::of(&own));
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod sweep;
 pub mod temporal;
 pub mod vc;
 
-pub use check::{CheckOptions, CheckReport, Failure, ModularChecker};
+pub use check::{CheckOptions, CheckReport, Failure, MemoStats, ModularChecker};
 pub use error::CoreError;
 pub use incremental::{Fingerprints, NodeVerdict, VerdictCache};
 pub use instance::{Instance, PropertySpec};

@@ -37,17 +37,38 @@
 //!
 //! [`CheckerPool::session_stats`] reports the sizes and the retirement
 //! count.
+//!
+//! **One proof per distinct condition.** Within one job, nodes whose
+//! conditions are the same formula up to the names of their route variables
+//! share a key ([`crate::incremental::NodeKey`]), and the job proves each
+//! key once. A worker builds and keys each node it claims, as it would to
+//! check it; the first to reach a key proves the key's (renamed)
+//! conditions, a node whose key is already proved is answered from the
+//! proof, and a node whose key another worker is still proving is *parked*
+//! on it and answered by that worker when the proof lands — no worker ever
+//! waits for another. Each answer carries the node's own failures: a
+//! counterexample moves back to the node's own names. Only definite proofs
+//! (every condition valid or invalid) are shared; a proof that came back
+//! unknown, or was abandoned, is not, and the next parked node is proved on
+//! its own. The memo lives for one job: nothing is served across checks.
 
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
+use timepiece_expr::Renaming;
 use timepiece_sched::{CancelToken, Job, Pool, PoolError};
-use timepiece_smt::{SolverSession, TermCacheStats};
-use timepiece_topology::NodeId;
+use timepiece_smt::{CounterExample, SolverSession, TermCacheStats, Validity, Vc};
+use timepiece_topology::{NodeId, Topology};
+use timepiece_trace::SpanGuard;
 
-use crate::check::{check_node_in_session, CheckOptions, CheckReport, Failure};
+use crate::check::{
+    discharge, failed, CheckOptions, CheckReport, Failure, FailureReason, MemoStats,
+};
 use crate::error::CoreError;
+use crate::incremental::{keyed_conditions, NodeKey};
 use crate::instance::Instance;
+use crate::vc::VcKind;
 
 /// A worker's session is retired once its encoder cache holds this many
 /// times the compiled terms the largest single job added. One compiled copy
@@ -175,19 +196,263 @@ struct Tally {
 }
 
 /// One `check_nodes` call: the caller's instance (shared by every worker,
-/// never copied) and how to check a node of it.
+/// never copied), how to check a node of it, and the job's memo.
 struct CheckJob {
     instance: Arc<Instance>,
     signature: String,
     options: CheckOptions,
     workers: usize,
     tally: Arc<Mutex<Tally>>,
+    memo: Memo,
+}
+
+/// One node's verdict, as a job reports it.
+struct Answer {
+    node: NodeId,
+    failures: Vec<Failure>,
+    duration: Duration,
+    /// Was it this node's own proof (or a memo hit)?
+    proved: bool,
+}
+
+/// A node that has built and keyed its conditions and waits for a verdict.
+struct Keyed {
+    node: NodeId,
+    /// From the key's names back to the node's own (`None`: the same).
+    back: Option<Renaming>,
+    /// How long building and keying its conditions took.
+    built: Duration,
+}
+
+/// What a key's proof found: the kind and counterexample (in the key's
+/// names) of each condition that failed — empty when all three hold.
+type Proof = Vec<(VcKind, Box<CounterExample>)>;
+
+/// Where one key stands within a job.
+enum Slot {
+    /// Nobody is proving it: the next node to reach it does.
+    Open,
+    /// A worker is proving it; the nodes parked here are answered when the
+    /// proof lands.
+    Proving(Vec<Keyed>),
+    /// Its definite proof.
+    Proved(Arc<Proof>),
+}
+
+/// The job's verdict memo: a slot per key, created by the first worker to
+/// reach the key (the double-checked `get_or_init` of a concurrent map), so
+/// every worker that reaches the key meets the same slot.
+#[derive(Default)]
+struct Memo {
+    slots: RwLock<HashMap<NodeKey, Arc<Mutex<Slot>>>>,
+}
+
+const MEMO_LOCK: &str = "memo updates cannot panic";
+
+impl Memo {
+    fn slot(&self, key: NodeKey) -> Arc<Mutex<Slot>> {
+        if let Some(slot) = self.slots.read().expect(MEMO_LOCK).get(&key) {
+            return Arc::clone(slot);
+        }
+        let mut slots = self.slots.write().expect(MEMO_LOCK);
+        Arc::clone(slots.entry(key).or_insert_with(|| Arc::new(Mutex::new(Slot::Open))))
+    }
+}
+
+/// What a node that reaches a key does next.
+enum Claim {
+    /// Prove the key: nobody else is.
+    Prove(Keyed),
+    /// Nothing: it is parked, and the key's prover answers it.
+    Parked,
+    /// Take its verdict from the key's proof.
+    Proved(Keyed, Arc<Proof>),
+}
+
+/// What the prover of a key does after an attempt.
+enum Settled {
+    /// The proof is stored: answer the nodes that were parked on the key.
+    Stored(Arc<Proof>, Vec<Keyed>),
+    /// Nothing was stored: prove the key again, for this parked node.
+    Next(Keyed),
+    /// Nothing was stored and nobody waits: the key is open again.
+    Open,
+}
+
+impl Slot {
+    /// `node` reaches the key.
+    fn claim(slot: &Mutex<Slot>, node: Keyed) -> Claim {
+        let mut state = slot.lock().expect(MEMO_LOCK);
+        match &mut *state {
+            Slot::Open => {
+                *state = Slot::Proving(Vec::new());
+                Claim::Prove(node)
+            }
+            Slot::Proving(parked) => {
+                parked.push(node);
+                Claim::Parked
+            }
+            Slot::Proved(proof) => Claim::Proved(node, Arc::clone(proof)),
+        }
+    }
+
+    /// The prover files an attempt: a definite `proof` is stored, anything
+    /// else (unknown, abandoned) never is.
+    fn settle(slot: &Mutex<Slot>, proof: Option<Proof>) -> Settled {
+        let mut state = slot.lock().expect(MEMO_LOCK);
+        let Slot::Proving(parked) = &mut *state else {
+            unreachable!("only the node proving a key settles it")
+        };
+        match proof {
+            Some(proof) => {
+                let (proof, parked) = (Arc::new(proof), std::mem::take(parked));
+                *state = Slot::Proved(Arc::clone(&proof));
+                Settled::Stored(proof, parked)
+            }
+            None if parked.is_empty() => {
+                *state = Slot::Open;
+                Settled::Open
+            }
+            None => Settled::Next(parked.remove(0)),
+        }
+    }
+}
+
+/// The node span of `v`; `memo` says whether a proof ran under it.
+fn node_span(g: &Topology, v: NodeId, memo: &str) -> SpanGuard {
+    let mut span = timepiece_trace::span(timepiece_trace::Phase::Node, g.name(v));
+    span.arg("class", g.node_class(v));
+    span.arg("memo", memo);
+    span
+}
+
+/// `node`'s failure of condition `kind`, given in its key's names.
+fn own_failure(g: &Topology, node: &Keyed, kind: VcKind, reason: FailureReason) -> Failure {
+    let node_name = g.name(node.node).to_owned();
+    let reason = match (reason, &node.back) {
+        (FailureReason::CounterExample(cex), Some(back)) => {
+            FailureReason::CounterExample(Box::new(CounterExample {
+                vc_name: format!("{kind}@{node_name}"),
+                assignment: back.env(&cex.assignment),
+            }))
+        }
+        (reason, _) => reason,
+    };
+    Failure { node: node.node, node_name, vc: kind, reason }
+}
+
+/// The answer a key's proof gives `node`.
+fn served(g: &Topology, node: &Keyed, proof: &Proof, duration: Duration, proved: bool) -> Answer {
+    let failures = proof
+        .iter()
+        .map(|(kind, cex)| own_failure(g, node, *kind, FailureReason::CounterExample(cex.clone())))
+        .collect();
+    Answer { node: node.node, failures, duration, proved }
+}
+
+/// The proof three definite results make, or `None` if one is unknown.
+fn proof_of(results: &[Validity; 3]) -> Option<Proof> {
+    let mut proof = Proof::new();
+    for (kind, result) in VcKind::ALL.into_iter().zip(results) {
+        match result {
+            Validity::Valid => {}
+            Validity::Invalid(cex) => proof.push((kind, cex.clone())),
+            Validity::Unknown(_) => return None,
+        }
+    }
+    Some(proof)
+}
+
+impl CheckJob {
+    /// Discharges a key's conditions for `v` on the worker's session: at
+    /// home it keeps what it compiles, stolen it leaves nothing behind.
+    fn discharge(
+        &self,
+        worker: &mut Worker,
+        v: NodeId,
+        conditions: &[Vc; 3],
+        token: &CancelToken,
+    ) -> Result<Option<[Validity; 3]>, CoreError> {
+        // `begin` opened it, and only an error drops it — after which the
+        // pool runs nothing more on this worker in this job
+        let (_, session) = worker.held.as_mut().expect("the job's session is open");
+        let checked = if v.index() % self.workers == worker.index {
+            discharge(session, token.flag(), conditions)
+        } else {
+            // a stolen node leaves nothing behind: stealing re-balances a
+            // job's time, and what a worker keeps — however often that
+            // happens, however many workers there are — is the compiled
+            // terms of its own nodes
+            session.scratch(|session| discharge(session, token.flag(), conditions))
+        };
+        if checked.is_err() {
+            // whatever the ill-typed condition declared must not outlive it
+            worker.held = None;
+        }
+        checked
+    }
+
+    /// Proves the key of `slot` for `prover`, then answers every node parked
+    /// on it. A proof that is not definite is not stored: the next parked
+    /// node is proved on its own, until one is definite or none is left.
+    fn prove(
+        &self,
+        worker: &mut Worker,
+        slot: &Mutex<Slot>,
+        conditions: &[Vc; 3],
+        mut prover: Keyed,
+        token: &CancelToken,
+    ) -> Result<Vec<Answer>, CoreError> {
+        let g = self.instance.network.topology();
+        let mut answers = Vec::new();
+        loop {
+            let start = Instant::now();
+            let results = {
+                let mut span = node_span(g, prover.node, "proof");
+                let results = self.discharge(worker, prover.node, conditions, token)?;
+                let verdict = match &results {
+                    None => "abandoned",
+                    Some(r) if r.iter().all(Validity::is_valid) => "verified",
+                    Some(_) => "failed",
+                };
+                span.arg("verdict", verdict);
+                results
+            };
+            let duration = prover.built + start.elapsed();
+            let proof = results.as_ref().and_then(proof_of);
+            if proof.is_none() {
+                // unknown or abandoned: the node keeps what it got, nobody
+                // else gets it
+                if let Some(results) = results {
+                    let failures = failed(results)
+                        .map(|(kind, reason)| own_failure(g, &prover, kind, reason))
+                        .collect();
+                    answers.push(Answer { node: prover.node, failures, duration, proved: true });
+                }
+            }
+            match Slot::settle(slot, proof) {
+                Settled::Stored(proof, parked) => {
+                    answers.push(served(g, &prover, &proof, duration, true));
+                    for node in parked {
+                        let mut span = node_span(g, node.node, "hit");
+                        span.arg("verdict", if proof.is_empty() { "verified" } else { "failed" });
+                        answers.push(served(g, &node, &proof, node.built, false));
+                    }
+                    return Ok(answers);
+                }
+                Settled::Next(node) => prover = node,
+                Settled::Open => return Ok(answers),
+            }
+        }
+    }
 }
 
 impl Job for CheckJob {
     type State = Worker;
     type Task = NodeId;
-    type Output = (NodeId, Vec<Failure>, Duration);
+    /// The nodes a task answered: its own node, unless the node was parked,
+    /// and every node parked on a key the task proved.
+    type Output = Vec<Answer>;
     type Error = CoreError;
 
     /// A node is at home on the same worker in every job — a full check or
@@ -213,40 +478,25 @@ impl Job for CheckJob {
         worker: &mut Worker,
         v: NodeId,
         token: &CancelToken,
-    ) -> Result<Option<Self::Output>, CoreError> {
+    ) -> Result<Option<Vec<Answer>>, CoreError> {
+        let start = Instant::now();
         let Instance { network, interface, property } = &*self.instance;
-        let check = |session: &mut SolverSession| {
-            check_node_in_session(
-                session,
-                token.flag(),
-                network,
-                interface,
-                property,
-                self.options.delay,
-                v,
-            )
+        let keyed = keyed_conditions(network, interface, property, self.options.delay, v);
+        let slot = self.memo.slot(keyed.key);
+        let node = Keyed { node: v, back: keyed.back, built: start.elapsed() };
+        let answers = match Slot::claim(&slot, node) {
+            Claim::Prove(node) => self.prove(worker, &slot, &keyed.conditions, node, token)?,
+            Claim::Parked => return Ok(Some(Vec::new())),
+            Claim::Proved(node, proof) => {
+                let mut span = node_span(network.topology(), v, "hit");
+                span.arg("verdict", if proof.is_empty() { "verified" } else { "failed" });
+                vec![served(network.topology(), &node, &proof, start.elapsed(), false)]
+            }
         };
-        // `begin` opened it, and only an error drops it — after which the
-        // pool runs nothing more on this worker in this job
-        let (_, session) = worker.held.as_mut().expect("the job's session is open");
-        let checked = if v.index() % self.workers == worker.index {
-            check(session)
-        } else {
-            // a stolen node leaves nothing behind: stealing re-balances a
-            // job's time, and what a worker keeps — however often that
-            // happens, however many workers there are — is the compiled
-            // terms of its own nodes
-            session.scratch(check)
-        };
-        if checked.is_err() {
-            // whatever the ill-typed condition declared must not outlive it
-            worker.held = None;
-        }
-        let Some((failures, duration)) = checked? else { return Ok(None) };
-        if self.options.fail_fast && !failures.is_empty() {
+        if self.options.fail_fast && answers.iter().any(|a| !a.failures.is_empty()) {
             token.cancel();
         }
-        Ok(Some((v, failures, duration)))
+        Ok(Some(answers))
     }
 
     fn end(&self, worker: &mut Worker) {
@@ -377,16 +627,23 @@ impl CheckerPool {
             options: self.options.clone(),
             workers: self.pool.workers(),
             tally: Arc::clone(&self.tally),
+            memo: Memo::default(),
         };
         let outcome = self.pool.run(nodes.to_vec(), cancel, job).map_err(|e| match e {
             PoolError::Task(e) => e,
             PoolError::WorkerDied => CoreError::WorkerDied,
         })?;
-        let mut node_durations = Vec::with_capacity(outcome.results.len());
+        let mut node_durations = Vec::with_capacity(nodes.len());
         let mut failures = Vec::new();
-        for (v, node_failures, duration) in outcome.results {
-            node_durations.push((v, duration));
-            failures.extend(node_failures);
+        let mut memo = MemoStats::default();
+        for answer in outcome.results.into_iter().flatten() {
+            node_durations.push((answer.node, answer.duration));
+            failures.extend(answer.failures);
+            if answer.proved {
+                memo.proofs += 1;
+            } else {
+                memo.hits += 1;
+            }
         }
         node_durations.sort_by_key(|(v, _)| *v);
         failures.sort_by_key(|f| f.node);
@@ -396,6 +653,7 @@ impl CheckerPool {
             wall: start.elapsed(),
             sched: Some(outcome.stats),
             terms: Some(self.tally.lock().expect("tally updates cannot panic").terms),
+            memo,
         })
     }
 }
@@ -403,7 +661,7 @@ impl CheckerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::ModularChecker;
+    use crate::check::{FailureReason, MemoStats, ModularChecker};
     use crate::interface::NodeAnnotations;
     use crate::temporal::Temporal;
     use std::collections::BTreeSet;
@@ -961,6 +1219,173 @@ mod tests {
         // nor does one whose first job is its only one (a one-shot check)
         assert_eq!(scoped.end_job(), 0);
         assert_eq!(scoped.stats().sessions, 1);
+    }
+
+    /// Hop-count routes on a hand-built digraph: `x`, `y` and `z` each hear
+    /// two sources, one that always has a route (interface `A`) and one that
+    /// never has (`B`). `x` hears them as [A, B]; so does `y`, from sources
+    /// whose names sort the other way round; `z` hears [B, A]. All three
+    /// claim never to hold a route, which fails their inductive conditions.
+    fn two_neighbour_instance() -> (Arc<Instance>, [NodeId; 3]) {
+        use timepiece_algebra::policy::{MergeKey, RoutePolicy, RouteSchema};
+        let mut g = timepiece_topology::Topology::new();
+        let [p0, p1, p2, p3, p4, p5, x, y, z] =
+            ["p0", "p1", "p2", "p3", "p4", "p5", "x", "y", "z"].map(|name| g.add_node(name));
+        for (u, v) in [(p0, x), (p1, x), (p3, y), (p2, y), (p4, z), (p5, z)] {
+            g.add_edge(u, v);
+        }
+        let schema = RouteSchema::new(
+            "Hop",
+            [("len".to_owned(), Type::Int)],
+            [MergeKey::Lower("len".into())],
+        );
+        let origin = Expr::record(schema.record_def(), vec![Expr::int(0)]).some();
+        let always = [p0, p3, p5];
+        let mut builder = NetworkBuilder::from_schema(g, schema)
+            .default_policy(RoutePolicy::new().increment("len"));
+        for v in always {
+            builder = builder.init(v, origin.clone());
+        }
+        let network = builder.build().unwrap();
+        let interface = NodeAnnotations::from_fn(network.topology(), |v| {
+            if always.contains(&v) {
+                Temporal::globally(|r| r.clone().is_some())
+            } else {
+                Temporal::globally(|r| r.clone().is_none())
+            }
+        });
+        let property = anything(&network);
+        (Arc::new(Instance { network, interface, property }), [x, y, z])
+    }
+
+    /// Does `failure`'s counterexample falsify its node's *own* condition:
+    /// every assumption true, the goal false?
+    fn falsifies_its_own_condition(instance: &Instance, failure: &Failure) -> bool {
+        let Instance { network, interface, property } = instance;
+        let conditions = crate::vc::node_conditions(network, interface, property, 0, failure.node);
+        let vc = &conditions[VcKind::ALL.iter().position(|k| *k == failure.vc).unwrap()];
+        let env = failure.counterexample().expect("a counterexample");
+        vc.assumptions().iter().all(|a| a.eval_bool(env) == Ok(true))
+            && vc.goal().eval_bool(env) == Ok(false)
+    }
+
+    #[test]
+    fn keys_are_positional_and_served_counterexamples_are_the_nodes_own() {
+        use crate::incremental::node_fingerprint;
+        let (instance, [x, y, z]) = two_neighbour_instance();
+        let Instance { network, interface, property } = &*instance;
+        let key = |v| node_fingerprint(network, interface, property, 0, v);
+        // y's neighbours match x's by position, not by name: a renaming that
+        // sorted them, or mapped both to one name, would key y apart from x
+        assert_eq!(key(x), key(y));
+        assert_ne!(key(x), key(z), "z hears the same interfaces the other way round");
+        for mut engine in Engine::lifetimes(threads(2)) {
+            let report = engine.check(network, interface, property).unwrap();
+            // four keys: the A sources, the B sources, x and y, and z
+            assert_eq!(report.memo(), MemoStats { proofs: 4, hits: 5 }, "{}", engine.name());
+            // the memo changes nothing a memo-free check of each node finds
+            let found: BTreeSet<(String, String)> =
+                report.failures().iter().map(|f| (f.node_name.clone(), f.vc.to_string())).collect();
+            let mut alone = BTreeSet::new();
+            let checker = ModularChecker::new(CheckOptions::default());
+            for v in network.topology().nodes() {
+                let (failures, _) = checker.check_node(network, interface, property, v).unwrap();
+                alone.extend(failures.iter().map(|f| (f.node_name.clone(), f.vc.to_string())));
+            }
+            assert_eq!(found, alone, "{}", engine.name());
+            assert_eq!(
+                found.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(),
+                ["x", "y", "z"],
+                "{}",
+                engine.name()
+            );
+            // x or y was answered by the other's proof: whichever it was,
+            // its counterexample speaks of its own neighbours and refutes
+            // its own condition
+            for f in report.failures() {
+                assert!(falsifies_its_own_condition(&instance, f), "{f}");
+                let g = network.topology();
+                for &u in g.preds(f.node) {
+                    let name = network.route_var_name(u);
+                    assert!(f.counterexample().unwrap().get(&name).is_some(), "{f}");
+                }
+                assert_eq!(
+                    f.counterexample().map(|_| ()).and(match &f.reason {
+                        FailureReason::CounterExample(cex) => Some(cex.vc_name.clone()),
+                        FailureReason::Unknown(_) => None,
+                    }),
+                    Some(format!("{}@{}", f.vc, f.node_name))
+                );
+            }
+        }
+    }
+
+    fn keyed(index: u32) -> Keyed {
+        Keyed { node: NodeId::new(index), back: None, built: Duration::ZERO }
+    }
+
+    #[test]
+    fn only_definite_proofs_are_stored_and_a_parked_node_then_proves_its_own() {
+        let slot = Mutex::new(Slot::Open);
+        assert!(matches!(Slot::claim(&slot, keyed(0)), Claim::Prove(n) if n.node.index() == 0));
+        assert!(matches!(Slot::claim(&slot, keyed(1)), Claim::Parked));
+        assert!(matches!(Slot::claim(&slot, keyed(2)), Claim::Parked));
+        // node 0's proof came back unknown (or was abandoned): not stored,
+        // and node 1, parked first, proves the key on its own
+        assert!(matches!(Slot::settle(&slot, None), Settled::Next(n) if n.node.index() == 1));
+        // meanwhile a newcomer is not served the unknown: it parks
+        assert!(matches!(Slot::claim(&slot, keyed(3)), Claim::Parked));
+        assert!(matches!(Slot::settle(&slot, None), Settled::Next(n) if n.node.index() == 2));
+        // a definite proof is stored and answers whoever is still parked
+        match Slot::settle(&slot, Some(Proof::new())) {
+            Settled::Stored(proof, parked) => {
+                assert!(proof.is_empty());
+                assert_eq!(parked.iter().map(|n| n.node.index()).collect::<Vec<_>>(), [3]);
+            }
+            _ => panic!("a definite proof must be stored"),
+        }
+        assert!(matches!(Slot::claim(&slot, keyed(4)), Claim::Proved(..)));
+        // with nobody parked, a proof that is not definite reopens the key
+        let slot = Mutex::new(Slot::Open);
+        assert!(matches!(Slot::claim(&slot, keyed(0)), Claim::Prove(_)));
+        assert!(matches!(Slot::settle(&slot, None), Settled::Open));
+        assert!(matches!(Slot::claim(&slot, keyed(1)), Claim::Prove(_)));
+    }
+
+    /// "Nine pigeons do not fit in eight holes": valid, and far too hard to
+    /// prove within a millisecond.
+    fn pigeonhole() -> Expr {
+        let sits = |p: usize, h: usize| Expr::var(format!("sits-{p}-{h}"), Type::Bool);
+        let placed = (0..9).map(|p| Expr::or_all((0..8).map(|h| sits(p, h))));
+        let alone = (0..8).flat_map(|h| {
+            (0..9).flat_map(move |p| (p + 1..9).map(move |q| sits(p, h).and(sits(q, h)).not()))
+        });
+        Expr::and_all(placed.chain(alone)).not()
+    }
+
+    #[test]
+    fn no_memo_hit_carries_an_unknown() {
+        // a ring of alike nodes shares one key, and a budget far too small
+        // for its safety condition makes every proof come back unknown:
+        // each node must then have been proved on its own — an unknown is
+        // never stored, so never served
+        let net = reach_net(12);
+        let interface = anything(&net);
+        let property = NodeAnnotations::new(net.topology(), Temporal::globally(|_| pigeonhole()));
+        let options = CheckOptions { timeout: Some(Duration::from_nanos(1)), ..threads(2) };
+        for mut engine in Engine::lifetimes(options) {
+            let report = engine.check(&net, &interface, &property).unwrap();
+            let unknown: BTreeSet<NodeId> = report
+                .failures()
+                .iter()
+                .filter(|f| matches!(f.reason, FailureReason::Unknown(_)))
+                .map(|f| f.node)
+                .collect();
+            let memo = report.memo();
+            assert_eq!(memo.proofs + memo.hits, 12, "{}", engine.name());
+            assert!(!unknown.is_empty(), "{}: the budget must run out", engine.name());
+            assert!(unknown.len() <= memo.proofs, "{}: {memo:?}, {unknown:?}", engine.name());
+        }
     }
 
     #[test]

@@ -19,6 +19,11 @@ pub enum VcKind {
     Safety,
 }
 
+impl VcKind {
+    /// The three kinds, in the order a node's conditions are discharged.
+    pub const ALL: [VcKind; 3] = [VcKind::Initial, VcKind::Inductive, VcKind::Safety];
+}
+
 impl std::fmt::Display for VcKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -32,6 +37,21 @@ impl std::fmt::Display for VcKind {
 /// The symbolic time variable shared by the inductive and safety conditions.
 pub fn time_var() -> Expr {
     Expr::var("t", Type::Int)
+}
+
+/// Node `v`'s three conditions, in [`VcKind::ALL`] order.
+pub fn node_conditions(
+    net: &Network,
+    interface: &NodeAnnotations,
+    property: &NodeAnnotations,
+    delay: u64,
+    v: NodeId,
+) -> [Vc; 3] {
+    [
+        initial_vc(net, interface, v),
+        inductive_vc(net, interface, v, delay),
+        safety_vc(net, interface, property, v),
+    ]
 }
 
 /// Builds the initial condition (5) for node `v`:

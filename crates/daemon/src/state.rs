@@ -622,6 +622,11 @@ impl Loaded {
             pairs.push(("term_hits".to_owned(), Json::from(terms.hits as usize)));
             pairs.push(("term_misses".to_owned(), Json::from(terms.misses as usize)));
         }
+        // how the cone's nodes got their verdicts: proved, or answered by
+        // the proof of an equal key within this request
+        let memo = report.memo();
+        pairs.push(("memo_proofs".to_owned(), Json::from(memo.proofs)));
+        pairs.push(("memo_hits".to_owned(), Json::from(memo.hits)));
         Json::Obj(pairs)
     }
 
