@@ -38,7 +38,7 @@ pub mod network;
 pub mod policy;
 pub mod policy_text;
 
-pub use network::{Network, NetworkBuilder, NetworkPolicies, Symbolic};
+pub use network::{is_checker_bound, Network, NetworkBuilder, NetworkPolicies, Symbolic, TIME_VAR};
 pub use policy::{
     ClauseAction, FailureModel, MergeKey, PolicyClause, PolicyError, RewriteOp, RouteGuard,
     RoutePolicy, RouteSchema,

@@ -16,6 +16,21 @@ use timepiece_topology::{NodeId, Topology};
 
 use crate::policy::{FailureModel, RoutePolicy, RouteSchema};
 
+/// The time variable of the inductive and safety conditions.
+pub const TIME_VAR: &str = "t";
+
+/// Does the checker bind `name` in a node's conditions? It binds
+/// [`TIME_VAR`], every node's route variable `route-<node>`
+/// ([`Network::route_var_name`]) and the positional route names a node's
+/// conditions are keyed in (`route@self`, `route@in<i>`). A free variable
+/// spelled like one of them — a symbolic, or a name a transfer, merge or
+/// interface closure writes itself — would be captured by the checker's
+/// variable, so [`NetworkBuilder::build`] refuses such symbolics and closures
+/// must not write these names.
+pub fn is_checker_bound(name: &str) -> bool {
+    name == TIME_VAR || name.starts_with("route-") || name.starts_with("route@")
+}
+
 /// A transfer function `f_e`, building the route sent across an edge.
 pub type TransferFn = Arc<dyn Fn(&Expr) -> Expr + Send + Sync>;
 
@@ -84,6 +99,15 @@ pub enum NetworkError {
     },
     /// Two symbolics share a name.
     DuplicateSymbolic(String),
+    /// A symbolic is named like a variable the checker binds, or an
+    /// initial route, transfer result, merge result or constraint mentions
+    /// one ([`is_checker_bound`]).
+    ReservedName {
+        /// Which component uses the name.
+        what: String,
+        /// The name.
+        name: String,
+    },
     /// An initial route, transfer result, merge result or constraint had the
     /// wrong type.
     BadType {
@@ -117,6 +141,10 @@ impl fmt::Display for NetworkError {
             NetworkError::DuplicateSymbolic(name) => {
                 write!(f, "duplicate symbolic value {name:?}")
             }
+            NetworkError::ReservedName { what, name } => write!(
+                f,
+                "{what}: {name:?} is a variable the checker binds (t, route-<node>, route@...)"
+            ),
             NetworkError::BadType { what, source } => write!(f, "ill-typed {what}: {source}"),
             NetworkError::MixedPolicyModes => {
                 write!(f, "declarative policies cannot be mixed with closure transfers/merge")
@@ -363,7 +391,7 @@ impl Network {
             }
         });
         let probe = Expr::var("probe-a", self.route_type.clone());
-        expect_type(
+        expect_component(
             &transfer(&probe),
             &self.route_type,
             &format!(
@@ -437,6 +465,13 @@ impl Network {
 }
 
 /// Builder for [`Network`], validating component types at [`build`].
+///
+/// The checker binds `t`, `route-<node>` and the positional `route@…` names
+/// in every condition it builds ([`is_checker_bound`]), so no component may
+/// use them itself — the checker's variable would capture its own. [`build`]
+/// refuses a symbolic so named, and an initial route, a symbolic's
+/// constraint, or a transfer or merge result (applied to probe routes) that
+/// mentions one.
 ///
 /// [`build`]: NetworkBuilder::build
 pub struct NetworkBuilder {
@@ -560,6 +595,9 @@ impl NetworkBuilder {
     /// * [`NetworkError::MissingTransfer`] if an edge lacks a transfer
     ///   function and no default was set;
     /// * [`NetworkError::DuplicateSymbolic`] for name collisions;
+    /// * [`NetworkError::ReservedName`] for a symbolic named like a variable
+    ///   the checker binds ([`is_checker_bound`]), or an initial route,
+    ///   constraint, transfer output or merge output mentioning one;
     /// * [`NetworkError::BadType`] if any initial route, transfer output,
     ///   merge output or symbolic constraint does not type check against the
     ///   route type.
@@ -634,11 +672,17 @@ impl NetworkBuilder {
         };
 
         for (i, s) in symbolics.iter().enumerate() {
+            if is_checker_bound(s.name()) {
+                return Err(NetworkError::ReservedName {
+                    what: "symbolic value".to_owned(),
+                    name: s.name().to_owned(),
+                });
+            }
             if symbolics[..i].iter().any(|t| t.name() == s.name()) {
                 return Err(NetworkError::DuplicateSymbolic(s.name().to_owned()));
             }
             if let Some(c) = s.constraint() {
-                expect_type(c, &Type::Bool, &format!("constraint of symbolic {}", s.name()))?;
+                expect_component(c, &Type::Bool, &format!("constraint of symbolic {}", s.name()))?;
             }
         }
 
@@ -665,19 +709,20 @@ impl NetworkBuilder {
         let init: Vec<Expr> =
             init.into_iter().map(|e| e.unwrap_or_else(|| default_init.clone())).collect();
 
-        // type check every component against the route type
+        // type check every component against the route type, and refuse
+        // the names the checker binds
         let probe_a = Expr::var("probe-a", route_type.clone());
         let probe_b = Expr::var("probe-b", route_type.clone());
-        expect_type(&merge(&probe_a, &probe_b), &route_type, "merge result")?;
+        expect_component(&merge(&probe_a, &probe_b), &route_type, "merge result")?;
         for (v, e) in init.iter().enumerate() {
-            expect_type(
+            expect_component(
                 e,
                 &route_type,
                 &format!("initial route of {}", topology.name(NodeId::new(v as u32))),
             )?;
         }
         for ((u, v), f) in &transfers {
-            expect_type(
+            expect_component(
                 &f(&probe_a),
                 &route_type,
                 &format!("transfer result of {} -> {}", topology.name(*u), topology.name(*v)),
@@ -693,6 +738,17 @@ impl NetworkBuilder {
             symbolics,
             policies,
         })
+    }
+}
+
+/// `e` has type `expected` and mentions no variable the checker binds.
+fn expect_component(e: &Expr, expected: &Type, what: &str) -> Result<(), NetworkError> {
+    expect_type(e, expected, what)?;
+    let vars =
+        e.free_vars().map_err(|source| NetworkError::BadType { what: what.to_owned(), source })?;
+    match vars.into_keys().find(|name| is_checker_bound(name)) {
+        Some(name) => Err(NetworkError::ReservedName { what: what.to_owned(), name }),
+        None => Ok(()),
     }
 }
 
@@ -785,6 +841,64 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, NetworkError::BadType { .. }));
+    }
+
+    #[test]
+    fn symbolics_named_like_checker_variables_are_refused() {
+        for name in ["t", "route-v0", "route-nowhere", "route@self", "route@in3"] {
+            let err = NetworkBuilder::new(gen::path(2), Type::Bool)
+                .merge(|a, b| a.clone().or(b.clone()))
+                .default_transfer(|r| r.clone())
+                .symbolic(Symbolic::new(name, Type::Int, None))
+                .build()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                NetworkError::ReservedName { what: "symbolic value".into(), name: name.into() }
+            );
+        }
+        // names that merely contain a reserved one are free
+        for name in ["time", "tt", "router", "my-route-v0"] {
+            assert!(!is_checker_bound(name), "{name}");
+        }
+    }
+
+    #[test]
+    fn components_mentioning_checker_variables_are_refused() {
+        let g = gen::path(2);
+        let (v0, v1) = (g.node_by_name("v0").unwrap(), g.node_by_name("v1").unwrap());
+        let bound = |name: &str| Expr::var(name, Type::Bool);
+        let base = || {
+            NetworkBuilder::new(g.clone(), Type::Bool)
+                .merge(|a, b| a.clone().or(b.clone()))
+                .default_transfer(|r| r.clone())
+        };
+        let refused = |b: NetworkBuilder, what: &str, name: &str| {
+            let what = what.to_owned();
+            assert_eq!(
+                b.build().unwrap_err(),
+                NetworkError::ReservedName { what, name: name.into() }
+            );
+        };
+        let in0 = bound("route@in0");
+        refused(
+            base().transfer((v0, v1), move |r| r.clone().and(in0.clone().not())),
+            "transfer result of v0 -> v1",
+            "route@in0",
+        );
+        let own = bound("route-v0");
+        refused(
+            base().merge(move |a, b| a.clone().or(b.clone()).or(own.clone())),
+            "merge result",
+            "route-v0",
+        );
+        refused(base().init(v1, bound("route@self")), "initial route of v1", "route@self");
+        let late = Expr::var("x", Type::Int).lt(Expr::var(TIME_VAR, Type::Int));
+        refused(
+            base().symbolic(Symbolic::new("x", Type::Int, Some(late))),
+            "constraint of symbolic x",
+            TIME_VAR,
+        );
     }
 
     #[test]

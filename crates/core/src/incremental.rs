@@ -10,30 +10,47 @@
 //! comparing the intern ids of the *compiled conditions* before and after
 //! the delta.
 //!
-//! The ids are taken after one renaming, the same for every node: `v`'s own
-//! route variable becomes [`SELF_ROUTE`] and the route variable of its
-//! `i`-th predecessor [`neighbour_route`]`(i)`, in `preds(v)` order, never
-//! sorted. The renaming is injective, so for one node a key still changes
-//! exactly when its conditions do; across nodes, two keys are equal exactly
-//! when the two nodes' conditions are the same formula up to the names of
-//! their route variables — one proof answers both, which is what
-//! [`crate::sweep::CheckerPool`]'s per-job memo exploits.
+//! The conditions are built in the same names at every node: `v`'s own
+//! route variable is [`SELF_ROUTE`] and the route variable of its `i`-th
+//! predecessor [`neighbour_route`]`(i)`, in `preds(v)` order, never sorted.
+//! For one node a key changes exactly when its conditions do; across nodes,
+//! two keys are equal exactly when the two nodes' conditions are the same
+//! formula up to the names of their route variables — one proof answers
+//! both, which is what [`crate::sweep::CheckerPool`]'s per-job memo
+//! exploits.
+//!
+//! A node is built and keyed in its own names instead exactly when a walk
+//! finds a route name (by [`timepiece_algebra::is_checker_bound`]) that a
+//! closure wrote itself, where in key names the checker's variable could
+//! capture it:
+//!
+//! * in a key-name condition, one the build did not pass to it: any
+//!   `route-<u>`, any positional name in the initial condition,
+//!   [`SELF_ROUTE`] in the inductive one, a neighbour's in the safety one,
+//!   or [`neighbour_route`]`(j)` with `j` at or beyond the in-degree;
+//! * in an annotation the conditions apply — the node's interface and
+//!   property, its predecessors' interfaces — applied to a probe route:
+//!   any route name at all, since a passed one cannot be told apart from
+//!   the closure's in the conditions themselves.
+//!
+//! Initial routes, transfers, merges and symbolics never hold these names:
+//! [`timepiece_algebra::NetworkBuilder::build`] refuses any that do.
 //!
 //! [`Fingerprints`] captures those keys; [`Fingerprints::dirty_cone`]
 //! diffs two snapshots into the exact set of nodes whose conditions
 //! changed. [`VerdictCache`] remembers the last verdict per node, so a
 //! service re-checks the cone and serves everything else from cache.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
-use timepiece_algebra::Network;
-use timepiece_expr::{Expr, InternId, RenameError, Renaming};
+use timepiece_algebra::{is_checker_bound, Network, TIME_VAR};
+use timepiece_expr::{Env, Expr, ExprKind, InternId};
 use timepiece_smt::Vc;
 use timepiece_topology::{NodeId, Topology};
 
 use crate::check::{CheckReport, Failure};
 use crate::interface::NodeAnnotations;
-use crate::vc::node_conditions;
+use crate::vc::{conditions_over, node_conditions, time_var};
 
 /// The name a node's own route variable takes in its [`NodeKey`].
 pub const SELF_ROUTE: &str = "route@self";
@@ -46,17 +63,15 @@ pub fn neighbour_route(i: usize) -> String {
 
 /// The exact key of one node's three verification conditions: the intern
 /// ids of each condition's assumptions and goal (initial, inductive, safety,
-/// in that order), after the positional renaming of the node's route
-/// variables (see the module docs), and how many ids each condition has.
-/// The arena gives equal ids exactly to structurally equal terms and never
-/// reuses an id, so two keys are equal exactly when the two nodes'
-/// conditions are alpha-equivalent under the positional renaming — the
-/// checks are interchangeable, and no edit can collide with the key it
-/// replaces.
+/// in that order), built in the positional names of the module docs, and
+/// how many ids each condition has. The arena gives equal ids exactly to
+/// structurally equal terms and never reuses an id, so two keys are equal
+/// exactly when the two nodes' conditions are alpha-equivalent under the
+/// positional names — the checks are interchangeable, and no edit can
+/// collide with the key it replaces.
 ///
-/// A node whose conditions cannot be renamed (one of the renamed names is
-/// already free in them) is keyed by its conditions as they are; the key
-/// still names exactly the formula that is proved.
+/// A node built in its own names (see the module docs) is keyed by those
+/// conditions; the key still names exactly the formula that is proved.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NodeKey {
     lens: [usize; 3],
@@ -64,7 +79,8 @@ pub struct NodeKey {
 }
 
 impl NodeKey {
-    fn of(conditions: &[Vc; 3]) -> NodeKey {
+    /// The key of three conditions as they are.
+    pub fn of(conditions: &[Vc; 3]) -> NodeKey {
         NodeKey {
             lens: conditions.each_ref().map(|vc| vc.assumptions().len() + 1),
             ids: conditions
@@ -79,23 +95,47 @@ impl NodeKey {
 /// Node `v`'s three conditions in the names of its key.
 pub(crate) struct KeyedConditions {
     pub(crate) key: NodeKey,
-    /// The formulas the key names: `v`'s own conditions, renamed.
+    /// The formulas the key names.
     pub(crate) conditions: [Vc; 3],
     /// From the key's names back to `v`'s own; `None` when the conditions
-    /// could not be renamed and are keyed as they are.
-    pub(crate) back: Option<Renaming>,
+    /// are built in `v`'s own names.
+    pub(crate) back: Option<OwnNames>,
 }
 
-/// The positional renaming of node `v`'s route variables.
-pub(crate) fn positional_renaming(net: &Network, v: NodeId) -> Result<Renaming, RenameError> {
-    let preds = net.topology().preds(v).iter().enumerate();
-    Renaming::new(
-        std::iter::once((net.route_var_name(v), SELF_ROUTE.to_owned()))
-            .chain(preds.map(|(i, &u)| (net.route_var_name(u), neighbour_route(i)))),
-    )
+/// From the positional names of a node's key back to the node's own route
+/// names, as `(key name, own name)` pairs.
+pub(crate) struct OwnNames(Vec<(String, String)>);
+
+impl OwnNames {
+    fn of(net: &Network, v: NodeId) -> OwnNames {
+        let preds = net.topology().preds(v).iter().enumerate();
+        OwnNames(
+            std::iter::once((SELF_ROUTE.to_owned(), net.route_var_name(v)))
+                .chain(preds.map(|(i, &u)| (neighbour_route(i), net.route_var_name(u))))
+                .collect(),
+        )
+    }
+
+    /// The own name of the key name `name`, if it is one.
+    pub(crate) fn get(&self, name: &str) -> Option<&str> {
+        self.0.iter().find(|(key, _)| key == name).map(|(_, own)| own.as_str())
+    }
+
+    /// `env` in the node's own names. A key name's binding moves to its own
+    /// name and shadows any binding the own name had, whatever the order.
+    pub(crate) fn env(&self, env: &Env) -> Env {
+        env.iter()
+            .filter_map(|(name, value)| match self.get(name) {
+                Some(own) => Some((own.to_owned(), value.clone())),
+                None if self.0.iter().any(|(_, own)| own == name) => None,
+                None => Some((name.to_owned(), value.clone())),
+            })
+            .collect()
+    }
 }
 
-/// Node `v`'s conditions, renamed, and their key.
+/// Node `v`'s conditions, built in its key's names unless a walk of the
+/// module docs finds a route name a closure wrote itself, and their key.
 pub(crate) fn keyed_conditions(
     net: &Network,
     interface: &NodeAnnotations,
@@ -103,30 +143,73 @@ pub(crate) fn keyed_conditions(
     delay: u64,
     v: NodeId,
 ) -> KeyedConditions {
-    let own = node_conditions(net, interface, property, delay, v);
-    let renamed = positional_renaming(net, v)
-        .and_then(|renaming| Ok((rename_conditions(&own, &renaming)?, renaming.inverse())));
-    let (conditions, back) = match renamed {
-        Ok((renamed, back)) => (renamed, Some(back)),
-        Err(_) => (own, None),
-    };
-    KeyedConditions { key: NodeKey::of(&conditions), conditions, back }
+    let ty = net.route_type();
+    let route = Expr::var(SELF_ROUTE, ty.clone());
+    let neighbours: Vec<Expr> = (0..net.topology().preds(v).len())
+        .map(|i| Expr::var(neighbour_route(i), ty.clone()))
+        .collect();
+    let conditions = conditions_over(net, interface, property, delay, v, &route, &neighbours);
+    let mut walk = Walk::default();
+    let passed: [&[Expr]; 3] = [&[], &neighbours, std::slice::from_ref(&route)];
+    let unpassed = conditions
+        .iter()
+        .zip(passed)
+        .any(|(vc, passed)| walk.finds_route(vc.assumptions().iter().chain([vc.goal()]), passed));
+    if unpassed || walk.finds_route(&annotations_at_probe(net, interface, property, v), &[]) {
+        let own = node_conditions(net, interface, property, delay, v);
+        return KeyedConditions { key: NodeKey::of(&own), conditions: own, back: None };
+    }
+    KeyedConditions { key: NodeKey::of(&conditions), conditions, back: Some(OwnNames::of(net, v)) }
 }
 
-/// The three conditions renamed by one substitution (they share the
-/// symbolic preconditions and much of the interfaces).
-fn rename_conditions(conditions: &[Vc; 3], renaming: &Renaming) -> Result<[Vc; 3], RenameError> {
-    let terms: Vec<Expr> = conditions
-        .iter()
-        .flat_map(|vc| vc.assumptions().iter().chain([vc.goal()]))
-        .cloned()
-        .collect();
-    let mut renamed = renaming.apply(&terms)?.into_iter();
-    Ok(conditions.each_ref().map(|vc| {
-        let assumptions: Vec<Expr> = renamed.by_ref().take(vc.assumptions().len()).collect();
-        let goal = renamed.next().expect("one renamed goal per condition");
-        Vc::new(vc.name(), assumptions, goal)
-    }))
+/// The annotations `v`'s conditions apply — its interface and property and
+/// its predecessors' interfaces — applied to a probe route that no
+/// condition binds: a route name in them is one a closure wrote itself.
+fn annotations_at_probe(
+    net: &Network,
+    interface: &NodeAnnotations,
+    property: &NodeAnnotations,
+    v: NodeId,
+) -> Vec<Expr> {
+    let (t, probe) = (time_var(), Expr::var("probe", net.route_type().clone()));
+    let preds = net.topology().preds(v).iter().map(|&u| interface.get(u));
+    [interface.get(v), property.get(v)]
+        .into_iter()
+        .chain(preds)
+        .map(|op| op.at(&t, &probe))
+        .collect()
+}
+
+/// A free-variable walk that allocates nothing once its buffers are grown.
+#[derive(Default)]
+struct Walk<'e> {
+    seen: HashSet<InternId>,
+    stack: Vec<&'e Expr>,
+}
+
+impl<'e> Walk<'e> {
+    /// Does a route name other than the variables `passed` occur in
+    /// `terms`? Each shared subterm is visited once.
+    fn finds_route(&mut self, terms: impl IntoIterator<Item = &'e Expr>, passed: &[Expr]) -> bool {
+        self.seen.clear();
+        self.stack.clear();
+        self.stack.extend(terms);
+        while let Some(e) = self.stack.pop() {
+            if !self.seen.insert(e.node_id()) {
+                continue;
+            }
+            match e.kind() {
+                ExprKind::Var(name, _) => {
+                    let route = name != TIME_VAR && is_checker_bound(name);
+                    if route && !passed.iter().any(|p| p.same_node(e)) {
+                        return true;
+                    }
+                }
+                _ => self.stack.extend(e.children()),
+            }
+        }
+        false
+    }
 }
 
 /// The [`NodeKey`] of node `v`.
@@ -349,9 +432,10 @@ mod tests {
     use super::*;
     use crate::check::{CheckOptions, ModularChecker};
     use crate::temporal::Temporal;
+    use crate::vc::VcKind;
     use timepiece_algebra::policy::{MergeKey, RouteGuard, RoutePolicy, RouteSchema};
     use timepiece_algebra::NetworkBuilder;
-    use timepiece_expr::{Expr, Type};
+    use timepiece_expr::{Type, Value};
     use timepiece_topology::gen;
 
     /// A policy-mode hop-count network on an undirected path, with the
@@ -521,52 +605,20 @@ mod tests {
     }
 
     #[test]
-    fn keys_are_equal_exactly_when_the_conditions_are_alpha_equivalent() {
-        // two independent builds intern to the same terms: every node keeps
-        // its key, and across both builds and a budget edit a key is shared
-        // exactly by the nodes whose three conditions are one formula up to
-        // the positional renaming of their route variables — and, for one
-        // node, exactly when its own conditions are equal terms
-        let (a, interface, property) = budgeted_instance(4, 0);
-        let (b, _, _) = budgeted_instance(4, 0);
-        let c = a.with_failure_budget(1).unwrap();
-        let own = |net: &Network, v| {
-            crate::vc::node_conditions(net, &interface, &property, 0, v)
-                .map(|vc| (vc.assumptions().to_vec(), vc.goal().clone()))
-        };
-        // the renaming applied term by term, apart from the key's code path
-        let alpha = |net: &Network, v| {
-            let renaming = positional_renaming(net, v).unwrap();
-            own(net, v).map(|(assumptions, goal)| {
-                let renamed: Vec<Expr> =
-                    assumptions.iter().map(|e| e.rename(&renaming).unwrap()).collect();
-                (renamed, goal.rename(&renaming).unwrap())
-            })
-        };
-        let nodes: Vec<(&Network, NodeId)> = [&a, &b, &c]
-            .into_iter()
-            .flat_map(|net| net.topology().nodes().map(move |v| (net, v)))
-            .collect();
-        let mut shared = 0;
-        for &(n1, v1) in &nodes {
-            for &(n2, v2) in &nodes {
-                let same_key = node_fingerprint(n1, &interface, &property, 0, v1)
-                    == node_fingerprint(n2, &interface, &property, 0, v2);
-                assert_eq!(same_key, alpha(n1, v1) == alpha(n2, v2), "{v1:?} {v2:?}");
-                if v1 == v2 {
-                    assert_eq!(same_key, own(n1, v1) == own(n2, v2), "{v1:?}");
-                }
-                shared += usize::from(same_key && v1 == v2 && !std::ptr::eq(n1, n2));
-            }
-        }
-        assert_eq!(shared, 2 * 4, "a and b share every key, c shares none");
+    fn the_positional_names_are_checker_bound() {
+        // the names a key's conditions are built in are among the ones no
+        // symbolic may take, so none can capture them
+        let (net, _, _) = policy_instance(3);
+        assert!(is_checker_bound(SELF_ROUTE) && is_checker_bound(TIME_VAR));
+        assert!((0..12).all(|i| is_checker_bound(&neighbour_route(i))));
+        assert!(net.topology().nodes().all(|v| is_checker_bound(&net.route_var_name(v))));
     }
 
     #[test]
     fn nodes_alike_up_to_their_route_names_share_a_key() {
         // a ring: every node has the same two neighbours' shape and the same
-        // trivially true annotations, so after renaming all conditions are
-        // one formula — and without the renaming none would be
+        // trivially true annotations, so in key names all conditions are one
+        // formula — and in their own names none would be
         let g = gen::ring(5);
         let net = NetworkBuilder::new(g, Type::Bool)
             .merge(|a, b| a.clone().or(b.clone()))
@@ -577,7 +629,7 @@ mod tests {
         let keys = Fingerprints::compute(&net, &reached, &reached, 0);
         let first = keys.get(NodeId::new(0)).unwrap();
         assert!(net.topology().nodes().all(|v| keys.get(v) == Some(first)));
-        // the key's formulas mention only the renamed names
+        // the key's formulas mention only the positional names
         let keyed = keyed_conditions(&net, &reached, &reached, 0, NodeId::new(3));
         let free: Vec<String> = keyed
             .conditions
@@ -587,7 +639,7 @@ mod tests {
             .filter(|name| name.starts_with("route"))
             .collect();
         assert!(free.iter().all(|name| name.starts_with("route@")), "{free:?}");
-        let back = keyed.back.expect("renamed");
+        let back = keyed.back.expect("built in key names");
         assert_eq!(back.get(SELF_ROUTE), Some("route-v3"));
     }
 
@@ -604,6 +656,118 @@ mod tests {
         assert!(keyed.back.is_none());
         let own = crate::vc::node_conditions(&net, &interface, &property, 0, v1);
         assert_eq!(keyed.key, NodeKey::of(&own));
+    }
+
+    /// The failing (node, condition) pairs of a pooled check, which proves
+    /// each key once, and of memo-free checks of every node on its own.
+    fn failing_pooled_and_alone(
+        net: &Network,
+        interface: &NodeAnnotations,
+        property: &NodeAnnotations,
+    ) -> [HashSet<(NodeId, VcKind)>; 2] {
+        let checker = ModularChecker::new(CheckOptions { threads: Some(2), ..Default::default() });
+        let pooled = checker.check(net, interface, property).unwrap();
+        let mut alone = HashSet::new();
+        for v in net.topology().nodes() {
+            let (failures, _) = checker.check_node(net, interface, property, v).unwrap();
+            alone.extend(failures.iter().map(|f| (f.node, f.vc)));
+        }
+        [pooled.failures().iter().map(|f| (f.node, f.vc)).collect(), alone]
+    }
+
+    #[test]
+    fn a_neighbours_own_route_name_in_an_interface_keeps_own_names() {
+        // v1's interface writes `route-v0`: in v1's own conditions that is
+        // its neighbour's route variable, and it is free in v0's and v2's;
+        // in key names it would be free at v1 too, another formula
+        let (net, mut interface, property) = policy_instance(3);
+        let g = net.topology();
+        let v1 = g.node_by_name("v1").unwrap();
+        let v0_route = Expr::var("route-v0", net.route_type().clone());
+        interface.set(
+            v1,
+            Temporal::globally(move |r| r.clone().is_some().and(v0_route.clone().is_some())),
+        );
+        for v in g.nodes() {
+            let keyed = keyed_conditions(&net, &interface, &property, 0, v);
+            assert!(keyed.back.is_none(), "{}", g.name(v));
+            let own = crate::vc::node_conditions(&net, &interface, &property, 0, v);
+            assert_eq!(keyed.key, NodeKey::of(&own), "{}", g.name(v));
+        }
+        let [pooled, alone] = failing_pooled_and_alone(&net, &interface, &property);
+        assert_eq!(pooled, alone);
+        assert!(pooled.contains(&(v1, VcKind::Initial)), "{pooled:?}");
+    }
+
+    #[test]
+    fn a_predecessors_interface_writing_a_passed_name_keeps_own_names() {
+        // v0's interface writes `route@in0` itself: at v1, whose one
+        // predecessor is v0, the build passes that very name to the
+        // inductive condition, so no walk of v1's conditions could tell the
+        // two apart — the probe of the annotations v1 applies does
+        let g = gen::path(3);
+        let node = |name: &str| g.node_by_name(name).unwrap();
+        let (v0, v1, v2) = (node("v0"), node("v1"), node("v2"));
+        let net = NetworkBuilder::new(g, Type::Bool)
+            .merge(|a, b| a.clone().or(b.clone()))
+            .default_transfer(|r| r.clone())
+            .init(v0, Expr::bool(true))
+            .build()
+            .unwrap();
+        let reached = || Temporal::globally(|r| r.clone());
+        let mut interface = NodeAnnotations::new(net.topology(), reached());
+        let in0 = Expr::var(neighbour_route(0), Type::Bool);
+        interface.set(v0, Temporal::globally(move |r| r.clone().and(in0.clone().not())));
+        // v1 claims no route until time 2, but v0's route reaches it at 1
+        interface.set(v1, Temporal::until_at(2, |r| r.clone().not(), reached()));
+        interface.set(v2, Temporal::until_at(3, |r| r.clone().not(), reached()));
+        let property = NodeAnnotations::new(net.topology(), Temporal::any());
+        for v in [v0, v1] {
+            let keyed = keyed_conditions(&net, &interface, &property, 0, v);
+            assert!(keyed.back.is_none());
+            let own = crate::vc::node_conditions(&net, &interface, &property, 0, v);
+            assert_eq!(keyed.key, NodeKey::of(&own));
+        }
+        // v2 never applies v0's interface: keyed in key names
+        assert!(keyed_conditions(&net, &interface, &property, 0, v2).back.is_some());
+        let [pooled, alone] = failing_pooled_and_alone(&net, &interface, &property);
+        assert_eq!(pooled, alone);
+        assert!(pooled.contains(&(v1, VcKind::Inductive)), "{pooled:?}");
+    }
+
+    #[test]
+    fn a_property_writing_the_self_name_keeps_own_names() {
+        // the safety condition is passed `route@self`; a property writing it
+        // would be captured there
+        let (net, interface, mut property) = policy_instance(3);
+        let v2 = net.topology().node_by_name("v2").unwrap();
+        let ty = net.route_type().clone();
+        property
+            .set(v2, Temporal::globally(move |r| r.clone().eq(Expr::var(SELF_ROUTE, ty.clone()))));
+        let keyed = keyed_conditions(&net, &interface, &property, 0, v2);
+        assert!(keyed.back.is_none());
+        let [pooled, alone] = failing_pooled_and_alone(&net, &interface, &property);
+        assert_eq!(pooled, alone);
+        assert!(pooled.contains(&(v2, VcKind::Safety)), "{pooled:?}");
+    }
+
+    #[test]
+    fn counterexamples_move_back_to_the_nodes_own_names() {
+        let (net, _, _) = policy_instance(3);
+        let v1 = net.topology().node_by_name("v1").unwrap();
+        let back = OwnNames::of(&net, v1);
+        let mut env = Env::new();
+        env.bind(SELF_ROUTE, Value::int(1))
+            .bind(neighbour_route(1), Value::int(2))
+            .bind("dest", Value::int(3));
+        let own = back.env(&env);
+        assert_eq!(own.get("route-v1"), Some(&Value::int(1)));
+        assert_eq!(own.get("route-v2"), Some(&Value::int(2)));
+        assert_eq!(own.get("dest"), Some(&Value::int(3)));
+        assert_eq!(own.get(SELF_ROUTE), None);
+        // a stale binding of an own name is shadowed, never kept
+        env.bind("route-v1", Value::int(100));
+        assert_eq!(back.env(&env).get("route-v1"), Some(&Value::int(1)));
     }
 
     #[test]

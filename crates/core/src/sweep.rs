@@ -42,8 +42,8 @@
 //! conditions are the same formula up to the names of their route variables
 //! share a key ([`crate::incremental::NodeKey`]), and the job proves each
 //! key once. A worker builds and keys each node it claims, as it would to
-//! check it; the first to reach a key proves the key's (renamed)
-//! conditions, a node whose key is already proved is answered from the
+//! check it; the first to reach a key proves the conditions built in the
+//! key's names, a node whose key is already proved is answered from the
 //! proof, and a node whose key another worker is still proving is *parked*
 //! on it and answered by that worker when the proof lands — no worker ever
 //! waits for another. Each answer carries the node's own failures: a
@@ -56,7 +56,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use timepiece_expr::Renaming;
 use timepiece_sched::{CancelToken, Job, Pool, PoolError};
 use timepiece_smt::{CounterExample, SolverSession, TermCacheStats, Validity, Vc};
 use timepiece_topology::{NodeId, Topology};
@@ -66,7 +65,7 @@ use crate::check::{
     discharge, failed, CheckOptions, CheckReport, Failure, FailureReason, MemoStats,
 };
 use crate::error::CoreError;
-use crate::incremental::{keyed_conditions, NodeKey};
+use crate::incremental::{keyed_conditions, NodeKey, OwnNames};
 use crate::instance::Instance;
 use crate::vc::VcKind;
 
@@ -219,7 +218,7 @@ struct Answer {
 struct Keyed {
     node: NodeId,
     /// From the key's names back to the node's own (`None`: the same).
-    back: Option<Renaming>,
+    back: Option<OwnNames>,
     /// How long building and keying its conditions took.
     built: Duration,
 }
@@ -326,17 +325,21 @@ fn node_span(g: &Topology, v: NodeId, memo: &str) -> SpanGuard {
     span
 }
 
-/// `node`'s failure of condition `kind`, given in its key's names.
+/// `node`'s failure of condition `kind`, given in its key's names — which
+/// may be another node's condition, whatever names it was built in.
 fn own_failure(g: &Topology, node: &Keyed, kind: VcKind, reason: FailureReason) -> Failure {
     let node_name = g.name(node.node).to_owned();
-    let reason = match (reason, &node.back) {
-        (FailureReason::CounterExample(cex), Some(back)) => {
+    let reason = match reason {
+        FailureReason::CounterExample(cex) => {
             FailureReason::CounterExample(Box::new(CounterExample {
                 vc_name: format!("{kind}@{node_name}"),
-                assignment: back.env(&cex.assignment),
+                assignment: match &node.back {
+                    Some(back) => back.env(&cex.assignment),
+                    None => cex.assignment,
+                },
             }))
         }
-        (reason, _) => reason,
+        reason => reason,
     };
     Failure { node: node.node, node_name, vc: kind, reason }
 }
@@ -1316,6 +1319,32 @@ mod tests {
                     }),
                     Some(format!("{}@{}", f.vc, f.node_name))
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn served_counterexamples_name_the_nodes_own_condition() {
+        // every interface is the free name `route@self`, so every node is
+        // built in its own names, and all three share one key: the served
+        // counterexamples must still name their own node's condition
+        let net = NetworkBuilder::new(gen::ring(3), Type::Bool)
+            .merge(|a, b| a.clone().or(b.clone()))
+            .default_transfer(|_| Expr::bool(false))
+            .build()
+            .unwrap();
+        let interface = NodeAnnotations::new(
+            net.topology(),
+            Temporal::globally(|_| Expr::var(crate::incremental::SELF_ROUTE, Type::Bool)),
+        );
+        for mut engine in Engine::lifetimes(threads(2)) {
+            let report = engine.check(&net, &interface, &anything(&net)).unwrap();
+            assert_eq!(report.memo(), MemoStats { proofs: 1, hits: 2 }, "{}", engine.name());
+            assert_eq!(report.failures().len(), 3, "{}", engine.name());
+            for f in report.failures() {
+                assert_eq!(f.vc, VcKind::Initial, "{f}");
+                let FailureReason::CounterExample(cex) = &f.reason else { panic!("{f}") };
+                assert_eq!(cex.vc_name, format!("initial@{}", f.node_name), "{}", engine.name());
             }
         }
     }

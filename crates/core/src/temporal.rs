@@ -14,6 +14,15 @@
 //! Witness times are *expressions*, so they may depend on symbolic values —
 //! e.g. `dist(v)` as a function of a symbolic destination in the all-pairs
 //! benchmarks.
+//!
+//! The checker instantiates an operator at its time variable `t` and at
+//! route variables it binds itself: `route-<v>` in a node's own names,
+//! `route@self` and `route@in<i>` in the names of its key
+//! ([`timepiece_algebra::is_checker_bound`]). A predicate closure must use
+//! the route it is applied to and must not write these names itself: the
+//! checker's variable would capture its own. A keyed check that finds one
+//! builds the node in its own names ([`crate::incremental`]), where
+//! `route-<v>` still captures.
 
 use std::fmt;
 use std::sync::Arc;

@@ -1,6 +1,10 @@
 //! The verification conditions of Fig. 12, as SMT queries.
+//!
+//! A node's conditions are built over route variables they are passed:
+//! [`node_conditions`] passes the node's own ([`Network::route_var`]), and
+//! [`crate::incremental`] the positional names of the node's key.
 
-use timepiece_algebra::Network;
+use timepiece_algebra::{Network, TIME_VAR};
 use timepiece_expr::{Expr, Type};
 use timepiece_smt::Vc;
 use timepiece_topology::NodeId;
@@ -36,10 +40,11 @@ impl std::fmt::Display for VcKind {
 
 /// The symbolic time variable shared by the inductive and safety conditions.
 pub fn time_var() -> Expr {
-    Expr::var("t", Type::Int)
+    Expr::var(TIME_VAR, Type::Int)
 }
 
-/// Node `v`'s three conditions, in [`VcKind::ALL`] order.
+/// Node `v`'s three conditions over its own route variables, in
+/// [`VcKind::ALL`] order.
 pub fn node_conditions(
     net: &Network,
     interface: &NodeAnnotations,
@@ -47,10 +52,31 @@ pub fn node_conditions(
     delay: u64,
     v: NodeId,
 ) -> [Vc; 3] {
+    conditions_over(net, interface, property, delay, v, &net.route_var(v), &own_neighbours(net, v))
+}
+
+/// The route variables of `v`'s predecessors in their own names, in
+/// `preds(v)` order.
+fn own_neighbours(net: &Network, v: NodeId) -> Vec<Expr> {
+    net.topology().preds(v).iter().map(|&u| net.route_var(u)).collect()
+}
+
+/// Node `v`'s three conditions, in [`VcKind::ALL`] order, over the route
+/// variables `route` (`v`'s own, in the safety condition) and `neighbours`
+/// (one per predecessor in `preds(v)` order, in the inductive condition).
+pub(crate) fn conditions_over(
+    net: &Network,
+    interface: &NodeAnnotations,
+    property: &NodeAnnotations,
+    delay: u64,
+    v: NodeId,
+    route: &Expr,
+    neighbours: &[Expr],
+) -> [Vc; 3] {
     [
         initial_vc(net, interface, v),
-        inductive_vc(net, interface, v, delay),
-        safety_vc(net, interface, property, v),
+        inductive_over(net, interface, v, delay, neighbours),
+        safety_over(net, interface, property, v, route),
     ]
 }
 
@@ -75,14 +101,24 @@ pub fn initial_vc(net: &Network, interface: &NodeAnnotations, v: NodeId) -> Vc {
 /// step `T ≥ 1` — the initial condition covers `T = 0`. With `delay = 0`
 /// this is exactly equation (6).
 pub fn inductive_vc(net: &Network, interface: &NodeAnnotations, v: NodeId, delay: u64) -> Vc {
+    inductive_over(net, interface, v, delay, &own_neighbours(net, v))
+}
+
+/// [`inductive_vc`] over the route variables `neighbours`, the `i`-th
+/// standing for the route of `preds(v)[i]`.
+fn inductive_over(
+    net: &Network,
+    interface: &NodeAnnotations,
+    v: NodeId,
+    delay: u64,
+    neighbours: &[Expr],
+) -> Vc {
     let t = time_var();
     let name = format!("inductive@{}", net.topology().name(v));
     let mut assumptions = net.symbolic_constraints();
     assumptions.push(t.clone().ge(Expr::int(-(delay as i64))));
 
-    let preds = net.topology().preds(v);
-    let neighbor_routes: Vec<Expr> = preds.iter().map(|&u| net.route_var(u)).collect();
-    for (&u, r) in preds.iter().zip(&neighbor_routes) {
+    for (&u, r) in net.topology().preds(v).iter().zip(neighbours) {
         let in_some_window = Expr::or_all((0..=delay).map(|d| {
             let shifted = t.clone().add(Expr::int(d as i64));
             // t + delay ≥ 0 already; earlier windows may reach before time 0
@@ -92,7 +128,7 @@ pub fn inductive_vc(net: &Network, interface: &NodeAnnotations, v: NodeId, delay
         assumptions.push(in_some_window);
     }
 
-    let stepped = net.step(v, &neighbor_routes);
+    let stepped = net.step(v, neighbours);
     let goal_time = t.add(Expr::int((delay + 1) as i64));
     let goal = interface.get(v).at(&goal_time, &stepped);
     Vc::new(name, assumptions, goal)
@@ -106,13 +142,23 @@ pub fn safety_vc(
     property: &NodeAnnotations,
     v: NodeId,
 ) -> Vc {
+    safety_over(net, interface, property, v, &net.route_var(v))
+}
+
+/// [`safety_vc`] over the route variable `route`, standing for `v`'s route.
+fn safety_over(
+    net: &Network,
+    interface: &NodeAnnotations,
+    property: &NodeAnnotations,
+    v: NodeId,
+    route: &Expr,
+) -> Vc {
     let t = time_var();
     let name = format!("safety@{}", net.topology().name(v));
-    let route = net.route_var(v);
     let mut assumptions = net.symbolic_constraints();
     assumptions.push(t.clone().ge(Expr::int(0)));
-    assumptions.push(interface.get(v).at(&t, &route));
-    let goal = property.get(v).at(&t, &route);
+    assumptions.push(interface.get(v).at(&t, route));
+    let goal = property.get(v).at(&t, route);
     Vc::new(name, assumptions, goal)
 }
 
@@ -253,6 +299,62 @@ mod tests {
         // with 1 unit of delay the stale route from v0 at t+1 can arrive
         // "early", violating v1's exact witness time
         assert!(!check_validity(&inductive_vc(&net, &tight, v1, 1), None).unwrap().is_valid());
+    }
+
+    #[test]
+    fn a_symbolic_named_like_the_time_variable_is_refused() {
+        use crate::check::{CheckOptions, ModularChecker};
+        use timepiece_algebra::{network::NetworkError, Symbolic};
+        // v1 hears v0's route at time 1: an interface claiming it only from
+        // time 3 fails v1's inductive condition
+        let net = bool_net();
+        let v1 = net.topology().node_by_name("v1").unwrap();
+        let mut late = reach_interface(&net);
+        late.set(v1, Temporal::until_at(3, |r| r.clone().not(), Temporal::globally(|r| r.clone())));
+        let report =
+            ModularChecker::new(CheckOptions::default()).check(&net, &late, &late).unwrap();
+        assert_eq!(report.failures().len(), 1);
+        assert_eq!(report.failures()[0].vc, VcKind::Inductive);
+        // a symbolic `t` with `t == 5` would be the time variable of every
+        // condition, and the interface would verify
+        let pinned = Symbolic::new("t", Type::Int, Some(time_var().eq(Expr::int(5))));
+        let err = NetworkBuilder::new(gen::path(2), Type::Bool)
+            .merge(|a, b| a.clone().or(b.clone()))
+            .default_transfer(|r| r.clone())
+            .init(net.topology().node_by_name("v0").unwrap(), Expr::bool(true))
+            .symbolic(pinned)
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            NetworkError::ReservedName { what: "symbolic value".into(), name: "t".into() }
+        );
+    }
+
+    #[test]
+    fn a_transfer_writing_a_positional_name_is_refused() {
+        use timepiece_algebra::network::NetworkError;
+        // a transfer into v1 that writes `route@in0` itself: in v1's key
+        // names the build passes that very name to the inductive condition,
+        // so the checker's variable would capture the closure's — and a
+        // pooled check would verify the interface below, which claims no
+        // route at v1 from time 1, while v1's own conditions refute it
+        let g = gen::path(2);
+        let (v0, v1) = (g.node_by_name("v0").unwrap(), g.node_by_name("v1").unwrap());
+        let err = NetworkBuilder::new(g, Type::Bool)
+            .merge(|a, b| a.clone().or(b.clone()))
+            .default_transfer(|r| r.clone())
+            .transfer((v0, v1), |r| {
+                r.clone().and(Expr::var(crate::incremental::neighbour_route(0), Type::Bool).not())
+            })
+            .init(v0, Expr::bool(true))
+            .build()
+            .unwrap_err();
+        let name = crate::incremental::neighbour_route(0);
+        assert_eq!(
+            err,
+            NetworkError::ReservedName { what: "transfer result of v0 -> v1".into(), name }
+        );
     }
 
     #[test]

@@ -105,44 +105,6 @@ impl From<TypeError> for EvalError {
     }
 }
 
-/// Why a [`crate::rename::Renaming`] was refused: applying it would make
-/// two distinct variables one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RenameError {
-    /// Two names were mapped to the same target.
-    NotInjective {
-        /// The shared target name.
-        target: String,
-    },
-    /// One name was mapped to two different targets.
-    Ambiguous {
-        /// The name mapped twice.
-        name: String,
-    },
-    /// A target name is already free in the term and is not itself renamed
-    /// away: the renamed variable would be captured by it.
-    Captured {
-        /// The target name found free in the term.
-        name: String,
-    },
-}
-
-impl fmt::Display for RenameError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RenameError::NotInjective { target } => {
-                write!(f, "renaming maps two names to {target:?}")
-            }
-            RenameError::Ambiguous { name } => write!(f, "renaming maps {name:?} twice"),
-            RenameError::Captured { name } => {
-                write!(f, "renaming target {name:?} is already free in the term")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RenameError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;

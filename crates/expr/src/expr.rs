@@ -490,10 +490,10 @@ impl Expr {
         Ok(())
     }
 
-    /// The direct subterms of this node.
-    pub fn children(&self) -> Vec<&Expr> {
-        match self.kind() {
-            ExprKind::Var(..) | ExprKind::Const(_) | ExprKind::None(_) => vec![],
+    /// The direct subterms of this node, in order.
+    pub fn children(&self) -> impl Iterator<Item = &Expr> {
+        let (fixed, list): ([Option<&Expr>; 3], &[Expr]) = match self.kind() {
+            ExprKind::Var(..) | ExprKind::Const(_) | ExprKind::None(_) => ([None; 3], &[]),
             ExprKind::Not(a)
             | ExprKind::Some(a)
             | ExprKind::IsSome(a)
@@ -501,7 +501,7 @@ impl Expr {
             | ExprKind::GetField(a, _)
             | ExprKind::SetContains(a, _)
             | ExprKind::SetAdd(a, _)
-            | ExprKind::SetRemove(a, _) => vec![a],
+            | ExprKind::SetRemove(a, _) => ([Some(a), None, None], &[]),
             ExprKind::Implies(a, b)
             | ExprKind::Eq(a, b)
             | ExprKind::Lt(a, b)
@@ -510,11 +510,11 @@ impl Expr {
             | ExprKind::Sub(a, b)
             | ExprKind::SetUnion(a, b)
             | ExprKind::SetInter(a, b)
-            | ExprKind::WithField(a, _, b) => vec![a, b],
-            ExprKind::Ite(a, b, c) => vec![a, b, c],
-            ExprKind::And(xs) | ExprKind::Or(xs) => xs.iter().collect(),
-            ExprKind::MkRecord(_, xs) => xs.iter().collect(),
-        }
+            | ExprKind::WithField(a, _, b) => ([Some(a), Some(b), None], &[]),
+            ExprKind::Ite(a, b, c) => ([Some(a), Some(b), Some(c)], &[]),
+            ExprKind::And(xs) | ExprKind::Or(xs) | ExprKind::MkRecord(_, xs) => ([None; 3], xs),
+        };
+        fixed.into_iter().flatten().chain(list)
     }
 
     /// The number of distinct nodes in this term (DAG size).

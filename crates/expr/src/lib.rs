@@ -42,7 +42,7 @@ pub mod arena;
 pub mod error;
 pub mod eval;
 pub mod expr;
-pub mod rename;
+pub mod subst;
 pub mod typecheck;
 pub mod types;
 pub mod value;
@@ -50,9 +50,9 @@ pub mod value;
 mod display;
 
 pub use arena::{ArenaStats, InternId};
-pub use error::{EvalError, RenameError, TypeError};
+pub use error::{EvalError, TypeError};
 pub use eval::Env;
 pub use expr::{Expr, ExprKind};
-pub use rename::Renaming;
+pub use subst::substitute;
 pub use types::{EnumDef, RecordDef, SetDef, Type};
 pub use value::Value;

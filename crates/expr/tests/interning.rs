@@ -1,11 +1,11 @@
 //! Property tests for the hash-consing arena: interning must be invisible
 //! to the language semantics (evaluation and typing), and visible only as
 //! the O(1)-equality guarantee — structurally equal terms share one
-//! canonical node with one stable id, from any number of threads. The same
-//! holds for the one substitution built on it, the injective [`Renaming`].
+//! canonical node with one stable id, from any number of threads. The one
+//! substitution built on it, [`substitute`], is checked against evaluation.
 
 use proptest::prelude::*;
-use timepiece_expr::{Env, Expr, InternId, RenameError, Renaming, Type, Value};
+use timepiece_expr::{substitute, Env, Expr, InternId, Type, Value};
 
 /// Builds a well-typed random boolean term from `seed`, deterministically:
 /// the same seed always describes the same structure, so building twice is
@@ -95,87 +95,42 @@ proptest! {
     }
 }
 
-/// An injective renaming of every variable the generators mention, drawn
-/// from `seed`: each integer variable goes to a distinct name among
-/// `pi0..pi3` and `qi0..qi3`, each boolean one among `pb0..pb2` and
-/// `qb0..qb2`. Every source is renamed, so a target that is also a source
-/// is never captured.
-fn injective(seed: u64) -> Renaming {
-    let mut rng = TestRng::deterministic(seed, "renaming-gen");
-    let mut pairs = Vec::new();
-    for (prefix, n) in [("i", 4), ("b", 3)] {
-        let mut targets: Vec<String> =
-            (0..n).flat_map(|i| [format!("p{prefix}{i}"), format!("q{prefix}{i}")]).collect();
-        for i in 0..n {
-            let pick = targets.remove(rng.below(targets.len() as u64) as usize);
-            pairs.push((format!("p{prefix}{i}"), pick));
-        }
-    }
-    Renaming::new(pairs).expect("distinct targets")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Renaming and renaming back is the identity, down to the intern id.
+    /// Substituting a term for a variable evaluates like binding the
+    /// variable to the term's value.
     #[test]
-    fn an_injective_rename_and_its_inverse_return_the_same_node(
+    fn substitution_evaluates_like_binding_the_value(
         seed in 0u64..u64::MAX,
-        map in 0u64..u64::MAX,
+        with in 0u64..u64::MAX,
+        var in 0u64..4,
     ) {
         let term = build(seed);
-        let renaming = injective(map);
-        let there = term.rename(&renaming).expect("every source is renamed");
-        let back = there.rename(&renaming.inverse()).expect("the inverse is injective too");
-        prop_assert_eq!(back.node_id(), term.node_id());
-    }
-
-    /// A renamed term under the renamed environment evaluates to the value
-    /// of the original under the original environment.
-    #[test]
-    fn renaming_term_and_environment_preserves_eval(
-        seed in 0u64..u64::MAX,
-        map in 0u64..u64::MAX,
-    ) {
-        let term = build(seed);
-        let renaming = injective(map);
+        let replacement = gen_int(&mut TestRng::deterministic(with, "substitution-gen"), 3);
+        let name = format!("pi{var}");
         let env = test_env();
-        let renamed = term.rename(&renaming).expect("every source is renamed");
+        let value = replacement.eval(&env).expect("generated terms close over the test env");
+        let mut bound = test_env();
+        bound.bind(name.clone(), value);
         prop_assert_eq!(
-            renamed.eval(&renaming.env(&env)).expect("the renamed env binds the renamed vars"),
-            term.eval(&env).expect("generated terms close over the test env")
+            substitute(&term, &name, &replacement).eval(&env).expect("substituted term evaluates"),
+            term.eval(&bound).expect("generated terms close over the test env")
         );
-        prop_assert_eq!(renamed.type_of().ok(), term.type_of().ok());
     }
 
-    /// The renamed term has the same shape node for node: no smart
-    /// constructor folded anything differently on the way.
+    /// A term without the variable comes back as the very same node.
     #[test]
-    fn renaming_preserves_dag_size(seed in 0u64..u64::MAX, map in 0u64..u64::MAX) {
+    fn substituting_an_absent_variable_returns_the_same_node(
+        seed in 0u64..u64::MAX,
+        var in 0u64..4,
+    ) {
         let term = build(seed);
-        let renamed = term.rename(&injective(map)).expect("every source is renamed");
-        prop_assert_eq!(renamed.dag_size(), term.dag_size());
-    }
-
-    /// A renaming that would merge two variables is refused: a map that is
-    /// not injective up front, and a target already free in the term.
-    #[test]
-    fn renamings_that_merge_variables_are_refused(seed in 0u64..u64::MAX) {
-        prop_assert_eq!(
-            Renaming::new([("pi0", "x"), ("pi1", "x")]),
-            Err(RenameError::NotInjective { target: "x".to_owned() })
-        );
-        let term = build(seed);
-        let onto_pi1 = Renaming::new([("pi0", "pi1")]).expect("one pair is injective");
-        let pi1_free = term.free_vars().expect("well-typed").contains_key("pi1");
-        match term.rename(&onto_pi1) {
-            Err(RenameError::Captured { name }) => {
-                prop_assert!(pi1_free);
-                prop_assert_eq!(name, "pi1");
-            }
-            Err(other) => prop_assert!(false, "unexpected refusal {other:?}"),
-            Ok(_) => prop_assert!(!pi1_free, "pi1 was captured"),
-        }
+        let name = format!("pi{var}");
+        let absent = !term.free_vars().expect("well-typed").contains_key(&name);
+        let replaced = substitute(&term, &name, &Expr::int(99));
+        prop_assert_eq!(replaced.same_node(&term), absent);
+        prop_assert!(substitute(&term, "nowhere", &Expr::int(99)).same_node(&term));
     }
 }
 

@@ -12,8 +12,8 @@ use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 use timepiece_algebra::{
-    FailureModel, MergeKey, Network, NetworkBuilder, PolicyClause, RewriteOp, RouteGuard,
-    RoutePolicy, RouteSchema, Symbolic,
+    is_checker_bound, FailureModel, MergeKey, Network, NetworkBuilder, PolicyClause, RewriteOp,
+    RouteGuard, RoutePolicy, RouteSchema, Symbolic,
 };
 use timepiece_core::{Instance, NodeAnnotations, Temporal};
 use timepiece_expr::{Env, Expr, Type, Value};
@@ -265,7 +265,10 @@ pub fn compile_str(src: &str) -> Result<CompiledScenario, ScenarioError> {
                 let TomlValue::Table(t) = &v.value else {
                     return Err(ScenarioError::at(v.span, "[[symbolic.var]] entries are tables"));
                 };
-                let (sname, _) = require_str(t, "name")?;
+                let (sname, nspan) = require_str(t, "name")?;
+                if is_checker_bound(sname) {
+                    return Err(ScenarioError::at(nspan, term::reserved_name(sname)));
+                }
                 let (stype, tspan) = require_str(t, "type")?;
                 let ty = term::parse_type(stype, &env)
                     .map_err(|e| ScenarioError::at(tspan, format!("bad symbolic type: {e}")))?;

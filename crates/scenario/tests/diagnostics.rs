@@ -104,3 +104,26 @@ fn init_term_of_the_wrong_type_is_rejected() {
         "line 22, col 7: initial route of \"a\" has type int, expected the route type option<record Hop>"
     );
 }
+
+#[test]
+fn a_symbolic_named_like_a_checker_variable_is_rejected() {
+    // a symbolic `t` would be the time variable of every condition the
+    // checker builds, and silently rewrite them all
+    let src = format!("{BASE}\n[[symbolic.var]]\nname = \"t\"\ntype = \"int\"\nconstraint = \"(= (var t int) 5)\"\n");
+    assert_eq!(
+        error_of(&src),
+        "line 31, col 8: \"t\" is a variable the checker binds (t, route-<node>, route@...); rename it"
+    );
+}
+
+#[test]
+fn a_term_naming_a_checker_variable_is_rejected() {
+    let src = BASE.replace(
+        "[interface]\ndefault = \"(finally 3 (globally (is-some route)))\"",
+        "[interface]\ndefault = \"(finally 3 (globally (is-some (var route-a (option Hop)))))\"",
+    );
+    assert_eq!(
+        error_of(&src),
+        "line 28, col 11: bad interface: \"route-a\" is a variable the checker binds (t, route-<node>, route@...); rename it"
+    );
+}
