@@ -102,14 +102,14 @@ impl std::fmt::Display for Failure {
 
 /// How the nodes of a check got their verdicts: by a proof of their own
 /// key, or as a memo hit — served by the proof of an equal key within the
-/// same check (see [`crate::sweep`]). `proofs + hits` is the number of
-/// nodes the check answered.
+/// same check, or by one the caller's records held (see [`crate::sweep`]).
+/// `proofs + hits` is the number of nodes the check answered.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Proof attempts: one per distinct key, plus one per node whose key's
     /// proof came back unknown or abandoned (those are never shared).
     pub proofs: usize,
-    /// Nodes answered by another node's proof.
+    /// Nodes answered by a proof another node's check found.
     pub hits: usize,
 }
 

@@ -1,4 +1,4 @@
-//! Incremental re-checking: per-node keys, dirty cones and a verdict cache.
+//! Incremental re-checking: per-node keys and dirty cones.
 //!
 //! Modularity (Algorithm 1) makes every node's check depend on a *bounded*
 //! slice of the problem: node `v`'s three verification conditions mention
@@ -38,8 +38,10 @@
 //!
 //! [`Fingerprints`] captures those keys; [`Fingerprints::dirty_cone`]
 //! diffs two snapshots into the exact set of nodes whose conditions
-//! changed. [`VerdictCache`] remembers the last verdict per node, so a
-//! service re-checks the cone and serves everything else from cache.
+//! changed. A service keeps no snapshot of its own: the key each node was
+//! last checked on, with its proof, is the node's
+//! [`crate::sweep::Record`], and a job over an edit's footprint both
+//! re-keys those nodes and answers each whose key a record still holds.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -48,7 +50,6 @@ use timepiece_expr::{Env, Expr, ExprKind, InternId};
 use timepiece_smt::Vc;
 use timepiece_topology::{NodeId, Topology};
 
-use crate::check::{CheckReport, Failure};
 use crate::interface::NodeAnnotations;
 use crate::vc::{conditions_over, node_conditions, time_var};
 
@@ -235,7 +236,8 @@ pub fn node_fingerprint(
 /// Building a snapshot costs one condition *construction* per node — no
 /// solving, and the hash-consing arena makes re-construction after a small
 /// delta mostly interning hits. Diffing two snapshots
-/// ([`Fingerprints::dirty_cone`]) is how a delta becomes a work list.
+/// ([`Fingerprints::dirty_cone`]) gives the nodes an edit changed: the
+/// reference a daemon's per-node records are tested against.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprints {
     map: BTreeMap<NodeId, NodeKey>,
@@ -254,32 +256,6 @@ impl Fingerprints {
             .nodes()
             .map(|v| (v, node_fingerprint(net, interface, property, delay, v)))
             .collect();
-        Fingerprints { map }
-    }
-
-    /// This snapshot brought up to date after an edit whose *footprint* —
-    /// a topological upper bound on the nodes whose conditions the edit can
-    /// reach — is known: only the footprint is re-fingerprinted against the
-    /// edited instance, every other key is carried over. One condition
-    /// construction per footprint node instead of one per node.
-    ///
-    /// Equal to [`Fingerprints::compute`] on the edited instance exactly
-    /// when `footprint` covers every node whose conditions changed; the
-    /// caller owes that (see [`interface_cone`] for interface edits — an
-    /// in-edge policy edit reaches only the edge's head, a change to the
-    /// symbolic preconditions reaches every node).
-    pub fn refreshed(
-        &self,
-        net: &Network,
-        interface: &NodeAnnotations,
-        property: &NodeAnnotations,
-        delay: u64,
-        footprint: &[NodeId],
-    ) -> Fingerprints {
-        let mut map = self.map.clone();
-        for &v in footprint {
-            map.insert(v, node_fingerprint(net, interface, property, delay, v));
-        }
         Fingerprints { map }
     }
 
@@ -334,97 +310,6 @@ pub fn interface_cone(g: &Topology, v: NodeId) -> Vec<NodeId> {
     cone.sort_unstable();
     cone.dedup();
     cone
-}
-
-/// The last verdict of one node.
-#[derive(Debug, Clone)]
-pub enum NodeVerdict {
-    /// All three conditions held when the node was last checked.
-    Verified,
-    /// At least one condition failed; the failures are kept for reporting.
-    Failed(Vec<Failure>),
-}
-
-impl NodeVerdict {
-    /// Did the node verify?
-    pub fn is_verified(&self) -> bool {
-        matches!(self, NodeVerdict::Verified)
-    }
-}
-
-/// The per-node verdict memory of an incremental checker: re-check the
-/// dirty cone, absorb the report, serve every clean node from here.
-#[derive(Debug, Clone, Default)]
-pub struct VerdictCache {
-    verdicts: BTreeMap<NodeId, NodeVerdict>,
-}
-
-impl VerdictCache {
-    /// An empty cache.
-    pub fn new() -> VerdictCache {
-        VerdictCache::default()
-    }
-
-    /// Records the verdicts of a (possibly partial) check. Only nodes the
-    /// report actually checked — those with a recorded duration — are
-    /// updated: nodes a cancellation abandoned left no verdict and keep
-    /// their cached one (which is then stale; callers that cancel should
-    /// [`VerdictCache::invalidate`] the unchecked remainder).
-    pub fn absorb(&mut self, report: &CheckReport) {
-        for (v, _) in report.node_durations() {
-            let failures: Vec<Failure> =
-                report.failures().iter().filter(|f| f.node == *v).cloned().collect();
-            let verdict = if failures.is_empty() {
-                NodeVerdict::Verified
-            } else {
-                NodeVerdict::Failed(failures)
-            };
-            self.verdicts.insert(*v, verdict);
-        }
-    }
-
-    /// Drops the cached verdicts of `nodes` (e.g. cone nodes whose re-check
-    /// was cancelled: neither the old nor any new verdict is trustworthy).
-    pub fn invalidate(&mut self, nodes: &[NodeId]) {
-        for v in nodes {
-            self.verdicts.remove(v);
-        }
-    }
-
-    /// The cached verdict of one node.
-    pub fn verdict(&self, v: NodeId) -> Option<&NodeVerdict> {
-        self.verdicts.get(&v)
-    }
-
-    /// Every cached verdict, in node order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &NodeVerdict)> {
-        self.verdicts.iter().map(|(v, verdict)| (*v, verdict))
-    }
-
-    /// How many nodes have cached verdicts.
-    pub fn len(&self) -> usize {
-        self.verdicts.len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.verdicts.is_empty()
-    }
-
-    /// Does every cached verdict say verified? (Vacuously true when empty —
-    /// pair with [`VerdictCache::len`] to require coverage.)
-    pub fn all_verified(&self) -> bool {
-        self.verdicts.values().all(NodeVerdict::is_verified)
-    }
-
-    /// The nodes with failed verdicts, in node order.
-    pub fn failed_nodes(&self) -> Vec<NodeId> {
-        self.verdicts
-            .iter()
-            .filter(|(_, verdict)| !verdict.is_verified())
-            .map(|(v, _)| *v)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -545,46 +430,6 @@ mod tests {
         let rebudgeted = net.with_failure_budget(1).unwrap();
         let after = Fingerprints::compute(&rebudgeted, &annotations, &annotations, 0);
         assert_eq!(before.dirty_cone(&after).len(), 3);
-    }
-
-    #[test]
-    fn refreshing_the_footprint_equals_recomputing_everything() {
-        let (net, interface, property) = policy_instance(6);
-        let g = net.topology();
-        let node = |name: &str| g.node_by_name(name).unwrap();
-        let before = Fingerprints::compute(&net, &interface, &property, 0);
-
-        // a policy edit on u -> v reaches only v
-        let dropped = net
-            .set_edge_policy(
-                (node("v2"), node("v3")),
-                Some(RoutePolicy::new().drop_if(RouteGuard::True)),
-            )
-            .unwrap();
-        let refreshed = before.refreshed(&dropped, &interface, &property, 0, &[node("v3")]);
-        assert_eq!(refreshed, Fingerprints::compute(&dropped, &interface, &property, 0));
-        assert_eq!(before.dirty_cone(&refreshed), vec![node("v3")]);
-
-        // an interface edit at v reaches v and its successors — stacked on
-        // the policy edit, so carried-over hashes come from a refreshed map
-        let mut edited = interface.clone();
-        edited.set(
-            node("v4"),
-            Temporal::until_at(
-                7,
-                |r| r.clone().is_none(),
-                Temporal::globally(|r| r.clone().is_some()),
-            ),
-        );
-        let footprint = interface_cone(g, node("v4"));
-        let twice = refreshed.refreshed(&dropped, &edited, &property, 0, &footprint);
-        assert_eq!(twice, Fingerprints::compute(&dropped, &edited, &property, 0));
-
-        // a footprint wider than the exact cone changes nothing more
-        let all: Vec<NodeId> = g.nodes().collect();
-        assert_eq!(before.refreshed(&dropped, &interface, &property, 0, &all), refreshed);
-        // an empty footprint is the identity, whatever the instance
-        assert_eq!(before.refreshed(&dropped, &edited, &property, 0, &[]), before);
     }
 
     /// [`policy_instance`] with a failure bit on every edge under an
@@ -806,40 +651,5 @@ mod tests {
             Fingerprints::compute(&up, &interface, &property, 0),
             Fingerprints::compute(&net, &interface, &property, 0)
         );
-    }
-
-    #[test]
-    fn verdict_cache_tracks_reports() {
-        let (net, interface, property) = policy_instance(4);
-        let checker = ModularChecker::new(CheckOptions::default());
-        let report = checker.check(&net, &interface, &property).unwrap();
-        let mut cache = VerdictCache::new();
-        assert!(cache.is_empty());
-        cache.absorb(&report);
-        assert_eq!(cache.len(), 4);
-        assert!(cache.all_verified());
-        assert!(cache.failed_nodes().is_empty());
-        // sabotage one interface, re-check only the cone, absorb again
-        let v2 = net.topology().node_by_name("v2").unwrap();
-        let mut bad = interface.clone();
-        bad.set(
-            v2,
-            Temporal::until_at(
-                1,
-                |r| r.clone().is_none(),
-                Temporal::globally(|r| r.clone().is_some()),
-            ),
-        );
-        let cone = Fingerprints::compute(&net, &interface, &property, 0)
-            .dirty_cone(&Fingerprints::compute(&net, &bad, &property, 0));
-        let partial = checker.check_nodes(&net, &bad, &property, &cone).unwrap();
-        cache.absorb(&partial);
-        assert!(!cache.all_verified());
-        assert!(cache.failed_nodes().contains(&v2));
-        assert!(cache.verdict(v2).is_some_and(|verdict| !verdict.is_verified()));
-        // invalidation forgets exactly the named nodes
-        cache.invalidate(&[v2]);
-        assert_eq!(cache.len(), 3);
-        assert!(cache.verdict(v2).is_none());
     }
 }

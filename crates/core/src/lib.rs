@@ -66,7 +66,7 @@ pub mod vc;
 
 pub use check::{CheckOptions, CheckReport, Failure, MemoStats, ModularChecker};
 pub use error::CoreError;
-pub use incremental::{Fingerprints, NodeVerdict, VerdictCache};
+pub use incremental::Fingerprints;
 pub use instance::{Instance, PropertySpec};
 pub use interface::NodeAnnotations;
 pub use temporal::Temporal;

@@ -50,9 +50,13 @@
 //! counterexample moves back to the node's own names. Only definite proofs
 //! (every condition valid or invalid) are shared; a proof that came back
 //! unknown, or was abandoned, is not, and the next parked node is proved on
-//! its own. The memo lives for one job: nothing is served across checks.
+//! its own. The memo lives for one job and is seeded only by the caller's
+//! [`Records`] ([`CheckerPool::check_seeded`]): a node whose key a record
+//! holds with a definite proof is a hit from the job's start, and the job
+//! hands back each answered node's key and proof as its new record. A
+//! one-shot check, or [`CheckerPool::check_nodes`], starts from no records.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -65,7 +69,7 @@ use crate::check::{
     discharge, failed, CheckOptions, CheckReport, Failure, FailureReason, MemoStats,
 };
 use crate::error::CoreError;
-use crate::incremental::{keyed_conditions, NodeKey, OwnNames};
+use crate::incremental::{keyed_conditions, KeyedConditions, NodeKey, OwnNames};
 use crate::instance::Instance;
 use crate::vc::VcKind;
 
@@ -212,6 +216,7 @@ struct Answer {
     duration: Duration,
     /// Was it this node's own proof (or a memo hit)?
     proved: bool,
+    record: Record,
 }
 
 /// A node that has built and keyed its conditions and waits for a verdict.
@@ -227,6 +232,36 @@ struct Keyed {
 /// names) of each condition that failed — empty when all three hold.
 type Proof = Vec<(VcKind, Box<CounterExample>)>;
 
+/// What a job left about one node: the key of the conditions it checked
+/// and, when every condition came back valid or invalid, their proof.
+#[derive(Debug, Clone)]
+pub struct Record {
+    key: NodeKey,
+    /// `None` when the node's last attempt was unknown: it seeds no memo.
+    proof: Option<Arc<Proof>>,
+}
+
+impl Record {
+    /// The key of the conditions the node was last checked on.
+    pub fn key(&self) -> &NodeKey {
+        &self.key
+    }
+
+    /// Did the last check come back definite — valid or invalid, never
+    /// unknown?
+    pub fn is_definite(&self) -> bool {
+        self.proof.is_some()
+    }
+
+    /// Did all three conditions hold? An unknown is not verified.
+    pub fn is_verified(&self) -> bool {
+        self.proof.as_ref().is_some_and(|proof| proof.is_empty())
+    }
+}
+
+/// Per-node [`Record`]s, in node order: what a caller keeps between jobs.
+pub type Records = BTreeMap<NodeId, Record>;
+
 /// Where one key stands within a job.
 enum Slot {
     /// Nobody is proving it: the next node to reach it does.
@@ -241,20 +276,32 @@ enum Slot {
 /// The job's verdict memo: a slot per key, created by the first worker to
 /// reach the key (the double-checked `get_or_init` of a concurrent map), so
 /// every worker that reaches the key meets the same slot.
-#[derive(Default)]
 struct Memo {
     slots: RwLock<HashMap<NodeKey, Arc<Mutex<Slot>>>>,
 }
 
 const MEMO_LOCK: &str = "memo updates cannot panic";
 
+/// The memo a job starts from: every key a record holds with a definite
+/// proof is proved.
+impl From<&Records> for Memo {
+    fn from(records: &Records) -> Memo {
+        let proved = records.values().filter_map(|record| {
+            let proof = Arc::clone(record.proof.as_ref()?);
+            Some((record.key.clone(), Arc::new(Mutex::new(Slot::Proved(proof)))))
+        });
+        Memo { slots: RwLock::new(proved.collect()) }
+    }
+}
+
 impl Memo {
-    fn slot(&self, key: NodeKey) -> Arc<Mutex<Slot>> {
-        if let Some(slot) = self.slots.read().expect(MEMO_LOCK).get(&key) {
+    fn slot(&self, key: &NodeKey) -> Arc<Mutex<Slot>> {
+        if let Some(slot) = self.slots.read().expect(MEMO_LOCK).get(key) {
             return Arc::clone(slot);
         }
         let mut slots = self.slots.write().expect(MEMO_LOCK);
-        Arc::clone(slots.entry(key).or_insert_with(|| Arc::new(Mutex::new(Slot::Open))))
+        let slot = slots.entry(key.clone()).or_insert_with(|| Arc::new(Mutex::new(Slot::Open)));
+        Arc::clone(slot)
     }
 }
 
@@ -344,13 +391,21 @@ fn own_failure(g: &Topology, node: &Keyed, kind: VcKind, reason: FailureReason) 
     Failure { node: node.node, node_name, vc: kind, reason }
 }
 
-/// The answer a key's proof gives `node`.
-fn served(g: &Topology, node: &Keyed, proof: &Proof, duration: Duration, proved: bool) -> Answer {
+/// The answer the proof of `key` gives `node`.
+fn served(
+    g: &Topology,
+    node: &Keyed,
+    key: &NodeKey,
+    proof: &Arc<Proof>,
+    duration: Duration,
+    proved: bool,
+) -> Answer {
     let failures = proof
         .iter()
         .map(|(kind, cex)| own_failure(g, node, *kind, FailureReason::CounterExample(cex.clone())))
         .collect();
-    Answer { node: node.node, failures, duration, proved }
+    let record = Record { key: key.clone(), proof: Some(Arc::clone(proof)) };
+    Answer { node: node.node, failures, duration, proved, record }
 }
 
 /// The proof three definite results make, or `None` if one is unknown.
@@ -402,6 +457,7 @@ impl CheckJob {
         &self,
         worker: &mut Worker,
         slot: &Mutex<Slot>,
+        key: &NodeKey,
         conditions: &[Vc; 3],
         mut prover: Keyed,
         token: &CancelToken,
@@ -430,16 +486,23 @@ impl CheckJob {
                     let failures = failed(results)
                         .map(|(kind, reason)| own_failure(g, &prover, kind, reason))
                         .collect();
-                    answers.push(Answer { node: prover.node, failures, duration, proved: true });
+                    let record = Record { key: key.clone(), proof: None };
+                    answers.push(Answer {
+                        node: prover.node,
+                        failures,
+                        duration,
+                        proved: true,
+                        record,
+                    });
                 }
             }
             match Slot::settle(slot, proof) {
                 Settled::Stored(proof, parked) => {
-                    answers.push(served(g, &prover, &proof, duration, true));
+                    answers.push(served(g, &prover, key, &proof, duration, true));
                     for node in parked {
                         let mut span = node_span(g, node.node, "hit");
                         span.arg("verdict", if proof.is_empty() { "verified" } else { "failed" });
-                        answers.push(served(g, &node, &proof, node.built, false));
+                        answers.push(served(g, &node, key, &proof, node.built, false));
                     }
                     return Ok(answers);
                 }
@@ -484,16 +547,17 @@ impl Job for CheckJob {
     ) -> Result<Option<Vec<Answer>>, CoreError> {
         let start = Instant::now();
         let Instance { network, interface, property } = &*self.instance;
-        let keyed = keyed_conditions(network, interface, property, self.options.delay, v);
-        let slot = self.memo.slot(keyed.key);
-        let node = Keyed { node: v, back: keyed.back, built: start.elapsed() };
+        let KeyedConditions { key, conditions, back } =
+            keyed_conditions(network, interface, property, self.options.delay, v);
+        let slot = self.memo.slot(&key);
+        let node = Keyed { node: v, back, built: start.elapsed() };
         let answers = match Slot::claim(&slot, node) {
-            Claim::Prove(node) => self.prove(worker, &slot, &keyed.conditions, node, token)?,
+            Claim::Prove(node) => self.prove(worker, &slot, &key, &conditions, node, token)?,
             Claim::Parked => return Ok(Some(Vec::new())),
             Claim::Proved(node, proof) => {
                 let mut span = node_span(network.topology(), v, "hit");
                 span.arg("verdict", if proof.is_empty() { "verified" } else { "failed" });
-                vec![served(network.topology(), &node, &proof, start.elapsed(), false)]
+                vec![served(network.topology(), &node, &key, &proof, start.elapsed(), false)]
             }
         };
         if self.options.fail_fast && answers.iter().any(|a| !a.failures.is_empty()) {
@@ -598,17 +662,38 @@ impl CheckerPool {
         self.check_nodes(instance, &nodes, &CancelToken::new())
     }
 
+    /// Checks a *subset* of nodes across the persistent workers, starting
+    /// from no records: [`CheckerPool::check_seeded`] with none.
+    ///
+    /// # Errors
+    ///
+    /// As [`CheckerPool::check_seeded`].
+    pub fn check_nodes(
+        &mut self,
+        instance: &Arc<Instance>,
+        nodes: &[NodeId],
+        cancel: &CancelToken,
+    ) -> Result<CheckReport, CoreError> {
+        Ok(self.check_seeded(instance, nodes, &Records::new(), cancel)?.0)
+    }
+
     /// Checks a *subset* of nodes across the persistent workers — the
-    /// incremental re-check path: a daemon that knows which nodes a delta
-    /// dirtied re-verifies exactly those, through sessions still warm from
+    /// incremental re-check path: a daemon that knows which nodes an edit
+    /// can reach re-verifies exactly those, through sessions still warm from
     /// the previous request. A job wakes no more workers than it has nodes.
+    ///
+    /// The job's memo starts from `records`: a node whose key some record
+    /// holds with a definite proof is answered by that proof, not proved
+    /// again. Returned beside the report are `records` with each of `nodes`
+    /// given its answer's record — the key checked and, if it was definite,
+    /// the proof — and a node the job did not answer left without one.
     ///
     /// Raising `cancel` abandons unchecked nodes *and* interrupts in-flight
     /// solver calls (each worker registers its session's interrupt handle on
     /// the token, and the interrupts are re-delivered until every worker has
     /// wound down), so an external canceller — a daemon draining for
     /// shutdown — stops a long check promptly. Nodes abandoned that way
-    /// report neither failures nor durations.
+    /// report neither failures nor durations, and keep no record.
     ///
     /// # Errors
     ///
@@ -616,12 +701,13 @@ impl CheckerPool {
     /// other workers are cancelled), or [`CoreError::WorkerDied`] if a
     /// worker panicked. Solver counterexamples are *not* errors, they are
     /// reported as [`Failure`]s.
-    pub fn check_nodes(
+    pub fn check_seeded(
         &mut self,
         instance: &Arc<Instance>,
         nodes: &[NodeId],
+        records: &Records,
         cancel: &CancelToken,
-    ) -> Result<CheckReport, CoreError> {
+    ) -> Result<(CheckReport, Records), CoreError> {
         let start = Instant::now();
         self.tally.lock().expect("tally updates cannot panic").terms = TermCacheStats::default();
         let job = CheckJob {
@@ -630,7 +716,7 @@ impl CheckerPool {
             options: self.options.clone(),
             workers: self.pool.workers(),
             tally: Arc::clone(&self.tally),
-            memo: Memo::default(),
+            memo: Memo::from(records),
         };
         let outcome = self.pool.run(nodes.to_vec(), cancel, job).map_err(|e| match e {
             PoolError::Task(e) => e,
@@ -639,9 +725,14 @@ impl CheckerPool {
         let mut node_durations = Vec::with_capacity(nodes.len());
         let mut failures = Vec::new();
         let mut memo = MemoStats::default();
+        let mut updated = records.clone();
+        for v in nodes {
+            updated.remove(v);
+        }
         for answer in outcome.results.into_iter().flatten() {
             node_durations.push((answer.node, answer.duration));
             failures.extend(answer.failures);
+            updated.insert(answer.node, answer.record);
             if answer.proved {
                 memo.proofs += 1;
             } else {
@@ -650,14 +741,15 @@ impl CheckerPool {
         }
         node_durations.sort_by_key(|(v, _)| *v);
         failures.sort_by_key(|f| f.node);
-        Ok(CheckReport {
+        let report = CheckReport {
             failures,
             node_durations,
             wall: start.elapsed(),
             sched: Some(outcome.stats),
             terms: Some(self.tally.lock().expect("tally updates cannot panic").terms),
             memo,
-        })
+        };
+        Ok((report, updated))
     }
 }
 
@@ -1414,6 +1506,46 @@ mod tests {
             assert_eq!(memo.proofs + memo.hits, 12, "{}", engine.name());
             assert!(!unknown.is_empty(), "{}: the budget must run out", engine.name());
             assert!(unknown.len() <= memo.proofs, "{}: {memo:?}, {unknown:?}", engine.name());
+        }
+    }
+
+    #[test]
+    fn a_seeded_job_proves_only_what_no_record_holds_definitely() {
+        let net = reach_net(6);
+        let instance = shared(&net, &reach_interface(&net), &anything(&net));
+        let all: Vec<NodeId> = net.topology().nodes().collect();
+        let mut pool = CheckerPool::new(2, CheckOptions::default());
+        let fresh = CancelToken::new;
+        let (first, records) =
+            pool.check_seeded(&instance, &all, &Records::new(), &fresh()).unwrap();
+        assert!(first.memo().proofs > 0);
+        assert!(records.len() == 6 && records.values().all(Record::is_verified));
+        // every key is held with its proof: nothing is proved again
+        let (again, same) = pool.check_seeded(&instance, &all, &records, &fresh()).unwrap();
+        assert_eq!(again.memo(), MemoStats { proofs: 0, hits: 6 });
+        assert!(all.iter().all(|v| same[v].key() == records[v].key()));
+        // nodes a cancelled job abandoned keep no record; the others keep theirs
+        let token = fresh();
+        token.cancel();
+        let (none, left) = pool.check_seeded(&instance, &all[..2], &records, &token).unwrap();
+        assert!(none.node_durations().is_empty());
+        assert_eq!(left.keys().copied().collect::<Vec<_>>(), all[2..]);
+
+        // a record left by an unknown seeds nothing: its node is proved again
+        let property = NodeAnnotations::new(net.topology(), Temporal::globally(|_| pigeonhole()));
+        let instance = shared(&net, &anything(&net), &property);
+        let options = CheckOptions { timeout: Some(Duration::from_nanos(1)), ..threads(2) };
+        let mut pool = CheckerPool::new(2, options);
+        let (_, records) = pool.check_seeded(&instance, &all, &Records::new(), &fresh()).unwrap();
+        let (definite, unknown): (Vec<&Record>, Vec<&Record>) =
+            records.values().partition(|record| record.is_definite());
+        assert!(!unknown.is_empty(), "the budget must run out");
+        let memo = Memo::from(&records);
+        let seeded = memo.slots.read().unwrap();
+        assert!(definite.iter().all(|record| seeded.contains_key(record.key())));
+        for record in unknown {
+            let proved = definite.iter().any(|d| d.key() == record.key());
+            assert_eq!(seeded.contains_key(record.key()), proved);
         }
     }
 

@@ -5,9 +5,11 @@
 //! each node's three conditions depend on a bounded slice of the network, so
 //! an *edit* — a policy change, a link failure, a new witness time, a new
 //! failure budget — invalidates a bounded **cone** of nodes. A daemon that
-//! keeps the compiled network, the solver sessions and the last verdict per
-//! node warm can answer "is the network still correct after this edit?" by
-//! re-checking only that cone, orders of magnitude faster than a cold run.
+//! keeps the compiled network, the solver sessions and, per node, the key
+//! it was last checked on with its proof warm can answer "is the network
+//! still correct after this edit?" by re-checking only that cone, orders of
+//! magnitude faster than a cold run — and a node whose conditions some
+//! record already proved is answered by that proof.
 //!
 //! The same independence is what lets a fleet split a network into shards,
 //! and a shard is the same request as a cone: *check these nodes of this
@@ -22,11 +24,11 @@
 //!   (framing via [`timepiece_trace::json`]);
 //! * [`mod@state`] — [`DaemonState`]: the persistent
 //!   [`timepiece_core::sweep::CheckerPool`] and the [`Loaded`] instance —
-//!   one [`timepiece_core::Instance`] the pool's workers share, its
-//!   [`timepiece_core::Fingerprints`] snapshot and
-//!   [`timepiece_core::VerdictCache`]; every checking request = name a set
-//!   of nodes → re-check it on the pool → fold verdicts back in (`delta`
-//!   names the dirty cone of its edit);
+//!   one [`timepiece_core::Instance`] the pool's workers share and one
+//!   [`timepiece_core::sweep::Record`] per node; every checking request =
+//!   name a set of nodes → re-check it on the pool, its memo seeded by the
+//!   records → keep the answers as the nodes' records (`delta` names its
+//!   edit's footprint and every node without a definite record);
 //! * [`mod@server`] — the TCP accept/state/connection threads, `progress`
 //!   heartbeats while a reply is pending, graceful drain on `shutdown` or
 //!   SIGTERM (in-flight solver calls are interrupted through

@@ -9,7 +9,7 @@
 //!
 //! | verb | request fields | effect |
 //! |---|---|---|
-//! | `load` | `version`, then `scenario` (text) or `bench` + `k`; optional `sabotage`, `threads`, `timeout_millis`, `trace` | install the current instance — no check, no fingerprints; replies `label`, `generation` |
+//! | `load` | `version`, then `scenario` (text) or `bench` + `k`; optional `sabotage`, `threads`, `timeout_millis`, `trace` | install the current instance — no check, no keys, no records; replies `label`, `generation` |
 //! | `check` | — | re-verify every node |
 //! | `check` | `nodes`; optional `generation`, `shard` | re-verify exactly those nodes (a fleet shard) |
 //! | `delta` | `kind` + kind-specific fields | apply one edit, re-verify the dirty cone |

@@ -5,23 +5,27 @@
 //! (kept while the networks checked declare the same variables, so edits —
 //! and a re-`load` of the same kind of network — keep it) and at most one
 //! [`Loaded`] instance: its label, the [`Instance`] itself behind the one
-//! [`Arc`] the pool's workers read, the last [`Fingerprints`] snapshot, a
-//! [`VerdictCache`] with the last verdict per node, and the downed-link
-//! book. An instance is installed one way, without checking or
-//! fingerprinting it: a `load` request resolves it through the [`Loader`]
-//! the process handed the state, and [`DaemonState::new`] is an empty state
-//! that installs the instance it is given and then answers a unit `check`.
-//! The first delta computes the fingerprints.
+//! [`Arc`] the pool's workers read, one [`Record`] per node — the key of the
+//! conditions it was last checked on and, if that check was definite, its
+//! proof — and the downed-link book. An instance is installed one way,
+//! without checking or keying it: a `load` request resolves it through the
+//! [`Loader`] the process handed the state and starts with no records, and
+//! [`DaemonState::new`] is an empty state that installs the instance it is
+//! given and then answers a unit `check`.
 //!
 //! Every checking request is the same question — *re-prove these nodes of
-//! the current instance* — answered by the same path: a full `check` names
+//! the current instance* — answered by the same path: one job on the
+//! still-warm pool whose memo starts from the records, so a node whose key
+//! any record holds with a proof is answered by it. A full `check` names
 //! every node, a node-list `check` (a fleet shard) names its own, and a
-//! `delta` applies the edit, re-fingerprints the edit's topological
-//! *footprint*, diffs into the dirty cone and names that. The cone goes
-//! through the still-warm pool and the partial report is folded back into
-//! the cache — so a request costs what its cone costs, not what the network
-//! costs. A delta builds the edited [`Instance`] and commits it only after
-//! its cone has been re-proved.
+//! `delta` applies the edit and names its topological *footprint* plus every
+//! node without a definite record (an `unknown`, or a node a cancellation
+//! abandoned). The job keys each of them once; its cone is every node of
+//! the job but those whose new key is the one their last definite check
+//! settled — a node the job abandoned stays in it — so a request
+//! costs what its cone costs, not what the network costs. A delta builds the
+//! edited [`Instance`] and commits it, with the job's records, only after
+//! the job has returned.
 //!
 //! The handler is transport-agnostic — it maps a parsed
 //! [`Request`] to a response [`Json`] — so the TCP server, the benchmark,
@@ -37,8 +41,8 @@ use timepiece_algebra::policy::{RouteGuard, RoutePolicy};
 use timepiece_algebra::Network;
 use timepiece_core::check::{CheckOptions, CheckReport, FailureReason};
 use timepiece_core::incremental::interface_cone;
-use timepiece_core::sweep::CheckerPool;
-use timepiece_core::{CoreError, Fingerprints, Instance, Temporal, VerdictCache};
+use timepiece_core::sweep::{CheckerPool, Record, Records};
+use timepiece_core::{CoreError, Instance, Temporal};
 use timepiece_expr::Expr;
 use timepiece_sched::CancelToken;
 use timepiece_topology::{NodeId, Topology};
@@ -137,15 +141,15 @@ pub type Loader = fn(&LoadSource) -> Result<(String, Instance), String>;
 type Downed = HashMap<(NodeId, NodeId), Option<RoutePolicy>>;
 
 /// A delta applied but not yet committed: the delta handler builds the
-/// edited instance and downed-link book, re-checks the dirty cone, and only
+/// edited instance and downed-link book, re-checks the footprint, and only
 /// then swaps them into the state.
 struct Applied {
     instance: Instance,
     downed: Downed,
     /// A topological upper bound on the nodes whose conditions the edit can
-    /// change — the only ones worth re-fingerprinting: an edge's policy
-    /// feeds its head's merge alone, an interface is assumed by the node's
-    /// successors, the failure budget is assumed by every condition.
+    /// change — the only ones worth re-keying: an edge's policy feeds its
+    /// head's merge alone, an interface is assumed by the node's successors,
+    /// the failure budget is assumed by every condition.
     footprint: Vec<NodeId>,
 }
 
@@ -154,10 +158,10 @@ struct Applied {
 pub struct Loaded {
     label: String,
     instance: Arc<Instance>,
-    /// Computed by the first delta: an instance that only ever answers
-    /// `check`s never pays for them.
-    fingerprints: Option<Fingerprints>,
-    verdicts: VerdictCache,
+    /// At most one per node: what the node's last check left. A node
+    /// without one has not been checked since the `load`, or its check was
+    /// abandoned.
+    records: Records,
     downed: Downed,
 }
 
@@ -208,7 +212,7 @@ impl DaemonState {
 
     /// An [`empty`](DaemonState::empty) daemon that installs `instance` as
     /// a `load` would and answers a unit `check`, so the first client
-    /// request already hits warm sessions and a populated verdict cache.
+    /// request already hits warm sessions and a record for every node.
     ///
     /// # Errors
     ///
@@ -257,31 +261,29 @@ impl DaemonState {
         self.current.as_ref().map_or(0, Loaded::nodes)
     }
 
-    /// Does every node of the current instance have a cached verified
-    /// verdict?
+    /// Does every node of the current instance have a verified record?
     pub fn all_verified(&self) -> bool {
         self.current.as_ref().is_some_and(Loaded::all_verified)
     }
 
     /// Makes `instance` current — the one way an instance is installed —
-    /// with no verdicts and no fingerprints yet.
+    /// with no records yet.
     fn install(&mut self, label: String, instance: Instance) {
         self.current = Some(Loaded {
             label,
             instance: Arc::new(instance),
-            fingerprints: None,
-            verdicts: VerdictCache::new(),
+            records: Records::new(),
             downed: HashMap::new(),
         });
         self.generation += 1;
     }
 
-    /// Re-proves `nodes` of the current instance and folds the verdicts into
-    /// its cache.
+    /// Re-proves `nodes` of the current instance and keeps their records.
     fn check_nodes(&mut self, nodes: &[NodeId]) -> Result<CheckReport, CoreError> {
         let loaded = self.current.as_mut().expect("an instance is installed");
-        let report = prove(&mut self.pool, &self.drain, &loaded.instance, nodes)?;
-        loaded.absorb(nodes, &report);
+        let (report, records) =
+            prove(&mut self.pool, &self.drain, &loaded.instance, nodes, &loaded.records)?;
+        loaded.records = records;
         Ok(report)
     }
 
@@ -330,7 +332,7 @@ impl DaemonState {
     }
 
     /// `load`: resolve the source, apply the sabotage, make the instance
-    /// current. No check runs and nothing is fingerprinted; the pool is
+    /// current. No check runs and nothing is keyed; the pool is
     /// rebuilt only when the request asks for other threads or another
     /// timeout than it has, so solver sessions survive from load to load.
     fn handle_load(&mut self, load: &Load) -> Result<Json, String> {
@@ -422,8 +424,8 @@ impl DaemonState {
         reply
     }
 
-    /// `delta`: apply the edit, diff fingerprints into the dirty cone,
-    /// re-check only the cone, commit.
+    /// `delta`: apply the edit, re-check its footprint and every node
+    /// without a definite record in one job, commit.
     fn handle_delta(&mut self, delta: &Delta) -> Json {
         let start = Instant::now();
         let Some(inst) = self.current.as_mut() else { return error_response(NOTHING_LOADED) };
@@ -431,27 +433,32 @@ impl DaemonState {
             Ok(applied) => applied,
             Err(message) => return error_response(message),
         };
-        let Applied { instance, downed, footprint } = applied;
-        let delay = self.options.delay;
-        let before = inst.fingerprints.get_or_insert_with(|| {
-            let Instance { network, interface, property } = &*inst.instance;
-            Fingerprints::compute(network, interface, property, delay)
-        });
-        let Instance { network, interface, property } = &instance;
-        let after = before.refreshed(network, interface, property, delay, &footprint);
-        let cone = before.dirty_cone(&after);
+        let Applied { instance, downed, mut footprint } = applied;
+        // the key a node's last check settled, if it settled one
+        let held = |v: &NodeId| inst.records.get(v).filter(|r| r.is_definite()).map(Record::key);
+        let undecided = inst.instance.network.topology().nodes().filter(|v| held(v).is_none());
+        footprint.extend(undecided);
+        footprint.sort_unstable();
+        footprint.dedup();
         let instance = Arc::new(instance);
-        let report = match prove(&mut self.pool, &self.drain, &instance, &cone) {
-            Ok(report) => report,
-            Err(e) => return error_response(format!("re-check failed: {e}")),
-        };
-        // commit: the edited instance is now the daemon's instance; cone
-        // nodes the (possibly cancelled) report did not reach stay
-        // invalidated rather than serving a stale verdict
+        let (report, records) =
+            match prove(&mut self.pool, &self.drain, &instance, &footprint, &inst.records) {
+                Ok(checked) => checked,
+                Err(e) => return error_response(format!("re-check failed: {e}")),
+            };
+        // the dirty cone: every node of the job but those whose new record
+        // has the key their last definite check settled — a node the job
+        // abandoned has no new record and stays in it
+        let cone: Vec<NodeId> = footprint
+            .into_iter()
+            .filter(|v| held(v).is_none_or(|old| records.get(v).map(Record::key) != Some(old)))
+            .collect();
+        // commit: the edited instance is now the daemon's instance; a node
+        // the (possibly cancelled) job did not answer has no record, so it
+        // serves no stale verdict and joins the next job
         inst.instance = instance;
         inst.downed = downed;
-        inst.fingerprints = Some(after);
-        inst.absorb(&cone, &report);
+        inst.records = records;
         self.generation += 1;
         self.deltas += 1;
         timepiece_trace::counter("daemon.deltas").inc();
@@ -460,14 +467,14 @@ impl DaemonState {
         inst.report_response("delta", self.generation, &cone, None, &report, start)
     }
 
-    /// `status`: the instance and cache summary.
+    /// `status`: the instance and records summary.
     fn handle_status(&self) -> Json {
         let (label, failed, downed, cached) = match &self.current {
             Some(inst) => (
                 Json::str(inst.label.clone()),
                 inst.failed(None),
                 inst.downed.len(),
-                inst.verdicts.len(),
+                inst.records.len(),
             ),
             None => (Json::Null, Vec::new(), 0, 0),
         };
@@ -497,16 +504,17 @@ impl DaemonState {
     }
 }
 
-/// Re-proves `cone` on the pool under a fresh drain token — the one way a
-/// request reaches the solver.
+/// Re-proves `nodes` on the pool, its memo seeded by `records`, under a
+/// fresh drain token — the one way a request reaches the solver.
 fn prove(
     pool: &mut CheckerPool,
     drain: &DrainSignal,
     instance: &Arc<Instance>,
-    cone: &[NodeId],
-) -> Result<CheckReport, CoreError> {
+    nodes: &[NodeId],
+    records: &Records,
+) -> Result<(CheckReport, Records), CoreError> {
     let token = drain.begin();
-    let result = pool.check_nodes(instance, cone, &token);
+    let result = pool.check_seeded(instance, nodes, records, &token);
     drain.end();
     result
 }
@@ -523,16 +531,17 @@ impl Loaded {
         &self.instance
     }
 
-    /// The cached per-node verdicts.
-    pub fn verdicts(&self) -> &VerdictCache {
-        &self.verdicts
+    /// The per-node records. Each node's key is the one a from-scratch
+    /// [`timepiece_core::Fingerprints::compute`] gives it on
+    /// [`Loaded::instance`].
+    pub fn records(&self) -> &Records {
+        &self.records
     }
 
-    /// The per-node condition fingerprints, once the first delta has
-    /// computed them; from then on kept up to date footprint by footprint —
-    /// always equal to a from-scratch [`Fingerprints::compute`].
-    pub fn fingerprints(&self) -> Option<&Fingerprints> {
-        self.fingerprints.as_ref()
+    /// The nodes whose record is not verified — a failure or an unknown —
+    /// in node order.
+    pub fn failed_nodes(&self) -> Vec<NodeId> {
+        self.records.iter().filter(|(_, record)| !record.is_verified()).map(|(v, _)| *v).collect()
     }
 
     fn nodes(&self) -> usize {
@@ -540,29 +549,23 @@ impl Loaded {
     }
 
     fn all_verified(&self) -> bool {
-        self.verdicts.len() == self.nodes() && self.verdicts.all_verified()
+        self.records.len() == self.nodes() && self.records.values().all(Record::is_verified)
     }
 
-    /// Folds a cone's report into the verdict cache.
-    fn absorb(&mut self, cone: &[NodeId], report: &CheckReport) {
-        self.verdicts.invalidate(cone);
-        self.verdicts.absorb(report);
-    }
-
-    /// The names of the nodes whose cached verdict is a failure, of all
-    /// nodes or (`Some`) of the named ones only.
+    /// The names of the nodes whose record is not verified, of all nodes or
+    /// (`Some`) of the named ones only.
     fn failed(&self, answered: Option<&[NodeId]>) -> Vec<Json> {
         let g = self.instance.network.topology();
-        let failed = self.verdicts.failed_nodes().into_iter();
+        let failed = self.failed_nodes().into_iter();
         failed
             .filter(|v| answered.is_none_or(|nodes| nodes.contains(v)))
             .map(|v| Json::str(g.name(v)))
             .collect()
     }
 
-    /// The common `check`/`delta` response: the cache's verdicts — of every
-    /// node, or (`Some`) of the nodes the request named — cone and
-    /// cache-hit statistics, and what this cone's check itself found —
+    /// The common `check`/`delta` response: the records' verdicts — of
+    /// every node, or (`Some`) of the nodes the request named — cone and
+    /// cache-hit statistics, and what this request's job itself found —
     /// per-node durations and failures — which is all a fleet coordinator
     /// reads (`ShardReport` in `timepiece-bench` is a typed view of it).
     fn report_response(
@@ -578,12 +581,12 @@ impl Loaded {
         let nodes = self.nodes();
         let cone_names: Vec<Json> = cone.iter().map(|v| Json::str(g.name(*v))).collect();
         let verdicts: Vec<(String, Json)> = self
-            .verdicts
+            .records
             .iter()
             .filter(|(v, _)| answered.is_none_or(|nodes| nodes.contains(v)))
-            .map(|(v, verdict)| {
-                let word = if verdict.is_verified() { "verified" } else { "failed" };
-                (g.name(v).to_owned(), Json::str(word))
+            .map(|(v, record)| {
+                let word = if record.is_verified() { "verified" } else { "failed" };
+                (g.name(*v).to_owned(), Json::str(word))
             })
             .collect();
         let durations = report
@@ -622,8 +625,8 @@ impl Loaded {
             pairs.push(("term_hits".to_owned(), Json::from(terms.hits as usize)));
             pairs.push(("term_misses".to_owned(), Json::from(terms.misses as usize)));
         }
-        // how the cone's nodes got their verdicts: proved, or answered by
-        // the proof of an equal key within this request
+        // how the job's nodes got their verdicts: proved, or answered by
+        // the proof of an equal key — a record's, or one this job found
         let memo = report.memo();
         pairs.push(("memo_proofs".to_owned(), Json::from(memo.proofs)));
         pairs.push(("memo_hits".to_owned(), Json::from(memo.hits)));

@@ -109,13 +109,13 @@ fn from_scratch_failed(state: &DaemonState) -> Vec<NodeId> {
 /// (accepted or rejected) that both answer with the same verdict map, cone
 /// and failing set, and that on each
 ///
-/// * the verdict cache equals a from-scratch check of the daemon's current
-///   instance, and
-/// * no fingerprints exist before the first applied delta, and from then
-///   on the fingerprints the daemon refreshed over each delta's footprint
-///   equal a from-scratch [`Fingerprints::compute`] — i.e. the footprint
+/// * the records' verdicts equal a from-scratch check of the daemon's
+///   current instance, and
+/// * every node has a record, and its key equals a from-scratch
+///   [`Fingerprints::compute`] — from the first request on, since every
+///   check keys what it checks; after a delta, that means the footprint
 ///   covered the exact cone, so no node kept a stale key (which a later
-///   delta would then diff against, missing a dirty node), and
+///   delta would then compare against, missing a dirty node), and
 /// * no worker holds more than one solver session: a worker keeps its
 ///   session while networks declare alike, and no delta — policy or budget —
 ///   declares anything, so an edited network lands in the session that
@@ -133,7 +133,6 @@ fn check_sequence(source: LoadSource, field: &'static str, ops: Vec<(u8, u64, u6
         assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true), "{reply}");
     }
     let mut states = [DaemonState::new(label, instance, options()).unwrap(), loaded];
-    let mut fingerprinted = false;
     for (kind, a, b) in ops {
         let request = targets.decode(kind, a, b);
         let replies = states.each_mut().map(|state| state.handle(&request).reply);
@@ -143,7 +142,6 @@ fn check_sequence(source: LoadSource, field: &'static str, ops: Vec<(u8, u64, u6
         let reply = &replies[0];
         let ok = reply.get("ok").and_then(Json::as_bool);
         assert!(ok.is_some(), "reply must carry ok: {reply}");
-        fingerprinted |= matches!(request, Request::Delta(_)) && ok == Some(true);
         if let Request::CheckNodes(check) = &request {
             let cone: Vec<&str> = reply
                 .get("cone")
@@ -158,26 +156,26 @@ fn check_sequence(source: LoadSource, field: &'static str, ops: Vec<(u8, u64, u6
         for state in &mut states {
             let inst = state.loaded().expect("the daemon started loaded");
             assert_eq!(
-                inst.verdicts().len(),
+                inst.records().len(),
                 n,
-                "no cancellation ran, so every node must keep a verdict"
+                "no cancellation ran, so every node must keep a record"
             );
-            if fingerprinted {
-                let Instance { network, interface, property } = inst.instance();
-                let recomputed = Fingerprints::compute(network, interface, property, 0);
-                assert_eq!(
-                    inst.fingerprints()
-                        .expect("the first delta fingerprints")
-                        .dirty_cone(&recomputed),
-                    Vec::<NodeId>::new(),
-                    "after {:?} (ok={:?}) the footprint missed nodes whose conditions changed",
-                    request,
-                    ok
-                );
-            } else {
-                assert!(inst.fingerprints().is_none(), "only a delta fingerprints: {request:?}");
-            }
-            let cached_failed = inst.verdicts().failed_nodes();
+            let Instance { network, interface, property } = inst.instance();
+            let recomputed = Fingerprints::compute(network, interface, property, 0);
+            let stale: Vec<NodeId> = inst
+                .records()
+                .iter()
+                .filter(|(v, record)| recomputed.get(**v) != Some(record.key()))
+                .map(|(v, _)| *v)
+                .collect();
+            assert_eq!(
+                stale,
+                Vec::<NodeId>::new(),
+                "after {:?} (ok={:?}) the footprint missed nodes whose conditions changed",
+                request,
+                ok
+            );
+            let cached_failed = inst.failed_nodes();
             let reference_failed = from_scratch_failed(state);
             assert_eq!(
                 cached_failed, reference_failed,
@@ -250,7 +248,7 @@ fn a_node_list_check_answers_for_its_nodes_only() {
     let reply = state.handle(&Request::CheckNodes(check)).reply;
     assert_eq!(names(&reply, "verdicts"), nodes, "{reply}");
     assert_eq!(names(&reply, "failed"), Vec::<String>::new(), "{reply}");
-    assert_eq!(state.loaded().unwrap().verdicts().len(), 20, "the cache itself is whole");
+    assert_eq!(state.loaded().unwrap().records().len(), 20, "the cache itself is whole");
 }
 
 #[test]
@@ -261,9 +259,9 @@ fn the_shards_of_a_loaded_instance_union_to_the_from_scratch_failures() {
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true), "{reply}");
     let generation = reply.get("generation").and_then(Json::as_usize).map(|g| g as u64);
     assert_eq!(generation, Some(1), "{reply}");
-    // a load installs; it neither checks nor fingerprints
+    // a load installs; it neither checks nor keys
     let inst = state.loaded().expect("loaded");
-    assert!(inst.verdicts().is_empty() && inst.fingerprints().is_none(), "{inst:?}");
+    assert!(inst.records().is_empty(), "{inst:?}");
 
     let reference = from_scratch_failed(&state);
     let g = state.loaded().unwrap().instance().network.topology().clone();
@@ -301,7 +299,7 @@ fn the_shards_of_a_loaded_instance_union_to_the_from_scratch_failures() {
         failing.sort_unstable();
         failing.dedup();
         assert_eq!(failing, reference, "{shards} shards");
-        assert_eq!(state.loaded().unwrap().verdicts().failed_nodes(), reference);
+        assert_eq!(state.loaded().unwrap().failed_nodes(), reference);
     }
 }
 

@@ -8,6 +8,13 @@
 //! assert the plateau on the counters `status` reports — and, in an
 //! `#[ignore]`d release-mode variant, on the process's resident set.
 //!
+//! Every check of the check phase follows a `load` of the same instance. A
+//! `load` keeps the pool (same threads, same timeout) but starts with no
+//! records, so each of those checks proves every distinct key on the warm
+//! sessions, as a daemon's checks did before it kept proofs; without the
+//! `load` a check of an unedited instance is answered by its records and
+//! never reaches a solver.
+//!
 //! The counters are bounded, not repeatable: a node a job's work stealing
 //! moved is checked in a session that ends with the job, so its home worker
 //! compiles it in a later job instead. The yardstick is therefore taken
@@ -19,7 +26,9 @@ use timepiece_core::check::CheckOptions;
 use timepiece_core::sweep::CheckerPool;
 use timepiece_core::Instance;
 use timepiece_daemon::fixture::hop_path;
-use timepiece_daemon::{DaemonState, Delta, PolicySpec, Request};
+use timepiece_daemon::{
+    DaemonState, Delta, Load, LoadSource, PolicySpec, Request, PROTOCOL_VERSION,
+};
 use timepiece_nets::reach::ReachBench;
 use timepiece_sched::CancelToken;
 use timepiece_trace::Json;
@@ -71,6 +80,20 @@ fn one_copy(instance: &Instance) -> usize {
         .sum()
 }
 
+/// Builds the two instances the drives run on, so `load` can install them
+/// afresh.
+fn loader(source: &LoadSource) -> Result<(String, Instance), String> {
+    match source {
+        LoadSource::Bench { name, k: 8 } if name == "hop" => {
+            Ok(("hop 8".into(), hop_path(8, None)))
+        }
+        LoadSource::Bench { name, k: 4 } if name == "SpReach" => {
+            Ok(("SpReach k=4".into(), ReachBench::single_dest(4, 0).build()))
+        }
+        other => Err(format!("this test loads hop 8 and SpReach k=4 only, not {other:?}")),
+    }
+}
+
 fn send(state: &mut DaemonState, delta: Delta) {
     let reply = state.handle(&Request::Delta(delta.clone())).reply;
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true), "{delta:?}: {reply}");
@@ -107,9 +130,11 @@ struct Drive {
     end: Counters,
 }
 
-/// `CHECKS` full checks of the unchanged instance, then `DELTAS` edits with
-/// a full check every 25th; `sample` runs after every request batch.
-fn drive(instance: Instance, witnessed: Vec<String>, mut sample: impl FnMut(usize)) -> Drive {
+/// `CHECKS` full checks of the unchanged instance, each after a `load` of
+/// it, then `DELTAS` edits with a full check every 25th; `sample` runs after
+/// every request batch.
+fn drive(source: LoadSource, witnessed: Vec<String>, mut sample: impl FnMut(usize)) -> Drive {
+    let (label, instance) = loader(&source).unwrap();
     let g = instance.network.topology().clone();
     let links: Vec<(String, String)> = g
         .edges()
@@ -118,10 +143,20 @@ fn drive(instance: Instance, witnessed: Vec<String>, mut sample: impl FnMut(usiz
         .collect();
     let one_copy = one_copy(&instance);
     let options = CheckOptions { threads: Some(WORKERS), ..Default::default() };
-    let mut state = DaemonState::new("plateau", instance, options).unwrap();
+    let mut state = DaemonState::new(label, instance, options).unwrap().with_loader(loader);
     let base = counters(&mut state);
+    let load = Request::Load(Load {
+        version: PROTOCOL_VERSION,
+        source,
+        sabotage: Vec::new(),
+        threads: None,
+        timeout_millis: None,
+        trace: false,
+    });
 
     for i in 0..CHECKS {
+        let reply = state.handle(&load).reply;
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true), "{reply}");
         let reply = state.handle(&Request::Check).reply;
         assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
         // nothing is edited, so nothing new is ever compiled: the sessions
@@ -162,7 +197,8 @@ fn drive(instance: Instance, witnessed: Vec<String>, mut sample: impl FnMut(usiz
 #[test]
 fn session_counters_plateau_under_checks_and_edits() {
     let witnessed: Vec<String> = (1..8).map(|i| format!("v{i}")).collect();
-    let seen = drive(hop_path(8, None), witnessed, |_| {});
+    let hop = LoadSource::Bench { name: "hop".into(), k: 8 };
+    let seen = drive(hop, witnessed, |_| {});
     let Drive { one_copy, base, after_checks, mid_deltas, end, .. } = seen;
     assert!(base.sessions > 0 && base.compiled_terms > 0, "{base:?}");
     assert!(base.compiled_terms <= one_copy, "{base:?} > {one_copy}");
@@ -201,14 +237,14 @@ fn rss_mb() -> f64 {
 #[ignore = "measures RSS; run in release, alone in its process"]
 fn resident_set_plateaus_under_checks_and_edits() {
     let bench = ReachBench::single_dest(4, 0);
-    let instance = bench.build();
-    let g = instance.network.topology().clone();
+    let g = bench.build().network.topology().clone();
     let dest = bench.dest_node().expect("single destination");
     // every node but the destination has a witness time to move
     let witnessed: Vec<String> =
         g.nodes().filter(|v| *v != dest).map(|v| g.name(v).to_owned()).collect();
     let mut rss = Vec::new();
-    drive(instance, witnessed, |_| rss.push(rss_mb()));
+    let spreach = LoadSource::Bench { name: "SpReach".into(), k: 4 };
+    drive(spreach, witnessed, |_| rss.push(rss_mb()));
     let at = |request: usize| rss[request - 1];
     let (warm, after_checks, mid, end) =
         (at(10), at(CHECKS), at(CHECKS + DELTAS / 2), at(CHECKS + DELTAS));
