@@ -26,7 +26,8 @@ pub const TIME_VAR: &str = "t";
 /// spelled like one of them — a symbolic, or a name a transfer, merge or
 /// interface closure writes itself — would be captured by the checker's
 /// variable, so [`NetworkBuilder::build`] refuses such symbolics and closures
-/// must not write these names.
+/// must not write these names (a check refuses an interface or property
+/// that writes a route name).
 pub fn is_checker_bound(name: &str) -> bool {
     name == TIME_VAR || name.starts_with("route-") || name.starts_with("route@")
 }

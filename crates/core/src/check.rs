@@ -23,6 +23,7 @@ use timepiece_smt::{SolverSession, TermCacheStats, Validity, Vc};
 use timepiece_topology::NodeId;
 
 use crate::error::CoreError;
+use crate::incremental::refuse_reserved_names;
 use crate::instance::Instance;
 use crate::interface::NodeAnnotations;
 use crate::stats::TimingStats;
@@ -230,8 +231,10 @@ impl ModularChecker {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Smt`] if a condition cannot be encoded (ill-typed
-    /// network or interface).
+    /// Returns [`CoreError::ReservedName`] if an annotation the node's
+    /// conditions apply writes a route name the checker binds, as a pooled
+    /// check does, and [`CoreError::Smt`] if a condition cannot be encoded
+    /// (ill-typed network or interface).
     pub fn check_node(
         &self,
         net: &Network,
@@ -245,6 +248,7 @@ impl ModularChecker {
         let mut node_span = timepiece_trace::span(timepiece_trace::Phase::Node, g.name(v));
         node_span.arg("class", g.node_class(v));
         node_span.arg("memo", "proof");
+        refuse_reserved_names(net, interface, property, v)?;
         let conditions = node_conditions(net, interface, property, self.options.delay, v);
         let never = AtomicBool::new(false);
         let results = discharge(&mut session, &never, &conditions)?
@@ -265,9 +269,9 @@ impl ModularChecker {
     ///
     /// # Errors
     ///
-    /// Returns the first [`CoreError`] raised by any worker (encoding
-    /// failures); solver counterexamples are *not* errors, they are reported
-    /// as [`Failure`]s.
+    /// Returns the first [`CoreError`] raised by any worker (an annotation
+    /// writing a name the checker binds, encoding failures); solver
+    /// counterexamples are *not* errors, they are reported as [`Failure`]s.
     pub fn check(
         &self,
         net: &Network,

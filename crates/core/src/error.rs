@@ -12,6 +12,16 @@ pub enum CoreError {
     /// A persistent checker worker died (panicked) — its pool can no longer
     /// serve checks and should be dropped.
     WorkerDied,
+    /// An annotation of `node` — its interface or property — writes a route
+    /// name the checker binds itself
+    /// ([`timepiece_algebra::is_checker_bound`]), which the checker's own
+    /// variable would capture.
+    ReservedName {
+        /// The node whose annotation writes the name.
+        node: String,
+        /// The name.
+        name: String,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -21,6 +31,11 @@ impl fmt::Display for CoreError {
             CoreError::WorkerDied => {
                 write!(f, "a persistent checker worker panicked; discard the pool")
             }
+            CoreError::ReservedName { node, name } => write!(
+                f,
+                "an annotation of {node} writes {name:?}, a route name the checker binds \
+                 (route-<node>, route@...): a predicate must use the route it is applied to"
+            ),
         }
     }
 }
@@ -29,7 +44,7 @@ impl std::error::Error for CoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CoreError::Smt(e) => Some(e),
-            CoreError::WorkerDied => None,
+            CoreError::WorkerDied | CoreError::ReservedName { .. } => None,
         }
     }
 }

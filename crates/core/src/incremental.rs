@@ -19,22 +19,14 @@
 //! both, which is what [`crate::sweep::CheckerPool`]'s per-job memo
 //! exploits.
 //!
-//! A node is built and keyed in its own names instead exactly when a walk
-//! finds a route name (by [`timepiece_algebra::is_checker_bound`]) that a
-//! closure wrote itself, where in key names the checker's variable could
-//! capture it:
-//!
-//! * in a key-name condition, one the build did not pass to it: any
-//!   `route-<u>`, any positional name in the initial condition,
-//!   [`SELF_ROUTE`] in the inductive one, a neighbour's in the safety one,
-//!   or [`neighbour_route`]`(j)` with `j` at or beyond the in-degree;
-//! * in an annotation the conditions apply — the node's interface and
-//!   property, its predecessors' interfaces — applied to a probe route:
-//!   any route name at all, since a passed one cannot be told apart from
-//!   the closure's in the conditions themselves.
-//!
-//! Initial routes, transfers, merges and symbolics never hold these names:
-//! [`timepiece_algebra::NetworkBuilder::build`] refuses any that do.
+//! Those names are the checker's alone. Initial routes, transfers, merges
+//! and symbolics never hold a route name the checker binds
+//! ([`timepiece_algebra::is_checker_bound`]):
+//! [`timepiece_algebra::NetworkBuilder::build`] refuses any that do. Nor
+//! may an interface or property closure write one itself, where the
+//! checker's variable would capture it: a check refuses such a node before
+//! it builds it ([`CoreError::ReservedName`]), so every node it checks is
+//! built once, in the names of its key.
 //!
 //! [`Fingerprints`] captures those keys; [`Fingerprints::dirty_cone`]
 //! diffs two snapshots into the exact set of nodes whose conditions
@@ -43,15 +35,16 @@
 //! [`crate::sweep::Record`], and a job over an edit's footprint both
 //! re-keys those nodes and answers each whose key a record still holds.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use timepiece_algebra::{is_checker_bound, Network, TIME_VAR};
-use timepiece_expr::{Env, Expr, ExprKind, InternId};
+use timepiece_expr::{Env, Expr, InternId};
 use timepiece_smt::Vc;
 use timepiece_topology::{NodeId, Topology};
 
+use crate::error::CoreError;
 use crate::interface::NodeAnnotations;
-use crate::vc::{conditions_over, node_conditions, time_var};
+use crate::vc::{conditions_over, time_var};
 
 /// The name a node's own route variable takes in its [`NodeKey`].
 pub const SELF_ROUTE: &str = "route@self";
@@ -70,9 +63,6 @@ pub fn neighbour_route(i: usize) -> String {
 /// exactly when the two nodes' conditions are alpha-equivalent under the
 /// positional names — the checks are interchangeable, and no edit can
 /// collide with the key it replaces.
-///
-/// A node built in its own names (see the module docs) is keyed by those
-/// conditions; the key still names exactly the formula that is proved.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NodeKey {
     lens: [usize; 3],
@@ -93,22 +83,12 @@ impl NodeKey {
     }
 }
 
-/// Node `v`'s three conditions in the names of its key.
-pub(crate) struct KeyedConditions {
-    pub(crate) key: NodeKey,
-    /// The formulas the key names.
-    pub(crate) conditions: [Vc; 3],
-    /// From the key's names back to `v`'s own; `None` when the conditions
-    /// are built in `v`'s own names.
-    pub(crate) back: Option<OwnNames>,
-}
-
 /// From the positional names of a node's key back to the node's own route
 /// names, as `(key name, own name)` pairs.
 pub(crate) struct OwnNames(Vec<(String, String)>);
 
 impl OwnNames {
-    fn of(net: &Network, v: NodeId) -> OwnNames {
+    pub(crate) fn of(net: &Network, v: NodeId) -> OwnNames {
         let preds = net.topology().preds(v).iter().enumerate();
         OwnNames(
             std::iter::once((SELF_ROUTE.to_owned(), net.route_var_name(v)))
@@ -118,7 +98,7 @@ impl OwnNames {
     }
 
     /// The own name of the key name `name`, if it is one.
-    pub(crate) fn get(&self, name: &str) -> Option<&str> {
+    fn get(&self, name: &str) -> Option<&str> {
         self.0.iter().find(|(key, _)| key == name).map(|(_, own)| own.as_str())
     }
 
@@ -135,82 +115,49 @@ impl OwnNames {
     }
 }
 
-/// Node `v`'s conditions, built in its key's names unless a walk of the
-/// module docs finds a route name a closure wrote itself, and their key.
+/// Node `v`'s conditions, built in its key's names, and their key.
 pub(crate) fn keyed_conditions(
     net: &Network,
     interface: &NodeAnnotations,
     property: &NodeAnnotations,
     delay: u64,
     v: NodeId,
-) -> KeyedConditions {
+) -> (NodeKey, [Vc; 3]) {
     let ty = net.route_type();
     let route = Expr::var(SELF_ROUTE, ty.clone());
     let neighbours: Vec<Expr> = (0..net.topology().preds(v).len())
         .map(|i| Expr::var(neighbour_route(i), ty.clone()))
         .collect();
     let conditions = conditions_over(net, interface, property, delay, v, &route, &neighbours);
-    let mut walk = Walk::default();
-    let passed: [&[Expr]; 3] = [&[], &neighbours, std::slice::from_ref(&route)];
-    let unpassed = conditions
-        .iter()
-        .zip(passed)
-        .any(|(vc, passed)| walk.finds_route(vc.assumptions().iter().chain([vc.goal()]), passed));
-    if unpassed || walk.finds_route(&annotations_at_probe(net, interface, property, v), &[]) {
-        let own = node_conditions(net, interface, property, delay, v);
-        return KeyedConditions { key: NodeKey::of(&own), conditions: own, back: None };
-    }
-    KeyedConditions { key: NodeKey::of(&conditions), conditions, back: Some(OwnNames::of(net, v)) }
+    (NodeKey::of(&conditions), conditions)
 }
 
-/// The annotations `v`'s conditions apply — its interface and property and
-/// its predecessors' interfaces — applied to a probe route that no
-/// condition binds: a route name in them is one a closure wrote itself.
-fn annotations_at_probe(
+/// Refuses node `v` if an annotation its conditions apply — its interface
+/// and property, its predecessors' interfaces — writes a route name the
+/// checker binds. Each is applied to a probe route no condition binds, so a
+/// route name in the result is one the closure wrote itself.
+///
+/// # Errors
+///
+/// [`CoreError::ReservedName`], naming the node whose annotation writes it.
+pub(crate) fn refuse_reserved_names(
     net: &Network,
     interface: &NodeAnnotations,
     property: &NodeAnnotations,
     v: NodeId,
-) -> Vec<Expr> {
+) -> Result<(), CoreError> {
+    let g = net.topology();
     let (t, probe) = (time_var(), Expr::var("probe", net.route_type().clone()));
-    let preds = net.topology().preds(v).iter().map(|&u| interface.get(u));
-    [interface.get(v), property.get(v)]
-        .into_iter()
-        .chain(preds)
-        .map(|op| op.at(&t, &probe))
-        .collect()
-}
-
-/// A free-variable walk that allocates nothing once its buffers are grown.
-#[derive(Default)]
-struct Walk<'e> {
-    seen: HashSet<InternId>,
-    stack: Vec<&'e Expr>,
-}
-
-impl<'e> Walk<'e> {
-    /// Does a route name other than the variables `passed` occur in
-    /// `terms`? Each shared subterm is visited once.
-    fn finds_route(&mut self, terms: impl IntoIterator<Item = &'e Expr>, passed: &[Expr]) -> bool {
-        self.seen.clear();
-        self.stack.clear();
-        self.stack.extend(terms);
-        while let Some(e) = self.stack.pop() {
-            if !self.seen.insert(e.node_id()) {
-                continue;
-            }
-            match e.kind() {
-                ExprKind::Var(name, _) => {
-                    let route = name != TIME_VAR && is_checker_bound(name);
-                    if route && !passed.iter().any(|p| p.same_node(e)) {
-                        return true;
-                    }
-                }
-                _ => self.stack.extend(e.children()),
-            }
+    let preds = g.preds(v).iter().map(|&u| (u, interface.get(u)));
+    for (owner, op) in [(v, interface.get(v)), (v, property.get(v))].into_iter().chain(preds) {
+        // a name at two types is the encoder's to refuse
+        let vars = op.at(&t, &probe).free_vars().unwrap_or_default();
+        let written = vars.into_keys().find(|name| name != TIME_VAR && is_checker_bound(name));
+        if let Some(name) = written {
+            return Err(CoreError::ReservedName { node: g.name(owner).to_owned(), name });
         }
-        false
     }
+    Ok(())
 }
 
 /// The [`NodeKey`] of node `v`.
@@ -228,7 +175,7 @@ pub fn node_fingerprint(
     delay: u64,
     v: NodeId,
 ) -> NodeKey {
-    keyed_conditions(net, interface, property, delay, v).key
+    keyed_conditions(net, interface, property, delay, v).0
 }
 
 /// One snapshot of [`node_fingerprint`] over every node of an instance.
@@ -317,7 +264,6 @@ mod tests {
     use super::*;
     use crate::check::{CheckOptions, ModularChecker};
     use crate::temporal::Temporal;
-    use crate::vc::VcKind;
     use timepiece_algebra::policy::{MergeKey, RouteGuard, RoutePolicy, RouteSchema};
     use timepiece_algebra::NetworkBuilder;
     use timepiece_expr::{Type, Value};
@@ -475,77 +421,72 @@ mod tests {
         let first = keys.get(NodeId::new(0)).unwrap();
         assert!(net.topology().nodes().all(|v| keys.get(v) == Some(first)));
         // the key's formulas mention only the positional names
-        let keyed = keyed_conditions(&net, &reached, &reached, 0, NodeId::new(3));
-        let free: Vec<String> = keyed
-            .conditions
+        let (_, conditions) = keyed_conditions(&net, &reached, &reached, 0, NodeId::new(3));
+        let free: Vec<String> = conditions
             .iter()
             .flat_map(|vc| vc.assumptions().iter().chain([vc.goal()]))
             .flat_map(|e| e.free_vars().unwrap().into_keys())
             .filter(|name| name.starts_with("route"))
             .collect();
         assert!(free.iter().all(|name| name.starts_with("route@")), "{free:?}");
-        let back = keyed.back.expect("built in key names");
-        assert_eq!(back.get(SELF_ROUTE), Some("route-v3"));
+        assert_eq!(OwnNames::of(&net, NodeId::new(3)).get(SELF_ROUTE), Some("route-v3"));
+    }
+
+    /// What a pooled check of every node returns: the refusal that
+    /// `check_node` returns for each of `refused`, while every other node
+    /// checks.
+    fn refusal(
+        net: &Network,
+        interface: &NodeAnnotations,
+        property: &NodeAnnotations,
+        refused: &[NodeId],
+    ) -> CoreError {
+        let checker = ModularChecker::new(CheckOptions { threads: Some(2), ..Default::default() });
+        let pooled = checker.check(net, interface, property).unwrap_err();
+        for v in net.topology().nodes() {
+            let alone = checker.check_node(net, interface, property, v).err();
+            let expected = refused.contains(&v).then(|| pooled.clone());
+            assert_eq!(alone, expected, "{}", net.topology().name(v));
+        }
+        pooled
+    }
+
+    fn reserved(node: &str, name: &str) -> CoreError {
+        CoreError::ReservedName { node: node.to_owned(), name: name.to_owned() }
     }
 
     #[test]
-    fn a_node_whose_conditions_hold_a_renamed_name_is_keyed_as_it_is() {
-        // v1's interface mentions a free variable spelled like the renamed
-        // self name: renaming would capture it, so v1 keeps its own names
+    fn an_interface_writing_the_self_name_is_refused() {
+        // v1's interface mentions a free variable spelled like the self
+        // name of every key: the checker's variable would capture it at v1,
+        // and at v0 and v2, which apply v1's interface to their neighbour
         let (net, mut interface, property) = policy_instance(3);
         let v1 = net.topology().node_by_name("v1").unwrap();
         let ty = net.route_type().clone();
         interface
             .set(v1, Temporal::globally(move |r| Expr::var(SELF_ROUTE, ty.clone()).eq(r.clone())));
-        let keyed = keyed_conditions(&net, &interface, &property, 0, v1);
-        assert!(keyed.back.is_none());
-        let own = crate::vc::node_conditions(&net, &interface, &property, 0, v1);
-        assert_eq!(keyed.key, NodeKey::of(&own));
-    }
-
-    /// The failing (node, condition) pairs of a pooled check, which proves
-    /// each key once, and of memo-free checks of every node on its own.
-    fn failing_pooled_and_alone(
-        net: &Network,
-        interface: &NodeAnnotations,
-        property: &NodeAnnotations,
-    ) -> [HashSet<(NodeId, VcKind)>; 2] {
-        let checker = ModularChecker::new(CheckOptions { threads: Some(2), ..Default::default() });
-        let pooled = checker.check(net, interface, property).unwrap();
-        let mut alone = HashSet::new();
-        for v in net.topology().nodes() {
-            let (failures, _) = checker.check_node(net, interface, property, v).unwrap();
-            alone.extend(failures.iter().map(|f| (f.node, f.vc)));
-        }
-        [pooled.failures().iter().map(|f| (f.node, f.vc)).collect(), alone]
+        let all: Vec<NodeId> = net.topology().nodes().collect();
+        assert_eq!(refusal(&net, &interface, &property, &all), reserved("v1", SELF_ROUTE));
     }
 
     #[test]
-    fn a_neighbours_own_route_name_in_an_interface_keeps_own_names() {
+    fn an_interface_writing_a_neighbours_own_route_name_is_refused() {
         // v1's interface writes `route-v0`: in v1's own conditions that is
-        // its neighbour's route variable, and it is free in v0's and v2's;
-        // in key names it would be free at v1 too, another formula
+        // its neighbour's route variable, in key names a free one — two
+        // formulas, so neither is checked
         let (net, mut interface, property) = policy_instance(3);
-        let g = net.topology();
-        let v1 = g.node_by_name("v1").unwrap();
         let v0_route = Expr::var("route-v0", net.route_type().clone());
+        let v1 = net.topology().node_by_name("v1").unwrap();
         interface.set(
             v1,
             Temporal::globally(move |r| r.clone().is_some().and(v0_route.clone().is_some())),
         );
-        for v in g.nodes() {
-            let keyed = keyed_conditions(&net, &interface, &property, 0, v);
-            assert!(keyed.back.is_none(), "{}", g.name(v));
-            let own = crate::vc::node_conditions(&net, &interface, &property, 0, v);
-            assert_eq!(keyed.key, NodeKey::of(&own), "{}", g.name(v));
-        }
-        let [pooled, alone] = failing_pooled_and_alone(&net, &interface, &property);
-        assert_eq!(pooled, alone);
-        assert!(pooled.contains(&(v1, VcKind::Initial)), "{pooled:?}");
+        let all: Vec<NodeId> = net.topology().nodes().collect();
+        assert_eq!(refusal(&net, &interface, &property, &all), reserved("v1", "route-v0"));
     }
 
     #[test]
-    fn a_predecessors_interface_writing_a_passed_name_keeps_own_names() {
+    fn a_predecessors_interface_writing_a_passed_name_is_refused() {
         // v0's interface writes `route@in0` itself: at v1, whose one
         // predecessor is v0, the build passes that very name to the
         // inductive condition, so no walk of v1's conditions could tell the
@@ -563,37 +504,24 @@ mod tests {
         let mut interface = NodeAnnotations::new(net.topology(), reached());
         let in0 = Expr::var(neighbour_route(0), Type::Bool);
         interface.set(v0, Temporal::globally(move |r| r.clone().and(in0.clone().not())));
-        // v1 claims no route until time 2, but v0's route reaches it at 1
-        interface.set(v1, Temporal::until_at(2, |r| r.clone().not(), reached()));
-        interface.set(v2, Temporal::until_at(3, |r| r.clone().not(), reached()));
+        interface.set(v1, Temporal::until_at(1, |r| r.clone().not(), reached()));
+        interface.set(v2, Temporal::until_at(2, |r| r.clone().not(), reached()));
         let property = NodeAnnotations::new(net.topology(), Temporal::any());
-        for v in [v0, v1] {
-            let keyed = keyed_conditions(&net, &interface, &property, 0, v);
-            assert!(keyed.back.is_none());
-            let own = crate::vc::node_conditions(&net, &interface, &property, 0, v);
-            assert_eq!(keyed.key, NodeKey::of(&own));
-        }
-        // v2 never applies v0's interface: keyed in key names
-        assert!(keyed_conditions(&net, &interface, &property, 0, v2).back.is_some());
-        let [pooled, alone] = failing_pooled_and_alone(&net, &interface, &property);
-        assert_eq!(pooled, alone);
-        assert!(pooled.contains(&(v1, VcKind::Inductive)), "{pooled:?}");
+        // v2 never applies v0's interface: it checks
+        let refused = refusal(&net, &interface, &property, &[v0, v1]);
+        assert_eq!(refused, reserved("v0", &neighbour_route(0)));
     }
 
     #[test]
-    fn a_property_writing_the_self_name_keeps_own_names() {
+    fn a_property_writing_the_self_name_is_refused() {
         // the safety condition is passed `route@self`; a property writing it
-        // would be captured there
+        // would be captured there. Only v2 applies v2's property
         let (net, interface, mut property) = policy_instance(3);
         let v2 = net.topology().node_by_name("v2").unwrap();
         let ty = net.route_type().clone();
         property
             .set(v2, Temporal::globally(move |r| r.clone().eq(Expr::var(SELF_ROUTE, ty.clone()))));
-        let keyed = keyed_conditions(&net, &interface, &property, 0, v2);
-        assert!(keyed.back.is_none());
-        let [pooled, alone] = failing_pooled_and_alone(&net, &interface, &property);
-        assert_eq!(pooled, alone);
-        assert!(pooled.contains(&(v2, VcKind::Safety)), "{pooled:?}");
+        assert_eq!(refusal(&net, &interface, &property, &[v2]), reserved("v2", SELF_ROUTE));
     }
 
     #[test]

@@ -60,6 +60,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
+use timepiece_algebra::Network;
 use timepiece_sched::{CancelToken, Job, Pool, PoolError};
 use timepiece_smt::{CounterExample, SolverSession, TermCacheStats, Validity, Vc};
 use timepiece_topology::{NodeId, Topology};
@@ -69,7 +70,7 @@ use crate::check::{
     discharge, failed, CheckOptions, CheckReport, Failure, FailureReason, MemoStats,
 };
 use crate::error::CoreError;
-use crate::incremental::{keyed_conditions, KeyedConditions, NodeKey, OwnNames};
+use crate::incremental::{keyed_conditions, refuse_reserved_names, NodeKey, OwnNames};
 use crate::instance::Instance;
 use crate::vc::VcKind;
 
@@ -222,8 +223,6 @@ struct Answer {
 /// A node that has built and keyed its conditions and waits for a verdict.
 struct Keyed {
     node: NodeId,
-    /// From the key's names back to the node's own (`None`: the same).
-    back: Option<OwnNames>,
     /// How long building and keying its conditions took.
     built: Duration,
 }
@@ -373,17 +372,14 @@ fn node_span(g: &Topology, v: NodeId, memo: &str) -> SpanGuard {
 }
 
 /// `node`'s failure of condition `kind`, given in its key's names — which
-/// may be another node's condition, whatever names it was built in.
-fn own_failure(g: &Topology, node: &Keyed, kind: VcKind, reason: FailureReason) -> Failure {
-    let node_name = g.name(node.node).to_owned();
+/// may be another node's condition.
+fn own_failure(net: &Network, node: &Keyed, kind: VcKind, reason: FailureReason) -> Failure {
+    let node_name = net.topology().name(node.node).to_owned();
     let reason = match reason {
         FailureReason::CounterExample(cex) => {
             FailureReason::CounterExample(Box::new(CounterExample {
                 vc_name: format!("{kind}@{node_name}"),
-                assignment: match &node.back {
-                    Some(back) => back.env(&cex.assignment),
-                    None => cex.assignment,
-                },
+                assignment: OwnNames::of(net, node.node).env(&cex.assignment),
             }))
         }
         reason => reason,
@@ -393,7 +389,7 @@ fn own_failure(g: &Topology, node: &Keyed, kind: VcKind, reason: FailureReason) 
 
 /// The answer the proof of `key` gives `node`.
 fn served(
-    g: &Topology,
+    net: &Network,
     node: &Keyed,
     key: &NodeKey,
     proof: &Arc<Proof>,
@@ -402,7 +398,9 @@ fn served(
 ) -> Answer {
     let failures = proof
         .iter()
-        .map(|(kind, cex)| own_failure(g, node, *kind, FailureReason::CounterExample(cex.clone())))
+        .map(|(kind, cex)| {
+            own_failure(net, node, *kind, FailureReason::CounterExample(cex.clone()))
+        })
         .collect();
     let record = Record { key: key.clone(), proof: Some(Arc::clone(proof)) };
     Answer { node: node.node, failures, duration, proved, record }
@@ -462,7 +460,8 @@ impl CheckJob {
         mut prover: Keyed,
         token: &CancelToken,
     ) -> Result<Vec<Answer>, CoreError> {
-        let g = self.instance.network.topology();
+        let network = &self.instance.network;
+        let g = network.topology();
         let mut answers = Vec::new();
         loop {
             let start = Instant::now();
@@ -484,7 +483,7 @@ impl CheckJob {
                 // else gets it
                 if let Some(results) = results {
                     let failures = failed(results)
-                        .map(|(kind, reason)| own_failure(g, &prover, kind, reason))
+                        .map(|(kind, reason)| own_failure(network, &prover, kind, reason))
                         .collect();
                     let record = Record { key: key.clone(), proof: None };
                     answers.push(Answer {
@@ -498,11 +497,11 @@ impl CheckJob {
             }
             match Slot::settle(slot, proof) {
                 Settled::Stored(proof, parked) => {
-                    answers.push(served(g, &prover, key, &proof, duration, true));
+                    answers.push(served(network, &prover, key, &proof, duration, true));
                     for node in parked {
                         let mut span = node_span(g, node.node, "hit");
                         span.arg("verdict", if proof.is_empty() { "verified" } else { "failed" });
-                        answers.push(served(g, &node, key, &proof, node.built, false));
+                        answers.push(served(network, &node, key, &proof, node.built, false));
                     }
                     return Ok(answers);
                 }
@@ -547,17 +546,18 @@ impl Job for CheckJob {
     ) -> Result<Option<Vec<Answer>>, CoreError> {
         let start = Instant::now();
         let Instance { network, interface, property } = &*self.instance;
-        let KeyedConditions { key, conditions, back } =
+        refuse_reserved_names(network, interface, property, v)?;
+        let (key, conditions) =
             keyed_conditions(network, interface, property, self.options.delay, v);
         let slot = self.memo.slot(&key);
-        let node = Keyed { node: v, back, built: start.elapsed() };
+        let node = Keyed { node: v, built: start.elapsed() };
         let answers = match Slot::claim(&slot, node) {
             Claim::Prove(node) => self.prove(worker, &slot, &key, &conditions, node, token)?,
             Claim::Parked => return Ok(Some(Vec::new())),
             Claim::Proved(node, proof) => {
                 let mut span = node_span(network.topology(), v, "hit");
                 span.arg("verdict", if proof.is_empty() { "verified" } else { "failed" });
-                vec![served(network.topology(), &node, &key, &proof, start.elapsed(), false)]
+                vec![served(network, &node, &key, &proof, start.elapsed(), false)]
             }
         };
         if self.options.fail_fast && answers.iter().any(|a| !a.failures.is_empty()) {
@@ -697,10 +697,10 @@ impl CheckerPool {
     ///
     /// # Errors
     ///
-    /// The first [`CoreError`] raised by any worker (encoding failures; the
-    /// other workers are cancelled), or [`CoreError::WorkerDied`] if a
-    /// worker panicked. Solver counterexamples are *not* errors, they are
-    /// reported as [`Failure`]s.
+    /// The first [`CoreError`] raised by any worker (an annotation writing a
+    /// name the checker binds, encoding failures; the other workers are
+    /// cancelled), or [`CoreError::WorkerDied`] if a worker panicked. Solver
+    /// counterexamples are *not* errors, they are reported as [`Failure`]s.
     pub fn check_seeded(
         &mut self,
         instance: &Arc<Instance>,
@@ -1054,15 +1054,16 @@ mod tests {
 
     #[test]
     fn a_hard_error_cancels_the_other_workers() {
-        // v5's interface re-declares a neighbour's route variable at another
-        // type: encoding v5's conditions is a hard error, not a failure
+        // v5's interface declares a free variable at two types: encoding
+        // the conditions that apply it is a hard error, not a failure
         let net = reach_net(8);
         let mut interface = reach_interface(&net);
         let v5 = net.topology().node_by_name("v5").unwrap();
+        let x = |ty| Expr::var("x", ty);
         interface.set(
             v5,
-            Temporal::globally(|r| {
-                Expr::var("route-v4", Type::Int).ge(Expr::int(0)).and(r.clone())
+            Temporal::globally(move |r| {
+                x(Type::Int).ge(Expr::int(0)).and(x(Type::Bool)).and(r.clone())
             }),
         );
         let property = anything(&net);
@@ -1075,8 +1076,11 @@ mod tests {
         // one-shot: same error
         let result = ModularChecker::new(threads(2)).check(&net, &interface, &property);
         assert!(matches!(result, Err(CoreError::Smt(_))), "{result:?}");
-        // the pool survives an error: nobody died, and the worker that hit
-        // it dropped the session the ill-typed declaration had got into
+        // the pool survives an error: nobody died, and a worker that hit it
+        // dropped the session the ill-typed declaration had got into, so
+        // `x` may now be declared at the other type
+        let mut property = anything(&net);
+        property.set(v5, Temporal::globally(move |_| x(Type::Bool).or(x(Type::Bool).not())));
         assert!(pool
             .check(&shared(&net, &reach_interface(&net), &property))
             .unwrap()
@@ -1417,18 +1421,16 @@ mod tests {
 
     #[test]
     fn served_counterexamples_name_the_nodes_own_condition() {
-        // every interface is the free name `route@self`, so every node is
-        // built in its own names, and all three share one key: the served
-        // counterexamples must still name their own node's condition
+        // no node starts with the route, but every interface claims it has
+        // it from time 0: the ring's three nodes share one key in key names,
+        // and the counterexamples served from its one proof must still name
+        // their own node's condition
         let net = NetworkBuilder::new(gen::ring(3), Type::Bool)
             .merge(|a, b| a.clone().or(b.clone()))
-            .default_transfer(|_| Expr::bool(false))
+            .default_transfer(|_| Expr::bool(true))
             .build()
             .unwrap();
-        let interface = NodeAnnotations::new(
-            net.topology(),
-            Temporal::globally(|_| Expr::var(crate::incremental::SELF_ROUTE, Type::Bool)),
-        );
+        let interface = NodeAnnotations::new(net.topology(), Temporal::globally(|r| r.clone()));
         for mut engine in Engine::lifetimes(threads(2)) {
             let report = engine.check(&net, &interface, &anything(&net)).unwrap();
             assert_eq!(report.memo(), MemoStats { proofs: 1, hits: 2 }, "{}", engine.name());
@@ -1442,7 +1444,7 @@ mod tests {
     }
 
     fn keyed(index: u32) -> Keyed {
-        Keyed { node: NodeId::new(index), back: None, built: Duration::ZERO }
+        Keyed { node: NodeId::new(index), built: Duration::ZERO }
     }
 
     #[test]

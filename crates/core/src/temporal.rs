@@ -20,9 +20,9 @@
 //! `route@self` and `route@in<i>` in the names of its key
 //! ([`timepiece_algebra::is_checker_bound`]). A predicate closure must use
 //! the route it is applied to and must not write these names itself: the
-//! checker's variable would capture its own. A keyed check that finds one
-//! builds the node in its own names ([`crate::incremental`]), where
-//! `route-<v>` still captures.
+//! checker's variable would capture its own. A check refuses a node whose
+//! conditions would apply a closure that writes a route name
+//! ([`crate::CoreError::ReservedName`]) before it builds them.
 
 use std::fmt;
 use std::sync::Arc;

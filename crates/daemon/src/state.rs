@@ -563,11 +563,12 @@ impl Loaded {
             .collect()
     }
 
-    /// The common `check`/`delta` response: the records' verdicts — of
-    /// every node, or (`Some`) of the nodes the request named — cone and
-    /// cache-hit statistics, and what this request's job itself found —
-    /// per-node durations and failures — which is all a fleet coordinator
-    /// reads (`ShardReport` in `timepiece-bench` is a typed view of it).
+    /// The common `check`/`delta` response: the records' verdicts and
+    /// whether they all hold — of every node, or (`Some`) of the nodes the
+    /// request named — cone and cache-hit statistics over the same nodes,
+    /// and what this request's job itself found — per-node durations and
+    /// failures — which is all a fleet coordinator reads (`ShardReport` in
+    /// `timepiece-bench` is a typed view of it).
     fn report_response(
         &self,
         verb: &str,
@@ -579,6 +580,13 @@ impl Loaded {
     ) -> Json {
         let g = self.instance.network.topology();
         let nodes = self.nodes();
+        let (verified, covered) = match answered {
+            Some(named) => {
+                let verified = |v: &NodeId| self.records.get(v).is_some_and(Record::is_verified);
+                (named.iter().all(verified), named.len())
+            }
+            None => (self.all_verified(), nodes),
+        };
         let cone_names: Vec<Json> = cone.iter().map(|v| Json::str(g.name(*v))).collect();
         let verdicts: Vec<(String, Json)> = self
             .records
@@ -609,11 +617,11 @@ impl Loaded {
             ("ok".to_owned(), Json::Bool(true)),
             ("label".to_owned(), Json::str(self.label.clone())),
             ("generation".to_owned(), Json::Num(generation as f64)),
-            ("verified".to_owned(), Json::Bool(self.all_verified())),
+            ("verified".to_owned(), Json::Bool(verified)),
             ("nodes".to_owned(), Json::from(nodes)),
             ("cone".to_owned(), Json::Arr(cone_names)),
             ("cone_size".to_owned(), Json::from(cone.len())),
-            ("cached".to_owned(), Json::from(nodes.saturating_sub(cone.len()))),
+            ("cached".to_owned(), Json::from(covered.saturating_sub(cone.len()))),
             ("checked".to_owned(), Json::from(report.node_durations().len())),
             ("failed".to_owned(), Json::Arr(self.failed(answered))),
             ("verdicts".to_owned(), Json::Obj(verdicts)),

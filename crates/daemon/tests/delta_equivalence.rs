@@ -248,6 +248,8 @@ fn a_node_list_check_answers_for_its_nodes_only() {
     let reply = state.handle(&Request::CheckNodes(check)).reply;
     assert_eq!(names(&reply, "verdicts"), nodes, "{reply}");
     assert_eq!(names(&reply, "failed"), Vec::<String>::new(), "{reply}");
+    assert_eq!(reply.get("verified"), Some(&Json::Bool(true)), "{reply}");
+    assert_eq!(reply.get("cached").and_then(Json::as_usize), Some(0), "{reply}");
     assert_eq!(state.loaded().unwrap().records().len(), 20, "the cache itself is whole");
 }
 

@@ -1,18 +1,27 @@
 //! Every node's conditions are built once, in the positional names of its
 //! key. A node's key must be the intern ids of its own conditions with those
-//! names substituted in (an oracle that shares no code with the build): on
-//! every registry scenario no node falls back to its own names and each has
-//! as many distinct keys as the memo has always proved, and across builds
-//! and edits two keys are equal exactly when the oracle's formulas are.
+//! names substituted in (an oracle that shares no code with the build).
+//! That holds on every registry scenario, each with as many distinct keys
+//! as the memo has always proved, and on every other instance the
+//! repository ships, none of which the checker refuses for writing a name
+//! it binds. Across builds and edits two keys are equal exactly when the
+//! oracle's formulas are.
 
 use std::collections::HashSet;
+use std::time::Duration;
 
 use timepiece::algebra::policy::{FailureModel, MergeKey, RoutePolicy, RouteSchema};
 use timepiece::algebra::{Network, NetworkBuilder};
 use timepiece::core::incremental::{neighbour_route, node_fingerprint, NodeKey, SELF_ROUTE};
 use timepiece::core::vc::node_conditions;
-use timepiece::core::{NodeAnnotations, Temporal};
+use timepiece::core::{CheckOptions, Instance, ModularChecker, NodeAnnotations, Temporal};
 use timepiece::expr::{substitute, Expr, Type};
+use timepiece::infer::{InferenceEngine, RoleMap};
+use timepiece::nets::example::RunningExample;
+use timepiece::nets::len::LenBench;
+use timepiece::nets::reach::ReachBench;
+use timepiece::nets::wan::WanBench;
+use timepiece::nets::{ghost, PropertySpec};
 use timepiece::smt::Vc;
 use timepiece::topology::{gen, NodeId};
 use timepiece_bench::{fattree_instance, BenchKind};
@@ -130,4 +139,85 @@ fn keys_are_equal_exactly_when_the_conditions_are_alpha_equivalent() {
         }
     }
     assert_eq!(shared, 2 * 4, "a and b share every key, c shares none");
+}
+
+/// The instances the repository ships beside the registry: Table 1's ghost
+/// encodings, the running example's five annotation sets, the Internet2
+/// WAN, the scenario gallery, and SpReach/SpLen at k=4 under inferred
+/// interfaces.
+fn shipped_instances() -> Vec<(String, Instance)> {
+    let mut shipped = Vec::new();
+    for flag in [false, true] {
+        let ghosts = [
+            ("isolation", ghost::isolation(flag)),
+            ("unordered_waypoints", ghost::unordered_waypoints(flag)),
+            ("no_transit", ghost::no_transit(flag)),
+            ("fault_tolerance", ghost::fault_tolerance(flag)),
+        ];
+        shipped.extend(ghosts.map(|(name, inst)| (format!("ghost::{name}({flag})"), inst)));
+    }
+    let ex = RunningExample::new();
+    let annotated = [
+        ("tagging", ex.tagging_interfaces(), ex.tagging_property()),
+        ("reachability", ex.reachability_interfaces(), ex.reachability_property()),
+        ("bad", ex.bad_interfaces(false), ex.tagging_property()),
+        ("patched bad", ex.bad_interfaces(true), ex.tagging_property()),
+        ("ghost", ex.ghost_interfaces(), ex.ghost_property()),
+    ];
+    for (name, interface, property) in annotated {
+        let network = ex.network.clone();
+        shipped
+            .push((format!("running example, {name}"), Instance { network, interface, property }));
+    }
+    shipped.push(("Internet2".to_owned(), WanBench::internet2(7).build()));
+    let gallery = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/scenarios");
+    let mut files: Vec<_> =
+        std::fs::read_dir(gallery).unwrap().map(|f| f.unwrap().path()).collect();
+    files.sort();
+    for file in files {
+        let text = std::fs::read_to_string(&file).unwrap();
+        let compiled = timepiece_scenario::compile_str(&text).unwrap();
+        shipped.push((file.display().to_string(), compiled.instance()));
+    }
+    let reach = ReachBench::single_dest(4, 0);
+    let len = LenBench::single_dest(4, 0);
+    let inferable = [
+        ("SpReach", reach.build().into_spec(), reach.fattree().clone(), reach.dest_node()),
+        ("SpLen", len.build().into_spec(), len.fattree().clone(), len.dest_node()),
+    ];
+    for (name, spec, fattree, dest) in inferable {
+        let PropertySpec { network, property } = spec;
+        let roles = RoleMap::fattree(&fattree, dest.expect("a fixed destination"));
+        let inferred = InferenceEngine::default()
+            .infer(&network, &property, roles, &[timepiece::expr::Env::new()])
+            .unwrap();
+        let interface = inferred.interface;
+        shipped.push((format!("{name} k=4, inferred"), Instance { network, interface, property }));
+    }
+    shipped
+}
+
+#[test]
+fn every_shipped_node_is_keyed_in_positional_names_and_none_is_refused() {
+    let shipped = shipped_instances();
+    assert_eq!(shipped.len(), 8 + 5 + 1 + 4 + 2);
+    // the refusal comes before any solving: a short timeout keeps the
+    // checks cheap and answers every node, unknown or not
+    let options = CheckOptions {
+        timeout: Some(Duration::from_millis(1)),
+        threads: Some(2),
+        ..CheckOptions::default()
+    };
+    for (name, Instance { network: net, interface, property }) in &shipped {
+        let g = net.topology();
+        for v in g.nodes() {
+            let own = node_conditions(net, interface, property, 0, v);
+            let key = node_fingerprint(net, interface, property, 0, v);
+            assert_eq!(key, NodeKey::of(&positional(net, v, &own)), "{name} {}", g.name(v));
+        }
+        let checker = ModularChecker::new(options.clone());
+        let report = checker.check(net, interface, property);
+        let report = report.unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(report.node_durations().len(), g.node_count(), "{name}");
+    }
 }
