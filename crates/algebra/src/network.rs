@@ -303,14 +303,14 @@ impl Network {
         self.policies.as_deref()
     }
 
-    /// The key under which solver sessions may be shared between
-    /// verification conditions: a hash of everything two conditions can
-    /// clash on inside one encoder — the *(name, type)* of their variables.
-    /// Route variables are named after nodes and all have the route type;
-    /// the only other variables are the symbolics. So two networks with the
-    /// same route type and the same symbolic inputs declare consistently,
-    /// whatever their topologies and policies: an edited network keeps its
-    /// key, and with it the session that already holds its compiled terms.
+    /// A hash of the variables the network itself declares: its route type
+    /// and its symbolics' names and types. Networks of any topology and
+    /// policy over one schema and one set of symbolics share it, so a policy
+    /// or failure-budget edit keeps it. It does not decide whether two
+    /// verification conditions can share a solver session — interfaces and
+    /// properties declare free variables of their own, and a checker's
+    /// encoder judges every variable by its name and type as it compiles
+    /// it; the `tpbench` `algebra.signature` row times it.
     pub fn encoder_signature(&self) -> String {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
@@ -344,7 +344,7 @@ impl Network {
     /// default policy (`None`) — the policy-delta primitive of the
     /// `timepieced` daemon. Only the edited edge's transfer is recompiled;
     /// every other component is shared with `self`, and so is the
-    /// [`Network::encoder_signature`]: a policy is not a declaration.
+    /// [`Network::encoder_signature`]: a policy declares no variable.
     ///
     /// # Errors
     ///
@@ -523,9 +523,7 @@ impl NetworkBuilder {
     /// [`NetworkBuilder::policy`] / [`NetworkBuilder::default_policy`].
     ///
     /// One declarative definition then drives simulation (value semantics),
-    /// SMT (compiled terms), solver-session keying
-    /// ([`Network::encoder_signature`]) and inference (the schema's atom
-    /// grammar).
+    /// SMT (compiled terms) and inference (the schema's atom grammar).
     pub fn from_schema(topology: Topology, schema: RouteSchema) -> NetworkBuilder {
         let mut builder = NetworkBuilder::new(topology, schema.route_type());
         builder.schema = Some(schema);

@@ -526,12 +526,12 @@ fn assemble_row(
 }
 
 /// Runs both engines on one instance and assembles a row. The modular
-/// conditions go through `pool`, so solver sessions (keyed by the network's
-/// declarations) are reused across every row checked on the same pool — the
-/// cross-row session cache of multi-`k` sweeps: a row structurally identical
-/// to an earlier one starts with its compiled terms already cached, and the
-/// row's term stats include those cross-row hits. A pool made for the call
-/// gives the row fresh solver state.
+/// conditions go through `pool`, so solver sessions are reused across every
+/// row checked on the same pool — the cross-row session cache of multi-`k`
+/// sweeps: a row structurally identical to an earlier one starts with its
+/// compiled terms already cached, and the row's term stats include those
+/// cross-row hits. A pool made for the call gives the row fresh solver
+/// state.
 pub fn run_row(kind: BenchKind, k: usize, options: &SweepOptions, pool: &mut CheckerPool) -> Row {
     let arena_before = arena::stats();
     let inst = Arc::new(fattree_instance(kind, k));

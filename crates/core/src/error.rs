@@ -9,8 +9,8 @@ use timepiece_smt::SmtError;
 pub enum CoreError {
     /// The SMT backend rejected a condition (ill-typed network or interface).
     Smt(SmtError),
-    /// A persistent checker worker died (panicked) — its pool can no longer
-    /// serve checks and should be dropped.
+    /// A persistent checker worker died (panicked) during the check; the
+    /// pool has replaced its workers, so its next check runs on new ones.
     WorkerDied,
     /// An annotation of `node` — its interface or property — writes a route
     /// name the checker binds itself
@@ -29,7 +29,7 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::Smt(e) => write!(f, "smt backend error: {e}"),
             CoreError::WorkerDied => {
-                write!(f, "a persistent checker worker panicked; discard the pool")
+                write!(f, "a persistent checker worker panicked; the pool replaced its workers")
             }
             CoreError::ReservedName { node, name } => write!(
                 f,

@@ -18,21 +18,25 @@
 //!
 //! The session's lifetime is one rule, applied per worker:
 //!
-//! * **Which session.** A job's conditions can clash inside one encoder on
-//!   exactly one thing, a variable's *(name, type)*, and
-//!   [`timepiece_algebra::Network::encoder_signature`] names exactly that.
-//!   A worker keeps the session while jobs carry its signature and replaces
-//!   it, once, at the start of the first job that carries another.
 //! * **What a thief keeps.** Stealing must not copy the instance into every
 //!   worker: a thief forgets the terms of a node it stole as soon as it has
 //!   checked it ([`SolverSession::scratch`]), so the workers together keep
 //!   one compiled copy — each its own nodes.
-//! * **When it is dropped.** A condition that fails to encode may already
-//!   have declared variables at types the next one contradicts, so an
-//!   encode error drops the session. And under a daemon's stream of edits an
-//!   encoder cache fills with the terms of instances long edited away, and a
-//!   solver keeps a residue per check: every job therefore ends by retiring
-//!   a session that has outgrown the jobs it serves (`RETIRE_AT_JOB_TERMS`,
+//! * **When it is dropped.** A worker keeps its session from job to job,
+//!   whatever the jobs' networks and annotations declare: the session's
+//!   encoder is the one judge of whether a condition names a variable at
+//!   the type it was declared at before. A condition that fails to encode
+//!   may already have declared variables at types the next one contradicts,
+//!   so an encode error drops the session. If the session had discharged
+//!   anything before the node, the clash may be with an earlier node's
+//!   declaration, which says nothing about this node: the node is
+//!   discharged once more on a fresh session, and only an error there — a
+//!   clash among the node's own conditions, exactly what
+//!   [`crate::check::ModularChecker::check_node`] reports — is the job's.
+//!   And under a daemon's stream of edits an encoder cache fills with the
+//!   terms of instances long edited away, and a solver keeps a residue per
+//!   check: every job therefore ends by retiring a session that has
+//!   outgrown the jobs it serves (`RETIRE_AT_JOB_TERMS`,
 //!   `RETIRE_AT_JOB_CHECKS`); the next job rebuilds it cold.
 //!
 //! [`CheckerPool::session_stats`] reports the sizes and the retirement
@@ -76,8 +80,8 @@ use crate::vc::VcKind;
 
 /// A worker's session is retired once its encoder cache holds this many
 /// times the compiled terms the largest single job added. One compiled copy
-/// of the instance per worker is the floor (an edited network keeps its
-/// declarations, hence its session); the rest of the budget is room for the
+/// of the instance per worker is the floor (an edited network lands in the
+/// session that holds its terms); the rest of the budget is room for the
 /// terms of instances since edited away — two more copies' worth before the
 /// worker starts cold again. Measured on a daemon serving SpReach k=8 edits:
 /// 2 thrashes (+26 % time), 3 costs ~4 % and holds the process at its
@@ -106,10 +110,9 @@ struct Worker {
     index: usize,
     timeout: Option<Duration>,
     /// The worker's one session (its Z3 solver, declarations and
-    /// compiled-term cache) and the signature it was opened for. It lives
-    /// across jobs until a job brings another signature, an encode error
-    /// drops it, or [`Worker::end_job`] retires it.
-    held: Option<(String, SolverSession)>,
+    /// compiled-term cache). It lives across jobs until an encode error
+    /// drops it or [`Worker::end_job`] retires it.
+    held: Option<SolverSession>,
     /// What the largest single job so far added to the session, in compiled
     /// terms and in checks — the unit [`Worker::end_job`] measures growth in.
     largest_job: (usize, u64),
@@ -133,24 +136,29 @@ impl Worker {
         }
     }
 
-    /// The session for conditions that declare `signature`: the held one if
-    /// it was opened for the same signature, else a fresh one replacing it.
-    fn open(&mut self, signature: &str) -> &mut SolverSession {
-        if self.held.as_ref().is_none_or(|(held, _)| held != signature) {
-            self.held = Some((signature.to_owned(), SolverSession::new(self.timeout)));
+    /// The session for the job whose token is `token`: the held one, or a
+    /// fresh one. The job's token must reach the session's in-flight solver
+    /// calls: hooks are per token (jobs come with fresh tokens), so the
+    /// handle is registered anew for every job and every session — on an
+    /// already-raised token the hook fires immediately and the worker never
+    /// starts a check.
+    fn open(&mut self, token: &CancelToken) -> &mut SolverSession {
+        if self.held.is_none() {
             self.job_mark = (0, 0);
         }
-        let (_, session) = self.held.as_mut().expect("held or just opened");
+        let session = self.held.get_or_insert_with(|| SolverSession::new(self.timeout));
+        let handle = session.interrupt_handle();
+        token.on_cancel(move || handle.interrupt());
         session
     }
 
     /// The session's compiled terms and checks.
     fn totals(&self) -> (usize, u64) {
-        self.held.as_ref().map_or((0, 0), |(_, s)| (s.compiled_terms(), s.checks()))
+        self.held.as_ref().map_or((0, 0), |s| (s.compiled_terms(), s.checks()))
     }
 
     fn term_cache_stats(&self) -> TermCacheStats {
-        self.held.as_ref().map(|(_, s)| s.term_cache_stats()).unwrap_or_default()
+        self.held.as_ref().map(SolverSession::term_cache_stats).unwrap_or_default()
     }
 
     /// Marks the end of one job and retires the session if it has outgrown
@@ -203,7 +211,6 @@ struct Tally {
 /// never copied), how to check a node of it, and the job's memo.
 struct CheckJob {
     instance: Arc<Instance>,
-    signature: String,
     options: CheckOptions,
     workers: usize,
     tally: Arc<Mutex<Tally>>,
@@ -421,7 +428,10 @@ fn proof_of(results: &[Validity; 3]) -> Option<Proof> {
 
 impl CheckJob {
     /// Discharges a key's conditions for `v` on the worker's session: at
-    /// home it keeps what it compiles, stolen it leaves nothing behind.
+    /// home it keeps what it compiles, stolen it leaves nothing behind. A
+    /// session the conditions fail to encode on is dropped, and if it had
+    /// discharged anything before, they are discharged once more on a
+    /// fresh one: only an error there is the node's own.
     fn discharge(
         &self,
         worker: &mut Worker,
@@ -429,23 +439,35 @@ impl CheckJob {
         conditions: &[Vc; 3],
         token: &CancelToken,
     ) -> Result<Option<[Validity; 3]>, CoreError> {
-        // `begin` opened it, and only an error drops it — after which the
-        // pool runs nothing more on this worker in this job
-        let (_, session) = worker.held.as_mut().expect("the job's session is open");
-        let checked = if v.index() % self.workers == worker.index {
-            discharge(session, token.flag(), conditions)
-        } else {
-            // a stolen node leaves nothing behind: stealing re-balances a
-            // job's time, and what a worker keeps — however often that
-            // happens, however many workers there are — is the compiled
-            // terms of its own nodes
-            session.scratch(|session| discharge(session, token.flag(), conditions))
-        };
-        if checked.is_err() {
+        loop {
+            // `begin` opened it, and an error either reopens it below or is
+            // the job's — after which the pool runs nothing more on this
+            // worker in this job
+            let session = worker.held.as_mut().expect("the job's session is open");
+            let warm = session.checks() > 0;
+            let checked = if v.index() % self.workers == worker.index {
+                discharge(session, token.flag(), conditions)
+            } else {
+                // a stolen node leaves nothing behind: stealing re-balances
+                // a job's time, and what a worker keeps — however often that
+                // happens, however many workers there are — is the compiled
+                // terms of its own nodes
+                session.scratch(|session| discharge(session, token.flag(), conditions))
+            };
+            if checked.is_ok() {
+                return checked;
+            }
             // whatever the ill-typed condition declared must not outlive it
+            let terms = worker.term_cache_stats().delta_since(&worker.job_start);
+            self.tally.lock().expect("tally updates cannot panic").terms += terms;
             worker.held = None;
+            worker.job_start = TermCacheStats::default();
+            if !warm {
+                return checked;
+            }
+            // the clash may be with a variable an earlier node declared
+            worker.open(token);
         }
-        checked
     }
 
     /// Proves the key of `slot` for `prover`, then answers every node parked
@@ -528,13 +550,7 @@ impl Job for CheckJob {
     }
 
     fn begin(&self, worker: &mut Worker, token: &CancelToken) {
-        let session = worker.open(&self.signature);
-        // the job's token must reach this worker's in-flight solver calls:
-        // hooks are per token (jobs come with fresh tokens), so the handle
-        // is registered anew for every job — on an already-raised token the
-        // hook fires immediately and the worker never starts a check
-        let handle = session.interrupt_handle();
-        token.on_cancel(move || handle.interrupt());
+        worker.open(token);
         worker.job_start = worker.term_cache_stats();
     }
 
@@ -594,8 +610,7 @@ impl Job for CheckJob {
 ///     let report = pool.check(&instance).unwrap();
 ///     assert!(report.is_verified());
 /// }
-/// // the sessions built for k = 4 served k = 6 and k = 8 too: one schema,
-/// // one declaration signature
+/// // the sessions built for k = 4 served k = 6 and k = 8 too
 /// ```
 #[derive(Debug)]
 pub struct CheckerPool {
@@ -651,8 +666,7 @@ impl CheckerPool {
     }
 
     /// Checks every node of an instance across the persistent workers,
-    /// reusing the solver sessions previous checks opened when the network
-    /// declares what theirs did.
+    /// reusing the solver sessions previous checks opened.
     ///
     /// # Errors
     ///
@@ -699,7 +713,9 @@ impl CheckerPool {
     ///
     /// The first [`CoreError`] raised by any worker (an annotation writing a
     /// name the checker binds, encoding failures; the other workers are
-    /// cancelled), or [`CoreError::WorkerDied`] if a worker panicked. Solver
+    /// cancelled), or [`CoreError::WorkerDied`] if a worker panicked — the
+    /// pool then replaces its workers, so the next check runs on fresh
+    /// sessions and an empty [`CheckerPool::session_stats`]. Solver
     /// counterexamples are *not* errors, they are reported as [`Failure`]s.
     pub fn check_seeded(
         &mut self,
@@ -712,16 +728,20 @@ impl CheckerPool {
         self.tally.lock().expect("tally updates cannot panic").terms = TermCacheStats::default();
         let job = CheckJob {
             instance: Arc::clone(instance),
-            signature: instance.network.encoder_signature(),
             options: self.options.clone(),
             workers: self.pool.workers(),
             tally: Arc::clone(&self.tally),
             memo: Memo::from(records),
         };
-        let outcome = self.pool.run(nodes.to_vec(), cancel, job).map_err(|e| match e {
-            PoolError::Task(e) => e,
-            PoolError::WorkerDied => CoreError::WorkerDied,
-        })?;
+        let outcome = match self.pool.run(nodes.to_vec(), cancel, job) {
+            Ok(outcome) => outcome,
+            Err(PoolError::Task(e)) => return Err(e),
+            Err(PoolError::WorkerDied) => {
+                // a dead worker leaves the pool unable to run a job
+                *self = CheckerPool::new(self.workers(), self.options.clone());
+                return Err(CoreError::WorkerDied);
+            }
+        };
         let mut node_durations = Vec::with_capacity(nodes.len());
         let mut failures = Vec::new();
         let mut memo = MemoStats::default();
@@ -1097,6 +1117,10 @@ mod tests {
         for mut engine in Engine::lifetimes(threads(2)) {
             let result = engine.check(&net, &interface, &property);
             assert_eq!(result.unwrap_err(), CoreError::WorkerDied, "{}", engine.name());
+            // a pool a worker died in replaced its workers: it checks again
+            let report = engine.check(&net, &interface, &anything(&net)).unwrap();
+            assert!(report.is_verified(), "{}", engine.name());
+            assert_eq!(report.node_durations().len(), 4);
         }
     }
 
@@ -1161,7 +1185,7 @@ mod tests {
     }
 
     /// Hop-count-like reachability over `Option<Int>` routes: a route type
-    /// (hence a declaration signature) other than [`reach_net`]'s.
+    /// other than [`reach_net`]'s, so its route variables clash with theirs.
     fn int_net(n: usize) -> Network {
         let g = gen::undirected_path(n);
         let v0 = g.node_by_name("v0").unwrap();
@@ -1174,15 +1198,24 @@ mod tests {
     }
 
     #[test]
-    fn alternating_signatures_keep_one_session_per_worker() {
+    fn alternating_route_types_keep_one_session_per_worker() {
         // a pool that alternates between two route types holds one session
-        // per worker, not one per signature: the second network's job
-        // replaces each worker's session instead of adding one beside it
+        // per worker, not one per route type: the route variables clash, so
+        // each job replaces a worker's session instead of adding one beside
+        // it
         let mut pool = CheckerPool::new(2, CheckOptions::default());
         let (bool_net, int_net) = (reach_net(3), int_net(3));
-        assert_ne!(bool_net.encoder_signature(), int_net.encoder_signature());
         let bool_instance = shared(&bool_net, &reach_interface(&bool_net), &anything(&bool_net));
-        let int_instance = shared(&int_net, &anything(&int_net), &anything(&int_net));
+        // node `i` has a route from time `i` on
+        let int_interface = NodeAnnotations::from_fn(int_net.topology(), |v| {
+            let has_route = |r: &Expr| r.clone().is_some();
+            Temporal::until_at(
+                v.index() as u64,
+                |r| r.clone().is_none(),
+                Temporal::globally(has_route),
+            )
+        });
+        let int_instance = shared(&int_net, &int_interface, &anything(&int_net));
         for _ in 0..3 {
             let report = pool.check(&bool_instance).unwrap();
             assert!(report.is_verified());
@@ -1198,44 +1231,113 @@ mod tests {
         Vc::new("t", [x.clone().gt(Expr::int(2))], x.gt(Expr::int(1)))
     }
 
-    /// A condition that declares `x` at another type than [`vc_over_int_x`].
-    fn vc_over_bool_x() -> Vc {
-        Vc::new("bool", [], Expr::var("x", Type::Bool))
-    }
-
     #[test]
-    fn one_signature_reuses_the_workers_session() {
+    fn a_worker_reuses_its_session_while_nothing_clashes() {
         let mut worker = Worker::new(0, None);
         assert_eq!(worker.stats().sessions, 0, "opened by the first job");
         for _ in 0..3 {
-            assert!(worker.open("sig-a").check(&vc_over_int_x()).unwrap().is_valid());
+            let session = worker.open(&CancelToken::new());
+            assert!(session.check(&vc_over_int_x()).unwrap().is_valid());
         }
-        assert_eq!(worker.open("sig-a").checks(), 3, "one session served all three");
+        assert_eq!(worker.open(&CancelToken::new()).checks(), 3, "one session served all three");
         assert_eq!(worker.stats().sessions, 1);
     }
 
-    #[test]
-    fn another_signature_replaces_the_workers_session() {
-        let mut worker = Worker::new(0, None);
-        assert!(worker.open("sig-a").check(&vc_over_int_x()).unwrap().is_valid());
-        // a fresh session with its own encoder, so a clashing redeclaration
-        // of `x` is fine there
-        assert!(worker.open("sig-b").check(&vc_over_bool_x()).is_ok());
-        assert_eq!(worker.stats().sessions, 1, "replaced, not added");
-        // and the first signature's session is gone: it comes back cold
-        assert_eq!(worker.open("sig-a").checks(), 0);
+    /// A tautology over a free `x: ty` (an `Int` or a `Bool`).
+    fn x_tautology(ty: &Type) -> Expr {
+        let x = Expr::var("x", ty.clone());
+        let atom = if *ty == Type::Int { x.ge(Expr::int(0)) } else { x };
+        atom.clone().or(atom.not())
+    }
+
+    /// `reach_net(4)` whose every node's property is [`x_tautology`].
+    fn declares_x_at(ty: Type) -> Arc<Instance> {
+        let net = reach_net(4);
+        let property =
+            NodeAnnotations::new(net.topology(), Temporal::globally(move |_| x_tautology(&ty)));
+        shared(&net, &reach_interface(&net), &property)
     }
 
     #[test]
-    fn a_session_dropped_after_a_clashing_declaration_is_rebuilt_without_it() {
-        let mut worker = Worker::new(0, None);
-        assert!(worker.open("sig-a").check(&vc_over_int_x()).unwrap().is_valid());
-        assert!(worker.open("sig-a").check(&vc_over_bool_x()).is_err());
-        // what an encode error does to the worker (`CheckJob::run`): the
-        // failed check may have left its declaration behind
-        worker.held = None;
-        assert_eq!(worker.stats().sessions, 0);
-        assert!(worker.open("sig-a").check(&vc_over_bool_x()).is_ok());
+    fn a_warm_pool_checks_a_variable_at_another_type_than_its_last_job_did() {
+        // the first job declares `x: Int` in every worker's session, the
+        // second `x: Bool`: a fresh checker verifies the second instance,
+        // and so must the pool that checked the first
+        for workers in [1, 2] {
+            let mut pool = CheckerPool::new(workers, CheckOptions::default());
+            let (int_x, bool_x) = (declares_x_at(Type::Int), declares_x_at(Type::Bool));
+            assert!(pool.check(&int_x).unwrap().is_verified());
+            let Instance { network, interface, property } = &*bool_x;
+            assert!(ModularChecker::new(threads(workers))
+                .check(network, interface, property)
+                .unwrap()
+                .is_verified());
+            let report = pool.check(&bool_x).unwrap();
+            assert!(report.is_verified(), "{workers} workers: {:?}", report.failures());
+            // each worker's clashing session was replaced, not kept beside
+            // the new one, and the replacement's traffic is the job's
+            assert!(pool.session_stats().sessions <= workers);
+            assert!(report.term_cache().unwrap().misses > 0);
+            // and back again
+            assert!(pool.check(&int_x).unwrap().is_verified());
+        }
+    }
+
+    #[test]
+    fn nodes_that_declare_a_variable_at_two_types_verify_on_shared_sessions() {
+        // v0's interface declares `x: Int` and v3's `x: Bool`; no node's
+        // own conditions apply both (v1 assumes v0's, v2 assumes v3's), so
+        // each verifies on its own — and so on a session that discharged a
+        // node of the other kind before it
+        let net = reach_net(4);
+        let [v0, v3] = ["v0", "v3"].map(|name| net.topology().node_by_name(name).unwrap());
+        let mut interface = reach_interface(&net);
+        let with_x = |ty: Type| move |r: &Expr| r.clone().and(x_tautology(&ty));
+        interface.set(v0, Temporal::globally(with_x(Type::Int)));
+        interface.set(
+            v3,
+            Temporal::until_at(3, |r| r.clone().not(), Temporal::globally(with_x(Type::Bool))),
+        );
+        let property = anything(&net);
+        let checker = ModularChecker::new(CheckOptions::default());
+        for v in net.topology().nodes() {
+            let (failures, _) = checker.check_node(&net, &interface, &property, v).unwrap();
+            assert!(failures.is_empty(), "{}: {failures:?}", net.topology().name(v));
+        }
+        for workers in [1, 2] {
+            let report = ModularChecker::new(threads(workers)).check(&net, &interface, &property);
+            assert!(report.unwrap().is_verified(), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_clash_within_one_nodes_conditions_is_an_error_and_drops_the_session() {
+        // v5's interface declares `x` at two types: no session can encode
+        // the conditions that apply it, a warm one or the fresh one the
+        // node is discharged on again
+        let net = reach_net(8);
+        let mut interface = reach_interface(&net);
+        let v5 = net.topology().node_by_name("v5").unwrap();
+        interface.set(
+            v5,
+            Temporal::globally(|r| {
+                let x = |ty| Expr::var("x", ty);
+                x(Type::Int).ge(Expr::int(0)).and(x(Type::Bool)).and(r.clone())
+            }),
+        );
+        let property = anything(&net);
+        let mut pool = CheckerPool::new(1, CheckOptions::default());
+        assert!(pool.check(&declares_x_at(Type::Int)).unwrap().is_verified());
+        assert_eq!(pool.session_stats().sessions, 1, "warm");
+        let result = pool.check(&shared(&net, &interface, &property));
+        assert!(matches!(result, Err(CoreError::Smt(_))), "{result:?}");
+        let alone = ModularChecker::new(CheckOptions::default())
+            .check_node(&net, &interface, &property, v5);
+        assert_eq!(result.unwrap_err(), alone.unwrap_err(), "the error is the node's own");
+        // whatever the failed encoding declared went with the session
+        assert_eq!(pool.session_stats().sessions, 0);
+        assert!(pool.check(&declares_x_at(Type::Bool)).unwrap().is_verified());
+        assert_eq!(pool.session_stats().sessions, 1);
     }
 
     /// `n` distinct valid conditions over fresh constants starting at `from`.
@@ -1255,7 +1357,7 @@ mod tests {
     /// One job: discharges `vcs` through the worker's session, then ends the
     /// job.
     fn run(worker: &mut Worker, vcs: &[Vc]) -> usize {
-        let session = worker.open("sig");
+        let session = worker.open(&CancelToken::new());
         for vc in vcs {
             assert!(session.check(vc).unwrap().is_valid());
         }
@@ -1312,7 +1414,7 @@ mod tests {
         // a pool that is never told of jobs never retires
         let mut scoped = Worker::new(0, None);
         for vc in distinct_vcs(0, 50) {
-            assert!(scoped.open("sig").check(&vc).unwrap().is_valid());
+            assert!(scoped.open(&CancelToken::new()).check(&vc).unwrap().is_valid());
         }
         assert_eq!(scoped.stats().retirements, 0);
         // nor does one whose first job is its only one (a one-shot check)

@@ -2,8 +2,10 @@
 //!
 //! A [`DaemonState`] is everything `timepieced` keeps hot between requests:
 //! a persistent [`CheckerPool`] whose workers hold one solver session each
-//! (kept while the networks checked declare the same variables, so edits —
-//! and a re-`load` of the same kind of network — keep it) and at most one
+//! (kept from request to request, across edits and `load`s, until a
+//! condition fails to encode on it or it outgrows its jobs; a worker that
+//! panics makes the request's reply an error, and the pool replaces its
+//! workers before the next one) and at most one
 //! [`Loaded`] instance: its label, the [`Instance`] itself behind the one
 //! [`Arc`] the pool's workers read, one [`Record`] per node — the key of the
 //! conditions it was last checked on and, if that check was definite, its

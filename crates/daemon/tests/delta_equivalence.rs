@@ -117,9 +117,10 @@ fn from_scratch_failed(state: &DaemonState) -> Vec<NodeId> {
 ///   covered the exact cone, so no node kept a stale key (which a later
 ///   delta would then compare against, missing a dirty node), and
 /// * no worker holds more than one solver session: a worker keeps its
-///   session while networks declare alike, and no delta — policy or budget —
-///   declares anything, so an edited network lands in the session that
-///   already holds its compiled terms.
+///   session from request to request and replaces it only when a condition
+///   fails to encode on it, which no delta — policy or budget — brings
+///   about, so an edited network lands in the session that already holds
+///   its compiled terms.
 ///
 /// A node-list check must additionally answer for exactly the nodes it
 /// named.

@@ -19,7 +19,8 @@ use crate::sym::{set_width, Sym};
 /// hit can come from *any* earlier compilation through the same encoder —
 /// another condition of the same node, another node, or another sweep row
 /// entirely (an encoder lives inside a `SolverSession`, which a checker
-/// worker keeps from job to job while the jobs declare the same variables).
+/// worker keeps from job to job until a condition fails to encode on it or
+/// it is retired for size).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TermCacheStats {
     /// Lookups served from the cache.
@@ -70,7 +71,12 @@ impl AddAssign for TermCacheStats {
 /// (thread-local) context.
 ///
 /// The encoder declares free variables on first use and caches compiled
-/// subterms by node identity, so shared subterms are compiled once.
+/// subterms by node identity, so shared subterms are compiled once. It is
+/// the one judge of a variable's identity: a name it has seen denotes the
+/// same solver constant again only at the same type, and a name at a second
+/// type is an error. The solver constants themselves are named by
+/// declaration number ([`Sym`] components by position), never after the
+/// user's names, so no two variables can meet in one constant.
 ///
 /// # Example
 ///
@@ -109,7 +115,8 @@ impl Encoder {
         Encoder::default()
     }
 
-    /// Declares (or retrieves) the symbolic constant for variable `name`.
+    /// Declares (or retrieves) the symbolic constant for variable `name`:
+    /// a new name gets constants no other variable of this encoder has.
     ///
     /// # Errors
     ///
@@ -126,7 +133,7 @@ impl Encoder {
             }
             return Ok(sym.clone());
         }
-        let sym = Sym::declare(name, ty);
+        let sym = Sym::declare(self.decl_order.len(), ty);
         self.vars.insert(name.to_owned(), (sym.clone(), ty.clone()));
         self.decl_order.push(name.to_owned());
         Ok(sym)
@@ -488,6 +495,34 @@ mod tests {
         let mut enc = Encoder::new();
         enc.declare("x", &Type::Int).unwrap();
         assert!(enc.declare("x", &Type::Bool).is_err());
+    }
+
+    #[test]
+    fn variables_whose_names_extend_one_another_never_share_a_constant() {
+        // a variable's components were once named after it (`x?`, `x!`,
+        // `r.f`, `p.a!`), and so were other variables: the solver merged
+        // the constants, and each pair below contradicted itself
+        let opt_int = Type::option(Type::Int);
+        let x = Expr::var("x", opt_int.clone());
+        let r = Expr::var("r", Type::record("R", [("f", Type::Int)]));
+        let p = Expr::var("p", Type::record("P", [("a", opt_int), ("a!", Type::Int)]));
+        let apart = Expr::and_all([
+            x.clone().is_some(),
+            x.get_some().eq(Expr::int(1)),
+            Expr::var("x!", Type::Int).eq(Expr::int(2)),
+            Expr::var("x?", Type::Bool).not(),
+            r.field("f").eq(Expr::int(3)),
+            Expr::var("r.f", Type::Int).eq(Expr::int(4)),
+            p.clone().field("a").is_some(),
+            p.clone().field("a").get_some().eq(Expr::int(5)),
+            p.field("a!").eq(Expr::int(6)),
+        ]);
+        let mut enc = Encoder::new();
+        let solver = Solver::new();
+        solver.assert(enc.compile_bool(&apart).unwrap());
+        assert_eq!(solver.check(), SatResult::Sat, "distinct variables were merged");
+        let env = enc.decode_model(&solver.get_model().unwrap()).unwrap();
+        assert!(apart.eval_bool(&env).unwrap(), "the decoded model satisfies the constraint");
     }
 
     #[test]

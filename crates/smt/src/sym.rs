@@ -67,32 +67,46 @@ pub fn set_width(n: usize) -> u32 {
 }
 
 impl Sym {
-    /// Declares a fresh structural symbolic constant of type `ty` named
-    /// `name` (components get derived names such as `name.field`).
-    pub fn declare(name: &str, ty: &Type) -> Sym {
+    /// Declares the structural symbolic constant of an encoder's
+    /// declaration number `index` at type `ty`.
+    ///
+    /// Z3 merges constants that have the same name and sort, so no solver
+    /// constant is named after a user's variable: each is named by `index`
+    /// and its component's position — `v3` for a scalar, `v3?` and `v3!`
+    /// for an option's presence bit and payload, `v3.0`, `v3.1`, … for a
+    /// record's fields in definition order. Distinct declarations, and
+    /// distinct components of one, therefore never share a constant; the
+    /// user's names live in the encoder, which decodes models by them.
+    pub(crate) fn declare(index: usize, ty: &Type) -> Sym {
+        Sym::declare_at(&format!("v{index}"), ty)
+    }
+
+    /// [`Sym::declare`] for the component at `path`.
+    fn declare_at(path: &str, ty: &Type) -> Sym {
         match ty {
-            Type::Bool => Sym::Bool(Bool::new_const(name)),
-            Type::BitVec(w) => Sym::BV(BV::new_const(name, *w)),
-            Type::Int => Sym::Int(Int::new_const(name)),
+            Type::Bool => Sym::Bool(Bool::new_const(path)),
+            Type::BitVec(w) => Sym::BV(BV::new_const(path, *w)),
+            Type::Int => Sym::Int(Int::new_const(path)),
             Type::Enum(def) => Sym::Enum {
                 variants: def.variants().len(),
-                index: BV::new_const(name, enum_width(def.variants().len())),
+                index: BV::new_const(path, enum_width(def.variants().len())),
             },
             Type::Option(payload) => Sym::Option {
-                is_some: Bool::new_const(format!("{name}?")),
-                payload: Box::new(Sym::declare(&format!("{name}!"), payload)),
+                is_some: Bool::new_const(format!("{path}?")),
+                payload: Box::new(Sym::declare_at(&format!("{path}!"), payload)),
             },
             Type::Record(def) => Sym::Record {
                 def: Arc::clone(def),
                 fields: def
                     .fields()
                     .iter()
-                    .map(|(f, t)| Sym::declare(&format!("{name}.{f}"), t))
+                    .enumerate()
+                    .map(|(i, (_, t))| Sym::declare_at(&format!("{path}.{i}"), t))
                     .collect(),
             },
             Type::Set(def) => Sym::Set {
                 def: Arc::clone(def),
-                mask: BV::new_const(name, set_width(def.universe().len())),
+                mask: BV::new_const(path, set_width(def.universe().len())),
             },
         }
     }
@@ -307,7 +321,7 @@ mod tests {
     #[test]
     fn declare_matches_shape() {
         let ty = Type::option(Type::record("R", [("a", Type::Bool), ("b", Type::BitVec(8))]));
-        let s = Sym::declare("x", &ty);
+        let s = Sym::declare(0, &ty);
         match s {
             Sym::Option { payload, .. } => match *payload {
                 Sym::Record { fields, .. } => assert_eq!(fields.len(), 2),
@@ -324,7 +338,7 @@ mod tests {
         let def = ty.record_def().unwrap();
         let v = Value::record(def, vec![Value::int(42), Value::Bool(true)]);
         let c = Sym::constant(&v).unwrap();
-        let x = Sym::declare("x", &ty);
+        let x = Sym::declare(0, &ty);
         let solver = Solver::new();
         solver.assert(x.eq(&c));
         assert_eq!(solver.check(), SatResult::Sat);
@@ -357,13 +371,13 @@ mod tests {
     #[test]
     fn well_formed_constrains_enums() {
         let ty = Type::enumeration("Origin", ["egp", "igp", "unknown"]);
-        let s = Sym::declare("o", &ty);
+        let s = Sym::declare(0, &ty);
         let mut constraints = Vec::new();
         s.well_formed(&mut constraints);
         assert_eq!(constraints.len(), 1);
         // power-of-two enums need no constraint
         let ty2 = Type::enumeration("Two", ["a", "b"]);
-        let s2 = Sym::declare("t", &ty2);
+        let s2 = Sym::declare(1, &ty2);
         let mut c2 = Vec::new();
         s2.well_formed(&mut c2);
         assert!(c2.is_empty());

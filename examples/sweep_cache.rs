@@ -5,8 +5,8 @@
 //! A multi-`k` sweep checks the *same* declarations over and over — only
 //! the topology grows. `ModularChecker::check` is a [`CheckerPool`] that
 //! lives for one call, so every row rebuilds its Z3 contexts and
-//! compiled-term caches; a pool kept across rows keeps them alive while the
-//! networks declare alike, so later rows start from warm sessions. A pool
+//! compiled-term caches; a pool kept across rows keeps them alive, so later
+//! rows start from warm sessions. A pool
 //! checks an instance behind an [`Arc`] its workers share. This
 //! example times both lifetimes on the `SpLen` family and prints the
 //! per-row and total deltas (recorded in `EXPERIMENTS.md`).
@@ -46,8 +46,5 @@ fn main() {
         println!("{k:>3} {fresh_secs:>11.2}s {pooled_secs:>11.2}s");
     }
     println!("sum {fresh_total:>11.2}s {pooled_total:>11.2}s");
-    println!(
-        "(rows on the kept pool reuse sessions opened by earlier rows: same declarations {:?})",
-        LenBench::all_pairs(4).network().encoder_signature()
-    );
+    println!("(rows on the kept pool reuse sessions opened by earlier rows)");
 }

@@ -13,13 +13,20 @@ use timepiece::nets::bgp::BgpSchema;
 use timepiece::smt::{check_validity, Validity, Vc};
 
 /// Z3 agrees that `term = value` whenever the interpreter says so, under the
-/// bindings of `env`.
+/// bindings of `env` — which must be satisfiable together: bindings the
+/// encoder merged into one solver constant would contradict each other, and
+/// under contradictory assumptions every goal is valid.
 fn backends_agree(term: &Expr, env: &Env) -> bool {
     let interpreted = term.eval(env).expect("term evaluates");
     let mut assumptions: Vec<Expr> = Vec::new();
     for (name, value) in env.iter() {
         let var = Expr::var(name, value.type_of());
         assumptions.push(var.eq(Expr::constant(value.clone())));
+    }
+    let bindings = Vc::new("bindings", assumptions.clone(), Expr::bool(false));
+    match check_validity(&bindings, None).expect("bindings encode") {
+        Validity::Invalid(_) => {}
+        other => panic!("the bindings of {term} contradict each other: {other:?}"),
     }
     let goal = term.clone().eq(Expr::constant(interpreted));
     match check_validity(&Vc::new("differential", assumptions, goal), None).expect("term encodes") {
@@ -97,6 +104,35 @@ proptest! {
         let mut env = Env::new();
         env.bind("r", r);
         prop_assert!(backends_agree(&transferred, &env));
+    }
+
+    /// variables whose names extend one another (`x`, `x!`, `x?`, `r`,
+    /// `r.f`) are distinct variables in both backends
+    #[test]
+    fn variables_named_alike_agree(
+        x in proptest::option::of(0i64..4),
+        payload in 0i64..4,
+        present in 0u8..2,
+        field in 0i64..4,
+        alone in 0i64..4,
+    ) {
+        use timepiece::expr::Type;
+        let opt_int = Type::option(Type::Int);
+        let record = Type::record("R", [("f", Type::Int)]);
+        let def = record.record_def().unwrap().clone();
+        let xv = Expr::var("x", opt_int);
+        let term = Expr::and_all([
+            xv.clone().is_none().or(xv.get_some().eq(Expr::var("x!", Type::Int))),
+            Expr::var("x?", Type::Bool),
+            Expr::var("r", record).field("f").le(Expr::var("r.f", Type::Int)),
+        ]);
+        let mut env = Env::new();
+        env.bind("x", x.map_or(Value::none(Type::Int), |i| Value::some(Value::int(i))));
+        env.bind("x!", Value::int(payload));
+        env.bind("x?", Value::Bool(present == 1));
+        env.bind("r", Value::record(&def, vec![Value::int(field)]));
+        env.bind("r.f", Value::int(alone));
+        prop_assert!(backends_agree(&term, &env));
     }
 
     /// temporal operator instantiations agree in both backends
