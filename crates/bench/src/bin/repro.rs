@@ -7,8 +7,7 @@
 //! repro fig13
 //! repro fig14     [--bench NAME|all] [--scenario-file PATH]
 //!                 [--max-k N | --ks 4,6,8] [--timeout-secs S]
-//!                 [--no-ms] [--shards N] [--json PATH] [--trace PATH]
-//!                 [--workers HOST:PORT,...] [--halt-workers]
+//!                 [--no-ms] [--json PATH] [--trace PATH]
 //! repro table1
 //! repro table2
 //! repro table3
@@ -18,10 +17,8 @@
 //! repro profile   [--bench NAME|all] [--max-k N | --ks 4,6,8] [--timeout-secs S]
 //! repro serve     [--bench NAME | --scenario-file PATH] [--k K]
 //!                 [--port P | --listen HOST:PORT] [--timeout-secs S]
-//!                 [--threads T] [--die-after N]
+//!                 [--threads T]
 //! repro ask       [--port P] [--request JSON]
-//! repro shard-worker --bench NAME --k K --shard I --nodes a,b,...
-//!                 (replay one shard)
 //! repro fuzz      [--cases N] [--seed S] [--out DIR] [--steps N]
 //! repro check     --scenario-file PATH [--steps N] [--timeout-secs S]
 //! repro export    --bench NAME [--k K] [--out PATH]
@@ -30,34 +27,22 @@
 //!
 //! Benchmarks come from the scenario registry (`timepiece-bench::\
 //! ScenarioSpec`): the paper's eight Fig. 14 sweeps plus the post-paper MED,
-//! IGP/EGP and link-failure scenarios — all present in `fig14`, `--json`
-//! dumps and sharding alike. `--scenario-file PATH` compiles a declarative
-//! TOML scenario (see `examples/scenarios/`) into the same registry, so file
-//! scenarios flow through sweeps, the worker fleet, the daemon and
-//! `repro check` unchanged; `repro export` prints any registry scenario in
-//! that format. Defaults keep the sweeps laptop-sized (k ≤ 12, 60 s
-//! budget); raise `--max-k`/`--timeout-secs` to push toward the paper's
-//! k = 40 / 2 h runs. Without sharding, the rows of a sweep — `fig1`'s as
-//! well as `fig14`'s, so both Tp columns are measured alike — share one
+//! IGP/EGP and link-failure scenarios — all present in `fig14` and `--json`
+//! dumps alike. `--scenario-file PATH` compiles a declarative TOML scenario
+//! (see `examples/scenarios/`) into the same registry, so file scenarios
+//! flow through sweeps, the daemon and `repro check` unchanged; `repro
+//! export` prints any registry scenario in that format. Defaults keep the
+//! sweeps laptop-sized (k ≤ 12, 60 s budget); raise
+//! `--max-k`/`--timeout-secs` to push toward the paper's k = 40 / 2 h runs.
+//! The rows of a sweep — `fig1`'s as well as `fig14`'s, so both Tp columns
+//! are measured alike — are checked in this process and share one
 //! persistent checker pool whose solver sessions carry over from the
 //! smaller `k`.
-//!
-//! With `--shards N` or `--workers host:port,...` the sweep runs on a
-//! *fleet*: each row's shards are dispatched over TCP to `timepieced`
-//! processes (`repro serve --listen ADDR`, started with nothing loaded),
-//! with heartbeat liveness, dead-worker reassignment and batched
-//! cross-worker stealing, and the merged reports must cover every node.
-//! `--shards N` alone starts `N` of them on loopback ports for the length
-//! of the sweep; `--workers` names daemons anywhere, and `--shards` then
-//! defaults to 4x the worker count so the steal scheduler has batches to
-//! move. Workers keep their solver sessions from row to row. Shards are
-//! striped by node class; stealing evens out the rest while the row runs.
 //!
 //! `--trace PATH` (fig14, infer) collects spans from every layer —
 //! per-node checks, per-VC encode/solve, scheduler claim/steal, CEGIS
 //! rounds — and writes a Chrome trace-event JSON loadable in Perfetto or
-//! `chrome://tracing`, one track per worker thread (and one `shardI@worker`
-//! process per shard when the sweep ran on a fleet). The registry's metrics
+//! `chrome://tracing`, one track per worker thread. The registry's metrics
 //! snapshot rides along under `otherData`. `repro profile` runs sweep rows
 //! with tracing on and prints the phase breakdown directly:
 //! encode/solve/steal-idle/other shares per row, per-node-class attribution,
@@ -65,33 +50,65 @@
 //!
 //! `repro serve` starts `timepieced` — the verification daemon of
 //! `timepiece-daemon`, and the one server there is — warm on one instance
-//! (`--bench`/`--scenario-file`) or with nothing loaded, which is what a
-//! fleet worker is: a client's `load` request installs the instance to
-//! check. `repro ask` sends it a single request. Load on the daemon is
-//! tpbench's job (`bash benchmark/run.sh --workload serve-edits`).
+//! (`--bench`/`--scenario-file`) or with nothing loaded, until a client's
+//! `load` request installs the instance to check. `repro ask` sends it a
+//! single request. Load on the daemon is tpbench's job (`bash
+//! benchmark/run.sh --workload serve-edits`).
 //!
 //! A mistyped command line prints the usage and exits 2; a run that was
-//! started and failed prints its one `error:` line and exits 1.
+//! started and failed prints its one `error:` line and exits 1. A reader
+//! that closes stdout early (`repro fig13 | head -1`) ends the run quietly
+//! with exit 0.
 
 use std::time::Duration;
 
 use timepiece_bench::{
-    fattree_instance, load_instance, loc, run_row, run_row_distributed, shut_down, BenchKind,
-    DistOptions, LocalFleet, Row, SweepOptions,
+    fattree_instance, load_instance, loc, run_row, BenchKind, Row, SweepOptions,
 };
 use timepiece_core::check::{CheckOptions, ModularChecker};
 use timepiece_core::monolithic::check_monolithic;
 use timepiece_core::strawperson::check_strawperson;
 use timepiece_core::sweep::CheckerPool;
-use timepiece_daemon::{
-    serve, spawn_sigterm_watcher, Client, DaemonState, Load, LoadSource, NodeCheck, Request,
-    PROTOCOL_VERSION,
-};
+use timepiece_daemon::{serve, spawn_sigterm_watcher, Client, DaemonState, Request};
 use timepiece_expr::Env;
 use timepiece_nets::example::{RunningExample, EXTERNAL_ROUTE_VAR};
 use timepiece_nets::ghost;
 use timepiece_nets::wan::WanBench;
 use timepiece_topology::FatTree;
+
+/// Writes one piece of the report to stdout. Rust ignores SIGPIPE, so a
+/// reader that has gone away (`repro fig13 | head -1`) shows up here as a
+/// `BrokenPipe` error, on which the standard `println!` panics: the output
+/// is no longer wanted, so the run ends quietly with exit 0. Any other
+/// write failure is the run's one `error:` line and exit 1.
+fn emit(text: std::fmt::Arguments) {
+    use std::io::Write as _;
+    match std::io::stdout().lock().write_fmt(text) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: writing to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+// This binary's `print!` and `println!` shadow the standard ones: the same
+// formatting, written through [`emit`].
+macro_rules! print {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// What a subcommand runs. `Err` is the failure of a run that was started
 /// (exit 1); a command line the subcommand cannot accept goes to
@@ -113,9 +130,8 @@ static COMMANDS: &[(&str, &str, Command)] = &[
     ("keyideas", "the Figs. 4-10 demonstrations", keyideas),
     ("infer", "infer interfaces from simulation, verify, compare to hand-written", infer),
     ("profile", "phase-attributed breakdown per sweep row (encode/solve/steal-idle)", profile_cmd),
-    ("serve", "start timepieced: warm on one instance, or empty as a fleet worker", serve_cmd),
+    ("serve", "start timepieced: warm on one instance, or empty until a load", serve_cmd),
     ("ask", "send one NDJSON request to a running timepieced and print the reply", ask_cmd),
-    ("shard-worker", "replay one recorded shard (--nodes), print the daemon's reply", shard_worker),
     ("fuzz", "differential-fuzz the three policy evaluators, shrink failures", fuzz_cmd),
     ("check", "replay one --scenario-file through every evaluator and the checker", check_cmd),
     ("export", "print a registry scenario as a scenario file (edit and recompile)", export_cmd),
@@ -131,16 +147,10 @@ struct Args {
     run_ms: bool,
     use_roles: bool,
     peers: usize,
-    shards: usize,
-    workers: Vec<String>,
-    shut_down: bool,
     listen: Option<String>,
-    die_after: Option<usize>,
-    nodes: Option<String>,
     json: Option<String>,
     trace: Option<String>,
     k: Option<usize>,
-    shard: Option<usize>,
     port: Option<u16>,
     request: Option<String>,
     scenario_file: Option<String>,
@@ -161,16 +171,10 @@ impl Default for Args {
             run_ms: true,
             use_roles: true,
             peers: 253,
-            shards: 1,
-            workers: Vec::new(),
-            shut_down: false,
             listen: None,
-            die_after: None,
-            nodes: None,
             json: None,
             trace: None,
             k: None,
-            shard: None,
             port: None,
             request: None,
             scenario_file: None,
@@ -254,7 +258,7 @@ static FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--scenario-file",
         metavar: "PATH",
-        help: "compile PATH and register it as a scenario (fig14, serve,\ncheck, shard-worker); fig14 then sweeps it unless --bench widens",
+        help: "compile PATH and register it as a scenario (fig14, serve,\ncheck); fig14 then sweeps it unless --bench widens",
         set: |a, _, v| {
             a.scenario_file = Some(v.to_owned());
             Ok(())
@@ -285,60 +289,11 @@ static FLAGS: &[FlagSpec] = &[
         set: |a, f, v| typed(f, v, "peer count").map(|n| a.peers = n),
     },
     FlagSpec {
-        name: "--shards",
-        metavar: "N",
-        help: "(fig1, fig14) check every row in N shards on a fleet of N\nloopback `repro serve`s started empty for the sweep\n(with --workers: shards per row, default 4x worker count)",
-        set: |a, f, v| {
-            a.shards = typed(f, v, "shard count")?;
-            if a.shards == 0 {
-                return Err(format!("{f} requires at least one shard"));
-            }
-            Ok(())
-        },
-    },
-    FlagSpec {
-        name: "--workers",
-        metavar: "LIST",
-        help: "(fig14) dispatch shards over TCP to the `repro serve`s at\nthese comma-separated host:port addresses instead of a\nloopback fleet; each is sent the row's instance first",
-        set: |a, f, v| {
-            a.workers =
-                v.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect();
-            if a.workers.is_empty() {
-                return Err(format!("{f} requires at least one worker address"));
-            }
-            Ok(())
-        },
-    },
-    FlagSpec {
-        name: "--halt-workers",
-        metavar: "",
-        help: "(fig14) send shutdown to every --workers address afterwards",
-        set: |a, _, _| {
-            a.shut_down = true;
-            Ok(())
-        },
-    },
-    FlagSpec {
         name: "--listen",
         metavar: "ADDR",
         help: "(serve) TCP address to bind, any interface and port 0\nincluded, instead of 127.0.0.1 --port",
         set: |a, _, v| {
             a.listen = Some(v.to_owned());
-            Ok(())
-        },
-    },
-    FlagSpec {
-        name: "--die-after",
-        metavar: "N",
-        help: "(serve) fault injection: after N node-list checks hang up\non every client without a word and exit 17\n(fig14 --shards: arm it in the first loopback worker)",
-        set: |a, f, v| typed(f, v, "check count").map(|n| a.die_after = Some(n)),
-    },
-    FlagSpec {
-        name: "--nodes",
-        metavar: "LIST",
-        help: "(shard-worker) comma-separated node names to check: the\n`assigned` list of the shard report being replayed",
-        set: |a, _, v| {
-            a.nodes = Some(v.to_owned());
             Ok(())
         },
     },
@@ -363,14 +318,8 @@ static FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--k",
         metavar: "K",
-        help: "(serve, export, shard-worker) fattree parameter of the instance",
+        help: "(serve, export) fattree parameter of the instance",
         set: |a, f, v| typed(f, v, "integer k").map(|k| a.k = Some(k)),
-    },
-    FlagSpec {
-        name: "--shard",
-        metavar: "I",
-        help: "(shard-worker) the shard tag the replayed reply carries",
-        set: |a, f, v| typed(f, v, "shard index").map(|s| a.shard = Some(s)),
     },
     FlagSpec {
         name: "--port",
@@ -475,16 +424,6 @@ fn ks(args: &Args) -> Vec<usize> {
     }
 }
 
-/// The per-row shard count: `--shards` when given, else four shards per
-/// worker in distributed mode so the steal scheduler has batches to move.
-fn effective_shards(args: &Args) -> usize {
-    if args.shards <= 1 && !args.workers.is_empty() {
-        4 * args.workers.len()
-    } else {
-        args.shards
-    }
-}
-
 /// The sweep options the flags ask for, with the baseline on or off.
 fn sweep_options(args: &Args, run_monolithic: bool) -> SweepOptions {
     SweepOptions { timeout: args.timeout, run_monolithic, threads: args.threads }
@@ -496,62 +435,24 @@ fn sweep_pool(args: &Args) -> CheckerPool {
     CheckerPool::with_default_parallelism(sweep_options(args, false).check_options())
 }
 
-/// `--shards N` without `--workers`: the sweep's own fleet of `N` loopback
-/// workers, started once and serving every row. `None` for an in-process
-/// sweep and for one whose `--workers` are already running elsewhere.
-fn local_fleet(args: &Args) -> Result<Option<LocalFleet>, String> {
-    if args.shards <= 1 || !args.workers.is_empty() {
-        return Ok(None);
-    }
-    let exe = std::env::current_exe().map_err(|e| format!("own executable path: {e}"))?;
-    LocalFleet::spawn(&exe, args.shards, args.die_after).map(Some).map_err(|e| e.to_string())
-}
-
-fn sweep(kind: BenchKind, args: &Args, fleet: Option<&LocalFleet>) -> Result<Vec<Row>, String> {
+fn sweep(kind: BenchKind, args: &Args) -> Vec<Row> {
     println!("\n=== Fig. {} — {} (Tp vs Ms) ===", kind.figure(), kind.name());
     println!(
         "{:>4} {:>6} {:>12} {:>12} {:>12} {:>12}",
         "k", "nodes", "Tp total", "Tp median", "Tp p99", "Ms"
     );
-    let mut options = sweep_options(args, args.run_ms);
-    let workers: &[String] = match fleet {
-        Some(fleet) => {
-            // an explicit --threads means threads per worker; otherwise the
-            // machine's parallelism is divided across the fleet — N workers
-            // each defaulting to all cores would oversubscribe the CPU N-fold
-            // and measure contention instead of sharding
-            options.threads.get_or_insert_with(|| {
-                let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-                (cores / fleet.addrs().len()).max(1)
-            });
-            fleet.addrs()
-        }
-        None => &args.workers,
-    };
-    // fleet rows are checked elsewhere: they start no pool
-    let mut pool = None;
-    let mut rows = Vec::new();
+    let options = sweep_options(args, args.run_ms);
+    // the persistent pool carries solver sessions across rows
+    let mut pool = sweep_pool(args);
     // compiled (file) scenarios have one fixed topology: one row at their
     // native size, whatever the requested grid
     let row_ks = match kind.native_k() {
         Some(native) => vec![native],
         None => ks(args),
     };
+    let mut rows = Vec::new();
     for k in row_ks {
-        let row = if workers.is_empty() {
-            // the persistent pool carries solver sessions across rows
-            run_row(kind, k, &options, pool.get_or_insert_with(|| sweep_pool(args)))
-        } else {
-            run_row_distributed(
-                kind,
-                k,
-                &options,
-                effective_shards(args),
-                workers,
-                &DistOptions::default(),
-            )
-            .map_err(|e| format!("{} k={k}: {e}", kind.name()))?
-        };
+        let row = run_row(kind, k, &options, &mut pool);
         println!(
             "{:>4} {:>6} {:>12} {:>12} {:>12} {:>12}",
             row.k,
@@ -561,23 +462,13 @@ fn sweep(kind: BenchKind, args: &Args, fleet: Option<&LocalFleet>) -> Result<Vec
             format!("{:.3}s", row.tp_p99.as_secs_f64()),
             row.ms.as_ref().map_or("-".to_owned(), |m| m.display()),
         );
-        if let Some(balance) = &row.balance {
-            println!(
-                "     shard imbalance {:.2} (max/mean wall), steal batches {}, \
-                 stolen shards {}, reassigned {}",
-                balance.imbalance(),
-                balance.steal_batches,
-                balance.stolen_shards,
-                balance.reassigned,
-            );
-        }
         rows.push(row);
     }
-    Ok(rows)
+    rows
 }
 
 /// One fig14 row in its machine-readable form.
-fn row_json(kind: BenchKind, row: &Row, shards: usize) -> timepiece_sched::Json {
+fn row_json(kind: BenchKind, row: &Row) -> timepiece_sched::Json {
     use timepiece_sched::Json;
     let engine = |result: &timepiece_bench::EngineResult| {
         Json::obj([
@@ -589,7 +480,6 @@ fn row_json(kind: BenchKind, row: &Row, shards: usize) -> timepiece_sched::Json 
     if let Json::Obj(pairs) = &mut tp {
         pairs.push(("median_secs".to_owned(), Json::Num(row.tp_median.as_secs_f64())));
         pairs.push(("p99_secs".to_owned(), Json::Num(row.tp_p99.as_secs_f64())));
-        pairs.push(("shards".to_owned(), Json::from(shards)));
     }
     // the term-arena delta for this row: dedup_ratio is constructions per
     // distinct *new* term, hit_rate the share served by existing nodes
@@ -601,9 +491,9 @@ fn row_json(kind: BenchKind, row: &Row, shards: usize) -> timepiece_sched::Json 
         ("hit_rate", Json::Num(row.arena.hit_rate())),
         ("dedup_ratio", Json::Num(row.arena.dedup_ratio())),
     ]);
-    // the modular engine's compiled-term cache (summed over the workers for
-    // a fleet row); a pool or fleet that already checked a structurally
-    // identical row carries its hits over
+    // the modular engine's compiled-term cache (summed over the pool's
+    // workers); a pool that already checked a structurally identical row
+    // carries its hits over
     let terms = row.terms.map_or(Json::Null, |t| {
         Json::obj([
             ("hits", Json::from(t.hits as usize)),
@@ -615,17 +505,6 @@ fn row_json(kind: BenchKind, row: &Row, shards: usize) -> timepiece_sched::Json 
     // every other node a memo hit
     let memo =
         Json::obj([("proofs", Json::from(row.memo.proofs)), ("hits", Json::from(row.memo.hits))]);
-    // shard balance for sharded/distributed rows: per-shard wall times, the
-    // max/mean ratio, and the steal/reassignment counters
-    let balance = row.balance.as_ref().map_or(Json::Null, |b| {
-        Json::obj([
-            ("shard_secs", Json::Arr(b.shard_secs.iter().map(|&s| Json::Num(s)).collect())),
-            ("imbalance", Json::Num(b.imbalance())),
-            ("steal_batches", Json::from(b.steal_batches)),
-            ("stolen_shards", Json::from(b.stolen_shards)),
-            ("reassigned", Json::from(b.reassigned)),
-        ])
-    });
     Json::obj([
         ("bench", Json::str(kind.name())),
         ("figure", Json::str(kind.figure())),
@@ -636,7 +515,6 @@ fn row_json(kind: BenchKind, row: &Row, shards: usize) -> timepiece_sched::Json 
         ("arena", arena),
         ("term_cache", terms),
         ("memo", memo),
-        ("balance", balance),
     ])
 }
 
@@ -645,11 +523,7 @@ fn fig1(args: &Args) -> Result<(), String> {
     // policy is the evaluation's benchmark with exactly that shape.
     println!("=== Fig. 1 — modular vs monolithic verification time ===");
     println!("(SpHijack: fattree connectivity with symbolic external announcements)");
-    let fleet = local_fleet(args)?;
-    sweep(BenchKind::parse("SpHijack").expect("registered"), args, fleet.as_ref())?;
-    if let Some(fleet) = fleet {
-        fleet.shutdown();
-    }
+    sweep(BenchKind::parse("SpHijack").expect("registered"), args);
     Ok(())
 }
 
@@ -862,7 +736,7 @@ fn select_kinds(bench: &str) -> Vec<BenchKind> {
 }
 
 /// Drains the collected spans and writes them as a Chrome trace-event JSON
-/// (one track per worker thread / shard process), with the metrics
+/// (one track per worker thread), with the metrics
 /// registry's snapshot attached under `otherData`.
 fn write_trace(path: &str) -> Result<(), String> {
     use timepiece_sched::Json;
@@ -888,22 +762,14 @@ fn fig14(args: &Args) -> Result<(), String> {
     if args.trace.is_some() {
         timepiece_trace::enable();
     }
-    let shards = effective_shards(args);
-    let fleet = local_fleet(args)?;
     let mut rows = Vec::new();
     for kind in kinds {
-        for row in sweep(kind, args, fleet.as_ref())? {
-            rows.push(row_json(kind, &row, shards));
-        }
-    }
-    if let Some(fleet) = fleet {
-        fleet.shutdown();
+        rows.extend(sweep(kind, args).iter().map(|row| row_json(kind, row)));
     }
     if let Some(path) = &args.json {
         use timepiece_sched::Json;
         let doc = Json::obj([
             ("timeout_secs", Json::Num(args.timeout.as_secs_f64())),
-            ("shards", Json::from(shards)),
             ("rows", Json::Arr(rows)),
         ]);
         std::fs::write(path, format!("{doc}\n")).map_err(|e| format!("writing {path}: {e}"))?;
@@ -911,11 +777,6 @@ fn fig14(args: &Args) -> Result<(), String> {
     }
     if let Some(path) = &args.trace {
         write_trace(path)?;
-    }
-    if args.shut_down && !args.workers.is_empty() {
-        for warning in shut_down(&args.workers) {
-            eprintln!("halt: {warning}");
-        }
     }
     Ok(())
 }
@@ -1022,7 +883,7 @@ fn one_bench(name: &str) -> BenchKind {
 
 /// The instance `serve` starts warm on: the `--scenario-file` when one is
 /// loaded, else the `--bench` that was named — and none at all when neither
-/// was, which is how a fleet worker starts.
+/// was.
 fn daemon_bench(args: &Args) -> Result<Option<BenchKind>, String> {
     match (load_scenario_file(args)?, args.bench.as_str()) {
         (file, "all") => Ok(file),
@@ -1036,10 +897,7 @@ fn daemon_options(args: &Args) -> CheckOptions {
 }
 
 /// The `repro serve` subcommand: start `timepieced` — warm on one instance,
-/// or empty — and serve until `shutdown` or SIGTERM drains it. `--die-after
-/// N` arms the documented dead-host fault: after N node-list checks the
-/// process hangs up on everyone and exits 17, so the reassignment drill in
-/// CI looks like a crashed host.
+/// or empty — and serve until `shutdown` or SIGTERM drains it.
 fn serve_cmd(args: &Args) -> Result<(), String> {
     let listen = match (&args.listen, args.port) {
         (Some(_), Some(_)) => usage_error("--listen and --port both name the address: give one"),
@@ -1055,24 +913,17 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
         }
         None => DaemonState::empty(daemon_options(args)),
     }
-    .with_loader(load_instance)
-    .die_after(args.die_after);
+    .with_loader(load_instance);
     let listener =
         std::net::TcpListener::bind(&listen).map_err(|e| format!("binding {listen}: {e}"))?;
     let addr = listener.local_addr().map_err(|e| format!("local address: {e}"))?;
-    let drain = state.drain();
-    spawn_sigterm_watcher(drain.clone());
-    // scripts and `--shards` fleets wait for this line and read the address
-    // off its end before connecting
+    spawn_sigterm_watcher(state.drain());
+    // scripts wait for this line and read the address off its end before
+    // connecting
     println!("timepieced listening on {addr}");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    serve(listener, state).map_err(|e| format!("serve: {e}"))?;
-    if drain.died() {
-        eprintln!("timepieced: the --die-after fault fired, exiting uncleanly");
-        std::process::exit(17);
-    }
-    Ok(())
+    serve(listener, state).map_err(|e| format!("serve: {e}"))
 }
 
 /// The `repro ask` subcommand: one request to a running daemon, reply on
@@ -1090,43 +941,6 @@ fn ask_cmd(args: &Args) -> Result<(), String> {
         None => client.send(&Request::Status),
     }
     .map_err(|e| format!("request failed: {e}"))?;
-    println!("{reply}");
-    Ok(())
-}
-
-/// The `repro shard-worker` subcommand: the deterministic replay of one
-/// recorded shard. `load`s the instance into a daemon state of its own and
-/// checks exactly the `--nodes` of a shard reply's `cone`, the way the fleet
-/// worker that produced the reply did, and prints the new reply on stdout.
-fn shard_worker(args: &Args) -> Result<(), String> {
-    let required = |what: &str| -> ! { usage_error(&format!("shard-worker requires {what}")) };
-    let k = args.k.unwrap_or_else(|| required("--k"));
-    let shard = args.shard.unwrap_or_else(|| required("--shard"));
-    let nodes = args
-        .nodes
-        .as_deref()
-        .unwrap_or_else(|| required("--nodes (the `cone` of the reply to replay)"));
-    let nodes = nodes.split(',').map(str::trim).filter(|n| !n.is_empty()).map(String::from);
-    // a file scenario is not in the seed registry: compile it before
-    // resolving --bench
-    load_scenario_file(args)?;
-    let load = Load {
-        version: PROTOCOL_VERSION,
-        source: LoadSource::Bench { name: one_bench(&args.bench).name().to_owned(), k },
-        sabotage: Vec::new(),
-        threads: None,
-        timeout_millis: None,
-        trace: false,
-    };
-    let check = NodeCheck { nodes: nodes.collect(), generation: None, shard: Some(shard) };
-    let mut state = DaemonState::empty(daemon_options(args)).with_loader(load_instance);
-    let mut reply = timepiece_sched::Json::Null;
-    for request in [Request::Load(load), Request::CheckNodes(check)] {
-        reply = state.handle(&request).reply;
-        if let Some(error) = reply.get("error").and_then(timepiece_sched::Json::as_str) {
-            return Err(error.to_owned());
-        }
-    }
     println!("{reply}");
     Ok(())
 }

@@ -4,9 +4,9 @@
 //! wires an instance source (a Rust builder keyed by fattree size, or a
 //! compiled scenario file) to a name, and the scenario then appears
 //! everywhere at once — `repro fig14` sweeps, `--json` row dumps,
-//! the worker fleet (a `timepieced` resolves `load` requests through
+//! `repro serve` (a `timepieced` resolves `load` requests through
 //! [`load_instance`]: registry-name lookup, or compiling the scenario text
-//! the coordinator ships) and `repro infer`.
+//! a client sends) and `repro infer`.
 //! Adding a scenario is one [`register_scenario`] call (or, for the
 //! built-ins, one [`ScenarioSpec::built`] line in the seed table); nothing
 //! else matches on benchmark kinds.
@@ -60,8 +60,8 @@ pub struct ScenarioSpec {
     figure: String,
     source: InstanceSource,
     infer: Option<fn(usize) -> InferSetup>,
-    /// Path and text of the file a compiled scenario came from.
-    file: Option<(String, String)>,
+    /// Path of the file a compiled scenario came from.
+    file: Option<String>,
 }
 
 impl ScenarioSpec {
@@ -82,21 +82,19 @@ impl ScenarioSpec {
         }
     }
 
-    /// The scenario the file at `path` declares, compiled from its `text` —
-    /// which is kept, so a fleet coordinator can ship the scenario to
-    /// workers that have no copy of the file.
+    /// The scenario the file at `path` declares, compiled from its `text`.
     ///
     /// # Errors
     ///
     /// The compiler's span-carrying diagnostics, rendered to text.
-    pub fn compiled(path: &str, text: String) -> Result<ScenarioSpec, String> {
-        let compiled = timepiece_scenario::compile_str(&text).map_err(|e| e.to_string())?;
+    pub fn compiled(path: &str, text: &str) -> Result<ScenarioSpec, String> {
+        let compiled = timepiece_scenario::compile_str(text).map_err(|e| e.to_string())?;
         Ok(ScenarioSpec {
             name: compiled.name.clone(),
             figure: compiled.figure.clone(),
             source: InstanceSource::Compiled(Arc::new(compiled)),
             infer: None,
-            file: Some((path.to_owned(), text)),
+            file: Some(path.to_owned()),
         })
     }
 
@@ -118,7 +116,7 @@ impl ScenarioSpec {
 
     /// The scenario file this spec was compiled from, when it was.
     pub fn scenario_file(&self) -> Option<&str> {
-        self.file.as_ref().map(|(path, _)| path.as_str())
+        self.file.as_deref()
     }
 }
 
@@ -201,7 +199,7 @@ pub fn register_scenario(spec: ScenarioSpec) -> BenchKind {
 /// An unreadable file, or the compiler's diagnostics.
 pub fn register_scenario_file(path: &str) -> Result<BenchKind, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    ScenarioSpec::compiled(path, text).map(register_scenario)
+    ScenarioSpec::compiled(path, &text).map(register_scenario)
 }
 
 /// A handle to one registered scenario.
@@ -279,19 +277,8 @@ impl BenchKind {
         self.0.scenario_file()
     }
 
-    /// What a fleet coordinator `load`s into its workers for a row at size
-    /// `k`: the text of the scenario file as it was compiled — a remote
-    /// worker has no copy of the file — or the registry name.
-    pub(crate) fn load_source(&self, k: usize) -> LoadSource {
-        match &self.0.file {
-            Some((_, text)) => LoadSource::Scenario(text.clone()),
-            None => LoadSource::Bench { name: self.name().to_owned(), k },
-        }
-    }
-
     /// The label of this scenario's instance at size `k`, as
-    /// [`load_instance`] reports it: how a coordinator recognizes that a
-    /// shard was checked on the instance it asked for.
+    /// [`load_instance`] reports it.
     pub fn label(&self, k: usize) -> String {
         instance_label(self.name(), k)
     }
@@ -361,9 +348,8 @@ impl EngineResult {
         }
     }
 
-    /// The one place a modular run's outcome is classified, shared by the
-    /// in-process and sharded row paths so they can never diverge:
-    /// verified wins, then timeout (any solver give-up), then failed.
+    /// How a modular run's outcome is classified: verified wins, then
+    /// timeout (any solver give-up), then failed.
     pub fn classify(verified: bool, timed_out: bool, wall: Duration) -> EngineResult {
         if verified {
             EngineResult::Verified(wall)
@@ -410,54 +396,12 @@ pub struct Row {
     pub ms: Option<EngineResult>,
     /// Term-arena traffic attributable to this row (instance build plus
     /// check): new terms interned, constructions served by existing
-    /// canonical nodes. Sharded rows only see the coordinator's share —
-    /// worker-process arenas are separate.
+    /// canonical nodes.
     pub arena: ArenaStats,
-    /// The modular engine's compiled-term cache traffic for this row
-    /// (None for sharded rows, whose encoders live in worker processes).
+    /// The modular engine's compiled-term cache traffic for this row.
     pub terms: Option<TermCacheStats>,
-    /// How the row's nodes got their verdicts: proofs and memo hits (summed
-    /// over the shards of a fleet row).
+    /// How the row's nodes got their verdicts: proofs and memo hits.
     pub memo: MemoStats,
-    /// Shard balance accounting, for rows that ran sharded or distributed
-    /// (None for in-process rows: there are no shards to balance).
-    pub balance: Option<RowBalance>,
-    /// Names of nodes with at least one failed condition, sorted and
-    /// deduplicated (empty when the row verified) — the verdict detail the
-    /// scheduler-equivalence tests compare across execution strategies.
-    pub failing: Vec<String>,
-}
-
-/// How evenly a sharded row's work actually spread, plus how much the
-/// scheduler had to move it around.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RowBalance {
-    /// Measured wall seconds per shard index.
-    pub shard_secs: Vec<f64>,
-    /// Cross-worker steal batches the coordinator executed.
-    pub steal_batches: usize,
-    /// Whole shards migrated by those batches.
-    pub stolen_shards: usize,
-    /// Shards reassigned after a worker died.
-    pub reassigned: usize,
-}
-
-impl RowBalance {
-    /// `max / mean` over the measured shard wall seconds (1.0 is perfect,
-    /// also for no shards or all-zero times). An idle shard counts toward
-    /// the mean: leaving a shard idle *is* imbalance.
-    pub fn imbalance(&self) -> f64 {
-        if self.shard_secs.is_empty() {
-            return 1.0;
-        }
-        let max = self.shard_secs.iter().copied().fold(0.0_f64, f64::max);
-        let mean = self.shard_secs.iter().sum::<f64>() / self.shard_secs.len() as f64;
-        if mean <= 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
 }
 
 /// Sweep options.
@@ -488,43 +432,6 @@ impl SweepOptions {
     }
 }
 
-/// Assembles a row from an instance's modular report plus the baseline.
-/// `arena_before` is the arena snapshot taken before the instance was built.
-fn assemble_row(
-    k: usize,
-    inst: &BenchInstance,
-    report: &timepiece_core::CheckReport,
-    options: &SweepOptions,
-    arena_before: &ArenaStats,
-) -> Row {
-    let stats = report.stats();
-    let timed_out = report
-        .failures()
-        .iter()
-        .any(|f| matches!(f.reason, timepiece_core::check::FailureReason::Unknown(_)));
-    let tp = EngineResult::classify(report.is_verified(), timed_out, report.wall());
-    let ms = monolithic_result(inst, options);
-    Row {
-        k,
-        nodes: inst.network.topology().node_count(),
-        tp,
-        tp_median: stats.median,
-        tp_p99: stats.p99,
-        ms,
-        arena: arena::stats().delta_since(arena_before),
-        terms: report.term_cache(),
-        memo: report.memo(),
-        balance: None,
-        failing: {
-            let mut failing: Vec<String> =
-                report.failures().iter().map(|f| f.node_name.clone()).collect();
-            failing.sort_unstable();
-            failing.dedup();
-            failing
-        },
-    }
-}
-
 /// Runs both engines on one instance and assembles a row. The modular
 /// conditions go through `pool`, so solver sessions are reused across every
 /// row checked on the same pool — the cross-row session cache of multi-`k`
@@ -536,14 +443,27 @@ pub fn run_row(kind: BenchKind, k: usize, options: &SweepOptions, pool: &mut Che
     let arena_before = arena::stats();
     let inst = Arc::new(fattree_instance(kind, k));
     let report = pool.check(&inst).expect("benchmark instances encode");
-    assemble_row(k, &inst, &report, options, &arena_before)
+    let stats = report.stats();
+    let timed_out = report
+        .failures()
+        .iter()
+        .any(|f| matches!(f.reason, timepiece_core::check::FailureReason::Unknown(_)));
+    let tp = EngineResult::classify(report.is_verified(), timed_out, report.wall());
+    Row {
+        k,
+        nodes: inst.network.topology().node_count(),
+        tp,
+        tp_median: stats.median,
+        tp_p99: stats.p99,
+        ms: monolithic_result(&inst, options),
+        arena: arena::stats().delta_since(&arena_before),
+        terms: report.term_cache(),
+        memo: report.memo(),
+    }
 }
 
 /// The monolithic baseline on one instance, when the options ask for it.
-pub(crate) fn monolithic_result(
-    inst: &BenchInstance,
-    options: &SweepOptions,
-) -> Option<EngineResult> {
+fn monolithic_result(inst: &BenchInstance, options: &SweepOptions) -> Option<EngineResult> {
     options.run_monolithic.then(|| {
         let mono = check_monolithic(&inst.network, &inst.property, Some(options.timeout))
             .expect("benchmark instances encode");
@@ -646,25 +566,6 @@ mod tests {
         assert!(term_rows[1].hits > 0, "{term_rows:?}");
         assert!(term_rows[1].misses < term_rows[0].misses, "{term_rows:?}");
         assert!(term_rows[1].hit_rate() > term_rows[0].hit_rate(), "{term_rows:?}");
-    }
-
-    #[test]
-    fn imbalance_handles_edge_cases() {
-        let imbalance = |shard_secs: &[f64]| {
-            RowBalance {
-                shard_secs: shard_secs.to_vec(),
-                steal_batches: 0,
-                stolen_shards: 0,
-                reassigned: 0,
-            }
-            .imbalance()
-        };
-        assert_eq!(imbalance(&[]), 1.0);
-        assert_eq!(imbalance(&[0.0, 0.0]), 1.0);
-        assert_eq!(imbalance(&[2.0, 2.0]), 1.0);
-        assert_eq!(imbalance(&[3.0, 1.0]), 1.5);
-        // an idle shard is imbalance, not a smaller denominator
-        assert_eq!(imbalance(&[2.0, 0.0]), 2.0);
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! End-to-end tests of the scenario registry's CLI surface: registry-added
+//! End-to-end tests of `repro`'s command-line surface: registry-added
 //! benchmarks sweep through `fig14`/`--json` like the paper's eight, unknown
-//! names print the registered list, and the usage text is the dispatch table.
+//! names print the registered list, the usage text is the dispatch table, a
+//! failed run is one `error:` line, and a closed stdout ends a run quietly.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
 use timepiece_sched::Json;
 
@@ -96,7 +98,7 @@ fn the_usage_lists_exactly_what_dispatches_and_parses() {
     // every listed subcommand is known to the dispatcher: it gets as far as
     // refusing the flag, without running anything
     let commands = usage_section(&usage, "subcommands:");
-    assert_eq!(commands.len(), 18, "{commands:?}");
+    assert_eq!(commands.len(), 17, "{commands:?}");
     for name in &commands {
         assert_eq!(commands.iter().filter(|c| *c == name).count(), 1, "{name} listed once");
         let out = repro().args([name.as_str(), "--no-such-flag"]).output().expect("repro runs");
@@ -105,20 +107,32 @@ fn the_usage_lists_exactly_what_dispatches_and_parses() {
         assert!(stderr.contains("unknown flag \"--no-such-flag\""), "{name}: {stderr}");
     }
     let flags = usage_section(&usage, "flags:");
-    assert_eq!(flags.len(), 25, "{flags:?}");
+    assert_eq!(flags.len(), 19, "{flags:?}");
 
-    // what tpbench, the steal scheduler and the one server replaced is gone,
-    // not hidden
-    for gone in ["plan", "soak", "trend", "arena", "worker"] {
+    // what tpbench, the steal scheduler, the one server and the one
+    // in-process checking path replaced is gone, not hidden
+    for gone in ["plan", "soak", "trend", "arena", "worker", "shard-worker"] {
         assert!(!commands.iter().any(|c| c == gone), "{gone} is still listed");
         let out = repro().args([gone]).output().expect("repro runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{gone}: {stderr}");
         assert!(stderr.contains("unknown subcommand"), "{gone}: {stderr}");
     }
-    for gone in ["--plan", "--history", "--plan-spec", "--clients", "--deltas"] {
+    for gone in [
+        "--plan",
+        "--history",
+        "--plan-spec",
+        "--clients",
+        "--deltas",
+        "--shards",
+        "--workers",
+        "--halt-workers",
+        "--die-after",
+        "--nodes",
+        "--shard",
+    ] {
         assert!(!flags.iter().any(|f| f == gone), "{gone} is still listed");
-        let out = repro().args(["fig14", gone, "1"]).output().expect("repro runs");
+        let out = repro().args(["fig14", gone, "2"]).output().expect("repro runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{gone}: {stderr}");
         assert!(stderr.contains("unknown flag"), "{gone}: {stderr}");
@@ -131,4 +145,55 @@ fn the_usage_lists_exactly_what_dispatches_and_parses() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("--listen and --port"), "{stderr}");
+}
+
+#[test]
+fn a_failed_run_prints_its_error_without_the_usage_and_exits_1() {
+    // nothing listens on port 1: the command line is fine, the run is not
+    let out = repro().args(["ask", "--port", "1"]).output().expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a run-time failure is not a usage error: {stderr}");
+    assert!(stderr.contains("error: connecting to 127.0.0.1:1"), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+}
+
+#[test]
+fn ks_flag_rejects_invalid_fattree_parameters() {
+    // a --max-k below the first grid point (4) would sweep nothing
+    for (flag, bad, why) in [
+        ("--ks", "3", "even and >= 2"),
+        ("--ks", "0", "even and >= 2"),
+        ("--ks", "4,7", "even and >= 2"),
+        ("--max-k", "2", "grid starts at k = 4"),
+    ] {
+        let out = repro().args(["fig14", flag, bad]).output().expect("repro runs");
+        assert_eq!(out.status.code(), Some(2), "{flag} {bad} must be a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(why), "stderr for {flag} {bad}: {stderr}");
+    }
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly_with_exit_0() {
+    // `repro fig13 | head -1`: the reader leaves after the first line, or
+    // (deterministically a broken pipe on the first write) before it
+    for lines_read in [1, 0] {
+        let mut child = repro()
+            .arg("fig13")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("repro runs");
+        let mut stdout = BufReader::new(child.stdout.take().expect("stdout is piped"));
+        for _ in 0..lines_read {
+            let mut line = String::new();
+            stdout.read_line(&mut line).expect("the first line arrives");
+            assert!(line.starts_with("=== Fig. 13"), "{line:?}");
+        }
+        drop(stdout);
+        let out = child.wait_with_output().expect("repro exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "after {lines_read} line(s): {stderr}");
+        assert_eq!(out.status.code(), Some(0), "after {lines_read} line(s): {stderr}");
+    }
 }

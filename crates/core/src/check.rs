@@ -171,8 +171,7 @@ impl CheckReport {
     /// the workers that ran it. On a pool's first check the counters start
     /// at zero (fresh sessions); on a later one the hits include terms first
     /// compiled by *earlier* checks through the same persistent sessions —
-    /// the cross-row hit rate. `None` when the producer predates the
-    /// counters (e.g. deserialized shard reports).
+    /// the cross-row hit rate. `None` on merged reports that carry none.
     pub fn term_cache(&self) -> Option<TermCacheStats> {
         self.terms
     }
@@ -183,11 +182,10 @@ impl CheckReport {
         self.memo
     }
 
-    /// Merges shard reports into one: failures and durations are
-    /// concatenated (and re-sorted by node), the wall time is the maximum —
-    /// shards run concurrently, so the slowest one bounds the merged run.
-    /// Memo counters sum, and so do the term-cache counters of the shards
-    /// that carry them.
+    /// Merges the reports of disjoint node subsets into one: failures and
+    /// durations are concatenated (and re-sorted by node), the wall time is
+    /// the maximum — as if the subsets ran concurrently. Memo counters sum,
+    /// and so do the term-cache counters of the reports that carry them.
     pub fn merge(reports: impl IntoIterator<Item = CheckReport>) -> CheckReport {
         let mut merged = CheckReport {
             failures: Vec::new(),
@@ -282,11 +280,10 @@ impl ModularChecker {
         self.check_nodes(net, interface, property, &nodes)
     }
 
-    /// Checks a subset of nodes — one *shard* of the network — in parallel,
-    /// and aggregates a report over exactly those nodes.
+    /// Checks a subset of nodes in parallel, and aggregates a report over
+    /// exactly those nodes.
     ///
-    /// The shards of a deterministic partition
-    /// (`timepiece_sched::ShardPlan`), each checked this way, merge
+    /// The parts of a partition of the nodes, each checked this way, merge
     /// ([`CheckReport::merge`]) into a report over the whole network.
     ///
     /// The call is a [`CheckerPool`] that lives for one job: the same

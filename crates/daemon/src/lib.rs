@@ -11,11 +11,9 @@
 //! magnitude faster than a cold run — and a node whose conditions some
 //! record already proved is answered by that proof.
 //!
-//! The same independence is what lets a fleet split a network into shards,
-//! and a shard is the same request as a cone: *check these nodes of this
-//! instance*. So a fleet worker is this daemon started with nothing loaded:
-//! a coordinator `load`s the row's instance into it and sends node-list
-//! `check`s (`timepiece-bench`'s `dist` module is that client).
+//! A client can also ask for any node list — *check these nodes of this
+//! instance* — which is the same request as a cone. A daemon may start with
+//! nothing loaded, and a client's `load` installs the instance to check.
 //!
 //! The pieces:
 //!
@@ -33,8 +31,8 @@
 //!   heartbeats while a reply is pending, graceful drain on `shutdown` or
 //!   SIGTERM (in-flight solver calls are interrupted through
 //!   [`timepiece_sched::CancelToken`] hooks);
-//! * [`mod@client`] — a minimal blocking client, used by `repro ask`, the
-//!   fleet coordinator and tpbench's `serve-edits` workload;
+//! * [`mod@client`] — a minimal blocking client, used by `repro ask` and
+//!   tpbench's `serve-edits` workload;
 //! * [`mod@fixture`] — small self-contained instances for tests and smoke
 //!   runs.
 //!

@@ -9,9 +9,9 @@
 //!
 //! | verb | request fields | effect |
 //! |---|---|---|
-//! | `load` | `version`, then `scenario` (text) or `bench` + `k`; optional `sabotage`, `threads`, `timeout_millis`, `trace` | install the current instance — no check, no keys, no records; replies `label`, `generation` |
+//! | `load` | `version`, then `scenario` (text) or `bench` + `k`; optional `sabotage`, `threads`, `timeout_millis` | install the current instance — no check, no keys, no records; replies `label`, `generation` |
 //! | `check` | — | re-verify every node |
-//! | `check` | `nodes`; optional `generation`, `shard` | re-verify exactly those nodes (a fleet shard) |
+//! | `check` | `nodes`; optional `generation` | re-verify exactly those nodes |
 //! | `delta` | `kind` + kind-specific fields | apply one edit, re-verify the dirty cone |
 //! | `status` | — | instance, verdict and counter summary |
 //! | `profile` | — | the metrics-registry snapshot |
@@ -25,7 +25,7 @@
 //! A daemon holds **one** current instance. Every `load` and every committed
 //! `delta` starts a new *generation*; a node-list `check` that names the
 //! generation it was planned against is refused once the daemon has moved
-//! on, so a shard is never answered from another network.
+//! on, so a node list is never answered from another network.
 //!
 //! Delta kinds: `link_down`/`link_up` (`u`, `v`: node names),
 //! `edge_policy` (`u`, `v`, `policy`: `"drop"`, `"default"`, or
@@ -37,7 +37,7 @@ use timepiece_trace::Json;
 /// The version of this protocol, negotiated once per instance: a `load`
 /// naming another version is refused before anything is built. Bumped on any
 /// incompatible change to the frames.
-pub const PROTOCOL_VERSION: usize = 3;
+pub const PROTOCOL_VERSION: usize = 4;
 
 /// How an edge's policy is respecified by an `edge_policy` delta.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,19 +114,17 @@ pub struct Load {
     /// What to load.
     pub source: LoadSource,
     /// Documented fault injection: nodes whose interface is replaced by a
-    /// never-holds-a-route annotation, so equivalence tests can compare
-    /// failing-node sets across the wire.
+    /// never-holds-a-route annotation, so tests can compare failing-node
+    /// sets across the wire.
     pub sabotage: Vec<String>,
     /// Checker threads (`None`: what the daemon was started with).
     pub threads: Option<usize>,
     /// Per-condition solver budget (`None`: what the daemon was started
     /// with).
     pub timeout_millis: Option<u64>,
-    /// Attach the daemon's span trace to every node-list `check` reply.
-    pub trace: bool,
 }
 
-/// A node-list `check`: one shard of a fleet row, or any ad-hoc subset.
+/// A node-list `check`: any subset of the nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeCheck {
     /// The names of the nodes to re-verify.
@@ -134,8 +132,6 @@ pub struct NodeCheck {
     /// The generation the list was planned against; a daemon that has moved
     /// on refuses the check (`None`: whatever is current).
     pub generation: Option<u64>,
-    /// An opaque tag echoed in the reply — a coordinator's shard index.
-    pub shard: Option<usize>,
 }
 
 /// One protocol request.
@@ -268,7 +264,6 @@ impl Request {
                     "timeout_millis",
                     load.timeout_millis.map(|ms| Json::Num(ms as f64)),
                 );
-                pairs.push(("trace".to_owned(), Json::Bool(load.trace)));
                 Json::Obj(pairs)
             }
             Request::CheckNodes(check) => {
@@ -277,7 +272,6 @@ impl Request {
                     ("nodes".to_owned(), Json::arr(check.nodes.iter().map(Json::str))),
                 ];
                 opt(&mut pairs, "generation", check.generation.map(|g| Json::Num(g as f64)));
-                opt(&mut pairs, "shard", check.shard.map(Json::from));
                 Json::Obj(pairs)
             }
             Request::Check => Json::obj([("verb", Json::str("check"))]),
@@ -339,17 +333,10 @@ impl Request {
                 sabotage: names_field(value, "sabotage", false)?,
                 threads: opt_int_field(value, "threads")?,
                 timeout_millis: opt_int_field(value, "timeout_millis")?,
-                trace: match value.get("trace") {
-                    None => false,
-                    Some(flag) => {
-                        flag.as_bool().ok_or_else(|| bad("field \"trace\" must be a boolean"))?
-                    }
-                },
             })),
             "check" if value.get("nodes").is_some() => Ok(Request::CheckNodes(NodeCheck {
                 nodes: names_field(value, "nodes", true)?,
                 generation: opt_int_field(value, "generation")?,
-                shard: opt_int_field(value, "shard")?,
             })),
             "check" => Ok(Request::Check),
             "status" => Ok(Request::Status),
@@ -413,7 +400,6 @@ mod tests {
                 sabotage: vec!["core-0".into()],
                 threads: Some(2),
                 timeout_millis: Some(60_000),
-                trace: true,
             }),
             Request::Load(Load {
                 version: PROTOCOL_VERSION,
@@ -421,15 +407,13 @@ mod tests {
                 sabotage: vec![],
                 threads: None,
                 timeout_millis: None,
-                trace: false,
             }),
             Request::Check,
             Request::CheckNodes(NodeCheck {
                 nodes: vec!["core-0".into(), "edge-1-0".into()],
                 generation: Some(3),
-                shard: Some(1),
             }),
-            Request::CheckNodes(NodeCheck { nodes: vec![], generation: None, shard: None }),
+            Request::CheckNodes(NodeCheck { nodes: vec![], generation: None }),
             Request::Status,
             Request::Profile,
             Request::Shutdown,
@@ -472,10 +456,9 @@ mod tests {
             r#"{"verb": "delta", "kind": "witness_time", "node": "e0", "tau": "soon"}"#,
             r#"{"verb": "delta", "kind": "edge_policy", "u": "a", "v": "b", "policy": "explode"}"#,
             r#"{"verb": "load", "bench": "SpReach", "k": 4}"#,
-            r#"{"verb": "load", "version": 3, "bench": "SpReach"}"#,
-            r#"{"verb": "load", "version": 3, "scenario": 7}"#,
-            r#"{"verb": "load", "version": 3, "bench": "SpReach", "k": 4, "trace": "yes"}"#,
-            r#"{"verb": "load", "version": 3, "bench": "SpReach", "k": 4, "sabotage": "core-0"}"#,
+            r#"{"verb": "load", "version": 4, "bench": "SpReach"}"#,
+            r#"{"verb": "load", "version": 4, "scenario": 7}"#,
+            r#"{"verb": "load", "version": 4, "bench": "SpReach", "k": 4, "sabotage": "core-0"}"#,
             r#"{"verb": "check", "nodes": "core-0"}"#,
             r#"{"verb": "check", "nodes": ["core-0", 7]}"#,
         ] {
@@ -487,7 +470,7 @@ mod tests {
     #[test]
     fn numbers_that_are_not_the_integers_their_fields_hold_are_refused_by_name() {
         let load = |field: &str| {
-            format!(r#"{{"verb": "load", "version": 3, "bench": "SpReach", "k": 4, {field}}}"#)
+            format!(r#"{{"verb": "load", "version": 4, "bench": "SpReach", "k": 4, {field}}}"#)
         };
         for (bad_frame, field) in [
             (
@@ -501,9 +484,8 @@ mod tests {
             ),
             (r#"{"verb": "delta", "kind": "failure_budget", "budget": -1}"#.to_owned(), "budget"),
             (r#"{"verb": "delta", "kind": "failure_budget", "budget": 0.5}"#.to_owned(), "budget"),
-            (r#"{"verb": "check", "nodes": [], "shard": -2}"#.to_owned(), "shard"),
             (r#"{"verb": "check", "nodes": [], "generation": 1.5}"#.to_owned(), "generation"),
-            (r#"{"verb": "load", "version": 3, "bench": "SpReach", "k": -4}"#.to_owned(), "k"),
+            (r#"{"verb": "load", "version": 4, "bench": "SpReach", "k": -4}"#.to_owned(), "k"),
             (load(r#""threads": 1.5"#), "threads"),
             (load(r#""timeout_millis": -60000"#), "timeout_millis"),
         ] {

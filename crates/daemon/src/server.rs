@@ -1,6 +1,6 @@
 //! The TCP serving loop: NDJSON frames in, NDJSON frames out. This is the
-//! one server of the workspace — a daemon warm on one instance and a fleet
-//! worker that was started empty are the same process.
+//! one server of the workspace, whether the daemon started warm on one
+//! instance or empty.
 //!
 //! Threading model: one accept loop (the caller's thread), one *state*
 //! thread owning the [`DaemonState`] (requests are serialized — the state
@@ -22,9 +22,7 @@
 //! solver-interrupt hooks — stops the state loop (requests still queued
 //! are answered "shutting down"), wakes the blocking accept loop with a
 //! loopback self-connect, and lets [`serve`] return `Ok(())` so the process
-//! exits 0. The armed [`DaemonState::die_after`] fault takes the same road
-//! with [`DrainSignal::died`] set: nobody is answered, connections just
-//! close.
+//! exits 0.
 //!
 //! Latency: every accepted stream sets `TCP_NODELAY` and every frame is one
 //! `write` ([`write_line_value`]), so a reply leaves in a single segment
@@ -130,11 +128,10 @@ pub fn serve(listener: TcpListener, state: DaemonState) -> std::io::Result<()> {
             Ok((stream, _peer)) => {
                 let tx = req_tx.clone();
                 let owed = Arc::clone(&owed);
-                let drain = drain.clone();
                 std::thread::spawn(move || {
                     timepiece_trace::set_thread_label("daemon-conn");
                     // best effort: a broken connection only ends itself
-                    let _ = run_connection(stream, &tx, &owed, &drain);
+                    let _ = run_connection(stream, &tx, &owed);
                 });
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -200,11 +197,8 @@ fn run_state_loop(mut state: DaemonState, drain: &DrainSignal, req_rx: &mpsc::Re
                 Ok(request) => {
                     let handled = state.handle(&request);
                     // the reply leaves before the drain rises, so the
-                    // shutdown caller hears its ack; a daemon that died
-                    // answers nobody
-                    if !drain.died() {
-                        let _ = reply_tx.send(handled.reply);
-                    }
+                    // shutdown caller hears its ack
+                    let _ = reply_tx.send(handled.reply);
                     if handled.shutdown {
                         drain.raise();
                     }
@@ -234,7 +228,6 @@ fn run_connection(
     stream: TcpStream,
     tx: &mpsc::Sender<Forwarded>,
     owed: &OwedReplies,
-    drain: &DrainSignal,
 ) -> std::io::Result<()> {
     let (mut reader, mut writer) = open_connection(stream)?;
     loop {
@@ -261,11 +254,7 @@ fn run_connection(
                         break Err(e);
                     }
                 }
-                // the state thread is gone: drained (tell the client) or
-                // dead (hang up, as a crashed host would)
-                Err(mpsc::RecvTimeoutError::Disconnected) if drain.died() => {
-                    break Err(std::io::ErrorKind::ConnectionAborted.into())
-                }
+                // the state thread is gone: the daemon drained
                 Err(mpsc::RecvTimeoutError::Disconnected) => {
                     break write_line_value(&mut writer, &error_response("daemon is shutting down"))
                 }
@@ -383,13 +372,13 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let (tx, rx) = mpsc::channel::<Forwarded>();
-        let (owed, drain) = (OwedReplies::default(), DrainSignal::new());
+        let owed = OwedReplies::default();
         let answer = Json::obj([("ok", Json::Bool(true))]);
         std::thread::scope(|scope| {
             scope.spawn(|| {
                 for _ in 0..2 {
                     let (stream, _) = listener.accept().unwrap();
-                    run_connection(stream, &tx, &owed, &drain).unwrap();
+                    run_connection(stream, &tx, &owed).unwrap();
                 }
             });
 

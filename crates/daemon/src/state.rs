@@ -19,7 +19,7 @@
 //! the current instance* — answered by the same path: one job on the
 //! still-warm pool whose memo starts from the records, so a node whose key
 //! any record holds with a proof is answered by it. A full `check` names
-//! every node, a node-list `check` (a fleet shard) names its own, and a
+//! every node, a node-list `check` names its own, and a
 //! `delta` applies the edit and names its topological *footprint* plus every
 //! node without a definite record (an `unknown`, or a node a cancellation
 //! abandoned). The job keys each of them once; its cone is every node of
@@ -30,8 +30,8 @@
 //! the job has returned.
 //!
 //! The handler is transport-agnostic — it maps a parsed
-//! [`Request`] to a response [`Json`] — so the TCP server, the benchmark,
-//! the shard replay and the equivalence tests all drive the same code.
+//! [`Request`] to a response [`Json`] — so the TCP server, the benchmark
+//! and the equivalence tests all drive the same code.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -70,7 +70,6 @@ pub struct DrainSignal {
 #[derive(Debug, Default)]
 struct DrainInner {
     draining: AtomicBool,
-    died: AtomicBool,
     current: Mutex<Option<CancelToken>>,
 }
 
@@ -93,18 +92,6 @@ impl DrainSignal {
     /// Has the signal been raised?
     pub fn is_draining(&self) -> bool {
         self.inner.draining.load(Ordering::Acquire)
-    }
-
-    /// Was the signal raised by the [`DaemonState::die_after`] fault? The
-    /// server then hangs up on its clients without a word, and the process
-    /// is expected to exit nonzero: from outside, a crashed host.
-    pub fn died(&self) -> bool {
-        self.inner.died.load(Ordering::SeqCst)
-    }
-
-    fn die(&self) {
-        self.inner.died.store(true, Ordering::SeqCst);
-        self.raise();
     }
 
     /// A fresh token for one check, pre-cancelled when already draining.
@@ -179,12 +166,6 @@ pub struct DaemonState {
     options: CheckOptions,
     pool: CheckerPool,
     loader: Option<Loader>,
-    /// Did the last `load` ask for span traces in node-list replies?
-    trace: bool,
-    /// The armed [`DaemonState::die_after`] fault and the node-list checks
-    /// served so far.
-    die_after: Option<usize>,
-    node_checks: usize,
     drain: DrainSignal,
     requests: u64,
     deltas: u64,
@@ -203,9 +184,6 @@ impl DaemonState {
             pool: CheckerPool::with_default_parallelism(options.clone()),
             options,
             loader: None,
-            trace: false,
-            die_after: None,
-            node_checks: 0,
             drain: DrainSignal::new(),
             requests: 0,
             deltas: 0,
@@ -234,14 +212,6 @@ impl DaemonState {
     /// Lets `load` requests install instances, resolved by `loader`.
     pub fn with_loader(mut self, loader: Loader) -> DaemonState {
         self.loader = Some(loader);
-        self
-    }
-
-    /// Arms (`Some`) the documented dead-host fault: after that many
-    /// node-list checks have been served, the next one raises the drain as
-    /// [`DrainSignal::died`] instead of being answered.
-    pub fn die_after(mut self, checks: Option<usize>) -> DaemonState {
-        self.die_after = checks;
         self
     }
 
@@ -304,20 +274,10 @@ impl DaemonState {
         let _span = timepiece_trace::span(Phase::Request, verb);
         timepiece_trace::counter("daemon.requests").inc();
         self.requests += 1;
-        let mut shutdown = false;
         let reply = match request {
             Request::Load(load) => self.handle_load(load).unwrap_or_else(error_response),
             Request::Check => self.handle_check(None),
-            Request::CheckNodes(check) => {
-                if self.die_after.is_some_and(|limit| self.node_checks >= limit) {
-                    self.drain.die();
-                    shutdown = true;
-                    error_response("the die-after fault fired")
-                } else {
-                    self.node_checks += 1;
-                    self.handle_check(Some(check))
-                }
-            }
+            Request::CheckNodes(check) => self.handle_check(Some(check)),
             Request::Delta(delta) => self.handle_delta(delta),
             Request::Status => self.handle_status(),
             Request::Profile => Json::obj([
@@ -326,11 +286,10 @@ impl DaemonState {
                 ("metrics", timepiece_trace::metrics_json()),
             ]),
             Request::Shutdown => {
-                shutdown = true;
                 Json::obj([("verb", Json::str("shutdown")), ("ok", Json::Bool(true))])
             }
         };
-        Handled { reply, shutdown }
+        Handled { reply, shutdown: matches!(request, Request::Shutdown) }
     }
 
     /// `load`: resolve the source, apply the sabotage, make the instance
@@ -359,14 +318,6 @@ impl DaemonState {
         let warm = self.pool.options();
         if (warm.threads, warm.timeout) != (options.threads, options.timeout) {
             self.pool = CheckerPool::with_default_parallelism(options);
-        }
-        self.trace = load.trace;
-        if load.trace {
-            timepiece_trace::enable();
-            let _ = timepiece_trace::take();
-        } else {
-            // an earlier client's tracing must not pile spans up here
-            timepiece_trace::disable();
         }
         let nodes = instance.network.topology().node_count();
         self.install(label.clone(), instance);
@@ -414,16 +365,7 @@ impl DaemonState {
         let inst = self.current.as_ref().expect("checked above");
         // a node-list check answers for its nodes; a unit check for them all
         let answered = subset.map(|_| cone.as_slice());
-        let mut reply =
-            inst.report_response("check", self.generation, &cone, answered, &report, start);
-        if let (Some(check), Json::Obj(pairs)) = (subset, &mut reply) {
-            pairs.extend(check.shard.map(|shard| ("shard".to_owned(), Json::from(shard))));
-            if self.trace {
-                let trace = timepiece_trace::trace_to_json(&timepiece_trace::take());
-                pairs.push(("trace".to_owned(), trace));
-            }
-        }
-        reply
+        inst.report_response("check", self.generation, &cone, answered, &report, start)
     }
 
     /// `delta`: apply the edit, re-check its footprint and every node
@@ -568,9 +510,8 @@ impl Loaded {
     /// The common `check`/`delta` response: the records' verdicts and
     /// whether they all hold — of every node, or (`Some`) of the nodes the
     /// request named — cone and cache-hit statistics over the same nodes,
-    /// and what this request's job itself found — per-node durations and
-    /// failures — which is all a fleet coordinator reads (`ShardReport` in
-    /// `timepiece-bench` is a typed view of it).
+    /// and what this request's job itself found: per-node durations and
+    /// failures.
     fn report_response(
         &self,
         verb: &str,

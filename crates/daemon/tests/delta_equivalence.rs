@@ -2,14 +2,14 @@
 //!
 //! Property: after *any* sequence of deltas — link down/up, edge-policy
 //! edits (including sabotage drops), witness-time changes, failure-budget
-//! changes, some of them deliberately invalid — with node-list `check`s (a
-//! fleet's shards) interleaved among them, the daemon's per-node verdict map
+//! changes, some of them deliberately invalid — with node-list `check`s
+//! interleaved among them, the daemon's per-node verdict map
 //! equals what a fresh [`ModularChecker`] says about the daemon's current
 //! instance. That is the soundness claim of dirty-cone re-checking: nodes
 //! outside the cone may keep cached verdicts *because* their conditions are
-//! structurally unchanged. The same claim read the other way round is the
-//! fleet's: the shards of a `load`ed instance, each checked on its own,
-//! union to the from-scratch answer. And a daemon installs an instance one
+//! structurally unchanged. The same claim read the other way round: node
+//! lists that split a `load`ed instance, each checked on its own, union to
+//! the from-scratch answer. And a daemon installs an instance one
 //! way: every stream runs on a [`DaemonState::new`] daemon and on an empty
 //! one that was sent `load` and a unit `check`, and the two must answer
 //! every request alike.
@@ -22,7 +22,6 @@ use timepiece_daemon::{
     DaemonState, Delta, Load, LoadSource, NodeCheck, PolicySpec, Request, PROTOCOL_VERSION,
 };
 use timepiece_nets::reach::ReachBench;
-use timepiece_sched::ShardPlan;
 use timepiece_topology::NodeId;
 use timepiece_trace::Json;
 
@@ -84,7 +83,7 @@ impl Targets {
                         nodes.push(name);
                     }
                 }
-                return Request::CheckNodes(NodeCheck { nodes, generation: None, shard: None });
+                return Request::CheckNodes(NodeCheck { nodes, generation: None });
             }
         })
     }
@@ -210,14 +209,7 @@ fn loader(source: &LoadSource) -> Result<(String, Instance), String> {
 
 /// The `load` request for `source`, with `sabotage`.
 fn load(source: LoadSource, sabotage: Vec<String>) -> Load {
-    Load {
-        version: PROTOCOL_VERSION,
-        source,
-        sabotage,
-        threads: None,
-        timeout_millis: None,
-        trace: false,
-    }
+    Load { version: PROTOCOL_VERSION, source, sabotage, threads: None, timeout_millis: None }
 }
 
 fn spreach(k: usize) -> LoadSource {
@@ -245,7 +237,7 @@ fn a_node_list_check_answers_for_its_nodes_only() {
     assert!(names(&unit, "failed").contains(&"agg-1-0".to_owned()), "{unit}");
     // a node-list check answers for the nodes it names, not the cache
     let nodes = vec!["core-0".to_owned(), "edge-0-0".to_owned()];
-    let check = NodeCheck { nodes: nodes.clone(), generation: None, shard: None };
+    let check = NodeCheck { nodes: nodes.clone(), generation: None };
     let reply = state.handle(&Request::CheckNodes(check)).reply;
     assert_eq!(names(&reply, "verdicts"), nodes, "{reply}");
     assert_eq!(names(&reply, "failed"), Vec::<String>::new(), "{reply}");
@@ -255,7 +247,7 @@ fn a_node_list_check_answers_for_its_nodes_only() {
 }
 
 #[test]
-fn the_shards_of_a_loaded_instance_union_to_the_from_scratch_failures() {
+fn node_lists_that_split_a_loaded_instance_union_to_the_from_scratch_failures() {
     let mut state = DaemonState::empty(options()).with_loader(loader);
     let sabotage = vec!["agg-1-0".to_owned(), "edge-2-1".to_owned()];
     let reply = state.handle(&Request::Load(load(spreach(4), sabotage))).reply;
@@ -269,16 +261,14 @@ fn the_shards_of_a_loaded_instance_union_to_the_from_scratch_failures() {
     let reference = from_scratch_failed(&state);
     let g = state.loaded().unwrap().instance().network.topology().clone();
     assert!(!reference.is_empty(), "the sabotage must be detectable");
-    for shards in [1, 3, 7] {
-        let plan = ShardPlan::by_class(g.nodes(), shards, |v| g.node_class(v));
+    let all: Vec<String> = g.nodes().map(|v| g.name(v).to_owned()).collect();
+    for lists in [1, 3, 7] {
         let mut failing: Vec<NodeId> = Vec::new();
-        for shard in 0..shards {
-            let nodes: Vec<String> =
-                plan.nodes_of(shard).iter().map(|&v| g.name(v).to_owned()).collect();
-            let check = NodeCheck { nodes: nodes.clone(), generation, shard: Some(shard) };
+        for chunk in all.chunks(all.len().div_ceil(lists)) {
+            let nodes = chunk.to_vec();
+            let check = NodeCheck { nodes: nodes.clone(), generation };
             let reply = state.handle(&Request::CheckNodes(check)).reply;
             assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true), "{reply}");
-            assert_eq!(reply.get("shard").and_then(Json::as_usize), Some(shard), "{reply}");
             let names = |key: &str| -> Vec<String> {
                 let items = reply.get(key).and_then(Json::as_arr).unwrap().iter();
                 // a cone entry is a name, a duration entry a [name, secs] pair
@@ -286,8 +276,7 @@ fn the_shards_of_a_loaded_instance_union_to_the_from_scratch_failures() {
                     .map(|n| n.as_arr().map_or(n, |pair| &pair[0]).as_str().unwrap().to_owned())
                     .collect()
             };
-            // exactly its shard: nothing skipped, nothing extra (the report
-            // lists durations in node order, the plan stripes by class)
+            // exactly its list: nothing skipped, nothing extra
             assert_eq!(names("cone"), nodes, "{reply}");
             let (mut checked, mut asked) = (names("durations"), nodes.clone());
             checked.sort_unstable();
@@ -295,13 +284,13 @@ fn the_shards_of_a_loaded_instance_union_to_the_from_scratch_failures() {
             assert_eq!(checked, asked, "{reply}");
             for failure in reply.get("failures").and_then(Json::as_arr).unwrap() {
                 let name = failure.get("node").and_then(Json::as_str).unwrap();
-                assert!(nodes.iter().any(|n| n == name), "{name} is not in shard {shard}");
+                assert!(nodes.iter().any(|n| n == name), "{name} is not in {nodes:?}");
                 failing.push(g.node_by_name(name).unwrap());
             }
         }
         failing.sort_unstable();
         failing.dedup();
-        assert_eq!(failing, reference, "{shards} shards");
+        assert_eq!(failing, reference, "{lists} lists");
         assert_eq!(state.loaded().unwrap().failed_nodes(), reference);
     }
 }

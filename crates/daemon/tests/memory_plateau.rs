@@ -151,7 +151,6 @@ fn drive(source: LoadSource, witnessed: Vec<String>, mut sample: impl FnMut(usiz
         sabotage: Vec::new(),
         threads: None,
         timeout_millis: None,
-        trace: false,
     });
 
     for i in 0..CHECKS {

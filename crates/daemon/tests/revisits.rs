@@ -89,7 +89,6 @@ fn a_load_starts_without_records() {
         sabotage: Vec::new(),
         threads: None,
         timeout_millis: None,
-        trace: false,
     };
     // the same instance twice: the second load forgets what the first
     // instance's checks proved, and its check proves each key again

@@ -32,7 +32,6 @@ fn load(name: &str) -> Request {
         sabotage: Vec::new(),
         threads: None,
         timeout_millis: None,
-        trace: false,
     })
 }
 

@@ -5,8 +5,7 @@
 //! [`Network`], per-node interface and property through the same
 //! [`NetworkBuilder`] path the Rust-literal benchmarks use). The output,
 //! [`CompiledScenario`], produces [`Instance`]s on demand, so compiled
-//! scenarios run unmodified through sweeps, sharding, the daemon and
-//! inference.
+//! scenarios run unmodified through sweeps, the daemon and inference.
 
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;

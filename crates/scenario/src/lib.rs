@@ -5,8 +5,8 @@
 //! initial routes, temporal property, and either an explicit temporal
 //! interface or `infer = true` — that compiles down to the exact same
 //! [`timepiece_algebra::Network`] / annotation machinery the built-in
-//! benchmarks use, so compiled scenarios run unmodified through sweeps,
-//! sharding, the daemon and inference.
+//! benchmarks use, so compiled scenarios run unmodified through sweeps, the
+//! daemon and inference.
 //!
 //! The crate has four layers:
 //!

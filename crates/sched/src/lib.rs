@@ -3,9 +3,9 @@
 //! The paper's headline observation is that modular checking turns control
 //! plane verification into an embarrassingly parallel pile of per-node
 //! verification conditions. This crate is the machinery that drains that
-//! pile well, at three scales:
+//! pile well, inside one process:
 //!
-//! * **Within a process** — [`Pool`] over a per-job [`StealQueue`]:
+//! * **Across cores** — [`Pool`] over a per-job [`StealQueue`]:
 //!   persistent worker threads, per-worker deques with batched steal-half
 //!   instead of a contended global counter. Each worker owns private state
 //!   built once per pool (the checker puts its long-lived solver sessions
@@ -14,16 +14,13 @@
 //!   the one-shot check; there is one engine, not two.
 //! * **Across a failure** — [`CancelToken`]: cooperative fail-fast
 //!   cancellation whose hooks also *interrupt* in-flight solver calls, so a
-//!   discovered violation stops the fleet in interrupt latency, not in
+//!   discovered violation stops the workers in interrupt latency, not in
 //!   time-to-finish-the-longest-solve.
-//! * **Across processes** — [`ShardPlan`]: a deterministic partition of the
-//!   node set by symmetry class, computed by the coordinator of a worker
-//!   fleet (`repro worker` processes on loopback ports or on other hosts)
-//!   and sent to it shard by shard, plus the [`Json`] value type the shard
-//!   reports travel in. Striping is the only planner: it evens out the
-//!   class *mix*, and whatever imbalance is left (within-class variance no
-//!   model predicted — EXPERIMENTS.md "PR 9") is absorbed at run time by
-//!   the coordinator's steal-half of whole shards and each worker's [`Pool`].
+//!
+//! There is no cross-process scheduling: the paper's largest runs are one
+//! machine, and on the machines measured here a pool of threads checks a
+//! network at least as fast as a fleet of processes did
+//! (EXPERIMENTS.md "PR 37").
 //!
 //! The scheduler is deliberately independent of SMT types: tasks are any
 //! `Send` values, per-worker state is any type, and cancellation hooks are
@@ -67,16 +64,13 @@
 pub mod cancel;
 pub mod pool;
 pub mod queue;
-pub mod shard;
 
-/// The hand-rolled JSON codec the shard reports travel in. It moved to the
-/// bottom of the crate stack (`timepiece-trace`, which exports traces
-/// through it); re-exported here so shard-protocol call sites keep their
-/// `timepiece_sched::json` paths.
+/// The workspace's hand-rolled JSON codec, which lives at the bottom of the
+/// crate stack (`timepiece-trace`, which exports traces through it);
+/// re-exported here so call sites keep their `timepiece_sched::json` paths.
 pub use timepiece_trace::json;
 
 pub use cancel::CancelToken;
 pub use json::{Json, JsonError};
 pub use pool::{Job, Pool, PoolError, SchedOutcome, SchedStats};
 pub use queue::StealQueue;
-pub use shard::ShardPlan;

@@ -140,11 +140,8 @@ impl Topology {
     /// Every generator in this workspace names nodes `<class>-<position>`
     /// (`core-3`, `agg-0-1`, `edge-2-0`, `internal-5`, `peer-17`, …), so the
     /// stem is a coarse symmetry class whose members share policy shape and
-    /// verification cost. Because names are part of the deterministic
-    /// topology construction, the stem is a **stable node→shard key**: a
-    /// coordinator and its worker subprocesses can partition by it (cf.
-    /// `ShardPlan::by_class` in `timepiece-sched`) without exchanging node
-    /// lists.
+    /// verification cost. The checker tags each node's span with it, and
+    /// `repro profile` rolls per-class costs up by it.
     pub fn node_class(&self, v: NodeId) -> &str {
         let name = self.name(v);
         name.split_once('-').map_or(name, |(stem, _)| stem)

@@ -1,31 +1,28 @@
-//! Trace exporters.
+//! Trace exporters, both through the crate's own [`Json`] codec.
 //!
-//! Two output shapes, both through the crate's own [`Json`] codec:
-//!
-//! * [`chrome_trace`] — the Chrome trace-event format, loadable in Perfetto
-//!   or `chrome://tracing`. One track per worker thread (`thread_name`
-//!   metadata events), one process group per shard (`process_name` events),
-//!   complete spans as `ph: "X"` and instants as `ph: "i"`.
-//! * [`trace_to_json`] / [`trace_from_json`] — a lossless round-trip of a
-//!   [`Trace`], used by shard workers to ship their span buffers home inside
-//!   a `ShardReport`.
-//!
-//! [`metrics_json`] renders the metrics registry snapshot; `repro` attaches
-//! it to the Chrome document under `otherData`.
+//! [`chrome_trace`] writes the Chrome trace-event format, loadable in
+//! Perfetto or `chrome://tracing`: one process (pid 0), one track per
+//! worker thread (`thread_name` metadata events), complete spans as
+//! `ph: "X"` and instants as `ph: "i"`. [`metrics_json`] renders the
+//! metrics registry snapshot; `repro` attaches it to the Chrome document
+//! under `otherData`.
 
-use crate::json::{Json, JsonError};
+use crate::json::Json;
 use crate::metrics::{self, MetricValue};
-use crate::span::{Phase, SpanKind, SpanRecord, ThreadInfo, Trace};
+use crate::span::{SpanKind, SpanRecord, Trace};
+
+/// The one process of every exported trace.
+const PID: usize = 0;
 
 /// Renders a trace as a Chrome trace-event document
 /// (`{"traceEvents": [...], "displayTimeUnit": "ms"}`).
 pub fn chrome_trace(trace: &Trace) -> Json {
     let mut events = Vec::new();
-    let mut name_meta = |pid: u32, tid: Option<u64>, kind: &str, name: &str| {
+    let mut name_meta = |tid: Option<u64>, kind: &str, name: &str| {
         let mut pairs = vec![
             ("name".to_owned(), Json::str(kind)),
             ("ph".to_owned(), Json::str("M")),
-            ("pid".to_owned(), Json::from(pid as usize)),
+            ("pid".to_owned(), Json::from(PID)),
         ];
         if let Some(tid) = tid {
             pairs.push(("tid".to_owned(), Json::from(tid as usize)));
@@ -33,12 +30,9 @@ pub fn chrome_trace(trace: &Trace) -> Json {
         pairs.push(("args".to_owned(), Json::obj([("name", Json::str(name))])));
         events.push(Json::Obj(pairs));
     };
-    name_meta(0, None, "process_name", "timepiece");
-    for (pid, name) in &trace.processes {
-        name_meta(*pid, None, "process_name", name);
-    }
+    name_meta(None, "process_name", "timepiece");
     for thread in &trace.threads {
-        name_meta(thread.pid, Some(thread.tid), "thread_name", &thread.label);
+        name_meta(Some(thread.tid), "thread_name", &thread.label);
     }
     for span in &trace.spans {
         events.push(span_event(span));
@@ -66,7 +60,7 @@ fn span_event(span: &SpanRecord) -> Json {
             pairs.push(("ts".to_owned(), Json::Num(ts)));
         }
     }
-    pairs.push(("pid".to_owned(), Json::from(span.pid as usize)));
+    pairs.push(("pid".to_owned(), Json::from(PID)));
     pairs.push(("tid".to_owned(), Json::from(span.tid as usize)));
     let mut args: Vec<(String, Json)> =
         span.args.iter().map(|(k, v)| (k.clone(), Json::str(v.as_str()))).collect();
@@ -76,143 +70,6 @@ fn span_event(span: &SpanRecord) -> Json {
     }
     pairs.push(("args".to_owned(), Json::Obj(args)));
     Json::Obj(pairs)
-}
-
-/// Serializes a trace losslessly (the shard-report wire form).
-pub fn trace_to_json(trace: &Trace) -> Json {
-    Json::obj([
-        (
-            "spans",
-            Json::arr(trace.spans.iter().map(|s| {
-                Json::obj([
-                    ("id", Json::from(s.id as usize)),
-                    ("parent", Json::from(s.parent as usize)),
-                    (
-                        "kind",
-                        Json::str(match s.kind {
-                            SpanKind::Complete => "X",
-                            SpanKind::Instant => "i",
-                        }),
-                    ),
-                    ("phase", Json::str(s.phase.name())),
-                    ("name", Json::str(s.name.as_str())),
-                    ("start", Json::from(s.start_ns as usize)),
-                    ("dur", Json::from(s.dur_ns as usize)),
-                    ("pid", Json::from(s.pid as usize)),
-                    ("tid", Json::from(s.tid as usize)),
-                    (
-                        "args",
-                        Json::Obj(
-                            s.args
-                                .iter()
-                                .map(|(k, v)| (k.clone(), Json::str(v.as_str())))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })),
-        ),
-        (
-            "threads",
-            Json::arr(trace.threads.iter().map(|t| {
-                Json::obj([
-                    ("pid", Json::from(t.pid as usize)),
-                    ("tid", Json::from(t.tid as usize)),
-                    ("label", Json::str(t.label.as_str())),
-                ])
-            })),
-        ),
-        (
-            "processes",
-            Json::arr(trace.processes.iter().map(|(pid, name)| {
-                Json::arr([Json::from(*pid as usize), Json::str(name.as_str())])
-            })),
-        ),
-    ])
-}
-
-fn field_err(what: &str) -> JsonError {
-    JsonError { message: format!("trace document: {what}"), offset: 0 }
-}
-
-fn need_usize(value: &Json, field: &str) -> Result<usize, JsonError> {
-    value
-        .get(field)
-        .and_then(Json::as_usize)
-        .ok_or_else(|| field_err(&format!("missing numeric field {field:?}")))
-}
-
-fn need_str<'j>(value: &'j Json, field: &str) -> Result<&'j str, JsonError> {
-    value
-        .get(field)
-        .and_then(Json::as_str)
-        .ok_or_else(|| field_err(&format!("missing string field {field:?}")))
-}
-
-/// Deserializes a trace produced by [`trace_to_json`].
-///
-/// # Errors
-///
-/// Returns [`JsonError`] if required fields are missing or ill-typed.
-pub fn trace_from_json(value: &Json) -> Result<Trace, JsonError> {
-    let mut trace = Trace::default();
-    let spans = value.get("spans").and_then(Json::as_arr).ok_or_else(|| field_err("no spans"))?;
-    for s in spans {
-        let kind = match need_str(s, "kind")? {
-            "X" => SpanKind::Complete,
-            "i" => SpanKind::Instant,
-            other => return Err(field_err(&format!("unknown span kind {other:?}"))),
-        };
-        let phase_name = need_str(s, "phase")?;
-        let phase = Phase::parse(phase_name)
-            .ok_or_else(|| field_err(&format!("unknown phase {phase_name:?}")))?;
-        let args = match s.get("args") {
-            Some(Json::Obj(pairs)) => pairs
-                .iter()
-                .map(|(k, v)| {
-                    Ok((
-                        k.clone(),
-                        v.as_str().ok_or_else(|| field_err("non-string span arg"))?.to_owned(),
-                    ))
-                })
-                .collect::<Result<Vec<_>, JsonError>>()?,
-            _ => Vec::new(),
-        };
-        trace.spans.push(SpanRecord {
-            id: need_usize(s, "id")? as u64,
-            parent: need_usize(s, "parent")? as u64,
-            kind,
-            phase,
-            name: need_str(s, "name")?.to_owned(),
-            start_ns: need_usize(s, "start")? as u64,
-            dur_ns: need_usize(s, "dur")? as u64,
-            pid: need_usize(s, "pid")? as u32,
-            tid: need_usize(s, "tid")? as u64,
-            args,
-        });
-    }
-    if let Some(threads) = value.get("threads").and_then(Json::as_arr) {
-        for t in threads {
-            trace.threads.push(ThreadInfo {
-                pid: need_usize(t, "pid")? as u32,
-                tid: need_usize(t, "tid")? as u64,
-                label: need_str(t, "label")?.to_owned(),
-            });
-        }
-    }
-    if let Some(processes) = value.get("processes").and_then(Json::as_arr) {
-        for p in processes {
-            let pair = p.as_arr().ok_or_else(|| field_err("process entry not a pair"))?;
-            match pair {
-                [pid, name] => trace.processes.push((
-                    pid.as_usize().ok_or_else(|| field_err("process pid"))? as u32,
-                    name.as_str().ok_or_else(|| field_err("process name"))?.to_owned(),
-                )),
-                _ => return Err(field_err("process entry not a pair")),
-            }
-        }
-    }
-    Ok(trace)
 }
 
 /// Renders the metrics registry snapshot as a flat JSON object: counters as
@@ -240,6 +97,7 @@ pub fn metrics_json() -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::{Phase, ThreadInfo};
 
     fn sample_trace() -> Trace {
         Trace {
@@ -252,7 +110,6 @@ mod tests {
                     name: "node \"edge-0\"".to_owned(),
                     start_ns: 1_000,
                     dur_ns: 9_000,
-                    pid: 0,
                     tid: 1,
                     args: vec![("class".to_owned(), "edge".to_owned())],
                 },
@@ -264,22 +121,12 @@ mod tests {
                     name: "cancel".to_owned(),
                     start_ns: 2_500,
                     dur_ns: 0,
-                    pid: 3,
                     tid: 7,
                     args: vec![],
                 },
             ],
-            threads: vec![ThreadInfo { pid: 0, tid: 1, label: "worker0".to_owned() }],
-            processes: vec![(3, "shard1".to_owned())],
+            threads: vec![ThreadInfo { tid: 1, label: "worker0".to_owned() }],
         }
-    }
-
-    #[test]
-    fn trace_roundtrips_through_json() {
-        let trace = sample_trace();
-        let text = trace_to_json(&trace).to_string();
-        let back = trace_from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, trace);
     }
 
     #[test]
@@ -288,11 +135,11 @@ mod tests {
         let text = doc.to_string();
         let parsed = Json::parse(&text).unwrap();
         let events = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
-        // 2 process_name + 1 thread_name + 2 spans
-        assert_eq!(events.len(), 5);
+        // 1 process_name + 1 thread_name + 2 spans
+        assert_eq!(events.len(), 4);
         let phs: Vec<&str> =
             events.iter().filter_map(|e| e.get("ph").and_then(Json::as_str)).collect();
-        assert_eq!(phs.iter().filter(|p| **p == "M").count(), 3);
+        assert_eq!(phs.iter().filter(|p| **p == "M").count(), 2);
         assert!(phs.contains(&"X") && phs.contains(&"i"));
         let x = events.iter().find(|e| e.get("ph").and_then(Json::as_str) == Some("X")).unwrap();
         assert_eq!(x.get("ts").and_then(Json::as_f64), Some(1.0));
@@ -301,14 +148,9 @@ mod tests {
         assert_eq!(x.get("args").and_then(|a| a.get("class")).and_then(Json::as_str), Some("edge"));
         let i = events.iter().find(|e| e.get("ph").and_then(Json::as_str) == Some("i")).unwrap();
         assert_eq!(i.get("s").and_then(Json::as_str), Some("t"));
-        assert_eq!(i.get("pid").and_then(Json::as_usize), Some(3));
-    }
-
-    #[test]
-    fn deserializer_rejects_garbage() {
-        for bad in ["{}", r#"{"spans": [{}]}"#, r#"{"spans": [{"kind": "Z"}]}"#] {
-            assert!(trace_from_json(&Json::parse(bad).unwrap()).is_err(), "{bad}");
-        }
+        assert_eq!(i.get("tid").and_then(Json::as_usize), Some(7));
+        // one process: every event, metadata included, is pid 0
+        assert!(events.iter().all(|e| e.get("pid").and_then(Json::as_usize) == Some(0)));
     }
 
     #[test]

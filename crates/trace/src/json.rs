@@ -1,14 +1,14 @@
 //! A minimal JSON value, writer and parser.
 //!
-//! The trace exporters, the shard protocol and the benchmark row dumps all
+//! The trace exporters, the daemon protocol and the benchmark row dumps all
 //! need machine-readable output, and the workspace builds offline (no
 //! serde). This module covers exactly what those producers and consumers
 //! use: the six JSON value kinds, string escaping (including surrogate-pair
 //! decoding — span names carry arbitrary node and scenario names), and a
 //! strict recursive-descent parser that round-trips everything the writer
-//! emits. It lives at the bottom of the crate stack so both this crate's
-//! exporters and `timepiece-sched`'s shard reports (which re-exports it)
-//! can use it.
+//! emits. It lives at the bottom of the crate stack so this crate's
+//! exporters and every crate above it (`timepiece-sched` re-exports it) can
+//! use it.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -425,9 +425,9 @@ fn framing_err(message: impl Into<String>, offset: usize) -> JsonError {
 
 /// Reads one newline-delimited JSON value from `reader`.
 ///
-/// This is the wire codec of the NDJSON protocols (shard reports, the
-/// `timepieced` daemon): one value per `\n`-terminated line, at most
-/// `max_bytes` per line. A trailing `\r` before the newline is tolerated.
+/// This is the wire codec of the `timepieced` NDJSON protocol: one value
+/// per `\n`-terminated line, at most `max_bytes` per line. A trailing `\r`
+/// before the newline is tolerated.
 /// Returns `Ok(None)` on a clean end of stream (no bytes before EOF).
 ///
 /// # Errors

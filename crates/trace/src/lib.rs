@@ -8,18 +8,17 @@
 //!
 //! * [`mod@span`] — low-overhead structured spans: per-thread append-only
 //!   buffers (mirroring the scheduler's per-worker deques; no global lock on
-//!   the hot path), parent links for self-time attribution, instant events,
-//!   and process merging for shard workers. Off by default: a disabled call
-//!   site costs one relaxed atomic load.
+//!   the hot path), parent links for self-time attribution and instant
+//!   events. Off by default: a disabled call site costs one relaxed atomic
+//!   load.
 //! * [`mod@metrics`] — a static registry of counters and log-bucketed
 //!   histograms (subsuming `TimingStats` for streaming use), updated with
 //!   relaxed atomics through cached handles.
 //! * [`mod@json`] — the workspace's hand-rolled JSON codec (moved here from
-//!   `timepiece-sched`, which re-exports it): the wire format for shard
-//!   reports and both exporters.
+//!   `timepiece-sched`, which re-exports it): the daemon's wire format and
+//!   the exporters' output.
 //! * [`mod@export`] — Chrome trace-event output for Perfetto /
-//!   `chrome://tracing` (one track per worker, one process group per shard)
-//!   and a lossless `Trace` ↔ JSON round-trip for the shard protocol.
+//!   `chrome://tracing` (one track per worker thread).
 //! * [`mod@profile`] — per-phase self-time breakdown (encode / solve /
 //!   steal-idle / intern / other), per-node-class rollups and slowest-node
 //!   attribution; what `repro profile` prints.
@@ -50,11 +49,11 @@ pub mod metrics;
 pub mod profile;
 pub mod span;
 
-pub use export::{chrome_trace, metrics_json, trace_from_json, trace_to_json};
+pub use export::{chrome_trace, metrics_json};
 pub use json::{Json, JsonError};
 pub use metrics::{counter, histogram, Counter, Histogram, MetricValue};
 pub use profile::{ClassRow, NodeRow, Profile};
 pub use span::{
-    disable, enable, enabled, ingest, instant, now_ns, set_thread_label, span, take, Phase,
-    SpanGuard, SpanKind, SpanRecord, ThreadInfo, Trace,
+    disable, enable, enabled, instant, now_ns, set_thread_label, span, take, Phase, SpanGuard,
+    SpanKind, SpanRecord, ThreadInfo, Trace,
 };

@@ -186,7 +186,6 @@ mod tests {
             name: name.to_owned(),
             start_ns: start,
             dur_ns: dur,
-            pid: 0,
             tid: 1,
             args: args.iter().map(|(k, v)| ((*k).to_owned(), (*v).to_owned())).collect(),
         }
@@ -206,7 +205,6 @@ mod tests {
                 complete(6, 0, Phase::Idle, "claim", 150, 30, &[]),
             ],
             threads: vec![],
-            processes: vec![],
         }
     }
 

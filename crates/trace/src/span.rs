@@ -19,7 +19,7 @@
 //! inside it).
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -49,17 +49,13 @@ pub enum Phase {
     /// One protocol request handled by the `timepieced` daemon (its self
     /// time is the request overhead beyond the node checks nested inside).
     Request,
-    /// Cross-host coordination: a distributed shard's round trip on the
-    /// coordinator side (send `check`, await heartbeats and the report).
-    /// Its self time beyond the worker's own spans is wire + remote queue.
-    Wire,
     /// Everything else (scope events, cancellations, harness work).
     Other,
 }
 
 impl Phase {
     /// Every phase, in profile-table order.
-    pub const ALL: [Phase; 10] = [
+    pub const ALL: [Phase; 9] = [
         Phase::Encode,
         Phase::Solve,
         Phase::Idle,
@@ -68,7 +64,6 @@ impl Phase {
         Phase::Round,
         Phase::Sim,
         Phase::Request,
-        Phase::Wire,
         Phase::Other,
     ];
 
@@ -83,14 +78,8 @@ impl Phase {
             Phase::Round => "round",
             Phase::Sim => "sim",
             Phase::Request => "request",
-            Phase::Wire => "wire",
             Phase::Other => "other",
         }
-    }
-
-    /// Parses a name produced by [`Phase::name`].
-    pub fn parse(s: &str) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| p.name() == s)
     }
 }
 
@@ -128,10 +117,7 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// Duration in nanoseconds (zero for instants).
     pub dur_ns: u64,
-    /// Originating process: 0 for the local process; shard ingestion retags
-    /// foreign spans with the shard's process slot.
-    pub pid: u32,
-    /// Originating thread's trace-local id (unique per pid).
+    /// Originating thread's trace-local id.
     pub tid: u64,
     /// Free-form key/value annotations (node class, verdict, …).
     pub args: Vec<(String, String)>,
@@ -152,24 +138,19 @@ impl SpanRecord {
 /// A thread's label, as drained alongside its spans.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadInfo {
-    /// The process the thread belongs to (0 = local).
-    pub pid: u32,
     /// Trace-local thread id.
     pub tid: u64,
     /// Human label (`worker0`, `pool-worker2`, …), empty if never set.
     pub label: String,
 }
 
-/// Everything one collection drained: spans, thread labels, and the names of
-/// any foreign (shard) processes merged in.
+/// Everything one collection drained: spans and thread labels.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
-    /// All finished spans and instants, across threads and merged processes.
+    /// All finished spans and instants, across threads.
     pub spans: Vec<SpanRecord>,
     /// Labels for the threads that appear in `spans`.
     pub threads: Vec<ThreadInfo>,
-    /// Names for the non-local processes that appear (`pid`, name).
-    pub processes: Vec<(u32, String)>,
 }
 
 impl Trace {
@@ -178,12 +159,11 @@ impl Trace {
         self.spans.is_empty()
     }
 
-    /// Appends another trace's contents (used by the shard coordinator after
-    /// retagging a worker's pid).
+    /// Appends another trace's contents, such as a later collection of the
+    /// same process.
     pub fn merge(&mut self, other: Trace) {
         self.spans.extend(other.spans);
         self.threads.extend(other.threads);
-        self.processes.extend(other.processes);
     }
 }
 
@@ -199,25 +179,15 @@ struct BufferState {
     label: String,
 }
 
-struct Collector {
-    buffers: Mutex<Vec<Arc<ThreadBuffer>>>,
-    /// Spans ingested from other processes (shard workers), already
-    /// pid-retagged, waiting for the next [`take`].
-    foreign: Mutex<Trace>,
+/// Every thread buffer there is, so [`take`] can drain them all.
+fn buffers() -> &'static Mutex<Vec<Arc<ThreadBuffer>>> {
+    static BUFFERS: OnceLock<Mutex<Vec<Arc<ThreadBuffer>>>> = OnceLock::new();
+    BUFFERS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-static NEXT_FOREIGN_PID: AtomicU32 = AtomicU32::new(1);
-
-fn collector() -> &'static Collector {
-    static COLLECTOR: OnceLock<Collector> = OnceLock::new();
-    COLLECTOR.get_or_init(|| Collector {
-        buffers: Mutex::new(Vec::new()),
-        foreign: Mutex::new(Trace::default()),
-    })
-}
 
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -242,7 +212,7 @@ fn with_buffer<R>(f: impl FnOnce(&ThreadBuffer) -> R) -> R {
                 tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
                 state: Mutex::new(BufferState::default()),
             });
-            collector().buffers.lock().push(Arc::clone(&buffer));
+            buffers().lock().push(Arc::clone(&buffer));
             buffer
         });
         f(buffer)
@@ -312,7 +282,6 @@ pub fn instant(phase: Phase, name: impl Into<String>) {
         name: name.into(),
         start_ns: now_ns(),
         dur_ns: 0,
-        pid: 0,
         tid: 0,
         args: Vec::new(),
     };
@@ -381,7 +350,6 @@ impl Drop for SpanGuard {
             name: armed.name,
             start_ns: armed.start_ns,
             dur_ns: end.saturating_sub(armed.start_ns),
-            pid: 0,
             tid: 0,
             args: armed.args,
         };
@@ -394,47 +362,22 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Merges spans collected in another process into the local collector,
-/// retagged under a fresh process slot named `process_name`. Returns the pid
-/// the spans were filed under. The next [`take`] includes them.
-pub fn ingest(process_name: impl Into<String>, mut foreign: Trace) -> u32 {
-    let pid = NEXT_FOREIGN_PID.fetch_add(1, Ordering::Relaxed);
-    for span in &mut foreign.spans {
-        span.pid = pid;
-    }
-    for thread in &mut foreign.threads {
-        thread.pid = pid;
-    }
-    let mut store = collector().foreign.lock();
-    store.processes.push((pid, process_name.into()));
-    store.spans.append(&mut foreign.spans);
-    store.threads.append(&mut foreign.threads);
-    pid
-}
-
-/// Drains every thread buffer (and any ingested foreign spans) into one
-/// [`Trace`], ordered by start time. Thread labels are retained for future
-/// collections; buffers of exited threads are pruned once drained.
+/// Drains every thread buffer into one [`Trace`], ordered by start time.
+/// Thread labels are retained for future collections; buffers of exited
+/// threads are pruned once drained.
 pub fn take() -> Trace {
-    let mut trace = std::mem::take(&mut *collector().foreign.lock());
-    {
-        let mut buffers = collector().buffers.lock();
-        buffers.retain(|buffer| {
-            let mut state = buffer.state.lock();
-            trace.spans.append(&mut state.spans);
-            if !state.label.is_empty() {
-                trace.threads.push(ThreadInfo {
-                    pid: 0,
-                    tid: buffer.tid,
-                    label: state.label.clone(),
-                });
-            }
-            // the thread-local side holds the other strong reference; when
-            // it is gone the thread exited and the (now empty) buffer can go
-            Arc::strong_count(buffer) > 1
-        });
-    }
-    trace.spans.sort_by_key(|s| (s.pid, s.start_ns, s.id));
+    let mut trace = Trace::default();
+    buffers().lock().retain(|buffer| {
+        let mut state = buffer.state.lock();
+        trace.spans.append(&mut state.spans);
+        if !state.label.is_empty() {
+            trace.threads.push(ThreadInfo { tid: buffer.tid, label: state.label.clone() });
+        }
+        // the thread-local side holds the other strong reference; when it is
+        // gone the thread exited and the (now empty) buffer can go
+        Arc::strong_count(buffer) > 1
+    });
+    trace.spans.sort_by_key(|s| (s.start_ns, s.id));
     trace
 }
 
@@ -528,34 +471,6 @@ mod tests {
             .map(|t| t.label.as_str())
             .collect();
         assert!(labels.contains("t0") && labels.contains("t1") && labels.contains("t2"));
-    }
-
-    #[test]
-    fn ingest_retags_pids_and_names_the_process() {
-        let _g = serial();
-        let foreign = Trace {
-            spans: vec![SpanRecord {
-                id: 1,
-                parent: 0,
-                kind: SpanKind::Complete,
-                phase: Phase::Solve,
-                name: "remote".to_owned(),
-                start_ns: 10,
-                dur_ns: 5,
-                pid: 0,
-                tid: 1,
-                args: vec![],
-            }],
-            threads: vec![ThreadInfo { pid: 0, tid: 1, label: "w".to_owned() }],
-            processes: vec![],
-        };
-        let pid = ingest("shard0", foreign);
-        assert!(pid > 0);
-        let trace = take();
-        let remote = trace.spans.iter().find(|s| s.name == "remote").unwrap();
-        assert_eq!(remote.pid, pid);
-        assert!(trace.processes.iter().any(|(p, n)| *p == pid && n == "shard0"));
-        assert!(trace.threads.iter().any(|t| t.pid == pid && t.label == "w"));
     }
 
     #[test]

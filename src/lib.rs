@@ -12,9 +12,8 @@
 //! * [`algebra`] — routing algebras (S, I, F, ⊕) as expression-level
 //!   networks, and the declarative route-policy IR they are built from.
 //! * [`sim`] — the network simulator: synchronous and bounded-delay runs.
-//! * [`sched`] — verification scheduling: work-stealing execution,
-//!   cooperative cancellation with solver interrupts, and deterministic
-//!   shard planning for multi-process runs.
+//! * [`sched`] — verification scheduling: work-stealing execution and
+//!   cooperative cancellation with solver interrupts.
 //! * [`core`] — temporal invariants, verification conditions, the modular
 //!   checker, and the monolithic (Minesweeper-style) baseline.
 //! * [`infer`] — simulation-guided inference of temporal interfaces with
