@@ -494,13 +494,11 @@ fn row_json(kind: BenchKind, row: &Row) -> timepiece_sched::Json {
     // the modular engine's compiled-term cache (summed over the pool's
     // workers); a pool that already checked a structurally identical row
     // carries its hits over
-    let terms = row.terms.map_or(Json::Null, |t| {
-        Json::obj([
-            ("hits", Json::from(t.hits as usize)),
-            ("misses", Json::from(t.misses as usize)),
-            ("hit_rate", Json::Num(t.hit_rate())),
-        ])
-    });
+    let terms = Json::obj([
+        ("hits", Json::from(row.terms.hits as usize)),
+        ("misses", Json::from(row.terms.misses as usize)),
+        ("hit_rate", Json::Num(row.terms.hit_rate())),
+    ]);
     // how the row's nodes got their verdicts: one proof per distinct key,
     // every other node a memo hit
     let memo =

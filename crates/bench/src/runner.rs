@@ -60,8 +60,6 @@ pub struct ScenarioSpec {
     figure: String,
     source: InstanceSource,
     infer: Option<fn(usize) -> InferSetup>,
-    /// Path of the file a compiled scenario came from.
-    file: Option<String>,
 }
 
 impl ScenarioSpec {
@@ -78,23 +76,21 @@ impl ScenarioSpec {
             figure: figure.to_owned(),
             source: InstanceSource::Builder(build),
             infer,
-            file: None,
         }
     }
 
-    /// The scenario the file at `path` declares, compiled from its `text`.
+    /// The scenario a scenario file's `text` declares, compiled.
     ///
     /// # Errors
     ///
     /// The compiler's span-carrying diagnostics, rendered to text.
-    pub fn compiled(path: &str, text: &str) -> Result<ScenarioSpec, String> {
+    pub fn compiled(text: &str) -> Result<ScenarioSpec, String> {
         let compiled = timepiece_scenario::compile_str(text).map_err(|e| e.to_string())?;
         Ok(ScenarioSpec {
             name: compiled.name.clone(),
             figure: compiled.figure.clone(),
             source: InstanceSource::Compiled(Arc::new(compiled)),
             infer: None,
-            file: Some(path.to_owned()),
         })
     }
 
@@ -112,11 +108,6 @@ impl ScenarioSpec {
     /// Where instances come from.
     pub fn source(&self) -> &InstanceSource {
         &self.source
-    }
-
-    /// The scenario file this spec was compiled from, when it was.
-    pub fn scenario_file(&self) -> Option<&str> {
-        self.file.as_deref()
     }
 }
 
@@ -199,7 +190,7 @@ pub fn register_scenario(spec: ScenarioSpec) -> BenchKind {
 /// An unreadable file, or the compiler's diagnostics.
 pub fn register_scenario_file(path: &str) -> Result<BenchKind, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    ScenarioSpec::compiled(path, &text).map(register_scenario)
+    ScenarioSpec::compiled(&text).map(register_scenario)
 }
 
 /// A handle to one registered scenario.
@@ -270,11 +261,6 @@ impl BenchKind {
             InstanceSource::Builder(_) => None,
             InstanceSource::Compiled(c) => Some(c.k),
         }
-    }
-
-    /// The scenario file backing this entry, when there is one.
-    pub fn scenario_file(&self) -> Option<&'static str> {
-        self.0.scenario_file()
     }
 
     /// The label of this scenario's instance at size `k`, as
@@ -399,7 +385,7 @@ pub struct Row {
     /// canonical nodes.
     pub arena: ArenaStats,
     /// The modular engine's compiled-term cache traffic for this row.
-    pub terms: Option<TermCacheStats>,
+    pub terms: TermCacheStats,
     /// How the row's nodes got their verdicts: proofs and memo hits.
     pub memo: MemoStats,
 }
@@ -529,7 +515,7 @@ mod tests {
         // repeated per-node structure makes some constructions hits
         assert!(row.arena.constructed() > 0, "{row:?}");
         assert!(row.arena.hits > 0, "{row:?}");
-        assert!(row.terms.expect("in-process rows carry term stats").lookups() > 0);
+        assert!(row.terms.lookups() > 0);
     }
 
     #[test]
@@ -559,7 +545,7 @@ mod tests {
             // both rows carried real per-node timing stats
             assert!(pooled.tp_median <= pooled.tp_p99);
             assert!(pooled.tp_p99 > Duration::ZERO, "{pooled:?}");
-            term_rows.push(pooled.terms.expect("rows carry term stats"));
+            term_rows.push(pooled.terms);
         }
         // the second identical row starts warm: the pool's encoders already
         // hold row one's compiled terms, so hits rise and misses collapse

@@ -114,21 +114,14 @@ pub struct MemoStats {
     pub hits: usize,
 }
 
-impl std::ops::AddAssign for MemoStats {
-    fn add_assign(&mut self, other: MemoStats) {
-        self.proofs += other.proofs;
-        self.hits += other.hits;
-    }
-}
-
 /// The outcome of a modular check.
 #[derive(Debug, Clone)]
 pub struct CheckReport {
     pub(crate) failures: Vec<Failure>,
     pub(crate) node_durations: Vec<(NodeId, Duration)>,
     pub(crate) wall: Duration,
-    pub(crate) sched: Option<SchedStats>,
-    pub(crate) terms: Option<TermCacheStats>,
+    pub(crate) sched: SchedStats,
+    pub(crate) terms: TermCacheStats,
     pub(crate) memo: MemoStats,
 }
 
@@ -162,17 +155,17 @@ impl CheckReport {
     }
 
     /// Scheduler statistics (worker/steal counts) of the job that produced
-    /// this report. `None` on merged reports.
+    /// this report. Always `Some`: every report is one pool job's.
     pub fn scheduler(&self) -> Option<&SchedStats> {
-        self.sched.as_ref()
+        Some(&self.sched)
     }
 
     /// Compiled-term cache traffic attributable to this check, summed over
     /// the workers that ran it. On a pool's first check the counters start
     /// at zero (fresh sessions); on a later one the hits include terms first
     /// compiled by *earlier* checks through the same persistent sessions —
-    /// the cross-row hit rate. `None` on merged reports that carry none.
-    pub fn term_cache(&self) -> Option<TermCacheStats> {
+    /// the cross-row hit rate.
+    pub fn term_cache(&self) -> TermCacheStats {
         self.terms
     }
 
@@ -180,33 +173,6 @@ impl CheckReport {
     /// hits.
     pub fn memo(&self) -> MemoStats {
         self.memo
-    }
-
-    /// Merges the reports of disjoint node subsets into one: failures and
-    /// durations are concatenated (and re-sorted by node), the wall time is
-    /// the maximum — as if the subsets ran concurrently. Memo counters sum,
-    /// and so do the term-cache counters of the reports that carry them.
-    pub fn merge(reports: impl IntoIterator<Item = CheckReport>) -> CheckReport {
-        let mut merged = CheckReport {
-            failures: Vec::new(),
-            node_durations: Vec::new(),
-            wall: Duration::ZERO,
-            sched: None,
-            terms: None,
-            memo: MemoStats::default(),
-        };
-        for report in reports {
-            merged.failures.extend(report.failures);
-            merged.node_durations.extend(report.node_durations);
-            merged.wall = merged.wall.max(report.wall);
-            merged.memo += report.memo;
-            if let Some(t) = report.terms {
-                *merged.terms.get_or_insert_with(TermCacheStats::default) += t;
-            }
-        }
-        merged.node_durations.sort_by_key(|(v, _)| *v);
-        merged.failures.sort_by_key(|f| f.node);
-        merged
     }
 }
 
@@ -283,8 +249,8 @@ impl ModularChecker {
     /// Checks a subset of nodes in parallel, and aggregates a report over
     /// exactly those nodes.
     ///
-    /// The parts of a partition of the nodes, each checked this way, merge
-    /// ([`CheckReport::merge`]) into a report over the whole network.
+    /// The parts of a partition of the nodes, each checked this way, find
+    /// between them the failures a check of the whole network finds.
     ///
     /// The call is a [`CheckerPool`] that lives for one job: the same
     /// work-stealing workers, solver sessions, per-job verdict memo,
@@ -436,15 +402,17 @@ mod tests {
         let checker = ModularChecker::new(CheckOptions::default());
         let whole = checker.check(&net, &interface, &property).unwrap();
         let all: Vec<_> = net.topology().nodes().collect();
-        let merged = CheckReport::merge(
-            [&all[..1], &all[1..4], &all[4..]]
-                .into_iter()
-                .map(|shard| checker.check_nodes(&net, &interface, &property, shard).unwrap()),
-        );
         let names = |r: &CheckReport| -> Vec<String> {
             r.failures().iter().map(|f| f.node_name.clone()).collect()
         };
-        assert_eq!(names(&whole), names(&merged));
+        // the shards' failures, concatenated in shard order
+        let sharded: Vec<String> = [&all[..1], &all[1..4], &all[4..]]
+            .into_iter()
+            .flat_map(|shard| {
+                names(&checker.check_nodes(&net, &interface, &property, shard).unwrap())
+            })
+            .collect();
+        assert_eq!(names(&whole), sharded);
         assert!(!whole.is_verified());
     }
 
@@ -460,14 +428,6 @@ mod tests {
         assert_eq!(stats.workers, 4);
         assert_eq!(stats.claimed.iter().sum::<usize>(), 6, "every node claimed exactly once");
         assert!(!stats.cancelled);
-    }
-
-    #[test]
-    fn merge_of_nothing_is_verified_and_empty() {
-        let merged = CheckReport::merge([]);
-        assert!(merged.is_verified());
-        assert_eq!(merged.wall(), Duration::ZERO);
-        assert_eq!(merged.node_durations().len(), 0);
     }
 
     #[test]

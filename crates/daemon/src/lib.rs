@@ -12,8 +12,8 @@
 //! record already proved is answered by that proof.
 //!
 //! A client can also ask for any node list — *check these nodes of this
-//! instance* — which is the same request as a cone. A daemon may start with
-//! nothing loaded, and a client's `load` installs the instance to check.
+//! instance* — the same request as a delta with no edit. A daemon may
+//! start with nothing loaded, and a client's `load` installs the instance.
 //!
 //! The pieces:
 //!
@@ -24,9 +24,9 @@
 //!   [`timepiece_core::sweep::CheckerPool`] and the [`Loaded`] instance —
 //!   one [`timepiece_core::Instance`] the pool's workers share and one
 //!   [`timepiece_core::sweep::Record`] per node; every checking request =
-//!   name a set of nodes → re-check it on the pool, its memo seeded by the
-//!   records → keep the answers as the nodes' records (`delta` names its
-//!   edit's footprint and every node without a definite record);
+//!   one pool job over its edit's footprint and the nodes it covers without
+//!   a definite record, its memo seeded by the records → keep the answers
+//!   as the nodes' records (a `check` of settled nodes proves nothing);
 //! * [`mod@server`] — the TCP accept/state/connection threads, `progress`
 //!   heartbeats while a reply is pending, graceful drain on `shutdown` or
 //!   SIGTERM (in-flight solver calls are interrupted through

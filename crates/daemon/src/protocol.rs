@@ -10,8 +10,8 @@
 //! | verb | request fields | effect |
 //! |---|---|---|
 //! | `load` | `version`, then `scenario` (text) or `bench` + `k`; optional `sabotage`, `threads`, `timeout_millis` | install the current instance — no check, no keys, no records; replies `label`, `generation` |
-//! | `check` | — | re-verify every node |
-//! | `check` | `nodes`; optional `generation` | re-verify exactly those nodes |
+//! | `check` | — | verify every node: the records answer each node whose last definite check settled its current key, the rest are proved |
+//! | `check` | `nodes`; optional `generation` | the same, for exactly those nodes |
 //! | `delta` | `kind` + kind-specific fields | apply one edit, re-verify the dirty cone |
 //! | `status` | — | instance, verdict and counter summary |
 //! | `profile` | — | the metrics-registry snapshot |
@@ -127,7 +127,7 @@ pub struct Load {
 /// A node-list `check`: any subset of the nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeCheck {
-    /// The names of the nodes to re-verify.
+    /// The names of the nodes to verify.
     pub nodes: Vec<String>,
     /// The generation the list was planned against; a daemon that has moved
     /// on refuses the check (`None`: whatever is current).
@@ -139,9 +139,9 @@ pub struct NodeCheck {
 pub enum Request {
     /// Install the current instance.
     Load(Load),
-    /// Re-verify every node.
+    /// Verify every node: prove those no record settles.
     Check,
-    /// Re-verify exactly the named nodes.
+    /// Verify exactly the named nodes, the same way.
     CheckNodes(NodeCheck),
     /// Apply one edit and re-verify its dirty cone.
     Delta(Delta),

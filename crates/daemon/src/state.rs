@@ -15,19 +15,20 @@
 //! [`DaemonState::new`] is an empty state that installs the instance it is
 //! given and then answers a unit `check`.
 //!
-//! Every checking request is the same question — *re-prove these nodes of
-//! the current instance* — answered by the same path: one job on the
-//! still-warm pool whose memo starts from the records, so a node whose key
-//! any record holds with a proof is answered by it. A full `check` names
-//! every node, a node-list `check` names its own, and a
-//! `delta` applies the edit and names its topological *footprint* plus every
-//! node without a definite record (an `unknown`, or a node a cancellation
-//! abandoned). The job keys each of them once; its cone is every node of
-//! the job but those whose new key is the one their last definite check
-//! settled — a node the job abandoned stays in it — so a request
-//! costs what its cone costs, not what the network costs. A delta builds the
-//! edited [`Instance`] and commits it, with the job's records, only after
-//! the job has returned.
+//! Every checking request follows one rule: a node's record stands until an
+//! edit reaches its conditions. So every request takes one path — one job
+//! on the still-warm pool over the edit's topological *footprint* (a
+//! `delta`'s; a `check` has none) plus every node of the request's scope
+//! without a definite record (none yet, an `unknown`, or a node a
+//! cancellation abandoned). The scope is every node, or a node-list
+//! `check`'s own. The job's memo starts from the records, so a node whose
+//! new key any record holds with a proof is answered by that proof. Its
+//! cone is every node of the job but those whose new key is the one their
+//! last definite check settled — a node the job abandoned stays in it — so
+//! a request costs what its cone costs, not what the network costs, and a
+//! `check` of settled nodes proves nothing and builds no condition: the
+//! records answer it. A delta builds the edited [`Instance`] and commits
+//! it, with the job's records, only after the job has returned.
 //!
 //! The handler is transport-agnostic — it maps a parsed
 //! [`Request`] to a response [`Json`] — so the TCP server, the benchmark
@@ -130,8 +131,8 @@ pub type Loader = fn(&LoadSource) -> Result<(String, Instance), String>;
 type Downed = HashMap<(NodeId, NodeId), Option<RoutePolicy>>;
 
 /// A delta applied but not yet committed: the delta handler builds the
-/// edited instance and downed-link book, re-checks the footprint, and only
-/// then swaps them into the state.
+/// edited instance and downed-link book, [`DaemonState::prove`] re-checks
+/// the footprint and only then swaps them into the state.
 struct Applied {
     instance: Instance,
     downed: Downed,
@@ -203,9 +204,8 @@ impl DaemonState {
         options: CheckOptions,
     ) -> Result<DaemonState, CoreError> {
         let mut state = DaemonState::empty(options);
-        let nodes: Vec<NodeId> = instance.network.topology().nodes().collect();
         state.install(label.into(), instance);
-        state.check_nodes(&nodes)?;
+        state.prove(None, None)?;
         Ok(state)
     }
 
@@ -250,13 +250,43 @@ impl DaemonState {
         self.generation += 1;
     }
 
-    /// Re-proves `nodes` of the current instance and keeps their records.
-    fn check_nodes(&mut self, nodes: &[NodeId]) -> Result<CheckReport, CoreError> {
+    /// The one way a request reaches the solver (see the module docs): one
+    /// job, under a fresh drain token, over the footprint of `edit` plus the
+    /// nodes of `scope` (all when `None`) without a definite record. Commits
+    /// the edit and the job's records; returns the report and the cone.
+    fn prove(
+        &mut self,
+        edit: Option<Applied>,
+        scope: Option<&[NodeId]>,
+    ) -> Result<(CheckReport, Vec<NodeId>), CoreError> {
         let loaded = self.current.as_mut().expect("an instance is installed");
-        let (report, records) =
-            prove(&mut self.pool, &self.drain, &loaded.instance, nodes, &loaded.records)?;
+        let (instance, downed, footprint) = match edit {
+            Some(Applied { instance, downed, footprint }) => {
+                (Arc::new(instance), Some(downed), footprint.into_iter().collect())
+            }
+            None => (Arc::clone(&loaded.instance), None, HashSet::new()),
+        };
+        // the key a node's last check settled, if it settled one
+        let held = |v: &NodeId| loaded.records.get(v).filter(|r| r.is_definite()).map(Record::key);
+        let mut nodes = scope
+            .map_or_else(|| loaded.instance.network.topology().nodes().collect(), <[_]>::to_vec);
+        nodes.retain(|v| footprint.contains(v) || held(v).is_none());
+        let token = self.drain.begin();
+        let result = self.pool.check_seeded(&instance, &nodes, &loaded.records, &token);
+        self.drain.end();
+        let (report, records) = result?;
+        let cone = nodes
+            .into_iter()
+            .filter(|v| held(v).is_none_or(|old| records.get(v).map(Record::key) != Some(old)))
+            .collect();
+        // a node the (possibly cancelled) job did not answer has no record,
+        // so it serves no stale verdict and joins the next job
+        loaded.instance = instance;
+        if let Some(downed) = downed {
+            loaded.downed = downed;
+        }
         loaded.records = records;
-        Ok(report)
+        Ok((report, cone))
     }
 
     /// Handles one request, updating the state. Each call is traced as one
@@ -331,83 +361,44 @@ impl DaemonState {
         ]))
     }
 
-    /// `check`: re-verify every node — or, for a node-list check, exactly
-    /// the named ones — through the warm pool.
+    /// `check`: the same job as a delta with no edit, over every node — or,
+    /// for a node-list check, exactly the named ones — so a node whose
+    /// record settled its current key is answered by the record.
     fn handle_check(&mut self, subset: Option<&NodeCheck>) -> Json {
         let start = Instant::now();
         let Some(inst) = self.current.as_ref() else { return error_response(NOTHING_LOADED) };
-        let cone: Vec<NodeId> = match subset {
-            None => inst.instance.network.topology().nodes().collect(),
-            Some(check) => {
-                if let Some(planned) = check.generation.filter(|&g| g != self.generation) {
-                    return error_response(format!(
-                        "stale generation {planned}: this daemon now holds generation {} ({})",
-                        self.generation, inst.label
-                    ));
-                }
-                let cone: Vec<NodeId> =
-                    match check.nodes.iter().map(|name| inst.node(name)).collect() {
-                        Ok(cone) => cone,
-                        Err(message) => return error_response(message),
-                    };
-                // a node named twice would be proved twice and counted twice
-                let mut seen = HashSet::new();
-                if let Some(i) = cone.iter().position(|v| !seen.insert(*v)) {
-                    return error_response(format!("node {:?} is named twice", check.nodes[i]));
-                }
-                cone
-            }
+        let named = match subset.map(|check| inst.named(check, self.generation)).transpose() {
+            Ok(named) => named,
+            Err(message) => return error_response(message),
         };
-        let report = match self.check_nodes(&cone) {
-            Ok(report) => report,
+        let (report, cone) = match self.prove(None, named.as_deref()) {
+            Ok(proved) => proved,
             Err(e) => return error_response(format!("check failed: {e}")),
         };
         let inst = self.current.as_ref().expect("checked above");
         // a node-list check answers for its nodes; a unit check for them all
-        let answered = subset.map(|_| cone.as_slice());
-        inst.report_response("check", self.generation, &cone, answered, &report, start)
+        inst.report_response("check", self.generation, &cone, named.as_deref(), &report, start)
     }
 
     /// `delta`: apply the edit, re-check its footprint and every node
     /// without a definite record in one job, commit.
     fn handle_delta(&mut self, delta: &Delta) -> Json {
         let start = Instant::now();
-        let Some(inst) = self.current.as_mut() else { return error_response(NOTHING_LOADED) };
+        let Some(inst) = self.current.as_ref() else { return error_response(NOTHING_LOADED) };
         let applied = match inst.apply(delta) {
             Ok(applied) => applied,
             Err(message) => return error_response(message),
         };
-        let Applied { instance, downed, mut footprint } = applied;
-        // the key a node's last check settled, if it settled one
-        let held = |v: &NodeId| inst.records.get(v).filter(|r| r.is_definite()).map(Record::key);
-        let undecided = inst.instance.network.topology().nodes().filter(|v| held(v).is_none());
-        footprint.extend(undecided);
-        footprint.sort_unstable();
-        footprint.dedup();
-        let instance = Arc::new(instance);
-        let (report, records) =
-            match prove(&mut self.pool, &self.drain, &instance, &footprint, &inst.records) {
-                Ok(checked) => checked,
-                Err(e) => return error_response(format!("re-check failed: {e}")),
-            };
-        // the dirty cone: every node of the job but those whose new record
-        // has the key their last definite check settled — a node the job
-        // abandoned has no new record and stays in it
-        let cone: Vec<NodeId> = footprint
-            .into_iter()
-            .filter(|v| held(v).is_none_or(|old| records.get(v).map(Record::key) != Some(old)))
-            .collect();
-        // commit: the edited instance is now the daemon's instance; a node
-        // the (possibly cancelled) job did not answer has no record, so it
-        // serves no stale verdict and joins the next job
-        inst.instance = instance;
-        inst.downed = downed;
-        inst.records = records;
+        let (report, cone) = match self.prove(Some(applied), None) {
+            Ok(proved) => proved,
+            Err(e) => return error_response(format!("re-check failed: {e}")),
+        };
         self.generation += 1;
         self.deltas += 1;
         timepiece_trace::counter("daemon.deltas").inc();
         timepiece_trace::histogram("daemon.cone_nodes").record(cone.len() as u64);
         timepiece_trace::histogram("daemon.delta_ns").record_duration(start.elapsed());
+        let inst = self.current.as_ref().expect("the delta was committed");
         inst.report_response("delta", self.generation, &cone, None, &report, start)
     }
 
@@ -446,21 +437,6 @@ impl DaemonState {
             ("arena_terms", Json::from(timepiece_expr::arena::stats().terms as usize)),
         ])
     }
-}
-
-/// Re-proves `nodes` on the pool, its memo seeded by `records`, under a
-/// fresh drain token — the one way a request reaches the solver.
-fn prove(
-    pool: &mut CheckerPool,
-    drain: &DrainSignal,
-    instance: &Arc<Instance>,
-    nodes: &[NodeId],
-    records: &Records,
-) -> Result<(CheckReport, Records), CoreError> {
-    let token = drain.begin();
-    let result = pool.check_seeded(instance, nodes, records, &token);
-    drain.end();
-    result
 }
 
 /// Resolves a node name against a topology.
@@ -572,10 +548,9 @@ impl Loaded {
             ("failures".to_owned(), Json::arr(failures)),
             ("wall_ms".to_owned(), Json::Num(start.elapsed().as_secs_f64() * 1e3)),
         ];
-        if let Some(terms) = report.term_cache() {
-            pairs.push(("term_hits".to_owned(), Json::from(terms.hits as usize)));
-            pairs.push(("term_misses".to_owned(), Json::from(terms.misses as usize)));
-        }
+        let terms = report.term_cache();
+        pairs.push(("term_hits".to_owned(), Json::from(terms.hits as usize)));
+        pairs.push(("term_misses".to_owned(), Json::from(terms.misses as usize)));
         // how the job's nodes got their verdicts: proved, or answered by
         // the proof of an equal key — a record's, or one this job found
         let memo = report.memo();
@@ -587,6 +562,25 @@ impl Loaded {
     /// Resolves a node name against the topology.
     fn node(&self, name: &str) -> Result<NodeId, String> {
         node_named(self.instance.network.topology(), name)
+    }
+
+    /// The nodes a node-list check names, refused when it was planned
+    /// against another generation than `generation` or names a node twice.
+    fn named(&self, check: &NodeCheck, generation: u64) -> Result<Vec<NodeId>, String> {
+        if let Some(planned) = check.generation.filter(|&g| g != generation) {
+            return Err(format!(
+                "stale generation {planned}: this daemon now holds generation {generation} ({})",
+                self.label
+            ));
+        }
+        let named: Vec<NodeId> =
+            check.nodes.iter().map(|name| self.node(name)).collect::<Result<_, _>>()?;
+        // a node named twice would be proved twice and counted twice
+        let mut seen = HashSet::new();
+        match named.iter().position(|v| !seen.insert(*v)) {
+            Some(i) => Err(format!("node {:?} is named twice", check.nodes[i])),
+            None => Ok(named),
+        }
     }
 
     /// The delta that replaces the network by an edited one.

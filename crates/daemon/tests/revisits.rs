@@ -56,8 +56,12 @@ fn loader(source: &LoadSource) -> Result<(String, Instance), String> {
 fn a_check_of_an_unedited_instance_proves_nothing() {
     let mut state = DaemonState::new("SpReach k=4", spreach4(), options()).unwrap();
     let reply = state.handle(&Request::Check).reply;
+    // every node's record settled its current key: the records answer the
+    // check, and its job has no node to build, key or prove
+    assert_eq!(count(&reply, "checked"), 0, "{reply}");
     assert_eq!(count(&reply, "memo_proofs"), 0, "{reply}");
-    assert_eq!(count(&reply, "memo_hits"), 20, "{reply}");
+    assert_eq!(count(&reply, "memo_hits"), 0, "{reply}");
+    assert_eq!(count(&reply, "cached"), 20, "{reply}");
     assert!(verified(&reply), "{reply}");
 }
 
@@ -130,6 +134,11 @@ fn a_node_left_unknown_is_never_served_and_rejoins_the_next_delta() {
         .collect();
     assert!(unknown.iter().any(|name| name == "v4"), "the budget must run out: {check}");
     assert!(!verified(&check), "{check}");
+    // a full check answers the settled nodes from their records and proves
+    // the unknown again
+    let again = state.handle(&Request::Check).reply;
+    assert_eq!(names(&again, "durations"), ["v4"], "{again}");
+    assert!(!verified(&again), "{again}");
     // an edit whose footprint is v1 alone: v4 is checked again, not served
     // the unknown its last check left
     let edit = Delta::EdgePolicy { u: "v0".into(), v: "v1".into(), policy: PolicySpec::Default };
